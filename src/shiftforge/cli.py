@@ -57,6 +57,16 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError("expected a rational like 1/10")
 
 
+def _jobs_arg(text):
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % jobs)
+    return jobs
+
+
 def _load_source(path):
     """System file: sparse system (with optional recipe) or circuit list."""
     loaded = load_system(path)
@@ -249,7 +259,7 @@ def _build_parser():
         return p
 
     def add_jobs(p):
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_jobs_arg, default=1,
                        help="worker processes for enumeration")
 
     def add_domain(p):

@@ -13,12 +13,14 @@ independent of how the space is split across workers.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .errors import (
     ArityError,
     CapExceededError,
+    InternalConsistencyError,
     PreconditionError,
     UnsupportedDomainError,
 )
@@ -33,7 +35,7 @@ from .hn_reduce import (
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_solution, extend_solution
 from .rings import INTEGERS, RATIONALS, RingElement
-from .sparsepoly import eval_payload, format_vector, shifted_term_map
+from .sparsepoly import eval_payload, format_vector, shift_counts, shifted_term_map
 
 DEFAULT_ENUM_CAP = 10 ** 7
 
@@ -126,21 +128,62 @@ def _plan(dom, ring, k):
     return values, free, size
 
 
-def _vector_at(rank, values, free, k, restriction, value_set, zero):
+def _vector_at(rank, values, free, k, restriction, value_set, ring):
     """Decode a rank into a full payload vector, or None when the forced
     coordinate falls outside the domain.  Rank order is lexicographic in
     the free coordinates."""
+    zero = ring.canon(0)
     vec = [zero] * k
     nv = len(values)
     for pos in reversed(free):
         rank, digit = divmod(rank, nv)
         vec[pos] = values[digit]
     if restriction == ZERO_SUM:
-        forced = -sum(vec[1:], zero)
+        forced = ring.canon(-sum(vec[1:], zero))
         if forced not in value_set:
             return None
         vec[0] = forced
     return vec
+
+
+def _walk(values, free, k, restriction, ring, lo, hi):
+    """The ranks lo..hi-1 in odometer order, as a walk for shift_counts.
+
+    Yields (changes, vec) per rank: changes moves the previous vector to
+    this one, and vec is the full payload vector, or None when the forced
+    coordinate falls outside the domain.  The same list is yielded each
+    time, updated in place."""
+    if lo >= hi:
+        return
+    nv = len(values)
+    value_set = set(values)
+    zero_sum = restriction == ZERO_SUM
+    digits = [0] * len(free)
+    rank = lo
+    for d in reversed(range(len(free))):
+        rank, digits[d] = divmod(rank, nv)
+    zero = ring.canon(0)
+    vec = [zero] * k
+    changes = [(pos, values[d]) for pos, d in zip(free, digits)]
+    for rank in range(lo, hi):
+        if rank > lo:
+            changes = []
+            d = len(free) - 1
+            while digits[d] == nv - 1:
+                digits[d] = 0
+                changes.append((free[d], values[0]))
+                d -= 1
+            digits[d] += 1
+            changes.append((free[d], values[digits[d]]))
+        for pos, v in changes:
+            vec[pos] = v
+        if zero_sum:
+            forced = ring.canon(-sum(vec[1:], zero))
+            changes.append((0, forced))
+            vec[0] = forced
+            yield changes, (vec if forced in value_set else None)
+        else:
+            yield changes, vec
 
 
 def _chunk_bounds(size, parts):
@@ -155,11 +198,19 @@ def _chunk_bounds(size, parts):
     return bounds
 
 
+def _pool_size(jobs, tasks):
+    """Worker processes for a pool over `tasks` chunks: never more than
+    the chunks or the CPUs.  The chunk count itself stays `jobs`, so
+    output does not depend on the machine."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _run_chunks(worker, common, size, jobs):
     bounds = _chunk_bounds(size, jobs if jobs > 1 else 1)
     tasks = [common + (lo, hi) for lo, hi in bounds if lo < hi]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks))
     return [worker(t) for t in tasks]
 
@@ -184,37 +235,44 @@ class SearchReport:
         ]
 
 
-def _normalize_zero(ring):
-    return ring.canon(0)
+def _count(terms, metric):
+    if metric == "nonconstant":
+        return sum(1 for e in terms if sum(e))
+    return len(terms)
 
 
 def _min_sparsity_chunk(args):
     poly, values, free, restriction, metric, lo, hi = args
     ring = poly.ring
-    zero = _normalize_zero(ring)
-    value_set = set(values)
     k = poly.nvars
+    walk = _walk(values, free, k, restriction, ring, lo, hi)
+    if poly.degree() <= 2:
+        counts = shift_counts(ring, poly.terms, range(k), walk,
+                              nonconstant=metric == "nonconstant")
+    else:
+        counts = ((None if vec is None
+                   else _count(shifted_term_map(ring, poly.terms, vec), metric), vec)
+                  for _, vec in walk)
     best = None
     points = 0
-    for rank in range(lo, hi):
-        vec = _vector_at(rank, values, free, k, restriction, value_set, zero)
+    for sp, vec in counts:
         if vec is None:
             continue
         points += 1
-        shifted = shifted_term_map(ring, poly.terms, vec)
-        if metric == "nonconstant":
-            sp = sum(1 for e in shifted if sum(e))
-        else:
-            sp = len(shifted)
-        key = (sp, tuple(vec))
-        if best is None or key < best:
-            best = key
+        if best is None or sp <= best[0]:
+            key = (sp, tuple(vec))
+            if best is None or key < best:
+                best = key
     return best, points
 
 
 def search_min_sparsity(poly, dom, metric="total", jobs=1):
     """Minimum (non)constant monomial count of poly(X + a) over the
-    domain, with the lexicographically least witness shift."""
+    domain, with the lexicographically least witness shift.
+
+    Polynomials of degree at most 2 are counted by shift_counts, others
+    by full expansion; either way the winner is expanded once more and
+    its count certified."""
     if metric not in ("total", "nonconstant"):
         raise PreconditionError("metric must be total or nonconstant")
     values, free, size = _plan(dom, poly.ring, poly.nvars)
@@ -229,20 +287,25 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
     if best is None:
         raise PreconditionError("search domain is empty")
     witness = tuple(RingElement(poly.ring, v) for v in best[1])
+    exact = _count(shifted_term_map(poly.ring, poly.terms, best[1]), metric)
+    if exact != best[0]:
+        raise InternalConsistencyError(
+            "shift %s: counted %d monomials, expansion gives %d"
+            % (format_vector(witness), best[0], exact)
+        )
     return SearchReport(best[0], witness, points, dom.mode == EXHAUSTIVE)
 
 
 def _solve_chunk(args):
     system, values, free, restriction, lo, hi = args
     ring = system.ring
-    zero = _normalize_zero(ring)
     value_set = set(values)
     k = system.nvars
     m = ring.modulus
     best = None
     points = 0
     for rank in range(lo, hi):
-        vec = _vector_at(rank, values, free, k, restriction, value_set, zero)
+        vec = _vector_at(rank, values, free, k, restriction, value_set, ring)
         if vec is None:
             continue
         points += 1
@@ -278,11 +341,10 @@ def solve_system(system, dom, jobs=1):
 def _maxsat_chunk(args):
     system, values, free, restriction, lo, hi = args
     ring = system.ring
-    zero = _normalize_zero(ring)
     value_set = set(values)
     best = -1
     for rank in range(lo, hi):
-        vec = _vector_at(rank, values, free, system.n, restriction, value_set, zero)
+        vec = _vector_at(rank, values, free, system.n, restriction, value_set, ring)
         if vec is None:
             continue
         point = [RingElement(ring, v) for v in vec]
@@ -374,7 +436,6 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     sigma = inst.sigma
     dom = SearchDomain.integer_box(box, cap=cap)
     values = dom.values(ring)
-    value_set = set(values)
     violations = []
 
     # direction 1: box-bounded source assignments
@@ -396,23 +457,23 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
         if drop != 1:
             violations.append("solution %s drops %d" % (format_vector(full), drop))
 
-    # direction 2: zero-sum shifts inside the box
+    # direction 2: zero-sum shifts of the x-block inside the box, counted
+    # by shift_counts with the w variables unshifted
     n = inst.nsys
     size = len(values) ** n
     if size > cap:
         raise CapExceededError("shift space of %d points exceeds the cap" % size)
     sparsifying = 0
     shift_points = 0
-    zero = _normalize_zero(ring)
-    for combo in itertools.product(values, repeat=n):
-        forced = -sum(combo, zero)
-        if forced not in value_set:
+    walk = _walk(values, range(1, n + 1), n + 1, ZERO_SUM, ring, 0, size)
+    for count, vec in shift_counts(ring, inst.polynomial.terms, range(n + 1), walk):
+        if vec is None:
             continue
         shift_points += 1
-        b = tuple(RingElement(ring, v) for v in (forced,) + combo)
-        if shift_instance(inst, b).sparsity() >= sigma:
+        if count >= sigma:
             continue
         sparsifying += 1
+        b = tuple(RingElement(ring, v) for v in vec)
         try:
             shift_to_solution(inst, b)
         except Exception as exc:  # noqa: BLE001 - recorded, not raised

@@ -12,7 +12,7 @@ import os
 from itertools import product
 from math import comb
 
-from .errors import ArityError, FormatError, RingMismatchError
+from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
 from .rings import Ring, RingElement
 
 DEFAULT_TERM_CAP = 10 ** 6
@@ -69,6 +69,106 @@ def shifted_term_map(ring, terms, offsets):
     if m is not None:
         return {e: v % m for e, v in out.items() if v % m}
     return {e: v for e, v in out.items() if v}
+
+
+def shift_counts(ring, terms, shifted, walk, nonconstant=False):
+    """Monomial counts of P(X + a) along a walk of shifts, without expanding.
+
+    P is given by its payload term map and has degree at most 2 in the
+    shifted positions.  The shift a starts at zero; each step of the walk
+    is (changes, tag), where changes is a sequence of (position, payload)
+    pairs, all at shifted positions, that move a to the next point.  For
+    every step this yields (count, tag): the number of monomials of
+    P(X + a), or of its nonconstant monomials when nonconstant is set.
+
+    Terms are grouped by their exponents on the unshifted positions, and
+    distinct groups never merge, so the count is a sum over groups.  In a
+    group with quadratic part Q, the quadratic terms do not move, the
+    coefficient of x_i is the partial derivative of Q at a, and the
+    constant is Q(a).  These values live in slots; a step touches only
+    the slots next to the positions it changes.
+    """
+    m = ring.modulus
+    shifted = set(shifted)
+    groups = {}
+    quadratic = 0
+    for exps, c in terms.items():
+        moving = []
+        rest = []
+        for i, e in enumerate(exps):
+            if i in shifted:
+                moving.extend([i] * e)
+            else:
+                rest.append(e)
+        if len(moving) > 2:
+            raise PreconditionError(
+                "term %r has degree %d in the shifted positions" % (exps, len(moving))
+            )
+        quadratic += len(moving) == 2
+        groups.setdefault(tuple(rest), []).append((moving, c))
+
+    zero = ring.canon(0)
+    slots = []  # current slot values
+    const_steps = {}  # j -> [(constant slot, slot of x_j, coefficient of x_j^2)]
+    lin_steps = {}  # j -> [(slot of x_i, coefficient of the change in a_j)]
+    for rest, group in groups.items():
+        lin = {}
+        quad = {}
+        const = zero
+        for moving, c in group:
+            if len(moving) == 2:
+                quad[tuple(moving)] = c
+                for i in moving:
+                    lin.setdefault(i, zero)
+            elif moving:
+                lin[moving[0]] = lin.get(moving[0], zero) + c
+            else:
+                const = c
+        slot_of = {}
+        for i in sorted(lin):
+            slot_of[i] = len(slots)
+            slots.append(lin[i])
+        for (i, j), c in quad.items():
+            if i == j:
+                c = ring.canon(2 * c)
+                if c:
+                    lin_steps.setdefault(i, []).append((slot_of[i], c))
+            else:
+                lin_steps.setdefault(i, []).append((slot_of[j], c))
+                lin_steps.setdefault(j, []).append((slot_of[i], c))
+        if nonconstant and not any(rest):
+            continue
+        cslot = len(slots)
+        slots.append(const)
+        for i, s in slot_of.items():
+            const_steps.setdefault(i, []).append((cslot, s, quad.get((i, i), zero)))
+
+    a = {j: zero for j in shifted}
+    nonzero = sum(1 for v in slots if v)
+    for changes, tag in walk:
+        for j, v in changes:
+            d = v - a[j]
+            if not d:
+                continue
+            a[j] = v
+            # Q(a + d e_j) = Q(a) + d * dQ/dx_j(a) + q_jj * d^2, so the
+            # constants move first, while the x_j slots still hold the
+            # derivatives at the old point
+            for cs, ls, q in const_steps.get(j, ()):
+                old = slots[cs]
+                new = old + d * (slots[ls] + q * d)
+                if m is not None:
+                    new %= m
+                slots[cs] = new
+                nonzero += (new != 0) - (old != 0)
+            for s, q in lin_steps.get(j, ()):
+                old = slots[s]
+                new = old + q * d
+                if m is not None:
+                    new %= m
+                slots[s] = new
+                nonzero += (new != 0) - (old != 0)
+        yield quadratic + nonzero, tag
 
 
 class SparsePoly:

@@ -356,3 +356,12 @@ def test_console_script_byte_determinism(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"trivially_solvable false")
+
+
+def test_jobs_below_one_is_rejected(tmp_path, capsys):
+    path = write_poly(tmp_path, "x.poly", ZZ, 1, {(1,): 1})
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search-shift", path, "--box", "1", "--jobs", bad])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

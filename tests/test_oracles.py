@@ -1,5 +1,6 @@
 """Brute-force ground truth: searches, solvers, and round-trip verifiers."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from shiftforge import (
     ArityError,
     CapExceededError,
     EquationSystem,
+    InternalConsistencyError,
     Max3LinSystem,
     PreconditionError,
     QQ,
@@ -16,13 +18,18 @@ from shiftforge import (
     ZZ,
     gen_max3lin,
     maxsat,
+    modular,
     prime_field,
+    reduce_hn,
     search_min_sparsity,
+    shift_instance,
     solve_system,
     verify_hn_roundtrip,
     verify_max3lin,
 )
-from shiftforge.oracles import SUPPORT_LAST, ZERO_SUM, SearchDomain
+from shiftforge import oracles
+from shiftforge.oracles import NONE, SUPPORT_LAST, ZERO_SUM, SearchDomain
+from shiftforge.sparsepoly import shift_counts
 
 from helpers import (
     out_of_box_system,
@@ -337,3 +344,146 @@ def test_parallel_matches_serial():
         L = gen_max3lin(4, 4, F2, planted=True, seed=rng.random())
         dom = SearchDomain.exhaustive()
         assert maxsat(L, dom) == maxsat(L, dom, jobs=4)
+
+
+def test_zero_sum_over_a_finite_ring_visits_every_completion():
+    # the forced first coordinate is reduced into the ring, so each of
+    # the 9 tails of F3^3 has a completion
+    p = poly(F3, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 1})
+    report = search_min_sparsity(p, SearchDomain.exhaustive().restricted(ZERO_SUM))
+    assert report.lines() == [
+        "min_sparsity 4",
+        "witness 0,0,0",
+        "points 9",
+        "complete true",
+        "violations 0",
+    ]
+
+
+class SerialPool:
+    """Stands in for the process pool: same chunks, run in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def reference_search(p, dom, metric):
+    """(min_sparsity, witness payloads, points) by expanding every point."""
+    ring = p.ring
+    k = p.nvars
+    values = dom.values(ring)
+    if dom.restriction == ZERO_SUM:
+        free = range(1, k)
+    elif dom.restriction == SUPPORT_LAST:
+        free = range(k - dom.support_n, k)
+    else:
+        free = range(k)
+    best = None
+    points = 0
+    for combo in itertools.product(values, repeat=len(free)):
+        vec = [ring.canon(0)] * k
+        for pos, v in zip(free, combo):
+            vec[pos] = v
+        if dom.restriction == ZERO_SUM:
+            vec[0] = ring.canon(-sum(vec[1:], ring.canon(0)))
+            if vec[0] not in values:
+                continue
+        points += 1
+        shifted = p.shift([ring.el(v) for v in vec])
+        count = (shifted.nonconstant_sparsity() if metric == "nonconstant"
+                 else shifted.sparsity())
+        if best is None or (count, tuple(vec)) < best:
+            best = (count, tuple(vec))
+    return best[0], best[1], points
+
+
+def test_kernel_search_matches_expansion(monkeypatch):
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+    rng = random.Random(191)
+    rings = [ZZ, QQ, F2, F3, F5, modular(4), modular(6)]
+    for ring in rings:
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            for metric in ("total", "nonconstant"):
+                for _ in range(2):
+                    k = rng.randint(1, 3)
+                    p = random_poly(ring, k, 2, 6, rng)
+                    if ring.is_finite:
+                        dom = SearchDomain.exhaustive()
+                    elif ring == QQ and rng.random() < 0.5:
+                        dom = SearchDomain.rational_grid([-1, 0, 1], [1, 2])
+                    else:
+                        dom = SearchDomain.integer_box(rng.randint(1, 2))
+                    dom = dom.restricted(restriction, rng.randint(0, k))
+                    want = reference_search(p, dom, metric)
+                    for jobs in (1, 2, 3, 7):
+                        report = search_min_sparsity(p, dom, metric, jobs=jobs)
+                        got = (report.min_sparsity,
+                               tuple(v.val for v in report.witness),
+                               report.points)
+                        assert got == want, (ring, restriction, metric, p, jobs)
+
+
+def test_kernel_counts_match_shift_instance_on_hn_corpora():
+    rng = random.Random(193)
+    systems = [planted_integer_system(rng, max_vars=2, max_eqs=2, value_bound=1,
+                                      max_degree=2, max_terms=2)[0]
+               for _ in range(12)]
+    systems += [unsolvable_integer_system(rng) for _ in range(12)]
+    checked = 0
+    for S in systems:
+        inst = reduce_hn(S)
+        if not hasattr(inst, "nsys") or inst.nsys > 4:
+            continue
+        n = inst.nsys
+        box = rng.randint(1, 2)
+        values = list(range(-box, box + 1))
+        walk = oracles._walk(values, range(1, n + 1), n + 1, ZERO_SUM, ZZ,
+                             0, len(values) ** n)
+        seen = []
+        for count, vec in shift_counts(ZZ, inst.polynomial.terms,
+                                       range(n + 1), walk):
+            if vec is None:
+                continue
+            b = [ZZ.el(v) for v in vec]
+            assert count == shift_instance(inst, b).sparsity()
+            seen.append(tuple(vec))
+        assert seen == [(-sum(tail),) + tail
+                        for tail in itertools.product(values, repeat=n)
+                        if abs(sum(tail)) <= box]
+        checked += 1
+    assert checked >= 12
+
+
+def test_search_certifies_the_kernel_count(monkeypatch):
+    real = oracles.shift_counts
+
+    def off_by_one(*args, **kwargs):
+        for count, vec in real(*args, **kwargs):
+            yield count + 1, vec
+
+    monkeypatch.setattr(oracles, "shift_counts", off_by_one)
+    p = poly(F3, 2, {(1, 1): 1, (1, 0): 1, (0, 0): 2})
+    with pytest.raises(InternalConsistencyError):
+        search_min_sparsity(p, SearchDomain.exhaustive())
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 2)
+    assert oracles._pool_size(10 ** 9, 10 ** 6) == 2
+    assert oracles._pool_size(4, 1) == 1
+    assert oracles._pool_size(1, 5) == 1
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: None)
+    assert oracles._pool_size(8, 8) == 1
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 64)
+    assert oracles._pool_size(8, 3) == 3
+    # the chunk count follows jobs, not the machine
+    assert len(oracles._chunk_bounds(100, 8)) == 8

@@ -7,6 +7,7 @@ import pytest
 from shiftforge import (
     ArityError,
     FormatError,
+    PreconditionError,
     QQ,
     RingMismatchError,
     SparsePoly,
@@ -14,9 +15,14 @@ from shiftforge import (
     modular,
     prime_field,
 )
-from shiftforge.sparsepoly import poly_from_text, poly_to_text
+from shiftforge.sparsepoly import (
+    poly_from_text,
+    poly_to_text,
+    shift_counts,
+    shifted_term_map,
+)
 
-from helpers import random_poly, random_vector
+from helpers import random_element, random_nonzero, random_poly, random_vector
 
 F5 = prime_field(5)
 Z6 = modular(6)
@@ -217,3 +223,52 @@ def test_parse_rejects_duplicates_and_garbage():
 def test_comments_and_blank_lines_ignored():
     text = "# header\nring Z\n\nvars 1 x\n# note\nterm 1 1\n"
     assert poly_from_text(text) == P(ZZ, 1, {(1,): 1}, ["x"])
+
+
+def random_shift_terms(ring, rng, nvars, shifted):
+    """Payload terms of degree at most 2 in the shifted positions and up
+    to 2 in each of the others."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.choice(shifted)] += 1
+        for i in range(nvars):
+            if i not in shifted:
+                exps[i] = rng.randint(0, 2)
+        terms[tuple(exps)] = random_nonzero(ring, rng).val
+    return P(ring, nvars, terms).terms
+
+
+def test_shift_counts_match_expansion_along_random_walks():
+    rng = random.Random(181)
+    for ring in (ZZ, QQ, F5, prime_field(2), modular(4), Z6):
+        for _ in range(25):
+            nvars = rng.randint(1, 5)
+            shifted = sorted(rng.sample(range(nvars), rng.randint(1, nvars)))
+            terms = random_shift_terms(ring, rng, nvars, shifted)
+            a = [ring.canon(0)] * nvars
+            walk = []
+            points = []
+            for _ in range(12):
+                changes = [(j, random_element(ring, rng, 2).val)
+                           for j in rng.sample(shifted, rng.randint(1, len(shifted)))]
+                for j, v in changes:
+                    a[j] = v
+                walk.append((changes, len(points)))
+                points.append(list(a))
+            for nonconstant in (False, True):
+                steps = list(shift_counts(ring, terms, shifted, walk, nonconstant))
+                assert [tag for _, tag in steps] == list(range(len(points)))
+                for (count, tag), point in zip(steps, points):
+                    out = shifted_term_map(ring, terms, point)
+                    if nonconstant:
+                        out = [e for e in out if sum(e)]
+                    assert count == len(out), (ring, terms, shifted, point)
+
+
+def test_shift_counts_needs_degree_two_in_the_shifted_positions():
+    terms = P(ZZ, 2, {(3, 0): 1, (0, 1): 1}).terms
+    assert list(shift_counts(ZZ, terms, [1], [([(1, 2)], None)])) == [(3, None)]
+    with pytest.raises(PreconditionError):
+        next(shift_counts(ZZ, terms, [0], [([(0, 2)], None)]))
