@@ -12,7 +12,6 @@ independent of how the space is split across workers.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -128,31 +127,14 @@ def _plan(dom, ring, k):
     return values, free, size
 
 
-def _vector_at(rank, values, free, k, restriction, value_set, ring):
-    """Decode a rank into a full payload vector, or None when the forced
-    coordinate falls outside the domain.  Rank order is lexicographic in
-    the free coordinates."""
-    zero = ring.canon(0)
-    vec = [zero] * k
-    nv = len(values)
-    for pos in reversed(free):
-        rank, digit = divmod(rank, nv)
-        vec[pos] = values[digit]
-    if restriction == ZERO_SUM:
-        forced = ring.canon(-sum(vec[1:], zero))
-        if forced not in value_set:
-            return None
-        vec[0] = forced
-    return vec
-
-
 def _walk(values, free, k, restriction, ring, lo, hi):
-    """The ranks lo..hi-1 in odometer order, as a walk for shift_counts.
+    """The ranks lo..hi-1 in odometer order, lexicographic in the free
+    coordinates; the one domain enumerator of every oracle.
 
     Yields (changes, vec) per rank: changes moves the previous vector to
-    this one, and vec is the full payload vector, or None when the forced
-    coordinate falls outside the domain.  The same list is yielded each
-    time, updated in place."""
+    this one (the walk shift_counts takes), and vec is the full payload
+    vector, or None when the forced coordinate falls outside the domain.
+    The same list is yielded each time, updated in place."""
     if lo >= hi:
         return
     nv = len(values)
@@ -198,11 +180,20 @@ def _chunk_bounds(size, parts):
     return bounds
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the host."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _pool_size(jobs, tasks):
     """Worker processes for a pool over `tasks` chunks: never more than
-    the chunks or the CPUs.  The chunk count itself stays `jobs`, so
-    output does not depend on the machine."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    the chunks or the usable CPUs.  The chunk count itself stays `jobs`,
+    so output does not depend on the machine."""
+    return max(1, min(jobs, tasks, _usable_cpus()))
 
 
 def _run_chunks(worker, common, size, jobs):
@@ -299,13 +290,10 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
 def _solve_chunk(args):
     system, values, free, restriction, lo, hi = args
     ring = system.ring
-    value_set = set(values)
-    k = system.nvars
     m = ring.modulus
     best = None
     points = 0
-    for rank in range(lo, hi):
-        vec = _vector_at(rank, values, free, k, restriction, value_set, ring)
+    for _, vec in _walk(values, free, system.nvars, restriction, ring, lo, hi):
         if vec is None:
             continue
         points += 1
@@ -341,10 +329,8 @@ def solve_system(system, dom, jobs=1):
 def _maxsat_chunk(args):
     system, values, free, restriction, lo, hi = args
     ring = system.ring
-    value_set = set(values)
     best = -1
-    for rank in range(lo, hi):
-        vec = _vector_at(rank, values, free, system.n, restriction, value_set, ring)
+    for _, vec in _walk(values, free, system.n, restriction, ring, lo, hi):
         if vec is None:
             continue
         point = [RingElement(ring, v) for v in vec]
@@ -445,7 +431,7 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
         raise CapExceededError("solution space of %d points exceeds the cap" % size)
     solutions = 0
     solution_points = 0
-    for combo in itertools.product(values, repeat=nx):
+    for _, combo in _walk(values, range(nx), nx, NONE, ring, 0, size):
         solution_points += 1
         ax = [RingElement(ring, v) for v in combo]
         full = extend_solution(inst.recipe, ax) if inst.recipe else tuple(ax)

@@ -358,6 +358,12 @@ def test_zero_sum_over_a_finite_ring_visits_every_completion():
         "complete true",
         "violations 0",
     ]
+    # solve and maxsat walk the same domain
+    zs = SearchDomain.exhaustive().restricted(ZERO_SUM)
+    sol = solve_system(system(F3, 3, [{(0, 1, 0): 1, (0, 0, 0): -1}]), zs)
+    assert tuple(v.val for v in sol) == (0, 1, 2)
+    L = Max3LinSystem(F3, 3, [((0, 1, 2), (F3.one, F3.one, F3.el(2)), F3.one)])
+    assert maxsat(L, zs) == 1
 
 
 class SerialPool:
@@ -477,13 +483,18 @@ def test_search_certifies_the_kernel_count(monkeypatch):
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
-    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 2)
+    # the affinity mask wins over the host's CPU count
+    monkeypatch.setattr(oracles.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 64)
     assert oracles._pool_size(10 ** 9, 10 ** 6) == 2
     assert oracles._pool_size(4, 1) == 1
     assert oracles._pool_size(1, 5) == 1
+    # without an affinity call, the host's count
+    monkeypatch.delattr(oracles.os, "sched_getaffinity", raising=False)
+    assert oracles._pool_size(8, 3) == 3
+    assert oracles._pool_size(100, 100) == 64
     monkeypatch.setattr(oracles.os, "cpu_count", lambda: None)
     assert oracles._pool_size(8, 8) == 1
-    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 64)
-    assert oracles._pool_size(8, 3) == 3
     # the chunk count follows jobs, not the machine
     assert len(oracles._chunk_bounds(100, 8)) == 8
