@@ -14,6 +14,7 @@ from .sparsepoly import (
     SparsePoly,
     content_lines,
     default_names,
+    parse_int,
     parse_vars_line,
     term_cap,
 )
@@ -233,7 +234,7 @@ def circuit_from_text(text):
         elif key == "output":
             if len(parts) != 2:
                 raise FormatError("output line takes one id")
-            output = int(parts[1])
+            output = parse_int(parts[1], line)
         else:
             raise FormatError("unknown statement %r" % key)
     if ring is None or nvars is None or output is None:

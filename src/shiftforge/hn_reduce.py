@@ -149,27 +149,26 @@ def build_hn_instance(system, gamma, g1_index=0, recipe=None, n_inputs=None):
     nvars = n + 1 + t
     names = ["x0"] + list(system.var_names) + ["w%d" % (i + 1) for i in range(t)]
 
-    def lifted(eq, scale):
-        # eq's variables occupy positions 1..n of the x-block
-        return {(0,) + exps: ring.canon(c * scale) for exps, c in eq.terms.items()}
-
+    # keys are (x0, x1..xN, w1..wt), each one concatenation of precomputed
+    # tuples; summand i is the only one with w_i = 1, so summands never
+    # merge, and inside a summand x_k meets g_i only where g_i is linear
+    # in x_k
+    zx = (0,) * (n + 1)
+    xhot = [zx[:k] + (1,) + zx[k + 1:] for k in range(n + 1)]
+    zw = (0,) * t
     terms = {}
+    for i, eq in enumerate(eqs):
+        wtail = zw[:i] + (1,) + zw[i + 1:]
+        scale = gamma.val if i else 1
+        for exps, c in eq.terms.items():
+            terms[(0,) + exps + wtail] = c * scale
+        if i:
+            linear = {exps.index(1) + 1 for exps in eq.terms if sum(exps) == 1}
+            for k, hot in enumerate(xhot):
+                key = hot + wtail
+                terms[key] = terms[key] + 1 if k in linear else 1
 
-    def add_summand(body, w_index):
-        wtail = tuple(1 if j == w_index else 0 for j in range(t))
-        for exps, c in body.items():
-            key = exps + wtail
-            terms[key] = terms.get(key, 0) + c
-
-    add_summand(lifted(eqs[0], 1), 0)
-    for i in range(1, t):
-        body = lifted(eqs[i], gamma.val)
-        for k in range(n + 1):
-            key = tuple(1 if q == k else 0 for q in range(n + 1))
-            body[key] = body.get(key, 0) + 1
-        add_summand(body, i)
-
-    poly = SparsePoly(ring, nvars, terms, names)
+    poly = SparsePoly._from_payloads(ring, nvars, terms, names)
     witness = ReductionWitnessMap(
         gamma,
         0,

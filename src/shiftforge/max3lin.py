@@ -21,7 +21,7 @@ import random
 
 from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
 from .rings import Ring, RingElement
-from .sparsepoly import SparsePoly, content_lines, format_vector
+from .sparsepoly import SparsePoly, content_lines, format_vector, parse_int
 
 _COEFF_RANGE = 3  # nonzero draws from [-3, 3] over the infinite rings
 
@@ -257,7 +257,7 @@ def max3lin_from_text(text):
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if parts and parts[0] in ("seed", "noise") and len(parts) == 2:
-                meta[parts[0]] = int(parts[1])
+                meta[parts[0]] = parse_int(parts[1], stripped)
             elif parts and parts[0] == "planted" and len(parts) == 2:
                 meta["planted"] = parts[1]
             continue
@@ -270,7 +270,7 @@ def max3lin_from_text(text):
         elif parts[0] == "vars":
             if len(parts) != 2:
                 raise FormatError("vars line takes one count")
-            n = int(parts[1])
+            n = parse_int(parts[1], line)
         elif parts[0] == "eq":
             if ring is None or n is None:
                 raise FormatError("eq before ring/vars")
@@ -279,7 +279,7 @@ def max3lin_from_text(text):
             idx = []
             coeffs = []
             for k in range(3):
-                j = int(parts[1 + 2 * k])
+                j = parse_int(parts[1 + 2 * k], line)
                 if not 1 <= j <= n:
                     raise FormatError("variable index %d out of range" % j)
                 idx.append(j - 1)

@@ -18,7 +18,13 @@ from __future__ import annotations
 from .circuits import CONST, INPUT, MUL, Circuit, parse_node_line
 from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
 from .rings import Ring, RingElement
-from .sparsepoly import SparsePoly, content_lines, default_names, parse_vars_line
+from .sparsepoly import (
+    SparsePoly,
+    content_lines,
+    default_names,
+    parse_int,
+    parse_vars_line,
+)
 
 TIER_X = "x"
 TIER_Y = "y"
@@ -537,7 +543,8 @@ def system_from_text(text):
                 if len(parts) != 2 + nvars:
                     raise FormatError("term line needs %d exponents" % nvars)
                 coef = ring.parse_coeff(parts[1])
-                exps = tuple(int(p) for p in parts[2:])
+                line = " ".join(parts)
+                exps = tuple(parse_int(p, line) for p in parts[2:])
                 if any(e < 0 for e in exps):
                     raise FormatError("negative exponent")
                 if exps in terms:
@@ -560,7 +567,7 @@ def system_from_text(text):
             else:
                 if len(parts) != 2:
                     raise FormatError("output line takes one id")
-                output = int(parts[1])
+                output = parse_int(parts[1], " ".join(parts))
         if output is None:
             raise FormatError("circuit block is missing an output line")
         circuits.append(Circuit(ring, nvars, nodes, output, names))
@@ -573,12 +580,13 @@ def _parse_recipe(ring, nvars, tiers, recipe_lines):
     for parts in recipe_lines:
         if len(parts) < 3:
             raise FormatError("truncated recipe line")
-        target = int(parts[0])
+        line = "# recipe " + " ".join(parts)
+        target = parse_int(parts[0], line)
         op = parts[1]
         if op == "const":
             steps.append((target, op, ring.parse_coeff(parts[2]).val))
         elif op in ("var", "mul", "sum"):
-            steps.append((target, op, tuple(int(a) for a in parts[2:])))
+            steps.append((target, op, tuple(parse_int(a, line) for a in parts[2:])))
         else:
             raise FormatError("unknown recipe op %r" % op)
     return ExtensionRecipe(ring, nvars, n_inputs, steps)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FormatError, RingMismatchError
+from .errors import FormatError, PreconditionError, RingMismatchError
 
 INTEGERS = "Z"
 RATIONALS = "Q"
@@ -22,15 +22,37 @@ MODULAR_RING = "Zq"
 _KINDS = (INTEGERS, RATIONALS, PRIME_FIELD, MODULAR_RING)
 
 
+# Miller-Rabin with the primes up to 41 as bases is deterministic for
+# every n below this bound (Sorenson & Webster 2015, psi_13)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    # trial division; every modulus in this toolkit is desk scale
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= PRIME_MODULUS_BOUND:
+        raise PreconditionError(
+            "primality is decided only below %d" % PRIME_MODULUS_BOUND
+        )
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -45,6 +67,10 @@ class Ring:
         if kind in (PRIME_FIELD, MODULAR_RING):
             if not isinstance(modulus, int) or modulus < 2:
                 raise FormatError("modulus must be an integer >= 2")
+            if kind == PRIME_FIELD and modulus >= PRIME_MODULUS_BOUND:
+                raise FormatError(
+                    "prime-field modulus must be below %d" % PRIME_MODULUS_BOUND
+                )
             if kind == PRIME_FIELD and not _is_prime(modulus):
                 raise FormatError("%d is not prime" % modulus)
         elif modulus is not None:

@@ -4,13 +4,19 @@ A polynomial is a map from exponent vectors to nonzero coefficients over a
 fixed positional variable catalog.  Display names are metadata only; the
 arithmetic never consults them.  Every constructor canonicalizes eagerly,
 so two equal polynomials have identical term maps.
+
+Input is validated once, at the boundary: the public constructor checks
+every exponent vector and coefficient it is given, and the file readers
+check what they parse.  Arithmetic builds its results from keys it made
+out of already checked polynomials, so it goes through the trusted
+constructor `SparsePoly._from_payloads`, which only canonicalizes.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from itertools import product
-from math import comb
 
 from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
 from .rings import Ring, RingElement
@@ -32,11 +38,24 @@ def default_names(nvars):
     return tuple("x%d" % (i + 1) for i in range(nvars))
 
 
+def catalog_names(nvars, var_names):
+    """The name tuple for nvars variables; defaults when var_names is None."""
+    if var_names is None:
+        return default_names(nvars)
+    var_names = tuple(var_names)
+    if len(var_names) != nvars:
+        raise ArityError("%d names for %d variables" % (len(var_names), nvars))
+    return var_names
+
+
 def shifted_term_map(ring, terms, offsets):
     """Term map of P(X + a) from a payload term map and payload offsets.
 
     Expands each term by the binomial theorem, one moving variable at a
-    time, and accumulates with cancellation.
+    time, and accumulates with cancellation.  The coefficients
+    C(e, k) * a^(e-k) of one variable come from a Pascal-row recurrence,
+    from k = e down to 0; the running binomial stays an exact integer,
+    because the recurrence divides it.
     """
     m = ring.modulus
     if not any(offsets):
@@ -52,11 +71,16 @@ def shifted_term_map(ring, terms, offsets):
             e = exps[i]
             a = offsets[i]
             opts = []
-            for k in range(e + 1):
-                s = comb(e, k) * a ** (e - k)
+            binom = 1
+            power = 1
+            for k in range(e, -1, -1):
+                s = binom * power
+                opts.append((i, k, s if m is None else s % m))
+                binom = binom * k // (e - k + 1)
+                power *= a
                 if m is not None:
-                    s %= m
-                opts.append((i, k, s))
+                    power %= m
+            opts.reverse()
             choices.append(opts)
         for combo in product(*choices):
             scal = c
@@ -181,34 +205,41 @@ class SparsePoly:
             raise TypeError("ring required")
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
-        self.ring = ring
-        self.nvars = nvars
-        if var_names is None:
-            var_names = default_names(nvars)
-        else:
-            var_names = tuple(var_names)
-            if len(var_names) != nvars:
-                raise ArityError(
-                    "%d names for %d variables" % (len(var_names), nvars)
-                )
-        self.var_names = var_names
-        canon = {}
+        var_names = catalog_names(nvars, var_names)
+        payloads = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ArityError("exponent vector %r has wrong length" % (exps,))
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative integers")
             if isinstance(c, RingElement):
                 if c.ring != ring:
                     raise RingMismatchError("coefficient from a different ring")
                 c = c.val
-            v = ring.canon(canon.get(exps, 0) + ring.canon(c))
-            if v:
-                canon[exps] = v
-            elif exps in canon:
-                del canon[exps]
-        self.terms = canon
+            payloads[exps] = payloads.get(exps, 0) + ring.canon(c)
+        self._canonicalize(ring, nvars, payloads, var_names)
+
+    @classmethod
+    def _from_payloads(cls, ring, nvars, terms, var_names):
+        """Trusted constructor for producers that hold valid keys.
+
+        terms maps exponent tuples of length nvars with nonnegative int
+        entries, each key once, to raw payloads of ring; the payloads are
+        reduced with ring.canon and zeros are dropped.  The keys are not
+        checked.
+        """
+        self = cls.__new__(cls)
+        self._canonicalize(ring, nvars, terms, catalog_names(nvars, var_names))
+        return self
+
+    def _canonicalize(self, ring, nvars, terms, var_names):
+        # the one place that reduces coefficients and drops zeros
+        self.ring = ring
+        self.nvars = nvars
+        self.var_names = var_names
+        canon = ring.canon
+        self.terms = {e: v for e, c in terms.items() if (v := canon(c))}
 
     # -- constructors ------------------------------------------------
 
@@ -271,43 +302,39 @@ class SparsePoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return SparsePoly(self.ring, self.nvars, out, self.var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def sub(self, other):
         self._align(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return SparsePoly(self.ring, self.nvars, out, self.var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def neg(self):
-        return SparsePoly(
-            self.ring, self.nvars, {e: -c for e, c in self.terms.items()}, self.var_names
-        )
+        out = {e: -c for e, c in self.terms.items()}
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def scale(self, el):
         if not isinstance(el, RingElement) or el.ring != self.ring:
             raise RingMismatchError("scalar from a different ring")
         out = {e: c * el.val for e, c in self.terms.items()}
-        return SparsePoly(self.ring, self.nvars, out, self.var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def mul(self, other):
         self._align(other)
-        m = self.ring.modulus
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-                if m is not None:
-                    out[key] %= m
-        return SparsePoly(self.ring, self.nvars, out, self.var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def shift(self, offsets):
         """P(X + a) for a vector a of ring elements, expanded and reduced."""
         vals = self._offset_payloads(offsets)
         out = shifted_term_map(self.ring, self.terms, vals)
-        return SparsePoly(self.ring, self.nvars, out, self.var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def _offset_payloads(self, offsets):
         offsets = list(offsets)
@@ -348,10 +375,10 @@ class SparsePoly:
         pad_l = (0,) * offset
         pad_r = (0,) * (nvars - offset - self.nvars)
         out = {pad_l + e + pad_r: c for e, c in self.terms.items()}
-        return SparsePoly(self.ring, nvars, out, var_names)
+        return SparsePoly._from_payloads(self.ring, nvars, out, var_names)
 
     def rename(self, var_names):
-        return SparsePoly(self.ring, self.nvars, dict(self.terms), var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, self.terms, var_names)
 
     # -- comparison and display --------------------------------------
 
@@ -433,6 +460,15 @@ def content_lines(text):
             yield line
 
 
+def parse_int(token, line):
+    """One integer field of a file line; a bad one is a FormatError that
+    quotes the line."""
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise FormatError("bad integer %r in %r" % (token, line)) from exc
+
+
 def parse_vars_line(parts):
     """Parse the tail of a `vars` line; returns (nvars, names or None)."""
     if not parts:
@@ -472,12 +508,12 @@ def poly_from_text(text):
                 raise FormatError("term before vars")
             if len(parts) != 2 + nvars:
                 raise FormatError("term line needs %d exponents" % nvars)
-            coef = ring.parse_coeff(parts[1])
+            coef = ring.parse_coeff(parts[1]).val
             try:
-                exps = tuple(int(p) for p in parts[2:])
+                exps = tuple(map(int, parts[2:]))
             except ValueError as exc:
                 raise FormatError("bad exponent in %r" % line) from exc
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise FormatError("negative exponent in %r" % line)
             if exps in terms:
                 raise FormatError("duplicate exponent vector %r" % (exps,))
@@ -486,7 +522,7 @@ def poly_from_text(text):
             raise FormatError("unknown statement %r" % key)
     if ring is None or nvars is None:
         raise FormatError("polynomial file needs ring and vars lines")
-    return SparsePoly(ring, nvars, terms, names)
+    return SparsePoly._from_payloads(ring, nvars, terms, names)
 
 
 def save_poly(path, poly, header_comments=()):

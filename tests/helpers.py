@@ -33,6 +33,18 @@ def random_poly(ring, nvars, max_degree, max_terms, rng, names=None):
     return SparsePoly(ring, nvars, terms, names)
 
 
+def assert_canonical(p):
+    """p equals its own term map re-validated by the public constructor,
+    and every stored coefficient is nonzero and in canonical form."""
+    again = SparsePoly(p.ring, p.nvars, dict(p.terms), p.var_names)
+    assert again == p
+    assert again.var_names == p.var_names
+    for c in p.terms.values():
+        assert c
+        assert p.ring.canon(c) == c
+        assert type(p.ring.canon(c)) is type(c)
+
+
 def random_nonzero(ring, rng):
     if ring.is_finite:
         return ring.el(rng.randint(1, ring.modulus - 1))

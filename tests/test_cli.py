@@ -365,3 +365,51 @@ def test_jobs_below_one_is_rejected(tmp_path, capsys):
             main(["search-shift", path, "--box", "1", "--jobs", bad])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+def assert_format_error(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("format error: bad integer %r" % token)
+    assert "Traceback" not in err
+
+
+def test_bad_integer_in_max3lin_file_is_exit_2(tmp_path, capsys):
+    head = "ring Fp 2\nvars 3\n"
+    cases = [
+        (head + "eq 1 1 x 1 3 1 0\n", "x"),
+        ("ring Fp 2\nvars three\n", "three"),
+        ("# seed 1.5\n" + head, "1.5"),
+        ("# noise many\n" + head, "many"),
+    ]
+    for text, token in cases:
+        path = tmp_path / "bad.3lin"
+        path.write_text(text)
+        argv = ["reduce-max3lin", str(path), "-o", str(tmp_path / "o.poly")]
+        assert_format_error(capsys, argv, token)
+
+
+def test_bad_integer_in_system_file_is_exit_2(tmp_path, capsys):
+    head = "ring Z\nvars 1 x\neq\n"
+    cases = [
+        (head + "term 1 y\n", "y"),
+        (head + "node 0 input 0\noutput out\n", "out"),
+        (head + "term 1 1\nterm -1 0\n# recipe t var 0\n", "t"),
+        (head + "term 1 1\nterm -1 0\n# recipe 1 sum 0 z\n", "z"),
+    ]
+    for text, token in cases:
+        path = tmp_path / "bad.sys"
+        path.write_text(text)
+        argv = ["reduce-hn", str(path), "-o", str(tmp_path / "o.poly"),
+                "--witness", str(tmp_path / "o.wit")]
+        assert_format_error(capsys, argv, token)
+
+
+def test_bad_integer_in_circuit_file_is_exit_2(tmp_path, capsys):
+    (tmp_path / "c.circ").write_text("ring Z\nvars 1 x\nnode 0 input 0\noutput last\n")
+    manifest = tmp_path / "m.sys"
+    manifest.write_text("manifest\ncircuit c.circ\n")
+    argv = ["reduce-hn", str(manifest), "-o", str(tmp_path / "o.poly"),
+            "--witness", str(tmp_path / "o.wit")]
+    assert_format_error(capsys, argv, "last")

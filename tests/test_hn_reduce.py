@@ -32,7 +32,7 @@ from shiftforge import (
 )
 from shiftforge.hn_reduce import witness_to_text
 
-from helpers import planted_integer_system, random_vector
+from helpers import assert_canonical, planted_integer_system, random_vector
 
 GAMMA = ZZ.el(2)
 
@@ -121,6 +121,32 @@ def test_sparsity_formula_exact():
             quad = sum(1 for e in eq.terms if sum(e) == 2)
             expected += quad + n + 1
         assert inst.sigma == expected
+
+
+def encoded_terms_reference(S, gamma):
+    """w1*g1 + sum over i >= 2 of w_i*(gamma*g_i + x0 + ... + xN), summed
+    term by term through the public constructor."""
+    n, t = S.nvars, len(S.equations)
+    terms = {}
+    for i, eq in enumerate(S.equations):
+        body = [((0,) + e, c * (gamma.val if i else 1)) for e, c in eq.terms.items()]
+        if i:
+            body += [(tuple(int(q == k) for q in range(n + 1)), 1)
+                     for k in range(n + 1)]
+        wtail = tuple(int(j == i) for j in range(t))
+        for e, c in body:
+            terms[e + wtail] = terms.get(e + wtail, 0) + c
+    return SparsePoly(ZZ, n + 1 + t, terms).terms
+
+
+def test_encoder_matches_term_by_term_reference():
+    rng = random.Random(97)
+    for gamma in (GAMMA, ZZ.el(-3)):
+        for _ in range(25):
+            S, _ = planted_integer_system(rng, max_vars=4, max_eqs=4, max_degree=4)
+            inst = reduce_hn(S, gamma)
+            assert_canonical(inst.polynomial)
+            assert inst.polynomial.terms == encoded_terms_reference(inst.system, gamma)
 
 
 def test_trivially_solvable_homogeneous():

@@ -8,6 +8,7 @@ import pytest
 
 from shiftforge import (
     FormatError,
+    PreconditionError,
     QQ,
     Ring,
     RingMismatchError,
@@ -15,6 +16,7 @@ from shiftforge import (
     modular,
     prime_field,
 )
+from shiftforge.rings import PRIME_MODULUS_BOUND, _is_prime
 
 F5 = prime_field(5)
 Z6 = modular(6)
@@ -31,6 +33,46 @@ def test_construction_validates_moduli():
         modular(1)
     assert prime_field(2).modulus == 2
     assert modular(4).modulus == 4
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10000():
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == [
+        n for n in range(10 ** 4) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_on_large_primes_and_pseudoprimes():
+    # 2^61 - 1, the largest primes below 2^63 and above 10^18, and the
+    # largest prime below the bound
+    for p in (2305843009213693951, 9223372036854775783, 1000000000000000003,
+              PRIME_MODULUS_BOUND - 168):
+        assert _is_prime(p)
+        assert prime_field(p).modulus == p
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7; 561 and
+    # 41041 are Carmichael numbers; the last is the product of the two
+    # primes after 10^12
+    for n in (3215031751, 561, 41041, 1000000000000000001,
+              1000000000039 * 1000000000061):
+        assert not _is_prime(n)
+        with pytest.raises(FormatError):
+            prime_field(n)
+
+
+def test_prime_modulus_bound():
+    for p in (PRIME_MODULUS_BOUND, 2 ** 89 - 1):
+        with pytest.raises(FormatError, match=str(PRIME_MODULUS_BOUND)):
+            Ring.from_token("Fp %d" % p)
+    # the bound itself is a strong pseudoprime to every base used
+    for q in (PRIME_MODULUS_BOUND, 2 ** 89 - 1):
+        big = modular(q)
+        assert big.is_finite
+        with pytest.raises(PreconditionError):
+            big.is_field
+    assert not modular(2 ** 90).is_field
 
 
 def test_kind_flags():

@@ -1,6 +1,9 @@
 """Canonical sparse polynomials: arithmetic, shift, and serialization."""
 
 import random
+from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -22,7 +25,13 @@ from shiftforge.sparsepoly import (
     shifted_term_map,
 )
 
-from helpers import random_element, random_nonzero, random_poly, random_vector
+from helpers import (
+    assert_canonical,
+    random_element,
+    random_nonzero,
+    random_poly,
+    random_vector,
+)
 
 F5 = prime_field(5)
 Z6 = modular(6)
@@ -59,6 +68,10 @@ def test_constructor_validates():
         P(ZZ, 2, {(1,): 1})
     with pytest.raises(ValueError):
         P(ZZ, 1, {(-1,): 1})
+    with pytest.raises(ValueError):
+        P(ZZ, 2, {(1.0, 0): 1})
+    with pytest.raises(ValueError):
+        P(ZZ, 2, {("1", 0): 1})
     with pytest.raises(RingMismatchError):
         P(ZZ, 1, {(1,): F5.el(1)})
 
@@ -272,3 +285,78 @@ def test_shift_counts_needs_degree_two_in_the_shifted_positions():
     assert list(shift_counts(ZZ, terms, [1], [([(1, 2)], None)])) == [(3, None)]
     with pytest.raises(PreconditionError):
         next(shift_counts(ZZ, terms, [0], [([(0, 2)], None)]))
+
+
+def random_offsets(ring, rng, k):
+    """Nonzero shift entries; over Q, proper fractions too."""
+    if ring == QQ:
+        return [QQ.el(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+                for _ in range(k)]
+    return [random_nonzero(ring, rng) for _ in range(k)]
+
+
+def test_trusted_producers_match_public_constructor():
+    rng = random.Random(223)
+    names = ["a", "b", "c"]
+    for ring in (ZZ, QQ, F5, Z6):
+        for _ in range(15):
+            p = random_poly(ring, 3, 3, 6, rng, names)
+            q = random_poly(ring, 3, 3, 6, rng, names)
+            results = [
+                p.add(q), p.sub(q), p.neg(), p.mul(q),
+                p.scale(random_element(ring, rng)), p.scale(ring.zero),
+                p.shift(random_offsets(ring, rng, 3)),
+                p.embed(5, 1), p.embed(5, 2, ["u", "v", "w", "y", "z"]),
+                p.rename(["u", "v", "w"]),
+                poly_from_text(poly_to_text(p)),
+                p.add(p.neg()), p.sub(p),
+            ]
+            for r in results:
+                assert_canonical(r)
+            assert p.add(p.neg()).is_zero
+    # zero divisors cancel whole terms in Z6
+    two_x = P(Z6, 2, {(1, 0): 2})
+    assert two_x.scale(Z6.el(3)).is_zero
+    assert two_x.mul(P(Z6, 2, {(0, 1): 3, (1, 0): 1})) == P(Z6, 2, {(2, 0): 2})
+
+
+def test_shift_of_a_power_matches_binomials():
+    e = 2000
+    assert shifted_term_map(ZZ, {(e,): 1}, [1]) == {
+        (k,): comb(e, k) for k in range(e + 1)
+    }
+    assert shifted_term_map(F5, {(e,): 1}, [1]) == {
+        (k,): comb(e, k) % 5 for k in range(e + 1) if comb(e, k) % 5
+    }
+
+
+def direct_shifted_term_map(ring, terms, offsets):
+    """P(X + a) by expanding every variable of every term with math.comb
+    and a ** (e - k), then reducing."""
+    out = {}
+    for exps, c in terms.items():
+        factors = [
+            [(k, comb(e, k) * a ** (e - k)) for k in range(e + 1)]
+            for e, a in zip(exps, offsets)
+        ]
+        for combo in product(*factors):
+            v = c
+            for _, s in combo:
+                v *= s
+            key = tuple(k for k, _ in combo)
+            out[key] = out.get(key, 0) + v
+    reduced = {e: ring.canon(v) for e, v in out.items()}
+    return {e: v for e, v in reduced.items() if v}
+
+
+def test_shifted_term_map_matches_direct_formula():
+    rng = random.Random(227)
+    for ring in (ZZ, QQ, F5, Z6):
+        for _ in range(25):
+            p = random_poly(ring, 3, 7, 5, rng)
+            offsets = [o.val for o in random_offsets(ring, rng, 3)]
+            if rng.random() < 0.3:
+                offsets[rng.randrange(3)] = ring.canon(0)
+            assert shifted_term_map(ring, p.terms, offsets) == (
+                direct_shifted_term_map(ring, p.terms, offsets)
+            )
