@@ -38,7 +38,7 @@ from .quadratizer import (
     quadratize_sparse,
 )
 from .rings import INTEGERS, Ring, RingElement
-from .sparsepoly import SparsePoly, content_lines
+from .sparsepoly import SparsePoly, content_lines, parse_int
 
 
 class ReductionWitnessMap:
@@ -298,16 +298,32 @@ def witness_from_text(text):
         if parts[0] == "ring":
             ring = Ring.from_token(parts[1:])
         else:
-            fields[parts[0]] = parts[1:]
+            fields[parts[0]] = (parts[1:], line)
     required = {"gamma", "x0", "xprime", "wvars", "g1"}
     if ring is None or not required <= set(fields):
         raise FormatError("witness file is missing fields")
+
+    def first(name):
+        parts, line = fields[name]
+        if not parts:
+            raise FormatError("missing value in %r" % line)
+        return parts[0], line
+
+    def indices(name):
+        parts, line = fields[name]
+        return tuple(parse_int(v, line) for v in parts)
+
+    token, line = first("gamma")
+    try:
+        gamma = ring.parse_coeff(token)
+    except FormatError as exc:
+        raise FormatError("%s in %r" % (exc, line)) from exc
     witness = ReductionWitnessMap(
-        ring.parse_coeff(fields["gamma"][0]),
-        int(fields["x0"][0]),
-        tuple(int(v) for v in fields["xprime"]),
-        tuple(int(v) for v in fields["wvars"]),
-        int(fields["g1"][0]),
+        gamma,
+        parse_int(*first("x0")),
+        indices("xprime"),
+        indices("wvars"),
+        parse_int(*first("g1")),
     )
     return witness, ring
 

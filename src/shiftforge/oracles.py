@@ -24,7 +24,6 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .hn_reduce import (
-    HNInstance,
     TriviallySolvable,
     reduce_hn,
     shift_instance,
@@ -33,7 +32,7 @@ from .hn_reduce import (
 )
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_solution, extend_solution
-from .rings import INTEGERS, RATIONALS, RingElement
+from .rings import RATIONALS, RingElement
 from .sparsepoly import eval_payload, format_vector, shift_counts, shifted_term_map
 
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -131,41 +130,57 @@ def _walk(values, free, k, restriction, ring, lo, hi):
     """The ranks lo..hi-1 in odometer order, lexicographic in the free
     coordinates; the one domain enumerator of every oracle.
 
-    Yields (changes, vec) per rank: changes moves the previous vector to
-    this one (the walk shift_counts takes), and vec is the full payload
-    vector, or None when the forced coordinate falls outside the domain.
-    The same list is yielded each time, updated in place."""
+    Yields (changes, vec) for every rank whose vector lies in the domain:
+    vec is the full payload vector (the same list each time, updated in
+    place), and changes is a fresh list of (position, payload) moves,
+    one per position, that take the previously yielded vector (or the
+    zero vector) to this one; this is the walk shift_counts takes.  A
+    zero-sum rank whose forced coordinate leaves the domain costs only
+    its odometer step: it is not yielded, and its moves are carried into
+    the next yielded point."""
     if lo >= hi:
         return
     nv = len(values)
     value_set = set(values)
     zero_sum = restriction == ZERO_SUM
+    last = len(free) - 1
     digits = [0] * len(free)
     rank = lo
     for d in reversed(range(len(free))):
         rank, digits[d] = divmod(rank, nv)
     zero = ring.canon(0)
     vec = [zero] * k
-    changes = [(pos, values[d]) for pos, d in zip(free, digits)]
+    changes = []
+    carried = False
+    for pos, d in zip(free, digits):
+        vec[pos] = values[d]
+        changes.append((pos, values[d]))
     for rank in range(lo, hi):
         if rank > lo:
-            changes = []
-            d = len(free) - 1
+            d = last
             while digits[d] == nv - 1:
                 digits[d] = 0
-                changes.append((free[d], values[0]))
+                pos = free[d]
+                vec[pos] = values[0]
+                changes.append((pos, values[0]))
                 d -= 1
             digits[d] += 1
-            changes.append((free[d], values[digits[d]]))
-        for pos, v in changes:
-            vec[pos] = v
+            pos = free[d]
+            vec[pos] = v = values[digits[d]]
+            changes.append((pos, v))
         if zero_sum:
             forced = ring.canon(-sum(vec[1:], zero))
-            changes.append((0, forced))
+            if forced not in value_set:
+                carried = True
+                continue
+            if carried:
+                # one move per position: the last of those carried
+                changes = list(dict(changes).items())
+                carried = False
             vec[0] = forced
-            yield changes, (vec if forced in value_set else None)
-        else:
-            yield changes, vec
+            changes.append((0, forced))
+        yield changes, vec
+        changes = []
 
 
 def _chunk_bounds(size, parts):
@@ -241,14 +256,11 @@ def _min_sparsity_chunk(args):
         counts = shift_counts(ring, poly.terms, range(k), walk,
                               nonconstant=metric == "nonconstant")
     else:
-        counts = ((None if vec is None
-                   else _count(shifted_term_map(ring, poly.terms, vec), metric), vec)
+        counts = ((_count(shifted_term_map(ring, poly.terms, vec), metric), vec)
                   for _, vec in walk)
     best = None
     points = 0
     for sp, vec in counts:
-        if vec is None:
-            continue
         points += 1
         if best is None or sp <= best[0]:
             key = (sp, tuple(vec))
@@ -294,8 +306,6 @@ def _solve_chunk(args):
     best = None
     points = 0
     for _, vec in _walk(values, free, system.nvars, restriction, ring, lo, hi):
-        if vec is None:
-            continue
         points += 1
         ok = True
         for eq in system.equations:
@@ -331,8 +341,6 @@ def _maxsat_chunk(args):
     ring = system.ring
     best = -1
     for _, vec in _walk(values, free, system.n, restriction, ring, lo, hi):
-        if vec is None:
-            continue
         point = [RingElement(ring, v) for v in vec]
         sat = count_satisfied(system, point)
         if sat > best:
@@ -403,7 +411,8 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     lowers the count by exactly one.  Shifts are enumerated over all
     zero-sum box-bounded vectors; each one that lowers the count must
     invert to a verified solution.  Box search over the integers is
-    sound, not complete.
+    sound, not complete.  Both directions run in this process; `jobs` is
+    accepted but not used yet.
     """
     result = reduce_hn(source, gamma)
     if isinstance(result, TriviallySolvable):
@@ -421,17 +430,16 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     ring = inst.polynomial.ring
     sigma = inst.sigma
     dom = SearchDomain.integer_box(box, cap=cap)
-    values = dom.values(ring)
+    # both spaces are planned, and so capped, before either is walked
+    k = inst.nsys + 1
+    values, free, size = _plan(dom, ring, inst.n_inputs)
+    _, shift_free, shift_size = _plan(dom.restricted(ZERO_SUM), ring, k)
     violations = []
 
     # direction 1: box-bounded source assignments
-    nx = inst.n_inputs
-    size = len(values) ** nx
-    if size > cap:
-        raise CapExceededError("solution space of %d points exceeds the cap" % size)
     solutions = 0
     solution_points = 0
-    for _, combo in _walk(values, range(nx), nx, NONE, ring, 0, size):
+    for _, combo in _walk(values, free, inst.n_inputs, NONE, ring, 0, size):
         solution_points += 1
         ax = [RingElement(ring, v) for v in combo]
         full = extend_solution(inst.recipe, ax) if inst.recipe else tuple(ax)
@@ -445,16 +453,10 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
 
     # direction 2: zero-sum shifts of the x-block inside the box, counted
     # by shift_counts with the w variables unshifted
-    n = inst.nsys
-    size = len(values) ** n
-    if size > cap:
-        raise CapExceededError("shift space of %d points exceeds the cap" % size)
     sparsifying = 0
     shift_points = 0
-    walk = _walk(values, range(1, n + 1), n + 1, ZERO_SUM, ring, 0, size)
-    for count, vec in shift_counts(ring, inst.polynomial.terms, range(n + 1), walk):
-        if vec is None:
-            continue
+    walk = _walk(values, shift_free, k, ZERO_SUM, ring, 0, shift_size)
+    for count, vec in shift_counts(ring, inst.polynomial.terms, range(k), walk):
         shift_points += 1
         if count >= sigma:
             continue

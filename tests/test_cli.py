@@ -221,6 +221,31 @@ def test_verify_hn_frozen(tmp_path, capsys):
     )
 
 
+def test_verify_hn_jobs_parity(tmp_path, capsys):
+    src = write_system(tmp_path, "s.sys", ZZ, ["x1", "x2"],
+                       [{(1, 0): 1, (0, 1): 1, (0, 0): -1}])
+    _, serial, _ = run(capsys, "verify-hn", src, "--box", "2")
+    assert "solutions 4\n" in serial
+    for jobs in ("2", "4"):
+        code, parallel, _ = run(capsys, "verify-hn", src, "--box", "2",
+                                "--jobs", jobs)
+        assert code == 0
+        assert parallel == serial
+
+
+def test_verify_hn_refuses_an_oversized_shift_space(tmp_path, capsys):
+    # 12 lowered variables: 5^12 zero-sum ranks exceed the 10^7 cap
+    names = ["x%d" % i for i in range(1, 13)]
+    one_hot = [tuple(int(i == j) for j in range(12)) for i in range(12)]
+    terms = dict.fromkeys(one_hot, 1)
+    terms[(0,) * 12] = -1
+    src = write_system(tmp_path, "wide.sys", ZZ, names, [terms])
+    code, out, err = run(capsys, "verify-hn", src, "--box", "2", "--jobs", "2")
+    assert code == 4
+    assert out == ""
+    assert "exceeds the cap" in err
+
+
 def test_verify_max3lin_frozen(tmp_path, capsys):
     path, _ = single_row_file(tmp_path)
     code, out, _ = run(capsys, "verify-max3lin", path)

@@ -8,6 +8,7 @@ import pytest
 from shiftforge import (
     ArityError,
     EquationSystem,
+    FormatError,
     HNInstance,
     InvalidGammaError,
     NoReductionError,
@@ -30,7 +31,7 @@ from shiftforge import (
     shift_to_solution,
     solution_to_shift,
 )
-from shiftforge.hn_reduce import witness_to_text
+from shiftforge.hn_reduce import witness_from_text, witness_to_text
 
 from helpers import assert_canonical, planted_integer_system, random_vector
 
@@ -315,3 +316,26 @@ def test_witness_file_round_trip(tmp_path):
     with open(path) as fh:
         assert fh.read() == text
     assert witness_to_text(back, ring) == text
+
+
+WITNESS = "ring Z\ngamma 2\nx0 0\nxprime 1 2\nwvars 3 4\ng1 0\n"
+
+
+def test_witness_bad_integer_is_a_format_error():
+    for line in ("gamma q", "x0 q", "xprime 1 z", "g1 1.5"):
+        name = line.split()[0]
+        text = "".join(line + "\n" if row.startswith(name + " ") else row + "\n"
+                       for row in WITNESS.splitlines())
+        with pytest.raises(FormatError, match=repr(line)):
+            witness_from_text(text)
+
+
+def test_witness_missing_value_is_a_format_error():
+    for name in ("gamma", "x0", "g1"):
+        text = "".join(name + "\n" if row.startswith(name + " ") else row + "\n"
+                       for row in WITNESS.splitlines())
+        with pytest.raises(FormatError, match="missing value in '%s'" % name):
+            witness_from_text(text)
+    # the index lists may be empty
+    witness, _ = witness_from_text(WITNESS.replace("wvars 3 4", "wvars"))
+    assert witness.w_indices == ()

@@ -16,6 +16,7 @@ from shiftforge import (
     SparsePoly,
     UnsupportedDomainError,
     ZZ,
+    check_solution,
     gen_max3lin,
     maxsat,
     modular,
@@ -23,6 +24,7 @@ from shiftforge import (
     reduce_hn,
     search_min_sparsity,
     shift_instance,
+    solution_to_shift,
     solve_system,
     verify_hn_roundtrip,
     verify_max3lin,
@@ -498,3 +500,109 @@ def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
     assert oracles._pool_size(8, 8) == 1
     # the chunk count follows jobs, not the machine
     assert len(oracles._chunk_bounds(100, 8)) == 8
+
+
+def reference_walk(values, free, k, restriction, ring):
+    """(rank, vector) of every in-domain point, from itertools.product."""
+    zero = ring.canon(0)
+    points = []
+    for rank, combo in enumerate(itertools.product(values, repeat=len(free))):
+        vec = [zero] * k
+        for pos, v in zip(free, combo):
+            vec[pos] = v
+        if restriction == ZERO_SUM:
+            vec[0] = ring.canon(-sum(vec[1:], zero))
+            if vec[0] not in values:
+                continue
+        points.append((rank, tuple(vec)))
+    return points
+
+
+def test_walk_matches_product_reference():
+    rng = random.Random(197)
+    spaces = [
+        (ZZ, SearchDomain.integer_box(2), 4),
+        (QQ, SearchDomain.integer_box(1), 4),
+        # non-contiguous values: {-2, -1, 0, 3/2, 3}
+        (QQ, SearchDomain.rational_grid([-2, 0, 3], [1, 2]), 4),
+        (F3, SearchDomain.exhaustive(), 4),
+        (modular(4), SearchDomain.exhaustive(), 3),
+    ]
+    for ring, dom, k in spaces:
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            values, free, size = oracles._plan(dom.restricted(restriction, 2),
+                                               ring, k)
+            want = reference_walk(values, free, k, restriction, ring)
+            splits = [(0, size), (0, 0), (size, size), (size - 1, size)]
+            splits += [tuple(sorted(rng.sample(range(size + 1), 2)))
+                       for _ in range(6)]
+            for parts in (2, 3, 7):
+                splits += oracles._chunk_bounds(size, parts)
+            for lo, hi in splits:
+                got = []
+                replay = [ring.canon(0)] * k
+                entries = 0
+                for changes, vec in oracles._walk(values, free, k, restriction,
+                                                  ring, lo, hi):
+                    for pos, v in changes:
+                        replay[pos] = v
+                    entries += len(changes)
+                    assert len({pos for pos, _ in changes}) == len(changes)
+                    assert replay == vec, (ring, restriction, lo, hi)
+                    got.append(tuple(vec))
+                assert got == [v for r, v in want if lo <= r < hi], \
+                    (ring, restriction, lo, hi)
+                # each rank moves at most two odometer digits on average,
+                # plus the forced coordinate: linear in the ranks walked
+                assert entries <= 3 * (hi - lo) + k, (ring, restriction, lo, hi)
+
+
+def test_roundtrip_violations_are_in_rank_order(monkeypatch):
+    from shiftforge import NoReductionError, extend_solution
+    from shiftforge.sparsepoly import format_vector
+
+    real_shift_instance = oracles.shift_instance
+
+    def odd(vec):
+        return vec[1].val % 2 == 1
+
+    def short_drop(inst, b):
+        # every solution whose wired shift has an odd second coordinate
+        # reports no drop
+        return inst.polynomial if odd(b) else real_shift_instance(inst, b)
+
+    def refuse(inst, b):
+        if odd(b):
+            raise NoReductionError("refused")
+        return tuple(b[1:])
+
+    monkeypatch.setattr(oracles, "shift_instance", short_drop)
+    monkeypatch.setattr(oracles, "shift_to_solution", refuse)
+    S = system(ZZ, 3, [{(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): -1}])
+    box = 2
+    inst = reduce_hn(S)
+    values = range(-box, box + 1)
+    want = []
+    for combo in itertools.product(values, repeat=inst.n_inputs):
+        full = extend_solution(inst.recipe, [ZZ.el(v) for v in combo])
+        if check_solution(inst.system, full) and odd(solution_to_shift(inst, full)):
+            want.append("solution %s drops 0" % format_vector(full))
+    for tail in itertools.product(values, repeat=inst.nsys):
+        b = (ZZ.el(-sum(tail)),) + tuple(ZZ.el(v) for v in tail)
+        if (abs(sum(tail)) <= box and odd(b)
+                and real_shift_instance(inst, b).sparsity() < inst.sigma):
+            want.append("shift %s: refused" % format_vector(b))
+    assert len(want) >= 10
+    assert any(w.startswith("solution") for w in want)
+    assert verify_hn_roundtrip(S, box=box).violations == want
+
+
+def test_roundtrip_checks_both_caps_before_any_work(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("a space was walked before the cap check")
+
+    monkeypatch.setattr(oracles, "_walk", no_walk)
+    S = system(ZZ, 2, [{(1, 0): 1, (0, 1): 1, (0, 0): -1}])
+    # 25 source assignments fit, 625 zero-sum ranks do not
+    with pytest.raises(CapExceededError):
+        verify_hn_roundtrip(S, box=2, cap=100)
