@@ -8,7 +8,7 @@ Dangling nodes are permitted and still count toward the circuit size.
 
 from __future__ import annotations
 
-from .errors import ArityError, CapExceededError, FormatError, RingMismatchError
+from .errors import ArityError, CapExceededError, FormatError
 from .rings import Ring, RingElement
 from .sparsepoly import (
     SparsePoly,
@@ -78,16 +78,7 @@ class Circuit:
         return len(self.ids)
 
     def eval(self, point):
-        point = list(point)
-        if len(point) != self.nvars:
-            raise ArityError("point length %d for %d inputs" % (len(point), self.nvars))
-        vals = []
-        for p in point:
-            if not isinstance(p, RingElement):
-                raise TypeError("ring element required")
-            if p.ring != self.ring:
-                raise RingMismatchError("point entry from a different ring")
-            vals.append(p.val)
+        vals = self.ring.payloads(point, self.nvars, "point")
         m = self.ring.modulus
         out = {}
         for nid in self.ids:
@@ -184,31 +175,26 @@ def node_lines(circuit):
     return lines
 
 
-def parse_node_line(parts, ring):
-    """Parse tokens after `node`; returns (id, kind, data)."""
+def parse_node_line(parts, ring, line):
+    """Parse tokens after `node` of the file line `line`; returns
+    (id, kind, data)."""
     if len(parts) < 2:
         raise FormatError("truncated node line")
-    try:
-        nid = int(parts[0])
-    except ValueError as exc:
-        raise FormatError("bad node id %r" % parts[0]) from exc
+    nid = parse_int(parts[0], line)
     if nid < 0:
         raise FormatError("node ids must be nonnegative")
     kind = parts[1]
     args = parts[2:]
-    try:
-        if kind == INPUT:
-            if len(args) != 1:
-                raise FormatError("input node takes one variable index")
-            return nid, kind, int(args[0])
-        if kind == CONST:
-            if len(args) != 1:
-                raise FormatError("const node takes one coefficient")
-            return nid, kind, ring.parse_coeff(args[0]).val
-        if kind in (MUL, ADD):
-            return nid, kind, tuple(int(a) for a in args)
-    except ValueError as exc:
-        raise FormatError("bad node line: %s" % exc) from exc
+    if kind == INPUT:
+        if len(args) != 1:
+            raise FormatError("input node takes one variable index")
+        return nid, kind, parse_int(args[0], line)
+    if kind == CONST:
+        if len(args) != 1:
+            raise FormatError("const node takes one coefficient")
+        return nid, kind, ring.parse_coeff(args[0]).val
+    if kind in (MUL, ADD):
+        return nid, kind, tuple(parse_int(a, line) for a in args)
     raise FormatError("unknown node kind %r" % kind)
 
 
@@ -226,11 +212,11 @@ def circuit_from_text(text):
         elif key == "vars":
             if ring is None:
                 raise FormatError("vars before ring")
-            nvars, names = parse_vars_line(parts[1:])
+            nvars, names = parse_vars_line(parts[1:], line)
         elif key == "node":
             if nvars is None:
                 raise FormatError("node before vars")
-            nodes.append(parse_node_line(parts[1:], ring))
+            nodes.append(parse_node_line(parts[1:], ring, line))
         elif key == "output":
             if len(parts) != 2:
                 raise FormatError("output line takes one id")

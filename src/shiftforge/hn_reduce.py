@@ -25,7 +25,6 @@ from .errors import (
     NoReductionError,
     NotASolutionError,
     PreconditionError,
-    RingMismatchError,
     StructureError,
     UnsupportedDomainError,
 )
@@ -54,29 +53,18 @@ class ReductionWitnessMap:
         self.g1_index = g1_index
 
     def __eq__(self, other):
-        return isinstance(other, ReductionWitnessMap) and (
-            self.gamma,
-            self.x0_index,
-            self.xprime_indices,
-            self.w_indices,
-            self.g1_index,
-        ) == (
-            other.gamma,
-            other.x0_index,
-            other.xprime_indices,
-            other.w_indices,
-            other.g1_index,
+        return isinstance(other, ReductionWitnessMap) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
         )
 
 
 class HNInstance:
     """The encoded polynomial plus everything needed to invert the map."""
 
-    __slots__ = ("polynomial", "gamma", "witness", "system", "recipe", "n_inputs")
+    __slots__ = ("polynomial", "witness", "system", "recipe", "n_inputs")
 
-    def __init__(self, polynomial, gamma, witness, system, recipe=None, n_inputs=None):
+    def __init__(self, polynomial, witness, system, recipe=None, n_inputs=None):
         self.polynomial = polynomial
-        self.gamma = gamma
         self.witness = witness
         self.system = system
         self.recipe = recipe
@@ -176,7 +164,7 @@ def build_hn_instance(system, gamma, g1_index=0, recipe=None, n_inputs=None):
         range(n + 1, n + 1 + t),
         g1_index,
     )
-    return HNInstance(poly, gamma, witness, system, recipe, n_inputs)
+    return HNInstance(poly, witness, system, recipe, n_inputs)
 
 
 def reduce_hn(source, gamma=None):

@@ -21,7 +21,7 @@ import random
 
 from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
 from .rings import Ring, RingElement
-from .sparsepoly import SparsePoly, content_lines, format_vector, parse_int
+from .sparsepoly import SparsePoly, format_vector, parse_int
 
 _COEFF_RANGE = 3  # nonzero draws from [-3, 3] over the infinite rings
 
@@ -79,13 +79,7 @@ class Max3LinSystem:
 
 def count_satisfied(system, x):
     x = list(x)
-    if len(x) != system.n:
-        raise ArityError(
-            "assignment of length %d for %d variables" % (len(x), system.n)
-        )
-    for v in x:
-        if not isinstance(v, RingElement) or v.ring != system.ring:
-            raise RingMismatchError("assignment entry from a different ring")
+    system.ring.payloads(x, system.n, "assignment")
     return sum(1 for i in range(system.m) if system.row_value(i, x).is_zero)
 
 
@@ -140,13 +134,9 @@ def shifted_linear_coeff(enc, a, i):
     """Coefficient of y_i (i counted from 1) in the encoded polynomial
     after the shift a, by the closed formula instead of expansion."""
     a = list(a)
-    if len(a) != enc.w:
-        raise ArityError("shift of length %d for %d variables" % (len(a), enc.w))
+    enc.polynomial.ring.payloads(a, enc.w, "shift")
     if not 1 <= i <= enc.w:
         raise ArityError("variable index %d out of range" % i)
-    for v in a:
-        if not isinstance(v, RingElement) or v.ring != enc.polynomial.ring:
-            raise RingMismatchError("shift entry from a different ring")
     i0 = i - 1
     acc = enc.evec[i0]
     for (r, c), v in enc.cmatrix.items():

@@ -211,14 +211,37 @@ def _pool_size(jobs, tasks):
     return max(1, min(jobs, tasks, _usable_cpus()))
 
 
-def _run_chunks(worker, common, size, jobs):
+def _scan(score, subject, dom, ring, k, jobs):
+    """Walk the domain in `jobs` chunks and keep the least (head, vector)
+    key over the (head, vec) pairs that score(subject, walk) yields for
+    every point; a head of None keeps no key.  Returns the least key, or
+    None, and the number of points walked."""
+    values, free, size = _plan(dom, ring, k)
     bounds = _chunk_bounds(size, jobs if jobs > 1 else 1)
-    tasks = [common + (lo, hi) for lo, hi in bounds if lo < hi]
+    tasks = [(score, subject, values, free, k, dom.restriction, ring, lo, hi)
+             for lo, hi in bounds if lo < hi]
     workers = _pool_size(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
+            results = list(pool.map(_scan_chunk, tasks))
+    else:
+        results = [_scan_chunk(t) for t in tasks]
+    keys = [key for key, _ in results if key is not None]
+    return min(keys, default=None), sum(points for _, points in results)
+
+
+def _scan_chunk(args):
+    score, subject, values, free, k, restriction, ring, lo, hi = args
+    walk = _walk(values, free, k, restriction, ring, lo, hi)
+    best = None
+    points = 0
+    for head, vec in score(subject, walk):
+        points += 1
+        if head is not None and (best is None or head <= best[0]):
+            key = (head, tuple(vec))
+            if best is None or key < best:
+                best = key
+    return best, points
 
 
 class SearchReport:
@@ -247,26 +270,13 @@ def _count(terms, metric):
     return len(terms)
 
 
-def _min_sparsity_chunk(args):
-    poly, values, free, restriction, metric, lo, hi = args
-    ring = poly.ring
-    k = poly.nvars
-    walk = _walk(values, free, k, restriction, ring, lo, hi)
+def _shift_scores(subject, walk):
+    poly, metric = subject
     if poly.degree() <= 2:
-        counts = shift_counts(ring, poly.terms, range(k), walk,
-                              nonconstant=metric == "nonconstant")
-    else:
-        counts = ((_count(shifted_term_map(ring, poly.terms, vec), metric), vec)
-                  for _, vec in walk)
-    best = None
-    points = 0
-    for sp, vec in counts:
-        points += 1
-        if best is None or sp <= best[0]:
-            key = (sp, tuple(vec))
-            if best is None or key < best:
-                best = key
-    return best, points
+        return shift_counts(poly.ring, poly.terms, range(poly.nvars), walk,
+                            nonconstant=metric == "nonconstant")
+    return ((_count(shifted_term_map(poly.ring, poly.terms, vec), metric), vec)
+            for _, vec in walk)
 
 
 def search_min_sparsity(poly, dom, metric="total", jobs=1):
@@ -278,15 +288,8 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
     its count certified."""
     if metric not in ("total", "nonconstant"):
         raise PreconditionError("metric must be total or nonconstant")
-    values, free, size = _plan(dom, poly.ring, poly.nvars)
-    common = (poly, values, free, dom.restriction, metric)
-    results = _run_chunks(_min_sparsity_chunk, common, size, jobs)
-    best = None
-    points = 0
-    for chunk_best, chunk_points in results:
-        points += chunk_points
-        if chunk_best is not None and (best is None or chunk_best < best):
-            best = chunk_best
+    best, points = _scan(_shift_scores, (poly, metric), dom, poly.ring,
+                         poly.nvars, jobs)
     if best is None:
         raise PreconditionError("search domain is empty")
     witness = tuple(RingElement(poly.ring, v) for v in best[1])
@@ -299,62 +302,36 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
     return SearchReport(best[0], witness, points, dom.mode == EXHAUSTIVE)
 
 
-def _solve_chunk(args):
-    system, values, free, restriction, lo, hi = args
-    ring = system.ring
-    m = ring.modulus
-    best = None
-    points = 0
-    for _, vec in _walk(values, free, system.nvars, restriction, ring, lo, hi):
-        points += 1
-        ok = True
-        for eq in system.equations:
-            v = eval_payload(eq, vec)
-            if m is not None:
-                v %= m
-            if v:
-                ok = False
-                break
-        if ok:
-            key = tuple(vec)
-            if best is None or key < best:
-                best = key
-    return best, points
+def _solution_scores(system, walk):
+    # eval_payload reduces residues, so a solution reads 0 in every ring
+    for _, vec in walk:
+        if any(eval_payload(eq, vec) for eq in system.equations):
+            yield None, vec
+        else:
+            yield 0, vec
 
 
 def solve_system(system, dom, jobs=1):
     """Lexicographically least solution over the domain, or None."""
-    values, free, size = _plan(dom, system.ring, system.nvars)
-    common = (system, values, free, dom.restriction)
-    results = _run_chunks(_solve_chunk, common, size, jobs)
-    best = None
-    for chunk_best, _ in results:
-        if chunk_best is not None and (best is None or chunk_best < best):
-            best = chunk_best
+    best, _ = _scan(_solution_scores, system, dom, system.ring, system.nvars, jobs)
     if best is None:
         return None
-    return tuple(RingElement(system.ring, v) for v in best)
+    return tuple(RingElement(system.ring, v) for v in best[1])
 
 
-def _maxsat_chunk(args):
-    system, values, free, restriction, lo, hi = args
+def _maxsat_scores(system, walk):
     ring = system.ring
-    best = -1
-    for _, vec in _walk(values, free, system.n, restriction, ring, lo, hi):
-        point = [RingElement(ring, v) for v in vec]
-        sat = count_satisfied(system, point)
-        if sat > best:
-            best = sat
-    return best
+    for _, vec in walk:
+        yield -count_satisfied(system, [RingElement(ring, v) for v in vec]), vec
 
 
 def maxsat(system, dom, jobs=1):
     """Exact maximum number of simultaneously satisfiable rows over the
     domain of assignments."""
-    values, free, size = _plan(dom, system.ring, system.n)
-    common = (system, values, free, dom.restriction)
-    results = _run_chunks(_maxsat_chunk, common, size, jobs)
-    return max(results)
+    best, _ = _scan(_maxsat_scores, system, dom, system.ring, system.n, jobs)
+    if best is None:
+        raise PreconditionError("search domain is empty")
+    return -best[0]
 
 
 # -- end-to-end verifiers ------------------------------------------------

@@ -34,9 +34,9 @@ TIER_Z = "z"
 class EquationSystem:
     """Equations f_i = 0 over one shared, tiered variable catalog."""
 
-    __slots__ = ("ring", "var_names", "tiers", "equations", "provenance")
+    __slots__ = ("ring", "var_names", "tiers", "equations")
 
-    def __init__(self, ring, var_names, equations, tiers=None, provenance=None):
+    def __init__(self, ring, var_names, equations, tiers=None):
         self.ring = ring
         self.var_names = tuple(var_names)
         n = len(self.var_names)
@@ -63,7 +63,6 @@ class EquationSystem:
                 raise ArityError("equation over a different catalog")
             eqs.append(eq)
         self.equations = tuple(eqs)
-        self.provenance = provenance
 
     @property
     def nvars(self):
@@ -103,20 +102,21 @@ class ExtensionRecipe:
         targets = [t for t, _, _ in self.steps]
         if sorted(targets) != list(range(n_inputs, nvars)):
             raise PreconditionError("recipe must define each auxiliary exactly once")
+        defined = set(range(n_inputs))
+        for target, op, args in self.steps:
+            if op != "const":
+                # var reads one position, mul two, sum one or more
+                arity = {"var": 1, "mul": 2}.get(op, max(1, len(args)))
+                if len(args) != arity or not defined.issuperset(args):
+                    raise PreconditionError(
+                        "recipe %s step for %d must read %d inputs or earlier "
+                        "targets" % (op, target, arity)
+                    )
+            defined.add(target)
 
     def extend(self, ax):
-        ax = list(ax)
-        if len(ax) != self.n_inputs:
-            raise ArityError(
-                "assignment of length %d for %d inputs" % (len(ax), self.n_inputs)
-            )
-        vals = [None] * self.nvars
-        for i, a in enumerate(ax):
-            if not isinstance(a, RingElement):
-                raise TypeError("ring element required")
-            if a.ring != self.ring:
-                raise RingMismatchError("assignment entry from a different ring")
-            vals[i] = a.val
+        vals = self.ring.payloads(ax, self.n_inputs, "assignment")
+        vals += [None] * (self.nvars - self.n_inputs)
         m = self.ring.modulus
         for target, op, args in self.steps:
             if op == "var":
@@ -157,6 +157,14 @@ def check_solution(system, assignment):
 
 
 # -- lowering of sparse systems ---------------------------------------
+
+
+def _monomial(nvars, *positions):
+    """Exponent vector of the product of the variables at `positions`."""
+    exps = [0] * nvars
+    for p in positions:
+        exps[p] += 1
+    return tuple(exps)
 
 
 def _token_key(tok):
@@ -236,37 +244,26 @@ def quadratize_sparse(system):
     names += ["z%d_%d" % key[1:] for key in zdefs]
     tiers = (TIER_X,) * nx + (TIER_Y,) * len(ydefs) + (TIER_Z,) * len(zdefs)
 
-    def unit(p):
-        return tuple(1 if q == p else 0 for q in range(nvars))
-
     equations = []
     steps = []
     for ev in events:
         if ev[0] == "y":
             _, key, u, v = ev
-            body = [0] * nvars
-            body[pos[u]] += 1
-            body[pos[v]] += 1
-            equations.append(
-                SparsePoly(ring, nvars, {unit(pos[key]): 1, tuple(body): -1}, names)
-            )
+            terms = {_monomial(nvars, pos[key]): 1,
+                     _monomial(nvars, pos[u], pos[v]): -1}
             steps.append((pos[key], "mul", (pos[u], pos[v])))
         elif ev[0] == "z":
             _, key, head = ev
-            equations.append(
-                SparsePoly(
-                    ring, nvars, {unit(pos[key]): 1, unit(pos[head]): -1}, names
-                )
-            )
+            terms = {_monomial(nvars, pos[key]): 1, _monomial(nvars, pos[head]): -1}
             steps.append((pos[key], "var", (pos[head],)))
         else:
             _, lterms, const = ev
-            terms = {unit(pos[zkey]): c for c, zkey in lterms}
+            terms = {_monomial(nvars, pos[zkey]): c for c, zkey in lterms}
             if const:
                 terms[(0,) * nvars] = const
-            equations.append(SparsePoly(ring, nvars, terms, names))
+        equations.append(SparsePoly(ring, nvars, terms, names))
 
-    lowered = EquationSystem(ring, names, equations, tiers, provenance="quadratized")
+    lowered = EquationSystem(ring, names, equations, tiers)
     recipe = ExtensionRecipe(ring, nvars, nx, steps)
     return lowered, recipe
 
@@ -301,44 +298,36 @@ def quadratize_circuit(circuits):
             names.append("y%d_%d" % (ci, j))
             base += 1
 
-    def unit(p):
-        return tuple(1 if q == p else 0 for q in range(nvars))
-
     equations = []
     steps = []
     for ci, c in enumerate(circuits, start=1):
         for nid in c.ids:
             kind, data = c.nodes[nid]
             head = ypos[(ci, nid)]
+            terms = {_monomial(nvars, head): 1}
             if kind == INPUT:
-                terms = {unit(head): 1, unit(data): -1}
+                terms[_monomial(nvars, data)] = -1
                 steps.append((head, "var", (data,)))
             elif kind == CONST:
-                terms = {unit(head): 1}
                 if data:
                     terms[(0,) * nvars] = -data
                 steps.append((head, "const", data))
             elif kind == MUL:
-                body = [0] * nvars
-                body[ypos[(ci, data[0])]] += 1
-                body[ypos[(ci, data[1])]] += 1
-                terms = {unit(head): 1, tuple(body): -1}
-                steps.append(
-                    (head, "mul", (ypos[(ci, data[0])], ypos[(ci, data[1])]))
-                )
+                args = (ypos[(ci, data[0])], ypos[(ci, data[1])])
+                terms[_monomial(nvars, *args)] = -1
+                steps.append((head, "mul", args))
             else:
-                terms = {unit(head): 1}
                 for child in data:
-                    key = unit(ypos[(ci, child)])
+                    key = _monomial(nvars, ypos[(ci, child)])
                     terms[key] = terms.get(key, 0) - 1
                 steps.append((head, "sum", tuple(ypos[(ci, k)] for k in data)))
             equations.append(SparsePoly(ring, nvars, terms, names))
         equations.append(
-            SparsePoly(ring, nvars, {unit(ypos[(ci, c.output)]): 1}, names)
+            SparsePoly(ring, nvars, {_monomial(nvars, ypos[(ci, c.output)]): 1}, names)
         )
 
     tiers = (TIER_X,) * nx + (TIER_Y,) * ny
-    lowered = EquationSystem(ring, names, equations, tiers, provenance="quadratized")
+    lowered = EquationSystem(ring, names, equations, tiers)
     recipe = ExtensionRecipe(ring, nvars, nx, steps)
     return lowered, recipe
 
@@ -429,9 +418,7 @@ def normalize_constants(system):
             if eq.is_zero:
                 continue
         out.append(eq)
-    normalized = EquationSystem(
-        system.ring, system.var_names, out, system.tiers, provenance="normalized"
-    )
+    normalized = EquationSystem(system.ring, system.var_names, out, system.tiers)
     return normalized, False
 
 
@@ -510,7 +497,7 @@ def system_from_text(text):
         elif key == "vars":
             if ring is None:
                 raise FormatError("vars before ring")
-            nvars, raw_names = parse_vars_line(parts[1:])
+            nvars, raw_names = parse_vars_line(parts[1:], line)
             if raw_names is None:
                 names = default_names(nvars)
                 tiers = (TIER_X,) * nvars
@@ -563,7 +550,7 @@ def system_from_text(text):
         output = None
         for parts in block:
             if parts[0] == "node":
-                nodes.append(parse_node_line(parts[1:], ring))
+                nodes.append(parse_node_line(parts[1:], ring, " ".join(parts)))
             else:
                 if len(parts) != 2:
                     raise FormatError("output line takes one id")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FormatError, PreconditionError, RingMismatchError
+from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
 
 INTEGERS = "Z"
 RATIONALS = "Q"
@@ -125,10 +125,6 @@ class Ring:
             raise TypeError("residue payload required, got %r" % (v,))
         return RingElement(self, self.canon(v))
 
-    def from_int(self, k):
-        """Canonical image of an integer in this ring."""
-        return RingElement(self, self.canon(k))
-
     @property
     def zero(self):
         return RingElement(self, self.canon(0))
@@ -137,11 +133,22 @@ class Ring:
     def one(self):
         return RingElement(self, self.canon(1))
 
-    def elements(self):
-        """All elements, ascending by representative.  Finite rings only."""
-        if self.modulus is None:
-            raise ValueError("ring is not finite")
-        return [RingElement(self, v) for v in range(self.modulus)]
+    def payloads(self, vec, n, what):
+        """The payloads of vec, which must hold n elements of this ring;
+        `what` names the vector in the error."""
+        vec = list(vec)
+        if len(vec) != n:
+            raise ArityError(
+                "%s of length %d for %d variables" % (what, len(vec), n)
+            )
+        vals = []
+        for el in vec:
+            if not isinstance(el, RingElement):
+                raise TypeError("ring element required in %s" % what)
+            if el.ring != self:
+                raise RingMismatchError("%s entry from a different ring" % what)
+            vals.append(el.val)
+        return vals
 
     def token(self):
         if self.kind == PRIME_FIELD:

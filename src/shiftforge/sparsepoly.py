@@ -332,39 +332,12 @@ class SparsePoly:
 
     def shift(self, offsets):
         """P(X + a) for a vector a of ring elements, expanded and reduced."""
-        vals = self._offset_payloads(offsets)
+        vals = self.ring.payloads(offsets, self.nvars, "shift vector")
         out = shifted_term_map(self.ring, self.terms, vals)
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
-    def _offset_payloads(self, offsets):
-        offsets = list(offsets)
-        if len(offsets) != self.nvars:
-            raise ArityError(
-                "shift vector of length %d for %d variables"
-                % (len(offsets), self.nvars)
-            )
-        vals = []
-        for o in offsets:
-            if not isinstance(o, RingElement):
-                raise TypeError("ring element required in shift vector")
-            if o.ring != self.ring:
-                raise RingMismatchError("shift entry from a different ring")
-            vals.append(o.val)
-        return vals
-
     def eval(self, point):
-        point = list(point)
-        if len(point) != self.nvars:
-            raise ArityError(
-                "point of length %d for %d variables" % (len(point), self.nvars)
-            )
-        vals = []
-        for p in point:
-            if not isinstance(p, RingElement):
-                raise TypeError("ring element required in evaluation point")
-            if p.ring != self.ring:
-                raise RingMismatchError("point entry from a different ring")
-            vals.append(p.val)
+        vals = self.ring.payloads(point, self.nvars, "point")
         return RingElement(self.ring, self.ring.canon(eval_payload(self, vals)))
 
     def embed(self, nvars, offset, var_names=None):
@@ -469,14 +442,12 @@ def parse_int(token, line):
         raise FormatError("bad integer %r in %r" % (token, line)) from exc
 
 
-def parse_vars_line(parts):
-    """Parse the tail of a `vars` line; returns (nvars, names or None)."""
+def parse_vars_line(parts, line):
+    """Parse the tail of the `vars` line `line`; returns (nvars, names or
+    None)."""
     if not parts:
         raise FormatError("vars line needs a count")
-    try:
-        k = int(parts[0])
-    except ValueError as exc:
-        raise FormatError("bad variable count %r" % parts[0]) from exc
+    k = parse_int(parts[0], line)
     if k < 0:
         raise FormatError("negative variable count")
     names = parts[1:]
@@ -502,7 +473,7 @@ def poly_from_text(text):
                 raise FormatError("vars before ring")
             if nvars is not None:
                 raise FormatError("duplicate vars line")
-            nvars, names = parse_vars_line(parts[1:])
+            nvars, names = parse_vars_line(parts[1:], line)
         elif key == "term":
             if nvars is None:
                 raise FormatError("term before vars")

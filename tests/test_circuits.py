@@ -17,6 +17,8 @@ from shiftforge import (
     prime_field,
 )
 from shiftforge.circuits import circuit_from_text, circuit_to_text
+from shiftforge.quadratizer import system_from_text
+from shiftforge.sparsepoly import poly_from_text
 
 from helpers import random_circuit, random_vector
 
@@ -138,3 +140,23 @@ def test_parse_rejects_bad_lines():
         circuit_from_text("ring Z\nvars 1 x\nnode 0 mystery\noutput 0\n")
     with pytest.raises(FormatError):
         circuit_from_text("ring Z\nvars 1 x\nnode 0 mul 1\noutput 0\n")
+
+
+def test_bad_integer_fields_quote_their_line():
+    cases = [
+        (poly_from_text, "ring Z\nvars x\n", "vars x"),
+        (circuit_from_text, "ring Z\nvars x\n", "vars x"),
+        (circuit_from_text, "ring Z\nvars 1\nnode z input 0\noutput 0\n",
+         "node z input 0"),
+        (circuit_from_text, "ring Z\nvars 1\nnode 0 input q\noutput 0\n",
+         "node 0 input q"),
+        (circuit_from_text, "ring Z\nvars 1\nnode 0 input 0\nnode 1 add 0 q\n"
+         "output 1\n", "node 1 add 0 q"),
+        (system_from_text, "ring Z\nvars x\neq\nterm 1\n", "vars x"),
+        (system_from_text, "ring Z\nvars 1\neq\nnode z input 0\noutput 0\n",
+         "node z input 0"),
+    ]
+    for reader, text, line in cases:
+        with pytest.raises(FormatError) as info:
+            reader(text)
+        assert repr(line) in str(info.value), (reader, text)

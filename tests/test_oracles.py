@@ -37,6 +37,7 @@ from helpers import (
     out_of_box_system,
     planted_integer_system,
     random_poly,
+    random_sparse_system,
     unsolvable_integer_system,
 )
 
@@ -606,3 +607,89 @@ def test_roundtrip_checks_both_caps_before_any_work(monkeypatch):
     # 25 source assignments fit, 625 zero-sum ranks do not
     with pytest.raises(CapExceededError):
         verify_hn_roundtrip(S, box=2, cap=100)
+
+
+def reference_points(dom, ring, k):
+    """Every in-domain payload vector, in lexicographic order of the free
+    coordinates, from itertools.product."""
+    if dom.restriction == ZERO_SUM:
+        free = range(1, k)
+    elif dom.restriction == SUPPORT_LAST:
+        free = range(k - dom.support_n, k)
+    else:
+        free = range(k)
+    return [vec for _, vec in
+            reference_walk(dom.values(ring), free, k, dom.restriction, ring)]
+
+
+def reference_rows_satisfied(L, vec):
+    """Rows of L that vanish at the payload vector, summed on payloads."""
+    ring = L.ring
+    return sum(1 for idx, coeffs, b in L.rows
+               if not ring.canon(b.val + sum(c.val * vec[j]
+                                             for j, c in zip(idx, coeffs))))
+
+
+SCAN_SPACES = [
+    (ZZ, SearchDomain.integer_box(1)),
+    (ZZ, SearchDomain.integer_box(2)),
+    (QQ, SearchDomain.integer_box(1)),
+    (F2, SearchDomain.exhaustive()),
+    (F3, SearchDomain.exhaustive()),
+    (modular(4), SearchDomain.exhaustive()),
+]
+
+
+def test_solve_matches_product_reference(monkeypatch):
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+    rng = random.Random(211)
+    seen_ties = seen_none = 0
+    for ring, base in SCAN_SPACES:
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            systems = [
+                # x1 = x3: ties, where the least solution must win
+                system(ring, 3, [{(1, 0, 0): 1, (0, 0, 1): -1}]),
+                # 1 = 0: no solution anywhere
+                system(ring, 2, [{(0, 0): 1}]),
+            ]
+            systems += [random_sparse_system(ring, rng, max_vars=3, max_degree=2,
+                                             max_terms=3, max_eqs=2)
+                        for _ in range(3)]
+            for S in systems:
+                dom = base.restricted(restriction, rng.randint(0, S.nvars))
+                sols = [vec for vec in reference_points(dom, ring, S.nvars)
+                        if check_solution(S, [ring.el(v) for v in vec])]
+                want = min(sols) if sols else None
+                seen_ties += len(sols) > 1
+                seen_none += want is None
+                for jobs in (1, 2, 3, 7):
+                    got = solve_system(S, dom, jobs=jobs)
+                    got = None if got is None else tuple(v.val for v in got)
+                    assert got == want, (ring, restriction, S.equations, jobs)
+    assert seen_ties and seen_none
+
+
+def test_maxsat_matches_product_reference(monkeypatch):
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+    rng = random.Random(223)
+    for ring, base in SCAN_SPACES:
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            for planted in (False, True):
+                n = rng.randint(3, 4)
+                L = gen_max3lin(n, rng.randint(1, 4), ring, planted=planted,
+                                seed=rng.randrange(10 ** 6))
+                dom = base.restricted(restriction, rng.randint(0, n))
+                want = max(reference_rows_satisfied(L, vec)
+                           for vec in reference_points(dom, ring, n))
+                for jobs in (1, 2, 3, 7):
+                    assert maxsat(L, dom, jobs=jobs) == want, \
+                        (ring, restriction, L.rows, jobs)
+
+
+def test_maxsat_on_an_empty_domain_is_refused():
+    # every zero-sum completion of the tail (1, 1) is -2, outside the grid
+    L = gen_max3lin(3, 2, QQ, seed=5)
+    dom = SearchDomain.rational_grid([1], [1]).restricted(ZERO_SUM)
+    with pytest.raises(PreconditionError, match="search domain is empty"):
+        maxsat(L, dom)
+    assert solve_system(system(QQ, 3, [{(1, 0, 0): 1}]), dom) is None

@@ -333,3 +333,24 @@ def test_circuit_manifest_loading(tmp_path):
     assert kind == "circuits"
     assert len(circuits) == 2
     assert circuits[0].eval([ZZ.el(2), ZZ.el(3)]) == ZZ.el(6)
+
+
+def test_recipe_steps_read_only_inputs_and_earlier_targets(tmp_path):
+    head = "ring Z\nvars 3 x:a y:b y:c\neq\nterm 1 1 0 0\n"
+    good = tmp_path / "good.sys"
+    good.write_text(head + "# recipe 1 var 0\n# recipe 2 mul 0 1\n")
+    _, _, recipe = load_system(str(good))
+    assert extend_solution(recipe, [ZZ.el(3)]) == (ZZ.el(3), ZZ.el(3), ZZ.el(9))
+    head4 = "ring Z\nvars 4 x:a y:b y:c y:d\neq\nterm 1 1 0 0 0\n"
+    bad = {
+        "forward": head + "# recipe 1 var 2\n# recipe 2 var 0\n",
+        "later-forward": head4 + "# recipe 1 var 0\n# recipe 2 sum 0 3\n"
+                         "# recipe 3 var 0\n",
+        "arity": head + "# recipe 1 mul 0\n# recipe 2 var 0\n",
+        "range": head + "# recipe 1 var 7\n# recipe 2 var 0\n",
+    }
+    for name, text in bad.items():
+        path = tmp_path / (name + ".sys")
+        path.write_text(text)
+        with pytest.raises(PreconditionError):
+            load_system(str(path))
