@@ -78,9 +78,14 @@ class Max3LinSystem:
 
 
 def count_satisfied(system, x):
-    x = list(x)
-    system.ring.payloads(x, system.n, "assignment")
-    return sum(1 for i in range(system.m) if system.row_value(i, x).is_zero)
+    """Rows of the system that vanish at the assignment x."""
+    vals = system.ring.payloads(x, system.n, "assignment")
+    canon = system.ring.canon
+    satisfied = 0
+    for (j1, j2, j3), (c1, c2, c3), b in system.rows:
+        satisfied += not canon(b.val + c1.val * vals[j1] + c2.val * vals[j2]
+                               + c3.val * vals[j3])
+    return satisfied
 
 
 class QuadraticEncoding:

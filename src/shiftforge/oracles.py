@@ -13,9 +13,9 @@ independent of how the space is split across workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
+from .bitslice import MAX_MODULUS, sliced_min_count
 from .errors import (
     ArityError,
     CapExceededError,
@@ -204,25 +204,33 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _pool_size(jobs, tasks):
-    """Worker processes for a pool over `tasks` chunks: never more than
-    the chunks or the usable CPUs.  The chunk count itself stays `jobs`,
-    so output does not depend on the machine."""
-    return max(1, min(jobs, tasks, _usable_cpus()))
+def _pool_size(jobs, points):
+    """Rank chunks, one per worker process, for `jobs` over `points`
+    points: never more than the points or the usable CPUs.  The least
+    key and the point count do not depend on the chunking, so output
+    does not depend on the machine."""
+    return max(1, min(jobs, points, _usable_cpus()))
+
+
+def ProcessPoolExecutor(max_workers):
+    """The worker pool of _scan.  concurrent.futures.process loads
+    multiprocessing, which is most of the package's import time, so it
+    is imported here, on first use."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _scan(score, subject, dom, ring, k, jobs):
-    """Walk the domain in `jobs` chunks and keep the least (head, vector)
-    key over the (head, vec) pairs that score(subject, walk) yields for
-    every point; a head of None keeps no key.  Returns the least key, or
-    None, and the number of points walked."""
+    """Walk the domain in rank chunks, one per worker, and keep the least
+    (head, vector) key over the (head, vec) pairs that
+    score(subject, walk) yields for every point; a head of None keeps no
+    key.  Returns the least key, or None, and the number of points
+    walked."""
     values, free, size = _plan(dom, ring, k)
-    bounds = _chunk_bounds(size, jobs if jobs > 1 else 1)
     tasks = [(score, subject, values, free, k, dom.restriction, ring, lo, hi)
-             for lo, hi in bounds if lo < hi]
-    workers = _pool_size(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+             for lo, hi in _chunk_bounds(size, _pool_size(jobs, size))]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             results = list(pool.map(_scan_chunk, tasks))
     else:
         results = [_scan_chunk(t) for t in tasks]
@@ -279,17 +287,37 @@ def _shift_scores(subject, walk):
             for _, vec in walk)
 
 
+def _sliced_scan(poly, dom, metric):
+    """_scan's answer for a search over a whole small finite ring, from
+    the bit-sliced kernel, in this process."""
+    ring = poly.ring
+    values, free, size = _plan(dom, ring, poly.nvars)
+    count, rank = sliced_min_count(ring, poly.terms, poly.nvars, free,
+                                   dom.restriction == ZERO_SUM,
+                                   metric == "nonconstant")
+    _, vec = next(_walk(values, free, poly.nvars, dom.restriction, ring,
+                        rank, rank + 1))
+    return (count, tuple(vec)), size
+
+
 def search_min_sparsity(poly, dom, metric="total", jobs=1):
     """Minimum (non)constant monomial count of poly(X + a) over the
     domain, with the lexicographically least witness shift.
 
-    Polynomials of degree at most 2 are counted by shift_counts, others
-    by full expansion; either way the winner is expanded once more and
-    its count certified."""
+    Polynomials of degree at most 2 are counted without expansion: over
+    a whole finite ring of at most MAX_MODULUS elements by the
+    bit-sliced kernel, which ignores `jobs`, and otherwise by
+    shift_counts.  Others are expanded at every point.  Either way the
+    winner is expanded once more and its count certified."""
     if metric not in ("total", "nonconstant"):
         raise PreconditionError("metric must be total or nonconstant")
-    best, points = _scan(_shift_scores, (poly, metric), dom, poly.ring,
-                         poly.nvars, jobs)
+    ring = poly.ring
+    if (dom.mode == EXHAUSTIVE and ring.is_finite
+            and ring.modulus <= MAX_MODULUS and poly.degree() <= 2):
+        best, points = _sliced_scan(poly, dom, metric)
+    else:
+        best, points = _scan(_shift_scores, (poly, metric), dom, ring,
+                             poly.nvars, jobs)
     if best is None:
         raise PreconditionError("search domain is empty")
     witness = tuple(RingElement(poly.ring, v) for v in best[1])

@@ -95,24 +95,27 @@ def shifted_term_map(ring, terms, offsets):
     return {e: v for e, v in out.items() if v}
 
 
-def shift_counts(ring, terms, shifted, walk, nonconstant=False):
-    """Monomial counts of P(X + a) along a walk of shifts, without expanding.
+def slot_table(ring, terms, shifted, nonconstant=False):
+    """The moving coefficients of P(X + a), as functions of the shift a.
 
     P is given by its payload term map and has degree at most 2 in the
-    shifted positions.  The shift a starts at zero; each step of the walk
-    is (changes, tag), where changes is a sequence of (position, payload)
-    pairs, all at shifted positions, that move a to the next point.  For
-    every step this yields (count, tag): the number of monomials of
-    P(X + a), or of its nonconstant monomials when nonconstant is set.
+    shifted positions.  Terms are grouped by their exponents on the
+    unshifted positions, and distinct groups never merge, so the
+    monomial count of P(X + a) is a sum over groups.  In a group with
+    quadratic part Q, the quadratic terms do not move, the coefficient
+    of x_i is the partial derivative of Q at a, and the constant is
+    Q(a).  These values are the slots.
 
-    Terms are grouped by their exponents on the unshifted positions, and
-    distinct groups never merge, so the count is a sum over groups.  In a
-    group with quadratic part Q, the quadratic terms do not move, the
-    coefficient of x_i is the partial derivative of Q at a, and the
-    constant is Q(a).  These values live in slots; a step touches only
-    the slots next to the positions it changes.
+    Returns (quadratic, groups): quadratic is the number of terms of
+    degree 2 in the shifted positions, and each group is a triple
+    (linear, quad, const):
+    - linear lists (i, c, deriv) for every shifted x_i of the group,
+      ascending in i: the slot of x_i holds c + sum(deriv[j] * a_j);
+    - quad maps (i, j), i <= j, to the coefficient of x_i * x_j;
+    - const is the constant of Q, or None when its slot is not counted:
+      with nonconstant set, in the group whose unshifted exponents are
+      all 0.
     """
-    m = ring.modulus
     shifted = set(shifted)
     groups = {}
     quadratic = 0
@@ -132,9 +135,7 @@ def shift_counts(ring, terms, shifted, walk, nonconstant=False):
         groups.setdefault(tuple(rest), []).append((moving, c))
 
     zero = ring.canon(0)
-    slots = []  # current slot values
-    const_steps = {}  # j -> [(constant slot, slot of x_j, coefficient of x_j^2)]
-    lin_steps = {}  # j -> [(slot of x_i, coefficient of the change in a_j)]
+    table = []
     for rest, group in groups.items():
         lin = {}
         quad = {}
@@ -148,19 +149,50 @@ def shift_counts(ring, terms, shifted, walk, nonconstant=False):
                 lin[moving[0]] = lin.get(moving[0], zero) + c
             else:
                 const = c
-        slot_of = {}
-        for i in sorted(lin):
-            slot_of[i] = len(slots)
-            slots.append(lin[i])
+        deriv = {i: {} for i in lin}
         for (i, j), c in quad.items():
             if i == j:
                 c = ring.canon(2 * c)
                 if c:
-                    lin_steps.setdefault(i, []).append((slot_of[i], c))
+                    deriv[i][i] = c
             else:
-                lin_steps.setdefault(i, []).append((slot_of[j], c))
-                lin_steps.setdefault(j, []).append((slot_of[i], c))
+                deriv[j][i] = c
+                deriv[i][j] = c
+        linear = [(i, lin[i], deriv[i]) for i in sorted(lin)]
         if nonconstant and not any(rest):
+            const = None
+        table.append((linear, quad, const))
+    return quadratic, table
+
+
+def shift_counts(ring, terms, shifted, walk, nonconstant=False):
+    """Monomial counts of P(X + a) along a walk of shifts, without expanding.
+
+    P is given by its payload term map and has degree at most 2 in the
+    shifted positions.  The shift a starts at zero; each step of the walk
+    is (changes, tag), where changes is a sequence of (position, payload)
+    pairs, all at shifted positions, that move a to the next point.  For
+    every step this yields (count, tag): the number of monomials of
+    P(X + a), or of its nonconstant monomials when nonconstant is set.
+
+    The slots are those of slot_table; a step touches only the slots
+    next to the positions it changes.
+    """
+    m = ring.modulus
+    shifted = set(shifted)
+    quadratic, table = slot_table(ring, terms, shifted, nonconstant)
+    zero = ring.canon(0)
+    slots = []  # current slot values
+    const_steps = {}  # j -> [(constant slot, slot of x_j, coefficient of x_j^2)]
+    lin_steps = {}  # j -> [(slot of x_i, coefficient of the change in a_j)]
+    for linear, quad, const in table:
+        slot_of = {}
+        for i, c, deriv in linear:
+            slot_of[i] = len(slots)
+            for j, d in deriv.items():
+                lin_steps.setdefault(j, []).append((slot_of[i], d))
+            slots.append(c)
+        if const is None:
             continue
         cslot = len(slots)
         slots.append(const)

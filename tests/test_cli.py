@@ -383,6 +383,15 @@ def test_console_script_byte_determinism(tmp_path):
     assert first.stdout.startswith(b"trivially_solvable false")
 
 
+def test_cli_import_does_not_load_multiprocessing():
+    code = ("import sys, shiftforge.cli; "
+            "print('multiprocessing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env=env, check=True)
+    assert out.stdout == b"False\n"
+
+
 def test_jobs_below_one_is_rejected(tmp_path, capsys):
     path = write_poly(tmp_path, "x.poly", ZZ, 1, {(1,): 1})
     for bad in ("0", "-3", "two"):

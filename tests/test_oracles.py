@@ -29,7 +29,7 @@ from shiftforge import (
     verify_hn_roundtrip,
     verify_max3lin,
 )
-from shiftforge import oracles
+from shiftforge import bitslice, oracles
 from shiftforge.oracles import NONE, SUPPORT_LAST, ZERO_SUM, SearchDomain
 from shiftforge.sparsepoly import shift_counts
 
@@ -480,9 +480,118 @@ def test_search_certifies_the_kernel_count(monkeypatch):
             yield count + 1, vec
 
     monkeypatch.setattr(oracles, "shift_counts", off_by_one)
+    p = poly(ZZ, 2, {(1, 1): 1, (1, 0): 1, (0, 0): 2})
+    with pytest.raises(InternalConsistencyError):
+        search_min_sparsity(p, SearchDomain.integer_box(1))
+
+
+# the largest k per modulus that keeps the expansion reference fast
+SLICED_K = {2: 8, 3: 5, 4: 4, 5: 3, 6: 3, 7: 3}
+
+
+def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
+    real_scan = oracles._scan
+
+    def no_scan(*args):
+        raise AssertionError("a small finite ring search left the sliced path")
+
+    real_planes = bitslice.class_planes
+
+    def bounded_planes(q, digits):
+        # as many coordinates as fit in one plane, and no more
+        assert q ** digits <= bitslice.PLANE_BITS
+        assert digits == free_count or q ** (digits + 1) > bitslice.PLANE_BITS
+        return real_planes(q, digits)
+
+    monkeypatch.setattr(oracles, "_scan", no_scan)
+    monkeypatch.setattr(bitslice, "class_planes", bounded_planes)
+    rng = random.Random(227)
+    blocks = 0
+    for ring in (F2, F3, F5, prime_field(7), modular(4), modular(6)):
+        q = ring.modulus
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            for metric in ("total", "nonconstant"):
+                for _ in range(3):
+                    k = rng.randint(1, SLICED_K[q])
+                    p = random_poly(ring, k, 2, 2 * k + 2, rng)
+                    dom = SearchDomain.exhaustive().restricted(
+                        restriction, rng.randint(0, k))
+                    want = reference_search(p, dom, metric)
+                    free_count = len(oracles._plan(dom, ring, k)[1])
+                    kernel = real_scan(oracles._shift_scores, (p, metric), dom,
+                                       ring, k, 1)
+                    # planes of 1 bit (every coordinate fixed per block),
+                    # of some coordinates, and of the whole domain
+                    for bits, jobs in ((1, 1), (q, 2), (q * q + 1, 3),
+                                       (1 << 20, 7)):
+                        monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
+                        blocks += want[2] > bits
+                        assert oracles._sliced_scan(p, dom, metric) == kernel
+                        report = search_min_sparsity(p, dom, metric, jobs=jobs)
+                        got = (report.min_sparsity,
+                               tuple(v.val for v in report.witness),
+                               report.points)
+                        assert got == want, (ring, restriction, metric, p, bits)
+    assert blocks >= 100
+
+
+def test_search_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
+    def no_slices(*args):
+        raise AssertionError("the sliced kernel ran out of its scope")
+
+    monkeypatch.setattr(oracles, "sliced_min_count", no_slices)
+    rng = random.Random(229)
+    cases = [
+        (random_poly(prime_field(11), 2, 2, 5, rng), SearchDomain.exhaustive()),
+        (random_poly(modular(8), 2, 2, 5, rng), SearchDomain.exhaustive()),
+        (poly(F3, 2, {(3, 0): 1, (1, 1): 2, (0, 0): 1}), SearchDomain.exhaustive()),
+        (random_poly(ZZ, 2, 2, 5, rng), SearchDomain.integer_box(1)),
+    ]
+    for p, dom in cases:
+        report = search_min_sparsity(p, dom)
+        assert (report.min_sparsity, tuple(v.val for v in report.witness),
+                report.points) == reference_search(p, dom, "total")
+
+
+def test_search_certifies_the_sliced_count(monkeypatch):
+    real = oracles.sliced_min_count
+
+    def off_by_one(*args):
+        count, rank = real(*args)
+        return count + 1, rank
+
+    monkeypatch.setattr(oracles, "sliced_min_count", off_by_one)
     p = poly(F3, 2, {(1, 1): 1, (1, 0): 1, (0, 0): 2})
     with pytest.raises(InternalConsistencyError):
         search_min_sparsity(p, SearchDomain.exhaustive())
+
+
+def test_scan_makes_no_more_chunks_than_usable_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool(SerialPool):
+        def __init__(self, max_workers):
+            self.workers = max_workers
+            pools.append(self)
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
+    p = random_poly(ZZ, 4, 2, 6, random.Random(233))
+    dom = SearchDomain.integer_box(2)
+    serial = search_min_sparsity(p, dom).lines()
+    assert pools == []
+    assert search_min_sparsity(p, dom, jobs=10 ** 9).lines() == serial
+    assert [(pool.workers, len(pool.tasks)) for pool in pools] == [(3, 3)]
+    # one chunk per point below the CPU count, and none for one point
+    grid = SearchDomain.rational_grid([0, 1], [1])
+    search_min_sparsity(poly(QQ, 1, {(1,): 1}), grid, jobs=10 ** 9)
+    one = SearchDomain.integer_box(0)
+    search_min_sparsity(poly(ZZ, 1, {(1,): 1}), one, jobs=10 ** 9)
+    assert [(pool.workers, len(pool.tasks)) for pool in pools[1:]] == [(2, 2)]
 
 
 def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
