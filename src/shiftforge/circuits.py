@@ -8,14 +8,17 @@ Dangling nodes are permitted and still count toward the circuit size.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import ArityError, CapExceededError, FormatError
-from .rings import Ring, RingElement
+from .rings import RingElement
 from .sparsepoly import (
+    Reader,
     SparsePoly,
-    content_lines,
     default_names,
+    header_lines,
     parse_int,
-    parse_vars_line,
+    read_file,
     term_cap,
 )
 
@@ -149,13 +152,8 @@ class Circuit:
 
 
 def circuit_to_text(circuit):
-    lines = ["ring " + circuit.ring.token()]
-    head = "vars %d" % circuit.nvars
-    if circuit.nvars:
-        head += " " + " ".join(circuit.var_names)
-    lines.append(head)
-    lines.extend(node_lines(circuit))
-    return "\n".join(lines) + "\n"
+    lines = header_lines(circuit.ring, circuit.nvars, circuit.var_names)
+    return "\n".join(lines + node_lines(circuit)) + "\n"
 
 
 def node_lines(circuit):
@@ -198,34 +196,25 @@ def parse_node_line(parts, ring, line):
     raise FormatError("unknown node kind %r" % kind)
 
 
+def read_circuit_line(reader, nodes, outputs, parts, line):
+    """Add a `node` line to nodes, or the id of an `output` line to outputs."""
+    if parts[0] == "node":
+        nodes.append(parse_node_line(parts[1:], reader.ring, line))
+    elif len(parts) != 2:
+        raise FormatError("output line takes one id")
+    else:
+        outputs.append(parse_int(parts[1], line))
+
+
 def circuit_from_text(text):
-    ring = None
-    nvars = None
-    names = None
+    reader = Reader()
     nodes = []
-    output = None
-    for line in content_lines(text):
-        parts = line.split()
-        key = parts[0]
-        if key == "ring":
-            ring = Ring.from_token(parts[1:])
-        elif key == "vars":
-            if ring is None:
-                raise FormatError("vars before ring")
-            nvars, names = parse_vars_line(parts[1:], line)
-        elif key == "node":
-            if nvars is None:
-                raise FormatError("node before vars")
-            nodes.append(parse_node_line(parts[1:], ring, line))
-        elif key == "output":
-            if len(parts) != 2:
-                raise FormatError("output line takes one id")
-            output = parse_int(parts[1], line)
-        else:
-            raise FormatError("unknown statement %r" % key)
-    if ring is None or nvars is None or output is None:
+    outputs = []
+    handler = partial(read_circuit_line, reader, nodes, outputs)
+    reader.read(text, {"node": handler, "output": handler})
+    if reader.nvars is None or not outputs:
         raise FormatError("circuit file needs ring, vars and output lines")
-    return Circuit(ring, nvars, nodes, output, names)
+    return Circuit(reader.ring, reader.nvars, nodes, outputs[-1], reader.names)
 
 
 def save_circuit(path, circuit):
@@ -234,5 +223,4 @@ def save_circuit(path, circuit):
 
 
 def load_circuit(path):
-    with open(path) as fh:
-        return circuit_from_text(fh.read())
+    return read_file(path, circuit_from_text)

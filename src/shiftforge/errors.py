@@ -10,7 +10,26 @@ class ShiftForgeError(Exception):
 
 
 class FormatError(ShiftForgeError):
-    """Malformed file or textual encoding."""
+    """Malformed file or textual encoding; the readers set `path` and the
+    1-based `line` at fault where they know them, and str() appends them."""
+
+    path = line = None
+
+    def locate(self, path=None, line=None):
+        """Fill in the location unless a file is named already; returns self."""
+        if self.path is None:
+            if self.line is None:
+                self.line = line
+            self.path = path
+        return self
+
+    def __str__(self):
+        text = super().__str__()
+        if self.path is None:
+            return text if self.line is None else "%s (line %d)" % (text, self.line)
+        if self.line is None:
+            return "%s (%s)" % (text, self.path)
+        return "%s (%s:%d)" % (text, self.path, self.line)
 
 
 class PreconditionError(ShiftForgeError):

@@ -36,8 +36,8 @@ from .quadratizer import (
     quadratize_circuit,
     quadratize_sparse,
 )
-from .rings import INTEGERS, Ring, RingElement
-from .sparsepoly import SparsePoly, content_lines, parse_int
+from .rings import INTEGERS, RingElement
+from .sparsepoly import Reader, SparsePoly, parse_int, read_file
 
 
 class ReductionWitnessMap:
@@ -279,41 +279,30 @@ def witness_to_text(witness, ring):
 
 
 def witness_from_text(text):
+    reader = Reader(vars_line=False)
     fields = {}
-    ring = None
-    for line in content_lines(text):
-        parts = line.split()
-        if parts[0] == "ring":
-            ring = Ring.from_token(parts[1:])
-        else:
-            fields[parts[0]] = (parts[1:], line)
-    required = {"gamma", "x0", "xprime", "wvars", "g1"}
-    if ring is None or not required <= set(fields):
-        raise FormatError("witness file is missing fields")
 
-    def first(name):
-        parts, line = fields[name]
-        if not parts:
+    def field(parts, line):
+        name = parts[0]
+        if name in fields:
+            raise FormatError("duplicate %s line" % name)
+        if name in ("xprime", "wvars"):
+            fields[name] = tuple(parse_int(v, line) for v in parts[1:])
+        elif len(parts) < 2:
             raise FormatError("missing value in %r" % line)
-        return parts[0], line
+        elif name != "gamma":
+            fields[name] = parse_int(parts[1], line)
+        else:
+            try:
+                fields[name] = reader.ring.parse_coeff(parts[1])
+            except FormatError as exc:
+                raise FormatError("%s in %r" % (exc, line)) from exc
 
-    def indices(name):
-        parts, line = fields[name]
-        return tuple(parse_int(v, line) for v in parts)
-
-    token, line = first("gamma")
-    try:
-        gamma = ring.parse_coeff(token)
-    except FormatError as exc:
-        raise FormatError("%s in %r" % (exc, line)) from exc
-    witness = ReductionWitnessMap(
-        gamma,
-        parse_int(*first("x0")),
-        indices("xprime"),
-        indices("wvars"),
-        parse_int(*first("g1")),
-    )
-    return witness, ring
+    names = ("gamma", "x0", "xprime", "wvars", "g1")
+    reader.read(text, dict.fromkeys(names, field))
+    if len(fields) < len(names):
+        raise FormatError("witness file is missing fields")
+    return ReductionWitnessMap(*(fields[name] for name in names)), reader.ring
 
 
 def save_witness(path, witness, ring):
@@ -322,5 +311,4 @@ def save_witness(path, witness, ring):
 
 
 def load_witness(path):
-    with open(path) as fh:
-        return witness_from_text(fh.read())
+    return read_file(path, witness_from_text)

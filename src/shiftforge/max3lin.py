@@ -20,8 +20,16 @@ from __future__ import annotations
 import random
 
 from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
-from .rings import Ring, RingElement
-from .sparsepoly import SparsePoly, format_vector, parse_int
+from .rings import RingElement
+from .sparsepoly import (
+    Reader,
+    SparsePoly,
+    format_vector,
+    header_lines,
+    parse_int,
+    parse_vector,
+    read_file,
+)
 
 _COEFF_RANGE = 3  # nonzero draws from [-3, 3] over the infinite rings
 
@@ -230,8 +238,7 @@ def max3lin_to_text(system):
         lines.append("# planted %s" % format_vector(meta["planted"]))
     if "noise" in meta:
         lines.append("# noise %d" % meta["noise"])
-    lines.append("ring " + system.ring.token())
-    lines.append("vars %d" % system.n)
+    lines.extend(header_lines(system.ring, system.n))
     fmt = system.ring.format_coeff
     for idx, coeffs, b in system.rows:
         flat = []
@@ -243,52 +250,35 @@ def max3lin_to_text(system):
 
 
 def max3lin_from_text(text):
-    ring = None
-    n = None
+    reader = Reader()
     rows = []
     meta = {}
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if parts and parts[0] in ("seed", "noise") and len(parts) == 2:
-                meta[parts[0]] = parse_int(parts[1], stripped)
-            elif parts and parts[0] == "planted" and len(parts) == 2:
-                meta["planted"] = parts[1]
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "ring":
-            ring = Ring.from_token(parts[1:])
-        elif parts[0] == "vars":
-            if len(parts) != 2:
-                raise FormatError("vars line takes one count")
-            n = parse_int(parts[1], line)
-        elif parts[0] == "eq":
-            if ring is None or n is None:
-                raise FormatError("eq before ring/vars")
-            if len(parts) != 8:
-                raise FormatError("eq lines need 3 index/coefficient pairs and a constant")
-            idx = []
-            coeffs = []
-            for k in range(3):
-                j = parse_int(parts[1 + 2 * k], line)
-                if not 1 <= j <= n:
-                    raise FormatError("variable index %d out of range" % j)
-                idx.append(j - 1)
-                coeffs.append(ring.parse_coeff(parts[2 + 2 * k]))
-            rows.append((tuple(idx), tuple(coeffs), ring.parse_coeff(parts[7])))
-        else:
-            raise FormatError("unknown statement %r" % parts[0])
-    if ring is None or n is None:
-        raise FormatError("system file needs ring and vars lines")
-    if "planted" in meta:
-        from .sparsepoly import parse_vector
 
-        meta["planted"] = parse_vector(meta["planted"], ring)
-    return Max3LinSystem(ring, n, rows, meta or None)
+    def count_only(parts, line):
+        if reader.names is not None:
+            raise FormatError("vars line takes one count")
+
+    def eq(parts, line):
+        if len(parts) != 8:
+            raise FormatError("eq lines need 3 index/coefficient pairs and a constant")
+        idx = tuple(parse_int(j, line) for j in parts[1:7:2])
+        for j in idx:
+            if not 1 <= j <= reader.nvars:
+                raise FormatError("variable index %d out of range" % j)
+        coeffs = tuple(map(reader.ring.parse_coeff, parts[2:7:2]))
+        rows.append((tuple(j - 1 for j in idx), coeffs, reader.ring.parse_coeff(parts[7])))
+
+    def provenance(words, line):
+        if len(words) == 2:
+            key, value = words
+            meta[key] = (parse_vector(value, reader.ring) if key == "planted"
+                         else parse_int(value, line))
+
+    comments = dict.fromkeys(("seed", "noise", "planted"), provenance)
+    reader.read(text, {"vars": count_only, "eq": eq}, comments)
+    if reader.nvars is None:
+        raise FormatError("system file needs ring and vars lines")
+    return Max3LinSystem(reader.ring, reader.nvars, rows, meta or None)
 
 
 def save_max3lin(path, system):
@@ -297,5 +287,4 @@ def save_max3lin(path, system):
 
 
 def load_max3lin(path):
-    with open(path) as fh:
-        return max3lin_from_text(fh.read())
+    return read_file(path, max3lin_from_text)

@@ -15,15 +15,27 @@ into the unique full assignment satisfying the defining equations.
 
 from __future__ import annotations
 
-from .circuits import CONST, INPUT, MUL, Circuit, parse_node_line
+import os.path
+
+from .circuits import (
+    CONST,
+    INPUT,
+    MUL,
+    Circuit,
+    load_circuit,
+    read_circuit_line,
+)
 from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
-from .rings import Ring, RingElement
+from .rings import RingElement
 from .sparsepoly import (
+    Reader,
     SparsePoly,
-    content_lines,
     default_names,
+    header_lines,
     parse_int,
-    parse_vars_line,
+    read_file,
+    read_term,
+    term_lines,
 )
 
 TIER_X = "x"
@@ -434,21 +446,15 @@ def normalize_constants(system):
 
 
 def system_to_text(system, recipe=None):
-    lines = ["ring " + system.ring.token()]
     tagged = not system.is_input_only
     names = [
         (t + ":" + n) if tagged else n
         for t, n in zip(system.tiers, system.var_names)
     ]
-    head = "vars %d" % system.nvars
-    if names:
-        head += " " + " ".join(names)
-    lines.append(head)
+    lines = header_lines(system.ring, system.nvars, names)
     for eq in system.equations:
         lines.append("eq")
-        for exps in eq.sorted_exps():
-            coef = system.ring.format_coeff(eq.coefficient(exps))
-            lines.append(("term %s " % coef + " ".join(map(str, exps))).rstrip())
+        lines.extend(term_lines(eq))
     if recipe is not None:
         for target, op, args in recipe.steps:
             if op == "const":
@@ -459,154 +465,101 @@ def system_to_text(system, recipe=None):
     return "\n".join(lines) + "\n"
 
 
-def _parse_tiered_names(raw_names):
-    names = []
-    tiers = []
-    for raw in raw_names:
-        if ":" in raw:
-            tier, name = raw.split(":", 1)
-            if tier not in (TIER_X, TIER_Y, TIER_Z):
-                raise FormatError("unknown tier prefix %r" % tier)
-        else:
-            tier, name = TIER_X, raw
-        tiers.append(tier)
-        names.append(name)
-    return tuple(names), tuple(tiers)
-
-
 def system_from_text(text):
     """Parse a system file.  Returns ('sparse', system, recipe_or_None)
     or ('circuits', list_of_circuits)."""
-    ring = None
-    nvars = None
+    reader = Reader()
     names = tiers = None
-    blocks = []
-    recipe_lines = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("# recipe "):
-            recipe_lines.append(stripped[len("# recipe "):].split())
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    blocks = []  # per eq line: (term map, nodes, output ids)
+    kinds = set()  # True for term lines, False for node and output lines
+    steps = []
+
+    def catalog(parts, line):
+        nonlocal names, tiers
+        tagged = [n.split(":", 1) if ":" in n else (TIER_X, n)
+                  for n in reader.names or default_names(reader.nvars)]
+        names = tuple(name for _, name in tagged)
+        tiers = tuple(tier for tier, _ in tagged)
+        for tier in tiers:
+            if tier not in (TIER_X, TIER_Y, TIER_Z):
+                raise FormatError("unknown tier prefix %r" % tier)
+
+    def body(parts, line):
         key = parts[0]
-        if key == "ring":
-            ring = Ring.from_token(parts[1:])
-        elif key == "vars":
-            if ring is None:
-                raise FormatError("vars before ring")
-            nvars, raw_names = parse_vars_line(parts[1:], line)
-            if raw_names is None:
-                names = default_names(nvars)
-                tiers = (TIER_X,) * nvars
-            else:
-                names, tiers = _parse_tiered_names(raw_names)
-        elif key == "eq":
-            if nvars is None:
-                raise FormatError("eq before vars")
-            blocks.append([])
-        elif key in ("term", "node", "output"):
-            if not blocks:
-                raise FormatError("%s line outside an eq block" % key)
-            blocks[-1].append(parts)
+        if not blocks:
+            raise FormatError("%s line outside an eq block" % key)
+        kinds.add(key == "term")
+        if len(kinds) > 1:
+            raise FormatError("mixed term and node blocks")
+        terms, nodes, outputs = blocks[-1]
+        if key == "term":
+            read_term(reader, terms, parts, line)
         else:
-            raise FormatError("unknown statement %r" % key)
-    if ring is None or nvars is None:
+            read_circuit_line(reader, nodes, outputs, parts, line)
+
+    def recipe(words, line):
+        if len(words) < 4:
+            raise FormatError("truncated recipe line")
+        _, target, op, *args = words
+        target = parse_int(target, line)
+        if op == "const":
+            steps.append((target, op, reader.ring.parse_payload(args[0])))
+        elif op in ("var", "mul", "sum"):
+            steps.append((target, op, tuple(parse_int(a, line) for a in args)))
+        else:
+            raise FormatError("unknown recipe op %r" % op)
+
+    statements = dict.fromkeys(("term", "node", "output"), body)
+    statements.update(vars=catalog, eq=lambda parts, line: blocks.append(({}, [], [])))
+    reader.read(text, statements, {"recipe": recipe})
+    if reader.nvars is None:
         raise FormatError("system file needs ring and vars lines")
     if not blocks:
         raise FormatError("system file has no equations")
-
-    kinds = {parts[0] for block in blocks for parts in block}
-    if "term" in kinds and kinds != {"term"}:
-        raise FormatError("mixed term and node blocks")
-
-    if kinds <= {"term"}:
-        equations = []
-        for block in blocks:
-            terms = {}
-            for parts in block:
-                if len(parts) != 2 + nvars:
-                    raise FormatError("term line needs %d exponents" % nvars)
-                coef = ring.parse_coeff(parts[1])
-                line = " ".join(parts)
-                exps = tuple(parse_int(p, line) for p in parts[2:])
-                if any(e < 0 for e in exps):
-                    raise FormatError("negative exponent")
-                if exps in terms:
-                    raise FormatError("duplicate exponent vector %r" % (exps,))
-                terms[exps] = coef
-            equations.append(SparsePoly(ring, nvars, terms, names))
+    ring, nvars = reader.ring, reader.nvars
+    if False not in kinds:
+        equations = [
+            SparsePoly._from_payloads(ring, nvars, terms, names)
+            for terms, _, _ in blocks
+        ]
         system = EquationSystem(ring, names, equations, tiers)
         recipe = None
-        if recipe_lines:
-            recipe = _parse_recipe(ring, nvars, tiers, recipe_lines)
+        if steps:
+            recipe = ExtensionRecipe(ring, nvars, tiers.count(TIER_X), steps)
         return "sparse", system, recipe
 
     circuits = []
-    for block in blocks:
-        nodes = []
-        output = None
-        for parts in block:
-            if parts[0] == "node":
-                nodes.append(parse_node_line(parts[1:], ring, " ".join(parts)))
-            else:
-                if len(parts) != 2:
-                    raise FormatError("output line takes one id")
-                output = parse_int(parts[1], " ".join(parts))
-        if output is None:
+    for _, nodes, outputs in blocks:
+        if not outputs:
             raise FormatError("circuit block is missing an output line")
-        circuits.append(Circuit(ring, nvars, nodes, output, names))
+        circuits.append(Circuit(ring, nvars, nodes, outputs[-1], names))
     return "circuits", circuits
-
-
-def _parse_recipe(ring, nvars, tiers, recipe_lines):
-    n_inputs = sum(1 for t in tiers if t == TIER_X)
-    steps = []
-    for parts in recipe_lines:
-        if len(parts) < 3:
-            raise FormatError("truncated recipe line")
-        line = "# recipe " + " ".join(parts)
-        target = parse_int(parts[0], line)
-        op = parts[1]
-        if op == "const":
-            steps.append((target, op, ring.parse_coeff(parts[2]).val))
-        elif op in ("var", "mul", "sum"):
-            steps.append((target, op, tuple(parse_int(a, line) for a in parts[2:])))
-        else:
-            raise FormatError("unknown recipe op %r" % op)
-    return ExtensionRecipe(ring, nvars, n_inputs, steps)
 
 
 def load_system(path):
     """Load a system file; a leading `manifest` line redirects each
     `circuit <relpath>` entry to its own circuit file."""
-    import os.path
+    return read_file(path, lambda text: _system_or_manifest(text, path))
 
-    from .circuits import load_circuit
 
-    with open(path) as fh:
-        text = fh.read()
-    first = next(content_lines(text), None)
-    if first == "manifest":
-        circuits = []
-        for line in content_lines(text):
-            parts = line.split()
+def _system_or_manifest(text, path):
+    reader = Reader()
+    if next(reader.lines(text), (None, None))[1] != "manifest":
+        kind = system_from_text(text)
+        return kind if kind[0] == "sparse" else (kind[0], kind[1], None)
+    circuits = []
+    try:
+        for parts, line in reader.lines(text):
             if parts[0] == "manifest":
                 continue
             if parts[0] != "circuit" or len(parts) != 2:
                 raise FormatError("manifest lines must be `circuit <path>`")
-            circuits.append(
-                load_circuit(os.path.join(os.path.dirname(path), parts[1]))
-            )
-        if not circuits:
-            raise FormatError("empty manifest")
-        return "circuits", circuits, None
-    kind = system_from_text(text)
-    if kind[0] == "sparse":
-        return kind
-    return kind[0], kind[1], None
+            circuits.append(load_circuit(os.path.join(os.path.dirname(path), parts[1])))
+    except FormatError as exc:
+        raise exc.locate(line=reader.lineno)
+    if not circuits:
+        raise FormatError("empty manifest")
+    return "circuits", circuits, None
 
 
 def save_system(path, system, recipe=None):

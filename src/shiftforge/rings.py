@@ -145,7 +145,8 @@ class Ring:
         for el in vec:
             if not isinstance(el, RingElement):
                 raise TypeError("ring element required in %s" % what)
-            if el.ring != self:
+            # the identity test spares nearly every element Ring.__eq__
+            if el.ring is not self and el.ring != self:
                 raise RingMismatchError("%s entry from a different ring" % what)
             vals.append(el.val)
         return vals
@@ -180,12 +181,17 @@ class Ring:
 
     def parse_coeff(self, text):
         """Parse one coefficient in this ring's textual encoding."""
+        return RingElement(self, self.parse_payload(text))
+
+    def parse_payload(self, text):
+        """parse_coeff's payload, without the element around it."""
         try:
             if self.kind == RATIONALS:
-                return RingElement(self, self.canon(Fraction(text)))
-            return RingElement(self, self.canon(int(text)))
+                return Fraction(text)
+            v = int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError("bad coefficient %r: %s" % (text, exc)) from exc
+        return v if self.modulus is None else v % self.modulus
 
     def format_coeff(self, el):
         """Canonical text for an element: integers and residues as decimals,

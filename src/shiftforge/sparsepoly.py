@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 import os
+from functools import partial
 from itertools import product
 
 from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
@@ -435,7 +436,7 @@ def eval_payload(poly, vals):
     return total
 
 
-# -- file format -----------------------------------------------------
+# -- file formats ----------------------------------------------------
 #
 #   ring Z | Q | Fp <p> | Zq <q>
 #   vars <k> [<name> ...]
@@ -444,25 +445,75 @@ def eval_payload(poly, vals):
 # '#' starts a comment; duplicate exponent vectors are rejected.
 
 
-def poly_to_text(poly):
-    lines = ["ring " + poly.ring.token()]
-    head = "vars %d" % poly.nvars
-    if poly.nvars:
-        head += " " + " ".join(poly.var_names)
-    lines.append(head)
-    for exps in poly.sorted_exps():
-        c = RingElement(poly.ring, poly.terms[exps])
-        lines.append(
-            ("term %s " % poly.ring.format_coeff(c) + " ".join(map(str, exps))).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+class Reader:
+    """The line reader of every file format, with the header rule they share.
+
+    read() calls the handler of each statement's first word with (parts,
+    line), after the header rule: `ring` comes first and once, and `vars`
+    (if the format has it) once, before any other statement.  Structured
+    comments go to their handlers last, when the ring is known.  A
+    FormatError raised while a line is handled names the line.
+    """
+
+    __slots__ = ("ring", "nvars", "names", "lineno", "vars_line")
+
+    def __init__(self, vars_line=True):
+        self.ring = self.nvars = self.names = self.lineno = None
+        self.vars_line = vars_line
+
+    def lines(self, text, notes=None):
+        """Yield (parts, line) per statement line; comment lines go to notes."""
+        for self.lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield line.split(), line
+            elif notes is not None and "#" in raw:
+                line = raw.strip()
+                notes.append((self.lineno, line[1:].split(), line))
+
+    def read(self, text, statements, comments=()):
+        notes = []
+        try:
+            for parts, line in self.lines(text, notes):
+                key = parts[0]
+                handler = statements.get(key)
+                if key == "ring":
+                    if self.ring is not None:
+                        raise FormatError("duplicate ring line")
+                    self.ring = Ring.from_token(parts[1:])
+                elif handler is None and not (key == "vars" and self.vars_line):
+                    raise FormatError("unknown statement %r" % key)
+                elif self.ring is None:
+                    raise FormatError("%s before ring" % key)
+                elif key == "vars":
+                    if self.nvars is not None:
+                        raise FormatError("duplicate vars line")
+                    self.nvars, self.names = parse_vars_line(parts[1:], line)
+                elif self.vars_line and self.nvars is None:
+                    raise FormatError("%s before vars" % key)
+                if handler is not None:
+                    handler(parts, line)
+            for self.lineno, words, line in notes if self.ring else ():
+                if words and words[0] in comments:
+                    comments[words[0]](words, line)
+        except FormatError as exc:
+            raise exc.locate(line=self.lineno)
 
 
-def content_lines(text):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+def read_file(path, parse):
+    """parse(text) of the UTF-8 file at path; a FormatError, also one for
+    bytes that are not UTF-8, names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        err = FormatError("undecodable byte 0x%02x" % data[exc.start])
+        raise err.locate(path, data.count(b"\n", 0, exc.start) + 1) from None
+    try:
+        return parse(text)
+    except FormatError as exc:
+        raise exc.locate(path)
 
 
 def parse_int(token, line):
@@ -488,44 +539,50 @@ def parse_vars_line(parts, line):
     return k, (tuple(names) if names else None)
 
 
+def read_term(reader, terms, parts, line):
+    """Add a `term` line to terms, a map from exponent tuples to payloads."""
+    if len(parts) != 2 + reader.nvars:
+        raise FormatError("term line needs %d exponents" % reader.nvars)
+    coef = reader.ring.parse_payload(parts[1])
+    try:
+        exps = tuple(map(int, parts[2:]))
+    except ValueError:
+        # parse_int quotes the first bad exponent
+        exps = tuple(parse_int(token, line) for token in parts[2:])
+    if exps and min(exps) < 0:
+        raise FormatError("negative exponent in %r" % line)
+    if exps in terms:
+        raise FormatError("duplicate exponent vector %r" % (exps,))
+    terms[exps] = coef
+
+
+def header_lines(ring, nvars, names=()):
+    """The `ring` and `vars` lines of a file."""
+    head = "vars %d" % nvars
+    if names:
+        head += " " + " ".join(names)
+    return ["ring " + ring.token(), head]
+
+
+def term_lines(poly):
+    """The `term` lines of poly, in graded-lexicographic descending order."""
+    fmt = poly.ring.format_coeff
+    return [("term %s " % fmt(poly.terms[exps]) + " ".join(map(str, exps))).rstrip()
+            for exps in poly.sorted_exps()]
+
+
+def poly_to_text(poly):
+    lines = header_lines(poly.ring, poly.nvars, poly.var_names) + term_lines(poly)
+    return "\n".join(lines) + "\n"
+
+
 def poly_from_text(text):
-    ring = None
-    nvars = None
-    names = None
+    reader = Reader()
     terms = {}
-    for line in content_lines(text):
-        parts = line.split()
-        key = parts[0]
-        if key == "ring":
-            if ring is not None:
-                raise FormatError("duplicate ring line")
-            ring = Ring.from_token(parts[1:])
-        elif key == "vars":
-            if ring is None:
-                raise FormatError("vars before ring")
-            if nvars is not None:
-                raise FormatError("duplicate vars line")
-            nvars, names = parse_vars_line(parts[1:], line)
-        elif key == "term":
-            if nvars is None:
-                raise FormatError("term before vars")
-            if len(parts) != 2 + nvars:
-                raise FormatError("term line needs %d exponents" % nvars)
-            coef = ring.parse_coeff(parts[1]).val
-            try:
-                exps = tuple(map(int, parts[2:]))
-            except ValueError as exc:
-                raise FormatError("bad exponent in %r" % line) from exc
-            if exps and min(exps) < 0:
-                raise FormatError("negative exponent in %r" % line)
-            if exps in terms:
-                raise FormatError("duplicate exponent vector %r" % (exps,))
-            terms[exps] = coef
-        else:
-            raise FormatError("unknown statement %r" % key)
-    if ring is None or nvars is None:
+    reader.read(text, {"term": partial(read_term, reader, terms)})
+    if reader.nvars is None:
         raise FormatError("polynomial file needs ring and vars lines")
-    return SparsePoly._from_payloads(ring, nvars, terms, names)
+    return SparsePoly._from_payloads(reader.ring, reader.nvars, terms, reader.names)
 
 
 def save_poly(path, poly, header_comments=()):
@@ -536,8 +593,7 @@ def save_poly(path, poly, header_comments=()):
 
 
 def load_poly(path):
-    with open(path) as fh:
-        return poly_from_text(fh.read())
+    return read_file(path, poly_from_text)
 
 
 def parse_vector(text, ring):

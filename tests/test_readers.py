@@ -1,0 +1,127 @@
+"""The file readers: line locations, the shared header rule, and fuzzing."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from shiftforge import FormatError, ShiftForgeError
+from shiftforge.circuits import load_circuit
+from shiftforge.cli import main
+from shiftforge.hn_reduce import load_witness, witness_from_text
+from shiftforge.max3lin import load_max3lin
+from shiftforge.quadratizer import load_system
+from shiftforge.sparsepoly import load_poly
+
+LOADERS = (load_poly, load_max3lin, load_circuit, load_system, load_witness)
+
+WITNESS = "# witness\nring Z\ngamma 2\nx0 0\nxprime 1 2\nwvars 3 4\ng1 0\n"
+
+
+@pytest.mark.parametrize("loader, name, text, lineno", [
+    (load_poly, "p.poly", "# note\nring Z\nvars 1 x\n\nterm 1 y\n", 5),
+    (load_max3lin, "s.3lin", "# seed 1\nring Fp 2\nvars 3\neq 1 1 x 1 3 1 0\n", 4),
+    (load_max3lin, "s.3lin", "# planted 1,q\nring Fp 2\nvars 3\n", 1),
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0 input 0\nnode 1 add 0 q\n"
+     "output 1\n", 4),
+    (load_system, "s.sys", "ring Z\nvars 1 x\neq\nterm 1 1\neq\nterm 1 -1\n", 6),
+    (load_system, "s.sys", "ring Z\nvars 1 x\neq\nterm 1 1\nterm -1 0\n"
+     "# recipe 1 sum 0 z\n", 6),
+    (load_witness, "w.txt", WITNESS.replace("x0 0", "x0 q"), 4),
+])
+def test_format_error_names_file_and_line(tmp_path, loader, name, text, lineno):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        loader(str(path))
+    assert (info.value.path, info.value.line) == (str(path), lineno)
+    assert "%s:%d" % (path, lineno) in str(info.value)
+
+
+def test_error_in_a_manifest_circuit_names_the_circuit_file(tmp_path):
+    (tmp_path / "c.circ").write_text("ring Z\nvars 1 x\nnode 0 input 0\noutput last\n")
+    manifest = tmp_path / "m.sys"
+    manifest.write_text("manifest\ncircuit c.circ\n")
+    with pytest.raises(FormatError, match="'output last' \\(%s:4\\)$"
+                       % str(tmp_path / "c.circ")):
+        load_system(str(manifest))
+
+
+def test_file_wide_error_names_only_the_file(tmp_path):
+    path = tmp_path / "p.poly"
+    path.write_text("ring Z\n")
+    with pytest.raises(FormatError) as info:
+        load_poly(str(path))
+    assert info.value.line is None
+    assert str(info.value) == "polynomial file needs ring and vars lines (%s)" % path
+
+
+def test_undecodable_bytes_are_exit_2(tmp_path, capsys):
+    path = tmp_path / "b.poly"
+    path.write_bytes(b"ring Z\nvars 1 x\nterm 1 \xff\n")
+    assert main(["sparsity", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "format error: undecodable byte 0xff (%s:3)\n" % path
+
+
+def test_negative_max3lin_variable_count_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "n.3lin"
+    path.write_text("ring Fp 2\nvars -3\n")
+    assert main(["verify-max3lin", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "format error: negative variable count (%s:2)\n" % path
+
+
+@pytest.mark.parametrize("loader, name, text, message", [
+    (load_max3lin, "s.3lin", "ring Fp 2\nring Fp 3\nvars 3\n", "duplicate ring line"),
+    (load_system, "s.sys", "ring Z\nring Q\nvars 1 x\neq\nterm 1 1\n",
+     "duplicate ring line"),
+    (load_system, "s.sys", "ring Z\nvars 1 x\nvars 2\neq\n", "duplicate vars line"),
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nvars 1 x\nnode 0 input 0\noutput 0\n",
+     "duplicate vars line"),
+])
+def test_second_header_line_is_rejected(tmp_path, loader, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FormatError, match="^%s " % message):
+        loader(str(path))
+
+
+def test_witness_rejects_unknown_and_duplicate_lines():
+    with pytest.raises(FormatError, match="^unknown statement 'sigma' \\(line 8\\)"):
+        witness_from_text(WITNESS + "sigma 3\n")
+    with pytest.raises(FormatError, match="^duplicate x0 line \\(line 8\\)"):
+        witness_from_text(WITNESS + "x0 1\n")
+    with pytest.raises(FormatError, match="^gamma before ring"):
+        witness_from_text("gamma 2\n" + WITNESS)
+
+
+def test_any_bytes_raise_only_package_errors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # words of all five formats, so that some inputs get past the first
+    # line; `circuit` is left out because a manifest line opens another
+    # file, and a missing one is an OSError, which the command line
+    # reports as an input error
+    words = st.sampled_from([
+        "ring", "Z", "Q", "Fp", "Zq", "vars", "term", "eq", "node", "input",
+        "const", "mul", "add", "output", "manifest", "gamma", "x0", "xprime",
+        "wvars", "g1", "var", "sum", "#", "# recipe", "# seed", "# planted",
+        "# noise", "-1", "0", "1", "2", "3", "1/2", "1,0", "x", "y:b", "q",
+    ])
+    lines = st.lists(words, min_size=1, max_size=6).map(" ".join)
+    texts = st.lists(lines, max_size=8).map(lambda ls: "\n".join(ls).encode())
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "input"
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.one_of(st.binary(max_size=64), texts))
+        def check(data):
+            path.write_bytes(data)
+            for loader in LOADERS:
+                try:
+                    loader(str(path))
+                except ShiftForgeError:
+                    pass
+
+        check()
