@@ -1,14 +1,24 @@
-"""Bit-sliced shift counting over small finite rings.
+"""Bit-sliced shift counting over small finite rings and integer boxes.
 
 Every point of a block of the search domain owns one bit of a Python
-int, at its rank within the block.  A value in Z_q that varies over the
-block is held as q one-hot planes: plane v has the bits of the points
-where the value is v.  Adding or multiplying two such values costs q^2
-AND/OR operations on whole planes, so the slots of slot_table, and from
-them the monomial count of P(X + a), come out for every point of the
-block at once.  The counts are summed into bit-sliced binary counter
-planes by a ripple-carry adder.  This is bitslicing (Biham, FSE 1997)
-and broadword computing (Knuth, TAOCP 4A, 7.1.3).
+int, at its rank within the block, so one operation on ints acts on
+every point of the block at once.  The slots of slot_table, and from
+them the monomial count of P(X + a), come out for the whole block:
+
+- over Z_q a coordinate, and a slot, is q one-hot planes: plane v has
+  the bits of the points where the value is v.  Adding or multiplying
+  two such values costs q^2 AND/OR operations on whole planes.
+- over an integer box a coordinate is its offset from the box's low end
+  in binary, one plane per bit, and a slot is taken mod 2^W in
+  two's-complement bit planes, where 2^W exceeds a bound on the slot's
+  magnitude over the box, so the slot is 0 exactly where all W planes
+  are.  Each slot is a weighted sum of coordinate bits and of ANDs of
+  two of them, added column by column with full adders.
+
+The "slot != 0" masks are summed into bit-sliced binary counter planes
+by a ripple-carry adder, and the counts are read from those planes.
+This is bitslicing (Biham, FSE 1997) and broadword computing (Knuth,
+TAOCP 4A, 7.1.3).
 
 A plane has at most PLANE_BITS bits: the lowest free coordinates get
 planes, and the higher ones are fixed for one block and enter as
@@ -18,6 +28,7 @@ constants, so memory stays bounded whatever the size of the domain.
 from __future__ import annotations
 
 import operator
+from functools import reduce
 
 from .sparsepoly import slot_table
 
@@ -28,21 +39,34 @@ MAX_MODULUS = 7
 PLANE_BITS = 1 << 20
 
 
-def class_planes(q, digits):
-    """One-hot planes of the base-q digits of the ranks 0..q**digits - 1,
-    most significant digit first: out[d][v] marks the ranks whose d-th
-    digit is v.
+def digit_planes(q, digits, runs):
+    """Planes over the ranks 0..q**digits - 1 that test their base-q
+    digits, most significant digit first: out[d][i] marks the ranks
+    whose d-th digit lies in one of the [lo, hi) runs of runs[i].
 
-    The plane of value v at weight s is a repunit, with one bit at every
-    multiple of q*s, times the run of s ones at v*s; that product is
-    written as the difference of two shifts."""
+    The plane of a run at digit weight s is a repunit, with one bit at
+    every multiple of q*s, times the ones from lo*s to hi*s; that product
+    is written as the difference of two shifts."""
     out = []
     rep = 1  # one bit at every multiple of q*s below q**digits
     for d in reversed(range(digits)):
         s = q ** d
-        out.append([(rep << (v + 1) * s) - (rep << v * s) for v in range(q)])
+        planes = []
+        for r in runs:
+            (lo, hi), *rest = r
+            plane = (rep << hi * s) - (rep << lo * s)
+            for lo, hi in rest:
+                plane |= (rep << hi * s) - (rep << lo * s)
+            planes.append(plane)
+        out.append(planes)
         rep = sum(rep << u * s for u in range(q))
     return out
+
+
+def class_planes(q, digits):
+    """One-hot digit planes: out[d][v] marks the ranks whose d-th digit
+    is v."""
+    return digit_planes(q, digits, [[(v, v + 1)] for v in range(q)])
 
 
 def _apply(f, x, y, q):
@@ -58,94 +82,279 @@ def _apply(f, x, y, q):
     return out
 
 
-def _block_min(table, coords, full, q):
-    """Least count over one block and the points that reach it: returns
-    (count, mask of those points)."""
-    quadratic, groups = table
-    fixed = quadratic
-    counters = []  # bit b of every point's count, b = 0, 1, ...
+class _Residues:
+    """Values over Z_q as q one-hot planes; a coordinate is its classes."""
 
-    def count(value):
-        nonlocal fixed
+    def __init__(self, q, full):
+        self.q = q
+        self.full = full
+
+    def coordinates(self, digits):
+        return class_planes(self.q, digits)
+
+    def forced(self, coords, free):
+        """Coordinate 0 as minus the sum of the free ones, and the mask of
+        the points in the domain: all of them."""
+        value = 0
+        for pos in free:
+            value = _apply(operator.sub, value, coords[pos], self.q)
+        return value, self.full
+
+    def slot(self, coords, const, linear, quad):
+        """A slot of _blocks at the coordinates coords."""
+        q = self.q
+        value = const
+        for i, c in linear:
+            value = _apply(lambda u, w: u + c * w, value, coords[i], q)
+        for (i, j), c in quad:
+            term = _apply(operator.mul, coords[i], coords[j], q)
+            value = _apply(lambda u, w: u + c * w, value, term, q)
+        return value
+
+    def nonzero(self, value):
+        return self.full ^ value[0]
+
+
+class _Box:
+    """Values over the integer box lo..hi as two's-complement bit planes.
+
+    A coordinate that varies over the block is a pair (lo, bits), where
+    bits lists (2^b, plane of bit b) for its offset from lo.  A slot is a
+    weighted sum of planes, const + sum of k * [p], whose planes are
+    coordinate bits and ANDs of two of them; its bits come from adding
+    each column of planes with full adders."""
+
+    def __init__(self, values, full):
+        self.lo = values[0]
+        self.hi = values[-1]
+        self.full = full
+
+    def coordinates(self, digits):
+        # bit b of a digit is set on runs of 2^b digits from 2^b on
+        span = self.hi - self.lo + 1
+        runs = [[(lo, min(lo + (1 << b), span))
+                 for lo in range(1 << b, span, 2 << b)]
+                for b in range((span - 1).bit_length())]
+        return [(self.lo, [(1 << b, p) for b, p in enumerate(bits)])
+                for bits in digit_planes(span, digits, runs)]
+
+    def forced(self, coords, free):
+        """Coordinate 0 as minus the sum of the free ones, and the mask of
+        the points where it lies in the box: the sign tests of x0 - lo >= 0
+        and hi - x0 >= 0.  In the box, x0 - lo is its offset from lo."""
+        const = 0
+        terms = []
+        for pos in free:
+            x = coords[pos]
+            if isinstance(x, int):
+                const -= x
+            else:
+                const -= x[0]
+                terms += [(-k, p) for k, p in x[1]]
+        if not terms:
+            return const, self.full if self.lo <= const <= self.hi else 0
+        up = self.bits(const - self.lo, terms, True)
+        down = self.bits(self.hi - const, [(-k, p) for k, p in terms], True)
+        inside = self.full & ~(up[-1] | down[-1])
+        nbits = (self.hi - self.lo).bit_length()
+        return (self.lo, [(1 << b, p) for b, p in enumerate(up[:nbits])]), inside
+
+    def slot(self, coords, const, linear, quad):
+        """A slot of _blocks at the coordinates coords: an int when it is
+        the same at every point, else its bits."""
+        terms = []
+        linear = [(c, coords[i]) for i, c in linear]
+        for (i, j), c in quad:
+            x, y = coords[i], coords[j]
+            if isinstance(x, int):
+                x, y = y, x
+            if isinstance(y, int):
+                linear.append((c * y, x))
+                continue
+            (o1, e1), (o2, e2) = x, y
+            const += c * o1 * o2
+            terms += [(c * o2 * k, p) for k, p in e1]
+            terms += [(c * o1 * k, p) for k, p in e2]
+            terms += [(c * k * m, p & r) for k, p in e1 for m, r in e2]
+        for c, x in linear:
+            if isinstance(x, int):
+                const += c * x
+            else:
+                const += c * x[0]
+                terms += [(c * k, p) for k, p in x[1]]
+        if not terms:
+            return const
+        return self.bits(const, terms)
+
+    def bits(self, const, terms, signed=False):
+        """The bits of const + sum of k * [p] over the (k, p) terms, mod
+        2^W, where 2^W exceeds the magnitude of that sum at every point,
+        with one more bit, the sign, when signed is set."""
+        width = (abs(const) + sum(abs(k) for k, _ in terms)).bit_length()
+        width += signed
+        mask = (1 << width) - 1
+        columns = [[] for _ in range(width + 1)]
+        for k, p in terms:
+            if k < 0:
+                # k * [p] = -k * [not p] + k
+                k, p = -k, self.full ^ p
+                const -= k
+            k &= mask
+            while k:
+                low = k & -k
+                columns[low.bit_length() - 1].append(p)
+                k ^= low
+        const &= mask
+        while const:
+            low = const & -const
+            columns[low.bit_length() - 1].append(self.full)
+            const ^= low
+        out = []
+        for b in range(width):
+            column = columns[b]
+            carries = columns[b + 1]
+            while len(column) > 1:
+                x, y = column.pop(), column.pop()
+                z = column.pop() if column else 0
+                s = x ^ y
+                column.append(s ^ z)
+                carries.append(x & y | s & z)
+            out.append(column[0] if column else 0)
+        return out
+
+    def nonzero(self, value):
+        return reduce(operator.or_, value, 0)
+
+
+def _count(quadratic, slots, coords, arith):
+    """The monomial count of P(X + a) at every point of a block: returns
+    (fixed, counters), where the count is fixed plus the binary number
+    whose bit b is in counters[b]."""
+    fixed = quadratic
+    counters = []
+    for slot in slots:
+        value = arith.slot(coords, *slot)
         if isinstance(value, int):
             fixed += value != 0
-            return
-        carry = full ^ value[0]  # the points where the slot is nonzero
+            continue
+        carry = arith.nonzero(value)
         for b, plane in enumerate(counters):
             counters[b], carry = plane ^ carry, plane & carry
             if not carry:
-                return
+                break
         if carry:
             counters.append(carry)
-
-    for linear, quad, const in groups:
-        for _, c, deriv in linear:
-            value = c
-            for j, d in deriv.items():
-                value = _apply(lambda u, w: u + d * w, value, coords[j], q)
-            count(value)
-        if const is None:
-            continue
-        value = const
-        for i, c, _ in linear:
-            value = _apply(lambda u, w: u + c * w, value, coords[i], q)
-        for (i, j), c in quad.items():
-            term = _apply(operator.mul, coords[i], coords[j], q)
-            value = _apply(lambda u, w: u + c * w, value, term, q)
-        count(value)
-
-    # the least count, one bit at a time from the top
-    low = 0
-    best = full
-    for b in reversed(range(len(counters))):
-        rest = best & ~counters[b]
-        if rest:
-            best = rest
-        else:
-            low |= 1 << b
-    return fixed + low, best
+    return fixed, counters
 
 
-def sliced_min_count(ring, terms, k, free, zero_sum, nonconstant=False):
-    """Least monomial count of P(X + a) over a finite ring domain, and
-    the rank of the least vector a that reaches it.
+def _blocks(ring, values, terms, k, free, zero_sum, nonconstant=False):
+    """The domain in blocks of at most PLANE_BITS ranks, in rank order.
 
-    The domain is every vector of Z_q^k whose coordinates off `free` are
-    0, except that under zero_sum coordinate 0 (not in `free`) is minus
-    the sum of the others.  Ranks are odometer ranks: the digits of the
-    rank in base q are the free coordinates in order.  P is a payload
-    term map of degree at most 2, and q is at most MAX_MODULUS.  Ties go
-    to the lexicographically least vector: the least rank, except that
-    under zero_sum the forced coordinate 0 is compared first.
+    The domain is every vector whose coordinates off `free` are 0,
+    except that under zero_sum coordinate 0 (not in `free`) is minus the
+    sum of the others and must lie in `values`; ranks are odometer
+    ranks, whose base-len(values) digits index the values of the free
+    coordinates in order; over Z, `values` is a box lo..hi.  Yields
+    (offset, coords, inside, fixed, counters) per block: its first rank,
+    the coordinates (a payload, or planes as _Residues or _Box hold
+    them), the mask of its points that lie in the domain, and the counts
+    of _count, which are exact on those points.
     """
-    q = ring.modulus
-    table = slot_table(ring, terms, range(k), nonconstant)
+    nv = len(values)
+    quadratic, groups = slot_table(ring, terms, range(k), nonconstant)
+    # each slot as (const, linear, quad): const + sum of c * a_i over the
+    # (i, c) of linear + sum of c * a_i * a_j over the ((i, j), c) of quad
+    slots = []
+    for linear, quad, const in groups:
+        slots += [(c, list(deriv.items()), ()) for _, c, deriv in linear]
+        if const is not None:
+            slots.append((const, [(i, c) for i, c, _ in linear],
+                          list(quad.items())))
     sliced = 0  # free coordinates that get planes: the lowest ones
-    while sliced < len(free) and q ** (sliced + 1) <= PLANE_BITS:
+    while sliced < len(free) and nv ** (sliced + 1) <= PLANE_BITS:
         sliced += 1
     high = free[:len(free) - sliced]
-    width = q ** sliced
+    width = nv ** sliced
     full = (1 << width) - 1
-    planes = class_planes(q, sliced)
-    best = None
-    # blocks in rank order, each fixing the high coordinates
-    for block in range(q ** len(high)):
+    arith = (_Residues(ring.modulus, full) if ring.is_finite
+             else _Box(values, full))
+    planes = arith.coordinates(sliced)
+    for block in range(nv ** len(high)):
         coords = [0] * k
         for pos, p in zip(free[len(high):], planes):
             coords[pos] = p
         rest = block
         for pos in reversed(high):
-            rest, coords[pos] = divmod(rest, q)
+            rest, digit = divmod(rest, nv)
+            coords[pos] = values[digit]
+        inside = full
         if zero_sum:
-            for pos in free:
-                coords[0] = _apply(operator.sub, coords[0], coords[pos], q)
-        count, points = _block_min(table, coords, full, q)
+            coords[0], inside = arith.forced(coords, free)
+        if inside:
+            yield ((block * width, coords, inside)
+                   + _count(quadratic, slots, coords, arith))
+
+
+def sliced_min_count(ring, terms, k, free, zero_sum, nonconstant=False):
+    """Least monomial count of P(X + a) over the domain of _blocks in
+    Z_q, q at most MAX_MODULUS, and the rank of the least vector a that
+    reaches it.
+
+    P is a payload term map of degree at most 2 in its first k
+    positions.  Ties go to the lexicographically least vector: the least
+    rank, except that under zero_sum the forced coordinate 0 is compared
+    first.
+    """
+    best = None
+    for offset, coords, inside, fixed, counters in _blocks(
+            ring, range(ring.modulus), terms, k, free, zero_sum, nonconstant):
+        # the least count, one bit at a time from the top
+        low = 0
+        points = inside
+        for b in reversed(range(len(counters))):
+            rest = points & ~counters[b]
+            if rest:
+                points = rest
+            else:
+                low |= 1 << b
         first = coords[0] if zero_sum else 0
         if not isinstance(first, int):
             # the forced coordinate leads the vector comparison
             first, points = next((v, points & p) for v, p in enumerate(first)
                                  if points & p)
-        if best is None or (count, first) < best[:2]:
-            rank = block * width + (points & -points).bit_length() - 1
-            best = count, first, rank
+        if best is None or (fixed + low, first) < best[:2]:
+            rank = offset + (points & -points).bit_length() - 1
+            best = fixed + low, first, rank
     return best[0], best[2]
+
+
+def sliced_ranks_below(ring, values, terms, k, free, zero_sum, threshold):
+    """The number of points of the domain of _blocks, over Z_q or an
+    integer box, and the ranks, ascending, of those where P(X + a) has
+    fewer than `threshold` monomials; P is as in sliced_min_count."""
+    points = 0
+    ranks = []
+    for offset, _, inside, fixed, counters in _blocks(
+            ring, values, terms, k, free, zero_sum):
+        points += inside.bit_count()
+        # compare each count with the threshold, one bit at a time from
+        # the top: below holds the points already known to be smaller,
+        # equal those that match the threshold on every bit read so far
+        rest = threshold - fixed
+        if rest <= 0:
+            continue
+        if rest >> len(counters):
+            below = inside
+        else:
+            below, equal = 0, inside
+            for b in reversed(range(len(counters))):
+                if rest >> b & 1:
+                    below |= equal & ~counters[b]
+                    equal &= counters[b]
+                else:
+                    equal &= ~counters[b]
+        while below:
+            low = below & -below
+            ranks.append(offset + low.bit_length() - 1)
+            below ^= low
+    return points, ranks

@@ -202,6 +202,8 @@ def read_circuit_line(reader, nodes, outputs, parts, line):
         nodes.append(parse_node_line(parts[1:], reader.ring, line))
     elif len(parts) != 2:
         raise FormatError("output line takes one id")
+    elif outputs:
+        raise FormatError("duplicate output line")
     else:
         outputs.append(parse_int(parts[1], line))
 

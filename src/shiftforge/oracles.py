@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .bitslice import MAX_MODULUS, sliced_min_count
+from .bitslice import MAX_MODULUS, sliced_min_count, sliced_ranks_below
 from .errors import (
     ArityError,
     CapExceededError,
@@ -413,11 +413,11 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
 
     Solutions are enumerated over box-bounded assignments of the source
     variables (each extends uniquely); each must yield a wired shift that
-    lowers the count by exactly one.  Shifts are enumerated over all
-    zero-sum box-bounded vectors; each one that lowers the count must
-    invert to a verified solution.  Box search over the integers is
-    sound, not complete.  Both directions run in this process; `jobs` is
-    accepted but not used yet.
+    lowers the count by exactly one.  Shifts range over all zero-sum
+    box-bounded vectors, counted at once by the bit-sliced kernel; each
+    one that lowers the count must invert to a verified solution.  Box
+    search over the integers is sound, not complete.  Both directions
+    run in this process; `jobs` is accepted but not used yet.
     """
     result = reduce_hn(source, gamma)
     if isinstance(result, TriviallySolvable):
@@ -438,7 +438,7 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     # both spaces are planned, and so capped, before either is walked
     k = inst.nsys + 1
     values, free, size = _plan(dom, ring, inst.n_inputs)
-    _, shift_free, shift_size = _plan(dom.restricted(ZERO_SUM), ring, k)
+    shift_free = _plan(dom.restricted(ZERO_SUM), ring, k)[1]
     violations = []
 
     # direction 1: box-bounded source assignments
@@ -457,15 +457,13 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
             violations.append("solution %s drops %d" % (format_vector(full), drop))
 
     # direction 2: zero-sum shifts of the x-block inside the box, counted
-    # by shift_counts with the w variables unshifted
-    sparsifying = 0
-    shift_points = 0
-    walk = _walk(values, shift_free, k, ZERO_SUM, ring, 0, shift_size)
-    for count, vec in shift_counts(ring, inst.polynomial.terms, range(k), walk):
-        shift_points += 1
-        if count >= sigma:
-            continue
-        sparsifying += 1
+    # by the bit-sliced kernel with the w variables unshifted; each one
+    # that lowers the count is decoded from its rank by one walk step
+    shift_points, ranks = sliced_ranks_below(
+        ring, values, inst.polynomial.terms, k, shift_free, True, sigma)
+    sparsifying = len(ranks)
+    for rank in ranks:
+        _, vec = next(_walk(values, shift_free, k, ZERO_SUM, ring, rank, rank + 1))
         b = tuple(RingElement(ring, v) for v in vec)
         try:
             shift_to_solution(inst, b)

@@ -184,10 +184,21 @@ class Ring:
         return RingElement(self, self.parse_payload(text))
 
     def parse_payload(self, text):
-        """parse_coeff's payload, without the element around it."""
+        """parse_coeff's payload, without the element around it.
+
+        Only the grammar format_coeff writes is read: -?[0-9]+, and over Q
+        also -?[0-9]+/[0-9]+.  int and Fraction accept more, such as 1e2,
+        1.5 and 1_000, and Fraction builds 10**e in full."""
         try:
             if self.kind == RATIONALS:
-                return Fraction(text)
+                num, slash, den = text.partition("/")
+                digits = num.lstrip("-") + den
+                if not (digits.isascii() and digits.isdigit()) or slash and not den:
+                    raise FormatError("bad coefficient %r" % text)
+                return Fraction(int(num), int(den or 1))
+            digits = text.lstrip("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise FormatError("bad coefficient %r" % text)
             v = int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError("bad coefficient %r: %s" % (text, exc)) from exc

@@ -19,7 +19,13 @@ import os
 from functools import partial
 from itertools import product
 
-from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
+from .errors import (
+    ArityError,
+    CapExceededError,
+    FormatError,
+    PreconditionError,
+    RingMismatchError,
+)
 from .rings import Ring, RingElement
 
 DEFAULT_TERM_CAP = 10 ** 6
@@ -28,7 +34,11 @@ DEFAULT_TERM_CAP = 10 ** 6
 def term_cap():
     """Active term budget for expansions and products of expansions."""
     v = os.environ.get("SHIFTFORGE_TERM_CAP")
-    return int(v) if v else DEFAULT_TERM_CAP
+    try:
+        return int(v) if v else DEFAULT_TERM_CAP
+    except ValueError:
+        raise PreconditionError(
+            "SHIFTFORGE_TERM_CAP must be an integer, not %r" % v) from None
 
 
 def grlex_key(exps):
@@ -56,17 +66,27 @@ def shifted_term_map(ring, terms, offsets):
     time, and accumulates with cancellation.  The coefficients
     C(e, k) * a^(e-k) of one variable come from a Pascal-row recurrence,
     from k = e down to 0; the running binomial stays an exact integer,
-    because the recurrence divides it.
+    because the recurrence divides it.  A term that would expand to more
+    than term_cap() monomials, the product of (e + 1) over its moving
+    variables, raises CapExceededError before any of it is built.
     """
     m = ring.modulus
     if not any(offsets):
         return dict(terms)
+    cap = term_cap()
     out = {}
     for exps, c in terms.items():
         moving = [i for i, e in enumerate(exps) if e and offsets[i] != 0]
         if not moving:
             out[exps] = out.get(exps, 0) + c
             continue
+        size = 1
+        for i in moving:
+            size *= exps[i] + 1
+            if size > cap:
+                raise CapExceededError(
+                    "a shifted term has more than the term cap of %d monomials" % cap
+                )
         choices = []
         for i in moving:
             e = exps[i]
@@ -533,6 +553,9 @@ def parse_vars_line(parts, line):
     k = parse_int(parts[0], line)
     if k < 0:
         raise FormatError("negative variable count")
+    cap = term_cap()
+    if k > cap:
+        raise FormatError("variable count %d exceeds the term cap of %d" % (k, cap))
     names = parts[1:]
     if names and len(names) != k:
         raise FormatError("vars line lists %d names for %d variables" % (len(names), k))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -447,3 +448,30 @@ def test_bad_integer_in_circuit_file_is_exit_2(tmp_path, capsys):
     argv = ["reduce-hn", str(manifest), "-o", str(tmp_path / "o.poly"),
             "--witness", str(tmp_path / "o.wit")]
     assert_format_error(capsys, argv, "last")
+
+
+def test_term_cap_bounds_each_shifted_term_before_expanding(tmp_path, capsys,
+                                                            monkeypatch):
+    huge = write_poly(tmp_path, "huge.poly", ZZ, 1, {(10 ** 9,): 1}, ["x"])
+    square = write_poly(tmp_path, "square.poly", ZZ, 2, {(40, 40): 1})
+    for path, by, cap in ((huge, "1", None), (square, "1,1", "100")):
+        if cap is not None:
+            monkeypatch.setenv("SHIFTFORGE_TERM_CAP", cap)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "shift", path, "--by", by)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (4, "")
+        assert err.startswith("cap exceeded: ")
+    # 41 * 41 monomials: a term at the cap itself still expands
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "1681")
+    code, out, _ = run(capsys, "shift", square, "--by", "1,1")
+    assert code == 0
+    assert out.count("\nterm ") == 1681
+
+
+def test_term_cap_that_is_not_an_integer_is_exit_3(tmp_path, capsys, monkeypatch):
+    path = write_poly(tmp_path, "lin.poly", ZZ, 1, {(1,): 1}, ["x"])
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "1e6")
+    code, _, err = run(capsys, "sparsity", path)
+    assert code == 3
+    assert "SHIFTFORGE_TERM_CAP must be an integer, not '1e6'" in err

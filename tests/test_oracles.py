@@ -802,3 +802,111 @@ def test_maxsat_on_an_empty_domain_is_refused():
     with pytest.raises(PreconditionError, match="search domain is empty"):
         maxsat(L, dom)
     assert solve_system(system(QQ, 3, [{(1, 0, 0): 1}]), dom) is None
+
+
+def random_box_poly(rng, k, unshifted):
+    """A Z term map of degree at most 2 in its first k positions, with
+    unshifted positions after them, and coefficients up to 10**30."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exps = [0] * (k + unshifted)
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(k)] += 1
+        for i in range(k, k + unshifted):
+            exps[i] = rng.randint(0, 2)
+        big = 10 ** rng.choice([1, 10, 30])
+        terms[tuple(exps)] = rng.choice([-1, 1]) * rng.randint(1, big)
+    return SparsePoly(ZZ, k + unshifted, terms).terms
+
+
+def box_counts_from_planes(values, terms, k, free, zero_sum):
+    """rank -> count at every in-box point, read from the counter planes
+    of the bit-sliced kernel, and the number of blocks."""
+    counts = {}
+    blocks = 0
+    for offset, _, inside, fixed, counters in bitslice._blocks(
+            ZZ, values, terms, k, free, zero_sum):
+        blocks += 1
+        for bit in range(inside.bit_length()):
+            if inside >> bit & 1:
+                counts[offset + bit] = fixed + sum(
+                    (plane >> bit & 1) << b for b, plane in enumerate(counters))
+    return counts, blocks
+
+
+def test_sliced_box_counts_match_shift_counts(monkeypatch):
+    rng = random.Random(241)
+    split = 0
+    for box in range(4):
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            for _ in range(4):
+                k = rng.randint(1, 3)
+                terms = random_box_poly(rng, k, rng.randint(0, 2))
+                dom = SearchDomain.integer_box(box).restricted(
+                    restriction, rng.randint(0, k))
+                values, free, _ = oracles._plan(dom, ZZ, k)
+                points = reference_walk(values, free, k, restriction, ZZ)
+                walk = (([(pos, v) for pos, v in enumerate(vec)], rank)
+                        for rank, vec in points)
+                want = {rank: count for count, rank
+                        in shift_counts(ZZ, terms, range(k), walk)}
+                thresholds = {0, min(want.values()), min(want.values()) + 1,
+                              max(want.values()), max(want.values()) + 1}
+                zero_sum = restriction == ZERO_SUM
+                for bits in (1, 5, 26, 1 << 20):
+                    monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
+                    counts, blocks = box_counts_from_planes(values, terms, k,
+                                                            free, zero_sum)
+                    assert counts == want, (box, restriction, terms, bits)
+                    split += blocks > 1
+                    for t in thresholds:
+                        got = bitslice.sliced_ranks_below(
+                            ZZ, values, terms, k, free, zero_sum, t)
+                        assert got == (len(want), sorted(
+                            r for r, c in want.items() if c < t))
+    assert split >= 50
+
+
+def squares_system(c1, c2, c0):
+    return system(ZZ, 2, [{(2, 0): c1, (0, 2): c2, (0, 0): c0}])
+
+
+def test_roundtrip_shift_direction_matches_the_walk(monkeypatch):
+    """Direction 2 against shift_counts along the zero-sum walk: the same
+    shift points, and the same sparsifying shifts, in rank order."""
+    real = oracles.shift_to_solution
+    inverted = []
+
+    def record(inst, b):
+        inverted.append(tuple(v.val for v in b))
+        return real(inst, b)
+
+    monkeypatch.setattr(oracles, "shift_to_solution", record)
+    found = 0
+    systems = [
+        squares_system(1, 3, -1),  # planted: (+-1, 0)
+        squares_system(2, -1, -1),  # planted: (+-1, +-1)
+        squares_system(2, 1, 5),  # sum of squares
+        system(ZZ, 2, [{(1, 0): 2, (0, 1): -4, (0, 0): 3}]),  # parity
+        squares_system(1, 1, -10 ** 30),  # large c0
+        squares_system(10 ** 30, -1, 10 ** 30 - 1),  # planted, large
+    ]
+    for S in systems:
+        inst = reduce_hn(S)
+        k = inst.nsys + 1
+        for box in range(4):
+            values = list(range(-box, box + 1))
+            free = list(range(1, k))
+            walk = oracles._walk(values, free, k, ZERO_SUM, ZZ, 0,
+                                 len(values) ** len(free))
+            counts = [(count, tuple(vec)) for count, vec
+                      in shift_counts(ZZ, inst.polynomial.terms, range(k), walk)]
+            want = [vec for count, vec in counts if count < inst.sigma]
+            del inverted[:]
+            report = verify_hn_roundtrip(S, box=box)
+            assert report.shift_points == len(counts)
+            assert report.sparsifying_shifts == len(want)
+            assert inverted == want
+            assert report.consistent, report.violations
+            found += len(want)
+    assert found >= 5

@@ -1,6 +1,7 @@
 """The file readers: line locations, the shared header rule, and fuzzing."""
 
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,48 @@ def test_any_bytes_raise_only_package_errors():
                     pass
 
         check()
+
+
+@pytest.mark.parametrize("loader, name, body", [
+    (load_poly, "p.poly", "term 1 1\n"),
+    (load_circuit, "c.circ", "node 0 input 0\noutput 0\n"),
+    (load_system, "s.sys", "eq\nterm 1 1\n"),
+])
+def test_variable_count_above_the_term_cap_fails_fast(tmp_path, loader, name, body):
+    path = tmp_path / name
+    path.write_text("ring Z\nvars 1000000000\n" + body)
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="^variable count 1000000000 exceeds") as info:
+        loader(str(path))
+    assert time.perf_counter() - start < 0.1
+    assert (info.value.path, info.value.line) == (str(path), 2)
+
+
+@pytest.mark.parametrize("ring, coef", [
+    ("Q", "1e2"), ("Q", "1.5"), ("Q", "1_000"), ("Q", "+1"), ("Q", "1/-2"),
+    ("Q", "1e10000000"), ("Z", "1_000"), ("Z", "1e2"), ("Fp 5", "1.5"),
+    ("Zq 6", "\u0661"),
+])
+def test_coefficients_outside_the_written_grammar_are_exit_2(tmp_path, capsys,
+                                                            ring, coef):
+    path = tmp_path / "p.poly"
+    path.write_text("ring %s\nvars 1 x\nterm %s 1\n" % (ring, coef), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["sparsity", str(path)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err == "format error: bad coefficient %r (%s:3)\n" % (coef, path)
+
+
+@pytest.mark.parametrize("loader, name, text, lineno", [
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0 input 0\noutput 0\n"
+     "node 1 mul 0 0\noutput 1\n", 6),
+    (load_system, "s.sys", "ring Z\nvars 1 x\neq\nnode 0 input 0\noutput 0\n"
+     "eq\nnode 0 input 0\nnode 1 mul 0 0\noutput 1\noutput 0\n", 10),
+])
+def test_second_output_line_is_rejected(tmp_path, loader, name, text, lineno):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FormatError, match="^duplicate output line") as info:
+        loader(str(path))
+    assert (info.value.path, info.value.line) == (str(path), lineno)
