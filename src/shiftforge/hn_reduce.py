@@ -61,14 +61,13 @@ class ReductionWitnessMap:
 class HNInstance:
     """The encoded polynomial plus everything needed to invert the map."""
 
-    __slots__ = ("polynomial", "witness", "system", "recipe", "n_inputs")
+    __slots__ = ("polynomial", "witness", "system", "recipe")
 
-    def __init__(self, polynomial, witness, system, recipe=None, n_inputs=None):
+    def __init__(self, polynomial, witness, system, recipe=None):
         self.polynomial = polynomial
         self.witness = witness
         self.system = system
         self.recipe = recipe
-        self.n_inputs = system.n_inputs if n_inputs is None else n_inputs
 
     @property
     def sigma(self):
@@ -77,6 +76,10 @@ class HNInstance:
     @property
     def nsys(self):
         return self.system.nvars
+
+    @property
+    def n_inputs(self):
+        return self.system.n_inputs
 
 
 class TriviallySolvable:
@@ -106,7 +109,7 @@ def declared_sparsity_bound(system):
     return (t - 1) * (n + 1) + sum(eq.sparsity() for eq in system.equations)
 
 
-def build_hn_instance(system, gamma, g1_index=0, recipe=None, n_inputs=None):
+def build_hn_instance(system, gamma, g1_index=0, recipe=None):
     """Encode a normalized system over the integers.
 
     Preconditions: the first equation is affine-linear with a nonzero
@@ -164,7 +167,7 @@ def build_hn_instance(system, gamma, g1_index=0, recipe=None, n_inputs=None):
         range(n + 1, n + 1 + t),
         g1_index,
     )
-    return HNInstance(poly, witness, system, recipe, n_inputs)
+    return HNInstance(poly, witness, system, recipe)
 
 
 def reduce_hn(source, gamma=None):
@@ -176,29 +179,24 @@ def reduce_hn(source, gamma=None):
     assignment on the source variables is then a certificate).
     """
     if isinstance(source, EquationSystem):
-        ring = source.ring
-        if ring.kind != INTEGERS:
-            raise UnsupportedDomainError("encoding requires the integers")
-        lowered, recipe = quadratize_sparse(source)
-        nx = source.nvars
+        ring, lower = source.ring, quadratize_sparse
     else:
-        circuits = list(source)
-        if not circuits:
+        source = list(source)
+        if not source:
             raise PreconditionError("empty circuit list")
-        ring = circuits[0].ring
-        if ring.kind != INTEGERS:
-            raise UnsupportedDomainError("encoding requires the integers")
-        lowered, recipe = quadratize_circuit(circuits)
-        nx = circuits[0].nvars
+        ring, lower = source[0].ring, quadratize_circuit
+    if ring.kind != INTEGERS:
+        raise UnsupportedDomainError("encoding requires the integers")
+    lowered, recipe = lower(source)
     if gamma is None:
         gamma = ring.el(2)
     _validate_gamma(ring, gamma)
     g1 = first_constant_index(lowered)
     normalized, trivial = normalize_constants(lowered)
     if trivial:
-        cert = tuple(ring.zero for _ in range(nx))
+        cert = tuple(ring.zero for _ in range(lowered.n_inputs))
         return TriviallySolvable(cert, normalized, recipe)
-    return build_hn_instance(normalized, gamma, g1, recipe, nx)
+    return build_hn_instance(normalized, gamma, g1, recipe)
 
 
 def shift_instance(inst, bx):

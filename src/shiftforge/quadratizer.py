@@ -16,8 +16,10 @@ into the unique full assignment satisfying the defining equations.
 from __future__ import annotations
 
 import os.path
+from collections import deque
 
 from .circuits import (
+    ADD,
     CONST,
     INPUT,
     MUL,
@@ -31,6 +33,7 @@ from .sparsepoly import (
     Reader,
     SparsePoly,
     default_names,
+    eval_payload,
     header_lines,
     parse_int,
     read_file,
@@ -41,6 +44,13 @@ from .sparsepoly import (
 TIER_X = "x"
 TIER_Y = "y"
 TIER_Z = "z"
+
+
+def _check_tier_order(tiers):
+    # blocks must be contiguous in x, y, z order so that catalog position
+    # is a dominance order; the tier letters sort in that order
+    if list(tiers) != sorted(tiers):
+        raise FormatError("variable tiers must form contiguous x, y, z blocks")
 
 
 class EquationSystem:
@@ -59,12 +69,7 @@ class EquationSystem:
             raise ArityError("tier list length mismatch")
         if any(t not in (TIER_X, TIER_Y, TIER_Z) for t in self.tiers):
             raise FormatError("unknown tier in %r" % (self.tiers,))
-        # blocks must be contiguous in x, y, z order so that catalog
-        # position is a dominance order
-        order = {TIER_X: 0, TIER_Y: 1, TIER_Z: 2}
-        ranks = [order[t] for t in self.tiers]
-        if ranks != sorted(ranks):
-            raise FormatError("variable tiers must form contiguous x, y, z blocks")
+        _check_tier_order(self.tiers)
         eqs = []
         for eq in equations:
             if not isinstance(eq, SparsePoly):
@@ -159,16 +164,12 @@ def extend_solution(recipe, ax):
 
 
 def check_solution(system, assignment):
-    assignment = list(assignment)
-    if len(assignment) != system.nvars:
-        raise ArityError(
-            "assignment of length %d for %d variables"
-            % (len(assignment), system.nvars)
-        )
-    return all(eq.eval(assignment).is_zero for eq in system.equations)
+    vals = system.ring.payloads(assignment, system.nvars, "assignment")
+    # eval_payload reduces residues, so a solution reads 0 in every ring
+    return not any(eval_payload(eq, vals) for eq in system.equations)
 
 
-# -- lowering of sparse systems ---------------------------------------
+# -- lowering ----------------------------------------------------------
 
 
 def _monomial(nvars, *positions):
@@ -179,114 +180,97 @@ def _monomial(nvars, *positions):
     return tuple(exps)
 
 
-def _token_key(tok):
-    # x tokens order by catalog position, y tokens come later and order
-    # by creation index; only tokens of one monomial are ever compared
-    return (0, tok[1], 0, 0) if tok[0] == "x" else (1,) + tok[1:]
+class _Lowering:
+    """The lowered equations and recipe steps of one pass, in order."""
 
+    __slots__ = ("ring", "n_inputs", "nvars", "rows", "steps")
 
-def _trailing_pair(mono):
-    """The two lowest-ordered entries of a monomial's variable list,
-    listed with multiplicity (a square yields a repeated variable)."""
-    flat = []
-    for tok, mult in mono.items():
-        flat.extend([tok] * mult)
-    flat.sort(key=_token_key, reverse=True)
-    return flat[-2], flat[-1]
+    def __init__(self, ring, n_inputs, nvars):
+        self.ring = ring
+        self.n_inputs = n_inputs
+        self.nvars = nvars
+        self.rows = []  # term maps of the lowered equations
+        self.steps = []
 
+    def define(self, target, op, args):
+        """Record the recipe step (target, op, args) and its defining
+        equation `target - value(step) = 0`, with the value that
+        ExtensionRecipe.extend computes."""
+        self.steps.append((target, op, args))
+        terms = {_monomial(self.nvars, target): 1}
+        if op == "const":
+            terms[_monomial(self.nvars)] = -args
+        elif op == "sum":
+            for a in args:
+                key = _monomial(self.nvars, a)
+                terms[key] = terms.get(key, 0) - 1
+        else:
+            terms[_monomial(self.nvars, *args)] = -1
+        self.rows.append(terms)
 
-def _strip(mono, u, v):
-    out = dict(mono)
-    for t in (u, v):
-        out[t] -= 1
-        if not out[t]:
-            del out[t]
-    return out
+    def finish(self, names, tiers):
+        equations = [SparsePoly._from_payloads(self.ring, self.nvars, terms, names)
+                     for terms in self.rows]
+        recipe = ExtensionRecipe(self.ring, self.nvars, self.n_inputs, self.steps)
+        return EquationSystem(self.ring, names, equations, tiers), recipe
 
 
 def quadratize_sparse(system):
     """Lower a tier-x sparse system to quadratic-binomial-plus-affine form.
 
     Per equation, monomials are visited in graded-lex descending order.
-    A monomial of degree >= 2 is peeled two trailing variables at a time
-    into fresh y definitions, then named by a z variable; the equation
-    itself becomes affine-linear in its z variables.  Zero equations are
-    dropped.  Returns the lowered system and the extension recipe.
+    The variables of a monomial wait in a queue in ascending catalog
+    order, with repeats.  While two or more are left, the lowest (v) and
+    the next (u) leave it for a fresh y with recipe step `y = u*v`, and y
+    joins the back of the queue: it outranks everything left.  A z
+    variable names the last entry (`z = entry`), and the equation itself
+    becomes affine-linear in its z variables.  Each defining equation is
+    `target - value(step) = 0`.  Zero equations are dropped.  Returns the
+    lowered system and the extension recipe.
     """
     if not system.is_input_only:
         raise PreconditionError("input system must be over tier-x variables only")
-    ring = system.ring
     nx = system.nvars
-    events = []  # ("y", key, u, v) | ("z", key, mono) | ("f", lterms, const)
-    ydefs = []
-    zdefs = []
-    for i, eq in enumerate((e for e in system.equations if not e.is_zero), start=1):
-        lterms = []
-        const = 0
-        for j, exps in enumerate(eq.sorted_exps(), start=1):
-            c = eq.terms[exps]
-            if not sum(exps):
-                const += c
-                continue
-            mono = {("x", p): e for p, e in enumerate(exps) if e}
-            k = 1
-            while sum(mono.values()) >= 2:
-                u, v = _trailing_pair(mono)
-                key = ("y", i, j, k)
-                events.append(("y", key, u, v))
-                ydefs.append(key)
-                mono = _strip(mono, u, v)
-                mono[key] = mono.get(key, 0) + 1
-                k += 1
-            (head,) = mono
-            zkey = ("z", i, j)
-            events.append(("z", zkey, head))
-            zdefs.append(zkey)
-            lterms.append((c, zkey))
-        events.append(("f", lterms, ring.canon(const)))
-
-    pos = {("x", p): p for p in range(nx)}
-    for idx, key in enumerate(ydefs):
-        pos[key] = nx + idx
-    for idx, key in enumerate(zdefs):
-        pos[key] = nx + len(ydefs) + idx
-    nvars = nx + len(ydefs) + len(zdefs)
+    equations = [eq for eq in system.equations if not eq.is_zero]
+    # a monomial of degree d >= 1 takes d - 1 y variables and one z
+    degrees = [sum(exps) for eq in equations for exps in eq.terms if any(exps)]
+    nz = len(degrees)
+    ny = sum(degrees) - nz
+    nvars = nx + ny + nz
+    lowering = _Lowering(system.ring, nx, nvars)
+    y, z = nx, nx + ny  # the next free y and z positions
     names = list(system.var_names)
-    names += ["y%d_%d_%d" % key[1:] for key in ydefs]
-    names += ["z%d_%d" % key[1:] for key in zdefs]
-    tiers = (TIER_X,) * nx + (TIER_Y,) * len(ydefs) + (TIER_Z,) * len(zdefs)
-
-    equations = []
-    steps = []
-    for ev in events:
-        if ev[0] == "y":
-            _, key, u, v = ev
-            terms = {_monomial(nvars, pos[key]): 1,
-                     _monomial(nvars, pos[u], pos[v]): -1}
-            steps.append((pos[key], "mul", (pos[u], pos[v])))
-        elif ev[0] == "z":
-            _, key, head = ev
-            terms = {_monomial(nvars, pos[key]): 1, _monomial(nvars, pos[head]): -1}
-            steps.append((pos[key], "var", (pos[head],)))
-        else:
-            _, lterms, const = ev
-            terms = {_monomial(nvars, pos[zkey]): c for c, zkey in lterms}
-            if const:
-                terms[(0,) * nvars] = const
-        equations.append(SparsePoly(ring, nvars, terms, names))
-
-    lowered = EquationSystem(ring, names, equations, tiers)
-    recipe = ExtensionRecipe(ring, nvars, nx, steps)
-    return lowered, recipe
+    znames = []
+    for i, eq in enumerate(equations, start=1):
+        affine = {}
+        for j, exps in enumerate(eq.sorted_exps(), start=1):
+            queue = deque(p for p, e in enumerate(exps) for _ in range(e))
+            if not queue:
+                affine[_monomial(nvars)] = eq.terms[exps]
+                continue
+            for k in range(1, len(queue)):
+                v, u = queue.popleft(), queue.popleft()
+                lowering.define(y, "mul", (u, v))
+                names.append("y%d_%d_%d" % (i, j, k))
+                queue.append(y)
+                y += 1
+            lowering.define(z, "var", (queue[0],))
+            znames.append("z%d_%d" % (i, j))
+            affine[_monomial(nvars, z)] = eq.terms[exps]
+            z += 1
+        lowering.rows.append(affine)
+    tiers = (TIER_X,) * nx + (TIER_Y,) * ny + (TIER_Z,) * nz
+    return lowering.finish(tuple(names + znames), tiers)
 
 
-# -- lowering of circuit systems --------------------------------------
+_CIRCUIT_OPS = {INPUT: "var", CONST: "const", MUL: "mul", ADD: "sum"}
 
 
 def quadratize_circuit(circuits):
     """Lower circuits (one equation `circuit = 0` each) over a shared
-    catalog.  Every node gets a y variable and a defining equation; each
-    circuit additionally contributes the equation `y_output = 0`."""
+    catalog.  Every node gets a y variable and the defining equation of
+    its recipe step; each circuit additionally contributes the equation
+    `y_output = 0`."""
     circuits = list(circuits)
     if not circuits:
         raise PreconditionError("at least one circuit required")
@@ -301,47 +285,22 @@ def quadratize_circuit(circuits):
 
     ny = sum(c.size for c in circuits)
     nvars = nx + ny
+    lowering = _Lowering(ring, nx, nvars)
     names = list(names_x)
-    ypos = {}
-    base = nx
     for ci, c in enumerate(circuits, start=1):
-        for j, nid in enumerate(c.ids, start=1):
-            ypos[(ci, nid)] = base
-            names.append("y%d_%d" % (ci, j))
-            base += 1
-
-    equations = []
-    steps = []
-    for ci, c in enumerate(circuits, start=1):
+        pos = {nid: len(names) + j for j, nid in enumerate(c.ids)}
+        names += ["y%d_%d" % (ci, j) for j in range(1, c.size + 1)]
         for nid in c.ids:
             kind, data = c.nodes[nid]
-            head = ypos[(ci, nid)]
-            terms = {_monomial(nvars, head): 1}
             if kind == INPUT:
-                terms[_monomial(nvars, data)] = -1
-                steps.append((head, "var", (data,)))
+                args = (data,)
             elif kind == CONST:
-                if data:
-                    terms[(0,) * nvars] = -data
-                steps.append((head, "const", data))
-            elif kind == MUL:
-                args = (ypos[(ci, data[0])], ypos[(ci, data[1])])
-                terms[_monomial(nvars, *args)] = -1
-                steps.append((head, "mul", args))
+                args = data
             else:
-                for child in data:
-                    key = _monomial(nvars, ypos[(ci, child)])
-                    terms[key] = terms.get(key, 0) - 1
-                steps.append((head, "sum", tuple(ypos[(ci, k)] for k in data)))
-            equations.append(SparsePoly(ring, nvars, terms, names))
-        equations.append(
-            SparsePoly(ring, nvars, {_monomial(nvars, ypos[(ci, c.output)]): 1}, names)
-        )
-
-    tiers = (TIER_X,) * nx + (TIER_Y,) * ny
-    lowered = EquationSystem(ring, names, equations, tiers)
-    recipe = ExtensionRecipe(ring, nvars, nx, steps)
-    return lowered, recipe
+                args = tuple(pos[child] for child in data)
+            lowering.define(pos[nid], _CIRCUIT_OPS[kind], args)
+        lowering.rows.append({_monomial(nvars, pos[c.output]): 1})
+    return lowering.finish(tuple(names), (TIER_X,) * nx + (TIER_Y,) * ny)
 
 
 # -- shape checks ------------------------------------------------------
@@ -411,22 +370,19 @@ def normalize_constants(system):
     pivot_idx = first_constant_index(system)
     if pivot_idx is None:
         return system, True
-    bearing = set()
-    for i, eq in enumerate(system.equations):
-        if not eq.constant_term().is_zero:
-            if eq.degree() > 1:
-                raise PreconditionError(
-                    "constant-bearing equation %d is not affine-linear" % i
-                )
-            bearing.add(i)
     pivot = system.equations[pivot_idx]
     c1 = pivot.constant_term()
     out = [pivot]
     for i, eq in enumerate(system.equations):
-        if i == pivot_idx:
-            continue
-        if i in bearing:
-            eq = eq.scale(c1).sub(pivot.scale(eq.constant_term()))
+        c = eq.constant_term()
+        if not c.is_zero:
+            if eq.degree() > 1:
+                raise PreconditionError(
+                    "constant-bearing equation %d is not affine-linear" % i
+                )
+            if i == pivot_idx:
+                continue
+            eq = eq.scale(c1).sub(pivot.scale(c))
             if eq.is_zero:
                 continue
         out.append(eq)
@@ -483,6 +439,7 @@ def system_from_text(text):
         for tier in tiers:
             if tier not in (TIER_X, TIER_Y, TIER_Z):
                 raise FormatError("unknown tier prefix %r" % tier)
+        _check_tier_order(tiers)
 
     def body(parts, line):
         key = parts[0]

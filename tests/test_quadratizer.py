@@ -1,5 +1,6 @@
 """Lowering to quadratic form, constant normalization, recipes, files."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -11,6 +12,7 @@ from shiftforge import (
     Circuit,
     EquationSystem,
     PreconditionError,
+    QQ,
     SparsePoly,
     ZZ,
     check_solution,
@@ -18,6 +20,7 @@ from shiftforge import (
     first_constant_index,
     is_quadratized_shape,
     load_system,
+    modular,
     normalize_constants,
     prime_field,
     quadratize_circuit,
@@ -172,6 +175,33 @@ def test_aux_count_bounds():
         T, _ = quadratize_circuit(circuits)
         y_count = T.nvars - 2
         assert y_count <= r * max(c.size for c in circuits)
+
+
+def lowering_digest(lower, sources):
+    h = hashlib.sha256()
+    for source in sources:
+        h.update(system_to_text(*lower(source)).encode())
+    return h.hexdigest()
+
+
+def test_lowering_bytes_are_pinned():
+    # digests of the written lowerings of a seeded corpus over four rings,
+    # with powers up to 5 and odd-degree monomials
+    rings = (ZZ, QQ, F5, modular(6))
+    rng = random.Random(83)
+    systems = [random_sparse_system(ring, rng, max_degree=rng.choice([4, 5]),
+                                    max_terms=5)
+               for ring in rings for _ in range(60)]
+    assert lowering_digest(quadratize_sparse, systems) == (
+        "8a587169e17d11c8ffdd5f6902a9843460b1ebc9faa39fbed940bc8181836f30")
+    circuit_lists = []
+    for ring in rings:
+        for _ in range(40):
+            nvars = rng.randint(1, 3)
+            circuit_lists.append([random_circuit(ring, nvars, 8, rng)
+                                  for _ in range(rng.randint(1, 3))])
+    assert lowering_digest(quadratize_circuit, circuit_lists) == (
+        "b2b1045258745090858f7a1a422d1e8eaa819486b54312b220724b664ec24c67")
 
 
 def test_sparse_equivalence_exhaustive_f5():

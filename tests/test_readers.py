@@ -73,6 +73,15 @@ def test_negative_max3lin_variable_count_is_exit_2(tmp_path, capsys):
     assert err == "format error: negative variable count (%s:2)\n" % path
 
 
+def test_tier_order_error_names_the_vars_line(tmp_path, capsys):
+    path = tmp_path / "bad.sys"
+    path.write_text("ring Z\nvars 2 y:a x:b\neq\nterm 1 1 0\n")
+    assert main(["normalize", str(path), "-o", str(tmp_path / "out.sys")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("format error: variable tiers must form contiguous x, y, z "
+                   "blocks (%s:2)\n" % path)
+
+
 @pytest.mark.parametrize("loader, name, text, message", [
     (load_max3lin, "s.3lin", "ring Fp 2\nring Fp 3\nvars 3\n", "duplicate ring line"),
     (load_system, "s.sys", "ring Z\nring Q\nvars 1 x\neq\nterm 1 1\n",
