@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import ArityError, CapExceededError, PreconditionError
-from .sparsepoly import term_cap
+from .errors import ArityError, PreconditionError
+from .sparsepoly import check_term_cap
 
 
 class AmplifiedInstance:
@@ -48,19 +48,13 @@ def amplify(base, copies, base_circuit_size=None, cap=None):
     """The product of `copies` variable-disjoint renamed copies of base."""
     if copies < 1:
         raise PreconditionError("copy count must be >= 1")
-    if cap is None:
-        cap = term_cap()
-    if base.sparsity() ** copies > cap:
-        raise CapExceededError(
-            "amplified polynomial may reach %d terms, cap is %d"
-            % (base.sparsity() ** copies, cap)
-        )
+    check_term_cap(base.sparsity() ** copies, "amplified polynomial", cap)
     n = base.nvars
     total = n * copies
     names = _copy_names(base, copies)
     poly = base.embed(total, 0, names)
     for k in range(1, copies):
-        poly = poly.mul(base.embed(total, k * n, names))
+        poly = poly.mul(base.embed(total, k * n, names), cap)
     size = None if base_circuit_size is None else base_circuit_size * copies + 1
     return AmplifiedInstance(poly, copies, base, size)
 

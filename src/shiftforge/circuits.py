@@ -10,22 +10,49 @@ from __future__ import annotations
 
 from functools import partial
 
-from .errors import ArityError, CapExceededError, FormatError
+from .errors import ArityError, FormatError
 from .rings import RingElement
 from .sparsepoly import (
     Reader,
     SparsePoly,
+    check_term_cap,
     default_names,
     header_lines,
     parse_int,
     read_file,
-    term_cap,
 )
 
 INPUT = "input"
 CONST = "const"
 MUL = "mul"
 ADD = "add"
+
+
+def add_node(ring, nvars, nodes, nid, kind, data):
+    """Check the node (nid, kind, data) against nodes, the dict id ->
+    (kind, data) of the nodes before it in order, and add it there."""
+    if nodes and nid <= next(reversed(nodes)):
+        raise FormatError("node ids must be strictly increasing")
+    if kind == INPUT:
+        if not 0 <= data < nvars:
+            raise FormatError("input node references variable %r" % (data,))
+    elif kind == CONST:
+        data = ring.canon(data.val if isinstance(data, RingElement) else data)
+    elif kind == MUL:
+        if len(data) != 2:
+            raise FormatError("product node fan-in must be exactly 2")
+        data = tuple(data)
+    elif kind == ADD:
+        if len(data) < 1:
+            raise FormatError("sum node fan-in must be at least 1")
+        data = tuple(data)
+    else:
+        raise FormatError("unknown node kind %r" % (kind,))
+    if kind in (MUL, ADD):
+        for ref in data:
+            if ref not in nodes:
+                raise FormatError("node %d references %d before definition" % (nid, ref))
+    nodes[nid] = (kind, data)
 
 
 class Circuit:
@@ -41,38 +68,11 @@ class Circuit:
         if len(self.var_names) != nvars:
             raise ArityError("variable name count mismatch")
         seen = {}
-        ids = []
-        prev = -1
         for nid, kind, data in nodes:
-            if nid <= prev:
-                raise FormatError("node ids must be strictly increasing")
-            prev = nid
-            if kind == INPUT:
-                if not 0 <= data < nvars:
-                    raise FormatError("input node references variable %r" % (data,))
-            elif kind == CONST:
-                data = ring.canon(data.val if isinstance(data, RingElement) else data)
-            elif kind == MUL:
-                if len(data) != 2:
-                    raise FormatError("product node fan-in must be exactly 2")
-                data = tuple(data)
-            elif kind == ADD:
-                if len(data) < 1:
-                    raise FormatError("sum node fan-in must be at least 1")
-                data = tuple(data)
-            else:
-                raise FormatError("unknown node kind %r" % (kind,))
-            if kind in (MUL, ADD):
-                for ref in data:
-                    if ref not in seen:
-                        raise FormatError(
-                            "node %d references %d before definition" % (nid, ref)
-                        )
-            seen[nid] = (kind, data)
-            ids.append(nid)
+            add_node(ring, nvars, seen, nid, kind, data)
         if output not in seen:
             raise FormatError("output id %r is not a node" % (output,))
-        self.ids = tuple(ids)
+        self.ids = tuple(seen)
         self.nodes = seen
         self.output = output
 
@@ -102,30 +102,24 @@ class Circuit:
     def expand(self, cap=None):
         """The output polynomial, expanded to sparse form.
 
-        Raises CapExceededError as soon as an intermediate (estimated for
-        products) would exceed the term budget."""
-        if cap is None:
-            cap = term_cap()
+        Raises CapExceededError before a node is built when its worst
+        case (the product or the sum of its children's term counts)
+        exceeds the term budget."""
         out = {}
         for nid in self.ids:
             kind, data = self.nodes[nid]
-            if kind == INPUT:
-                p = SparsePoly.variable(self.ring, self.nvars, data, self.var_names)
-            elif kind == CONST:
-                p = SparsePoly.constant(self.ring, self.nvars, data, self.var_names)
-            elif kind == MUL:
-                a, b = out[data[0]], out[data[1]]
-                if a.sparsity() * b.sparsity() > cap:
-                    raise CapExceededError(
-                        "product at node %d may exceed %d terms" % (nid, cap)
-                    )
-                p = a.mul(b)
-            else:
+            if kind == MUL:
+                p = out[data[0]].mul(out[data[1]], cap)
+            elif kind == ADD:
+                worst = sum(out[c].sparsity() for c in data)
+                check_term_cap(worst, "node %d" % nid, cap)
                 p = SparsePoly.zero(self.ring, self.nvars, self.var_names)
                 for c in data:
                     p = p.add(out[c])
-            if p.sparsity() > cap:
-                raise CapExceededError("node %d exceeds %d terms" % (nid, cap))
+            elif kind == INPUT:
+                p = SparsePoly.variable(self.ring, self.nvars, data, self.var_names)
+            else:
+                p = SparsePoly.constant(self.ring, self.nvars, data, self.var_names)
             out[nid] = p
         return out[self.output]
 
@@ -197,9 +191,11 @@ def parse_node_line(parts, ring, line):
 
 
 def read_circuit_line(reader, nodes, outputs, parts, line):
-    """Add a `node` line to nodes, or the id of an `output` line to outputs."""
+    """Add a `node` line to nodes (a dict, see add_node), or the id of an
+    `output` line to outputs."""
     if parts[0] == "node":
-        nodes.append(parse_node_line(parts[1:], reader.ring, line))
+        node = parse_node_line(parts[1:], reader.ring, line)
+        add_node(reader.ring, reader.nvars, nodes, *node)
     elif len(parts) != 2:
         raise FormatError("output line takes one id")
     elif outputs:
@@ -210,12 +206,13 @@ def read_circuit_line(reader, nodes, outputs, parts, line):
 
 def circuit_from_text(text):
     reader = Reader()
-    nodes = []
+    nodes = {}
     outputs = []
     handler = partial(read_circuit_line, reader, nodes, outputs)
     reader.read(text, {"node": handler, "output": handler})
     if reader.nvars is None or not outputs:
         raise FormatError("circuit file needs ring, vars and output lines")
+    nodes = [(nid,) + node for nid, node in nodes.items()]
     return Circuit(reader.ring, reader.nvars, nodes, outputs[-1], reader.names)
 
 

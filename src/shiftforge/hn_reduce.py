@@ -17,6 +17,8 @@ one supported domain that is neither a field nor has zero divisors.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import (
     ArityError,
     FormatError,
@@ -140,23 +142,21 @@ def build_hn_instance(system, gamma, g1_index=0, recipe=None):
     nvars = n + 1 + t
     names = ["x0"] + list(system.var_names) + ["w%d" % (i + 1) for i in range(t)]
 
-    # keys are (x0, x1..xN, w1..wt), each one concatenation of precomputed
-    # tuples; summand i is the only one with w_i = 1, so summands never
-    # merge, and inside a summand x_k meets g_i only where g_i is linear
-    # in x_k
-    zx = (0,) * (n + 1)
-    xhot = [zx[:k] + (1,) + zx[k + 1:] for k in range(n + 1)]
-    zw = (0,) * t
+    # positions are (x0, x1..xN, w1..wt): a key of g_i moves up one
+    # position and gains the pair (w_i, 1); summand i is the only one
+    # with w_i = 1, so summands never merge, and inside a summand x_k
+    # meets g_i only where g_i is linear in x_k
+    up = (1, 0) * n
     terms = {}
     for i, eq in enumerate(eqs):
-        wtail = zw[:i] + (1,) + zw[i + 1:]
+        w = (n + 1 + i, 1)
         scale = gamma.val if i else 1
-        for exps, c in eq.terms.items():
-            terms[(0,) + exps + wtail] = c * scale
+        for key, c in eq.sparse_terms.items():
+            terms[tuple(map(add, key, up)) + w] = c * scale
         if i:
-            linear = {exps.index(1) + 1 for exps in eq.terms if sum(exps) == 1}
-            for k, hot in enumerate(xhot):
-                key = hot + wtail
+            linear = {key[0] + 1 for key in eq.sparse_terms if key[1:] == (1,)}
+            for k in range(n + 1):
+                key = (k, 1) + w
                 terms[key] = terms[key] + 1 if k in linear else 1
 
     poly = SparsePoly._from_payloads(ring, nvars, terms, names)

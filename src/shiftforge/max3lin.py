@@ -128,18 +128,13 @@ def encode_max3lin(system, e0=None):
         for j, c in zip(idx, coeffs):
             cmatrix[(i, w - n + j)] = c
         evec[i] = b
-    terms = {}
-    for (i, j), c in cmatrix.items():
-        exps = tuple(1 if q in (i, j) else 0 for q in range(w))
-        terms[exps] = c.val
+    # a row index i < m stays below every column position w - n + j
+    terms = {(i, 1, j, 1): c.val for (i, j), c in cmatrix.items()}
     for i, e in enumerate(evec):
-        if not e.is_zero:
-            exps = tuple(1 if q == i else 0 for q in range(w))
-            terms[exps] = e.val
-    if not e0.is_zero:
-        terms[(0,) * w] = e0.val
+        terms[(i, 1)] = e.val
+    terms[()] = e0.val
     names = ["y%d" % (i + 1) for i in range(w)]
-    poly = SparsePoly(ring, w, terms, names)
+    poly = SparsePoly._from_payloads(ring, w, terms, names)
     return QuadraticEncoding(poly, w, cmatrix, tuple(evec), e0, system)
 
 

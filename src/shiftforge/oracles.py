@@ -274,16 +274,16 @@ class SearchReport:
 
 def _count(terms, metric):
     if metric == "nonconstant":
-        return sum(1 for e in terms if sum(e))
+        return sum(1 for key in terms if key)
     return len(terms)
 
 
 def _shift_scores(subject, walk):
     poly, metric = subject
     if poly.degree() <= 2:
-        return shift_counts(poly.ring, poly.terms, range(poly.nvars), walk,
+        return shift_counts(poly.ring, poly.sparse_terms, range(poly.nvars), walk,
                             nonconstant=metric == "nonconstant")
-    return ((_count(shifted_term_map(poly.ring, poly.terms, vec), metric), vec)
+    return ((_count(shifted_term_map(poly.ring, poly.sparse_terms, vec), metric), vec)
             for _, vec in walk)
 
 
@@ -292,7 +292,7 @@ def _sliced_scan(poly, dom, metric):
     the bit-sliced kernel, in this process."""
     ring = poly.ring
     values, free, size = _plan(dom, ring, poly.nvars)
-    count, rank = sliced_min_count(ring, poly.terms, poly.nvars, free,
+    count, rank = sliced_min_count(ring, poly.sparse_terms, poly.nvars, free,
                                    dom.restriction == ZERO_SUM,
                                    metric == "nonconstant")
     _, vec = next(_walk(values, free, poly.nvars, dom.restriction, ring,
@@ -321,7 +321,7 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
     if best is None:
         raise PreconditionError("search domain is empty")
     witness = tuple(RingElement(poly.ring, v) for v in best[1])
-    exact = _count(shifted_term_map(poly.ring, poly.terms, best[1]), metric)
+    exact = _count(shifted_term_map(poly.ring, poly.sparse_terms, best[1]), metric)
     if exact != best[0]:
         raise InternalConsistencyError(
             "shift %s: counted %d monomials, expansion gives %d"
@@ -460,7 +460,7 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     # by the bit-sliced kernel with the w variables unshifted; each one
     # that lowers the count is decoded from its rank by one walk step
     shift_points, ranks = sliced_ranks_below(
-        ring, values, inst.polynomial.terms, k, shift_free, True, sigma)
+        ring, values, inst.polynomial.sparse_terms, k, shift_free, True, sigma)
     sparsifying = len(ranks)
     for rank in ranks:
         _, vec = next(_walk(values, shift_free, k, ZERO_SUM, ring, rank, rank + 1))

@@ -16,7 +16,7 @@ into the unique full assignment satisfying the defining equations.
 from __future__ import annotations
 
 import os.path
-from collections import deque
+from collections import Counter, deque
 
 from .circuits import (
     ADD,
@@ -35,6 +35,8 @@ from .sparsepoly import (
     default_names,
     eval_payload,
     header_lines,
+    map_key,
+    pairs,
     parse_int,
     read_file,
     read_term,
@@ -172,12 +174,9 @@ def check_solution(system, assignment):
 # -- lowering ----------------------------------------------------------
 
 
-def _monomial(nvars, *positions):
-    """Exponent vector of the product of the variables at `positions`."""
-    exps = [0] * nvars
-    for p in positions:
-        exps[p] += 1
-    return tuple(exps)
+def _monomial(*positions):
+    """Key of the product of the variables at `positions`."""
+    return map_key(Counter(positions))
 
 
 class _Lowering:
@@ -197,15 +196,15 @@ class _Lowering:
         equation `target - value(step) = 0`, with the value that
         ExtensionRecipe.extend computes."""
         self.steps.append((target, op, args))
-        terms = {_monomial(self.nvars, target): 1}
+        terms = {_monomial(target): 1}
         if op == "const":
-            terms[_monomial(self.nvars)] = -args
+            terms[()] = -args
         elif op == "sum":
             for a in args:
-                key = _monomial(self.nvars, a)
+                key = _monomial(a)
                 terms[key] = terms.get(key, 0) - 1
         else:
-            terms[_monomial(self.nvars, *args)] = -1
+            terms[_monomial(*args)] = -1
         self.rows.append(terms)
 
     def finish(self, names, tiers):
@@ -233,7 +232,7 @@ def quadratize_sparse(system):
     nx = system.nvars
     equations = [eq for eq in system.equations if not eq.is_zero]
     # a monomial of degree d >= 1 takes d - 1 y variables and one z
-    degrees = [sum(exps) for eq in equations for exps in eq.terms if any(exps)]
+    degrees = [sum(key[1::2]) for eq in equations for key in eq.sparse_terms if key]
     nz = len(degrees)
     ny = sum(degrees) - nz
     nvars = nx + ny + nz
@@ -243,10 +242,10 @@ def quadratize_sparse(system):
     znames = []
     for i, eq in enumerate(equations, start=1):
         affine = {}
-        for j, exps in enumerate(eq.sorted_exps(), start=1):
-            queue = deque(p for p, e in enumerate(exps) for _ in range(e))
+        for j, key in enumerate(eq.sorted_keys(), start=1):
+            queue = deque(p for p, e in pairs(key) for _ in range(e))
             if not queue:
-                affine[_monomial(nvars)] = eq.terms[exps]
+                affine[()] = eq.sparse_terms[key]
                 continue
             for k in range(1, len(queue)):
                 v, u = queue.popleft(), queue.popleft()
@@ -256,7 +255,7 @@ def quadratize_sparse(system):
                 y += 1
             lowering.define(z, "var", (queue[0],))
             znames.append("z%d_%d" % (i, j))
-            affine[_monomial(nvars, z)] = eq.terms[exps]
+            affine[(z, 1)] = eq.sparse_terms[key]
             z += 1
         lowering.rows.append(affine)
     tiers = (TIER_X,) * nx + (TIER_Y,) * ny + (TIER_Z,) * nz
@@ -299,7 +298,7 @@ def quadratize_circuit(circuits):
             else:
                 args = tuple(pos[child] for child in data)
             lowering.define(pos[nid], _CIRCUIT_OPS[kind], args)
-        lowering.rows.append({_monomial(nvars, pos[c.output]): 1})
+        lowering.rows.append({(pos[c.output], 1): 1})
     return lowering.finish(tuple(names), (TIER_X,) * nx + (TIER_Y,) * ny)
 
 
@@ -311,7 +310,7 @@ def equation_shape(eq):
     one quadratic term), or 'other'."""
     if eq.degree() <= 1:
         return "affine"
-    degs = sorted(sum(e) for e in eq.terms)
+    degs = sorted(sum(key[1::2]) for key in eq.sparse_terms)
     if degs == [1, 2]:
         return "binomial"
     return "other"
@@ -321,13 +320,12 @@ def binomial_head_dominates(eq):
     """For a binomial shape: the linear term's variable has a strictly
     larger catalog position than both variables of the quadratic term."""
     lin = quad = None
-    for exps in eq.terms:
-        if sum(exps) == 1:
-            lin = exps
+    for key in eq.sparse_terms:
+        if key[1:] == (1,):
+            lin = key
         else:
-            quad = exps
-    head = lin.index(1)
-    return all(p < head for p, e in enumerate(quad) if e)
+            quad = key
+    return all(p < lin[0] for p in quad[::2])
 
 
 def is_quadratized_shape(system):
@@ -467,12 +465,10 @@ def system_from_text(text):
             raise FormatError("unknown recipe op %r" % op)
 
     statements = dict.fromkeys(("term", "node", "output"), body)
-    statements.update(vars=catalog, eq=lambda parts, line: blocks.append(({}, [], [])))
+    statements.update(vars=catalog, eq=lambda parts, line: blocks.append(({}, {}, [])))
     reader.read(text, statements, {"recipe": recipe})
     if reader.nvars is None:
         raise FormatError("system file needs ring and vars lines")
-    if not blocks:
-        raise FormatError("system file has no equations")
     ring, nvars = reader.ring, reader.nvars
     if False not in kinds:
         equations = [
@@ -489,6 +485,7 @@ def system_from_text(text):
     for _, nodes, outputs in blocks:
         if not outputs:
             raise FormatError("circuit block is missing an output line")
+        nodes = [(nid,) + node for nid, node in nodes.items()]
         circuits.append(Circuit(ring, nvars, nodes, outputs[-1], names))
     return "circuits", circuits
 

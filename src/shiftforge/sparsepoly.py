@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-A polynomial is a map from exponent vectors to nonzero coefficients over a
-fixed positional variable catalog.  Display names are metadata only; the
-arithmetic never consults them.  Every constructor canonicalizes eagerly,
-so two equal polynomials have identical term maps.
+A polynomial is a map from monomial keys to nonzero coefficients over a
+fixed positional variable catalog.  A key is flat and sparse: the nonzero
+exponents in ascending position, as (p1, e1, p2, e2, ...), with () for
+the constant; dense exponent vectors appear only at the boundary (the
+public constructor, the `terms` view and the text format).  Display names
+are metadata only; the arithmetic never consults them.  Every constructor
+canonicalizes eagerly, so two equal polynomials have identical term maps.
 
 Input is validated once, at the boundary: the public constructor checks
 every exponent vector and coefficient it is given, and the file readers
@@ -17,7 +20,7 @@ from __future__ import annotations
 import operator
 import os
 from functools import partial
-from itertools import product
+from itertools import chain
 
 from .errors import (
     ArityError,
@@ -41,8 +44,37 @@ def term_cap():
             "SHIFTFORGE_TERM_CAP must be an integer, not %r" % v) from None
 
 
-def grlex_key(exps):
-    return (sum(exps), exps)
+def check_term_cap(worst, what, cap=None):
+    """Raise CapExceededError, before any work starts, when `what` may
+    reach `worst` terms, more than cap (term_cap() when None)."""
+    if cap is None:
+        cap = term_cap()
+    if worst > cap:
+        raise CapExceededError("%s may reach %d terms, cap is %d" % (what, worst, cap))
+
+
+def pairs(key):
+    """The (position, exponent) pairs of a key."""
+    it = iter(key)
+    return zip(it, it)
+
+
+def sparse_key(exps):
+    """The key of a dense exponent vector."""
+    return tuple(v for p, e in enumerate(exps) if e for v in (p, e))
+
+
+def map_key(exps):
+    """The key of a map from positions to nonzero exponents."""
+    return tuple(chain.from_iterable(sorted(exps.items())))
+
+
+def dense_exps(key, nvars):
+    """The dense exponent vector of a key over nvars variables."""
+    exps = [0] * nvars
+    for p, e in pairs(key):
+        exps[p] = e
+    return tuple(exps)
 
 
 def default_names(nvars):
@@ -66,51 +98,55 @@ def shifted_term_map(ring, terms, offsets):
     time, and accumulates with cancellation.  The coefficients
     C(e, k) * a^(e-k) of one variable come from a Pascal-row recurrence,
     from k = e down to 0; the running binomial stays an exact integer,
-    because the recurrence divides it.  A term that would expand to more
-    than term_cap() monomials, the product of (e + 1) over its moving
-    variables, raises CapExceededError before any of it is built.
+    because the recurrence divides it.  When the expansion may have more
+    than term_cap() monomials, the sum over terms of the product of
+    (e + 1) over their moving variables, CapExceededError is raised
+    before any of it is built.
     """
     m = ring.modulus
     if not any(offsets):
         return dict(terms)
-    cap = term_cap()
-    out = {}
-    for exps, c in terms.items():
-        moving = [i for i, e in enumerate(exps) if e and offsets[i] != 0]
-        if not moving:
-            out[exps] = out.get(exps, 0) + c
-            continue
+    plan = []  # (key, coefficient, key indices of the moving positions)
+    worst = 0
+    for key, c in terms.items():
+        moving = [j for j in range(0, len(key), 2) if offsets[key[j]]]
         size = 1
-        for i in moving:
-            size *= exps[i] + 1
-            if size > cap:
-                raise CapExceededError(
-                    "a shifted term has more than the term cap of %d monomials" % cap
-                )
-        choices = []
-        for i in moving:
-            e = exps[i]
-            a = offsets[i]
+        for j in moving:
+            size *= key[j + 1] + 1
+        worst += size
+        plan.append((key, c, moving))
+    check_term_cap(worst, "shifted polynomial")
+    out = {}
+    for key, c, moving in plan:
+        if not moving:
+            out[key] = out.get(key, 0) + c
+            continue
+        # the expansion of one term, one moving position at a time: each
+        # level extends every partial key by the pairs up to that
+        # position, and the last level by the rest of the key as well
+        partial = [((), c)]
+        start = 0
+        for j in moving:
+            p, e = key[j], key[j + 1]
+            a = offsets[p]
+            head = key[start:j]
+            start = j + 2
+            tail = key[start:] if j == moving[-1] else ()
             opts = []
             binom = 1
             power = 1
             for k in range(e, -1, -1):
                 s = binom * power
-                opts.append((i, k, s if m is None else s % m))
+                opts.append((head + (p, k) + tail if k else head + tail,
+                             s if m is None else s % m))
                 binom = binom * k // (e - k + 1)
                 power *= a
                 if m is not None:
                     power %= m
             opts.reverse()
-            choices.append(opts)
-        for combo in product(*choices):
-            scal = c
-            newe = list(exps)
-            for i, k, s in combo:
-                scal *= s
-                newe[i] = k
-            key = tuple(newe)
-            out[key] = out.get(key, 0) + scal
+            partial = [(pk + piece, ps * s) for pk, ps in partial for piece, s in opts]
+        for k, s in partial:
+            out[k] = out.get(k, 0) + s
     if m is not None:
         return {e: v % m for e, v in out.items() if v % m}
     return {e: v for e, v in out.items() if v}
@@ -140,20 +176,19 @@ def slot_table(ring, terms, shifted, nonconstant=False):
     shifted = set(shifted)
     groups = {}
     quadratic = 0
-    for exps, c in terms.items():
+    for key, c in terms.items():
         moving = []
-        rest = []
-        for i, e in enumerate(exps):
-            if i in shifted:
-                moving.extend([i] * e)
+        rest = ()
+        for p, e in pairs(key):
+            if p not in shifted:
+                rest += (p, e)
+            elif len(moving) + e > 2:
+                raise PreconditionError(
+                    "term %r has degree above 2 in the shifted positions" % (key,))
             else:
-                rest.append(e)
-        if len(moving) > 2:
-            raise PreconditionError(
-                "term %r has degree %d in the shifted positions" % (exps, len(moving))
-            )
+                moving += [p] * e
         quadratic += len(moving) == 2
-        groups.setdefault(tuple(rest), []).append((moving, c))
+        groups.setdefault(rest, []).append((moving, c))
 
     zero = ring.canon(0)
     table = []
@@ -180,7 +215,7 @@ def slot_table(ring, terms, shifted, nonconstant=False):
                 deriv[j][i] = c
                 deriv[i][j] = c
         linear = [(i, lin[i], deriv[i]) for i in sorted(lin)]
-        if nonconstant and not any(rest):
+        if nonconstant and not rest:
             const = None
         table.append((linear, quad, const))
     return quadratic, table
@@ -249,11 +284,16 @@ def shift_counts(ring, terms, shifted, walk, nonconstant=False):
 
 
 class SparsePoly:
-    """A canonical sparse polynomial over a positional variable catalog."""
+    """A canonical sparse polynomial over a positional variable catalog.
 
-    __slots__ = ("ring", "nvars", "terms", "var_names")
+    sparse_terms maps keys to payloads; `terms` is the same map with dense
+    exponent vectors, built on every read.
+    """
+
+    __slots__ = ("ring", "nvars", "sparse_terms", "var_names")
 
     def __init__(self, ring, nvars, terms=None, var_names=None):
+        """terms maps dense exponent vectors to coefficients."""
         if not isinstance(ring, Ring):
             raise TypeError("ring required")
         if nvars < 0:
@@ -270,17 +310,17 @@ class SparsePoly:
                 if c.ring != ring:
                     raise RingMismatchError("coefficient from a different ring")
                 c = c.val
-            payloads[exps] = payloads.get(exps, 0) + ring.canon(c)
+            key = sparse_key(exps)
+            payloads[key] = payloads.get(key, 0) + ring.canon(c)
         self._canonicalize(ring, nvars, payloads, var_names)
 
     @classmethod
     def _from_payloads(cls, ring, nvars, terms, var_names):
         """Trusted constructor for producers that hold valid keys.
 
-        terms maps exponent tuples of length nvars with nonnegative int
-        entries, each key once, to raw payloads of ring; the payloads are
-        reduced with ring.canon and zeros are dropped.  The keys are not
-        checked.
+        terms maps keys over nvars variables, each once, to raw payloads
+        of ring; the payloads are reduced with ring.canon and zeros are
+        dropped.  The keys are not checked.
         """
         self = cls.__new__(cls)
         self._canonicalize(ring, nvars, terms, catalog_names(nvars, var_names))
@@ -292,7 +332,13 @@ class SparsePoly:
         self.nvars = nvars
         self.var_names = var_names
         canon = ring.canon
-        self.terms = {e: v for e, c in terms.items() if (v := canon(c))}
+        self.sparse_terms = {k: v for k, c in terms.items() if (v := canon(c))}
+
+    @property
+    def terms(self):
+        """The term map with dense exponent vectors as keys."""
+        n = self.nvars
+        return {dense_exps(k, n): c for k, c in self.sparse_terms.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -315,30 +361,35 @@ class SparsePoly:
 
     def sparsity(self):
         """Number of monomials with nonzero coefficient."""
-        return len(self.terms)
+        return len(self.sparse_terms)
 
     def nonconstant_sparsity(self):
-        return sum(1 for e in self.terms if sum(e))
+        return len(self.sparse_terms) - (() in self.sparse_terms)
 
     def degree(self):
         """Total degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max((sum(k[1::2]) for k in self.sparse_terms), default=0)
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.sparse_terms
 
     def coefficient(self, exps):
-        return RingElement(self.ring, self.terms.get(tuple(exps), 0))
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ArityError("exponent vector %r has wrong length" % (exps,))
+        return RingElement(self.ring, self.sparse_terms.get(sparse_key(exps), 0))
 
     def constant_term(self):
-        return RingElement(self.ring, self.terms.get((0,) * self.nvars, 0))
+        return RingElement(self.ring, self.sparse_terms.get((), 0))
 
-    def sorted_exps(self):
-        """Exponent vectors in graded-lexicographic descending order."""
-        return sorted(self.terms, key=grlex_key, reverse=True)
+    def sorted_keys(self):
+        """Keys in graded-lexicographic descending order of their dense
+        vectors: by degree, then by the pairs with each position negated,
+        since an earlier position is the larger exponent vector."""
+        signs = (-1, 1) * self.nvars
+        return sorted(self.sparse_terms, reverse=True, key=lambda k: (
+            sum(k[1::2]), tuple(map(operator.mul, k, signs))))
 
     # -- arithmetic --------------------------------------------------
 
@@ -352,41 +403,53 @@ class SparsePoly:
 
     def add(self, other):
         self._align(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
+        out = dict(self.sparse_terms)
+        for k, c in other.sparse_terms.items():
+            out[k] = out.get(k, 0) + c
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def sub(self, other):
         self._align(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
+        out = dict(self.sparse_terms)
+        for k, c in other.sparse_terms.items():
+            out[k] = out.get(k, 0) - c
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def neg(self):
-        out = {e: -c for e, c in self.terms.items()}
+        out = {k: -c for k, c in self.sparse_terms.items()}
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def scale(self, el):
         if not isinstance(el, RingElement) or el.ring != self.ring:
             raise RingMismatchError("scalar from a different ring")
-        out = {e: c * el.val for e, c in self.terms.items()}
+        out = {k: c * el.val for k, c in self.sparse_terms.items()}
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
-    def mul(self, other):
+    def mul(self, other, cap=None):
+        """The product; cap overrides term_cap() for its bound."""
         self._align(other)
+        mine, theirs = self.sparse_terms, other.sparse_terms
+        check_term_cap(len(mine) * len(theirs), "product", cap)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(map(operator.add, e1, e2))
+        for k1, c1 in mine.items():
+            for k2, c2 in theirs.items():
+                # keys on disjoint ordered position ranges concatenate
+                if not k1 or not k2 or k1[-2] < k2[0]:
+                    key = k1 + k2
+                elif k2[-2] < k1[0]:
+                    key = k2 + k1
+                else:
+                    exps = dict(pairs(k1))
+                    for p, e in pairs(k2):
+                        exps[p] = exps.get(p, 0) + e
+                    key = map_key(exps)
                 out[key] = out.get(key, 0) + c1 * c2
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def shift(self, offsets):
         """P(X + a) for a vector a of ring elements, expanded and reduced."""
         vals = self.ring.payloads(offsets, self.nvars, "shift vector")
-        out = shifted_term_map(self.ring, self.terms, vals)
+        out = shifted_term_map(self.ring, self.sparse_terms, vals)
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def eval(self, point):
@@ -398,13 +461,13 @@ class SparsePoly:
         positions offset..offset+nvars(self)-1."""
         if offset < 0 or offset + self.nvars > nvars:
             raise ArityError("embedding block out of range")
-        pad_l = (0,) * offset
-        pad_r = (0,) * (nvars - offset - self.nvars)
-        out = {pad_l + e + pad_r: c for e, c in self.terms.items()}
+        step = (offset, 0) * self.nvars
+        out = {tuple(map(operator.add, k, step)): c
+               for k, c in self.sparse_terms.items()}
         return SparsePoly._from_payloads(self.ring, nvars, out, var_names)
 
     def rename(self, var_names):
-        return SparsePoly._from_payloads(self.ring, self.nvars, self.terms, var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, self.sparse_terms, var_names)
 
     # -- comparison and display --------------------------------------
 
@@ -413,22 +476,20 @@ class SparsePoly:
             isinstance(other, SparsePoly)
             and self.ring == other.ring
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.sparse_terms == other.sparse_terms
         )
 
     def __repr__(self):
         return "SparsePoly(%s, %d, %s)" % (self.ring.token(), self.nvars, str(self))
 
     def __str__(self):
-        if not self.terms:
+        if not self.sparse_terms:
             return "0"
         parts = []
-        for exps in self.sorted_exps():
-            c = RingElement(self.ring, self.terms[exps])
+        for key in self.sorted_keys():
+            c = RingElement(self.ring, self.sparse_terms[key])
             body = "*".join(
-                self.var_names[i] + ("^%d" % e if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e
+                self.var_names[p] + ("^%d" % e if e > 1 else "") for p, e in pairs(key)
             )
             txt = self.ring.format_coeff(c)
             if body:
@@ -445,11 +506,10 @@ def eval_payload(poly, vals):
     a reduced residue otherwise."""
     m = poly.ring.modulus
     total = 0
-    for exps, c in poly.terms.items():
+    for key, c in poly.sparse_terms.items():
         t = c
-        for i, e in enumerate(exps):
-            if e:
-                t *= pow(vals[i], e, m) if m is not None else vals[i] ** e
+        for p, e in pairs(key):
+            t *= pow(vals[p], e, m) if m is not None else vals[p] ** e
         total += t
         if m is not None:
             total %= m
@@ -563,20 +623,27 @@ def parse_vars_line(parts, line):
 
 
 def read_term(reader, terms, parts, line):
-    """Add a `term` line to terms, a map from exponent tuples to payloads."""
+    """Add a `term` line to terms, a map from keys to payloads."""
     if len(parts) != 2 + reader.nvars:
         raise FormatError("term line needs %d exponents" % reader.nvars)
     coef = reader.ring.parse_payload(parts[1])
+    key = []
     try:
-        exps = tuple(map(int, parts[2:]))
+        for p, token in enumerate(parts[2:]):
+            if token != "0":
+                key += (p, int(token))
     except ValueError:
-        # parse_int quotes the first bad exponent
-        exps = tuple(parse_int(token, line) for token in parts[2:])
-    if exps and min(exps) < 0:
-        raise FormatError("negative exponent in %r" % line)
-    if exps in terms:
+        parse_int(token, line)  # quotes the first bad exponent
+    exps = key[1::2]
+    if exps and min(exps) <= 0:
+        if min(exps) < 0:
+            raise FormatError("negative exponent in %r" % line)
+        key = [v for p, e in pairs(key) if e for v in (p, e)]  # such as "00"
+    key = tuple(key)
+    if key in terms:
+        exps = dense_exps(key, reader.nvars)
         raise FormatError("duplicate exponent vector %r" % (exps,))
-    terms[exps] = coef
+    terms[key] = coef
 
 
 def header_lines(ring, nvars, names=()):
@@ -590,8 +657,15 @@ def header_lines(ring, nvars, names=()):
 def term_lines(poly):
     """The `term` lines of poly, in graded-lexicographic descending order."""
     fmt = poly.ring.format_coeff
-    return [("term %s " % fmt(poly.terms[exps]) + " ".join(map(str, exps))).rstrip()
-            for exps in poly.sorted_exps()]
+    row = ["0"] * poly.nvars
+    lines = []
+    for key in poly.sorted_keys():
+        for p, e in pairs(key):
+            row[p] = str(e)
+        lines.append(("term %s " % fmt(poly.sparse_terms[key]) + " ".join(row)).rstrip())
+        for p in key[::2]:
+            row[p] = "0"
+    return lines
 
 
 def poly_to_text(poly):

@@ -33,6 +33,14 @@ def random_poly(ring, nvars, max_degree, max_terms, rng, names=None):
     return SparsePoly(ring, nvars, terms, names)
 
 
+def sparse_terms(terms):
+    """A term map with dense exponent vectors as keys, rekeyed to the flat
+    sparse keys (p1, e1, p2, e2, ...) that the count and shift kernels
+    read: the nonzero exponents in ascending position."""
+    return {tuple(v for p, e in enumerate(exps) if e for v in (p, e)): c
+            for exps, c in terms.items()}
+
+
 def assert_canonical(p):
     """p equals its own term map re-validated by the public constructor,
     and every stored coefficient is nonzero and in canonical form."""

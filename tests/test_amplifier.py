@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from shiftforge import (
+    ADD,
+    CONST,
+    INPUT,
+    MUL,
     ArityError,
+    Circuit,
     CapExceededError,
     EquationSystem,
     GapParams,
@@ -100,6 +105,20 @@ def test_cap_refusal_and_bad_copy_count():
         amplify(linear_plus_one(ZZ), 30, cap=10 ** 6)
     with pytest.raises(PreconditionError):
         amplify(base, 0)
+
+
+def test_an_explicit_cap_overrides_the_environment(monkeypatch):
+    # the products inside are bounded by the cap the caller gave
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "5")
+    base = SparsePoly(ZZ, 2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    assert amplify(base, 2, cap=9).polynomial.sparsity() == 9
+    with pytest.raises(CapExceededError):
+        amplify(base, 2, cap=8)
+    squares = Circuit(ZZ, 2, [(0, INPUT, 0), (1, INPUT, 1), (2, CONST, 1),
+                              (3, ADD, (0, 1, 2)), (4, MUL, (3, 3))], output=4)
+    assert squares.expand(cap=9).sparsity() == 6
+    with pytest.raises(CapExceededError):
+        squares.expand(cap=8)
 
 
 def test_amplified_shift_frozen():

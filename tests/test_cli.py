@@ -454,7 +454,11 @@ def test_term_cap_bounds_each_shifted_term_before_expanding(tmp_path, capsys,
                                                             monkeypatch):
     huge = write_poly(tmp_path, "huge.poly", ZZ, 1, {(10 ** 9,): 1}, ["x"])
     square = write_poly(tmp_path, "square.poly", ZZ, 2, {(40, 40): 1})
-    for path, by, cap in ((huge, "1", None), (square, "1,1", "100")):
+    # 41 monomials per term, 123 in all
+    three = write_poly(tmp_path, "three.poly", ZZ, 3,
+                       {(40, 0, 0): 1, (0, 40, 0): 1, (0, 0, 40): 1})
+    for path, by, cap in ((huge, "1", None), (square, "1,1", "100"),
+                          (three, "1,1,1", "122")):
         if cap is not None:
             monkeypatch.setenv("SHIFTFORGE_TERM_CAP", cap)
         start = time.perf_counter()
@@ -475,3 +479,19 @@ def test_term_cap_that_is_not_an_integer_is_exit_3(tmp_path, capsys, monkeypatch
     code, _, err = run(capsys, "sparsity", path)
     assert code == 3
     assert "SHIFTFORGE_TERM_CAP must be an integer, not '1e6'" in err
+
+
+def test_a_lowering_with_no_equations_reads_back(tmp_path, capsys):
+    # the zero equations of the source lower to no equations at all
+    src = tmp_path / "zero.sys"
+    src.write_text("ring Z\nvars 2 a b\neq\nterm 0 1 0\neq\n")
+    lowered = str(tmp_path / "lowered.sys")
+    assert run(capsys, "quadratize", str(src), "-o", lowered) == (
+        0, "variables 2\nequations 0\n", "")
+    for path in (str(src), lowered):
+        code, out, _ = run(capsys, "normalize", path, "-o", str(tmp_path / "n.sys"))
+        assert (code, out.splitlines()[0]) == (0, "trivially_solvable true")
+        assert run(capsys, "reduce-hn", path, "-o", str(tmp_path / "h.poly"),
+                   "--witness", str(tmp_path / "h.wit")) == (
+            0, "trivially_solvable true\ncertificate 0,0\n", "")
+

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -339,3 +340,26 @@ def test_witness_missing_value_is_a_format_error():
     # the index lists may be empty
     witness, _ = witness_from_text(WITNESS.replace("wvars 3 4", "wvars"))
     assert witness.w_indices == ()
+
+
+def test_build_memory_stays_sparse():
+    # 100 equations over 100 variables make about 10^4 keys over 201
+    # positions: about 16 MB as dense exponent vectors, about 1 MB sparse
+    n = 100
+    names = ["x%d" % (i + 1) for i in range(n)]
+
+    def eq(terms):
+        return SparsePoly(ZZ, n, {tuple(1 if j in key else 0 for j in range(n)): c
+                                  for key, c in terms.items()}, names)
+
+    eqs = [eq({(0,): 1, (): -1})]
+    eqs += [eq({(i, i + 1): 1, ((i + 2) % n,): -1}) for i in range(n - 1)]
+    system = EquationSystem(ZZ, names, eqs)
+    tracemalloc.start()
+    try:
+        inst = build_hn_instance(system, GAMMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.sigma > 10 ** 4
+    assert peak < 4 * 2 ** 20, peak

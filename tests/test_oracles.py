@@ -38,6 +38,7 @@ from helpers import (
     planted_integer_system,
     random_poly,
     random_sparse_system,
+    sparse_terms,
     unsolvable_integer_system,
 )
 
@@ -458,7 +459,7 @@ def test_kernel_counts_match_shift_instance_on_hn_corpora():
         walk = oracles._walk(values, range(1, n + 1), n + 1, ZERO_SUM, ZZ,
                              0, len(values) ** n)
         seen = []
-        for count, vec in shift_counts(ZZ, inst.polynomial.terms,
+        for count, vec in shift_counts(ZZ, sparse_terms(inst.polynomial.terms),
                                        range(n + 1), walk):
             if vec is None:
                 continue
@@ -816,7 +817,7 @@ def random_box_poly(rng, k, unshifted):
             exps[i] = rng.randint(0, 2)
         big = 10 ** rng.choice([1, 10, 30])
         terms[tuple(exps)] = rng.choice([-1, 1]) * rng.randint(1, big)
-    return SparsePoly(ZZ, k + unshifted, terms).terms
+    return sparse_terms(SparsePoly(ZZ, k + unshifted, terms).terms)
 
 
 def box_counts_from_planes(values, terms, k, free, zero_sum):
@@ -900,7 +901,7 @@ def test_roundtrip_shift_direction_matches_the_walk(monkeypatch):
             walk = oracles._walk(values, free, k, ZERO_SUM, ZZ, 0,
                                  len(values) ** len(free))
             counts = [(count, tuple(vec)) for count, vec
-                      in shift_counts(ZZ, inst.polynomial.terms, range(k), walk)]
+                      in shift_counts(ZZ, sparse_terms(inst.polynomial.terms), range(k), walk)]
             want = [vec for count, vec in counts if count < inst.sigma]
             del inverted[:]
             report = verify_hn_roundtrip(S, box=box)

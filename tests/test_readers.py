@@ -29,6 +29,12 @@ WITNESS = "# witness\nring Z\ngamma 2\nx0 0\nxprime 1 2\nwvars 3 4\ng1 0\n"
     (load_system, "s.sys", "ring Z\nvars 1 x\neq\nterm 1 1\nterm -1 0\n"
      "# recipe 1 sum 0 z\n", 6),
     (load_witness, "w.txt", WITNESS.replace("x0 0", "x0 q"), 4),
+    # the node checks run as each node line is read
+    (load_system, "bad.sys", "ring Z\nvars 1 x\neq\nnode 0 input 0\n"
+     "node 0 input 0\noutput 0\n", 5),
+    (load_circuit, "bad2.circ", "ring Z\nvars 1 x\nnode 0 input 0\n"
+     "node 1 mul 0 5\noutput 1\n", 4),
+    (load_circuit, "c.circ", "ring Z\nvars 2 a b\nnode 0 input 2\noutput 0\n", 3),
 ])
 def test_format_error_names_file_and_line(tmp_path, loader, name, text, lineno):
     path = tmp_path / name

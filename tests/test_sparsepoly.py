@@ -9,6 +9,7 @@ import pytest
 
 from shiftforge import (
     ArityError,
+    CapExceededError,
     FormatError,
     PreconditionError,
     QQ,
@@ -31,6 +32,7 @@ from helpers import (
     random_nonzero,
     random_poly,
     random_vector,
+    sparse_terms,
 )
 
 F5 = prime_field(5)
@@ -74,6 +76,15 @@ def test_constructor_validates():
         P(ZZ, 2, {("1", 0): 1})
     with pytest.raises(RingMismatchError):
         P(ZZ, 1, {(1,): F5.el(1)})
+
+
+def test_coefficient_reads_dense_vectors():
+    p = P(ZZ, 3, {(0, 2, 0): 5, (0, 0, 0): 7})
+    assert p.coefficient((0, 2, 0)) == ZZ.el(5)
+    assert p.coefficient([0, 0, 0]) == ZZ.el(7)
+    assert p.coefficient((2, 0, 0)) == ZZ.zero
+    with pytest.raises(ArityError):
+        p.coefficient((0, 2, 0, 0))
 
 
 def test_shift_identity_and_examples():
@@ -250,7 +261,7 @@ def random_shift_terms(ring, rng, nvars, shifted):
             if i not in shifted:
                 exps[i] = rng.randint(0, 2)
         terms[tuple(exps)] = random_nonzero(ring, rng).val
-    return P(ring, nvars, terms).terms
+    return sparse_terms(P(ring, nvars, terms).terms)
 
 
 def test_shift_counts_match_expansion_along_random_walks():
@@ -281,7 +292,7 @@ def test_shift_counts_match_expansion_along_random_walks():
 
 
 def test_shift_counts_needs_degree_two_in_the_shifted_positions():
-    terms = P(ZZ, 2, {(3, 0): 1, (0, 1): 1}).terms
+    terms = sparse_terms(P(ZZ, 2, {(3, 0): 1, (0, 1): 1}).terms)
     assert list(shift_counts(ZZ, terms, [1], [([(1, 2)], None)])) == [(3, None)]
     with pytest.raises(PreconditionError):
         next(shift_counts(ZZ, terms, [0], [([(0, 2)], None)]))
@@ -322,12 +333,12 @@ def test_trusted_producers_match_public_constructor():
 
 def test_shift_of_a_power_matches_binomials():
     e = 2000
-    assert shifted_term_map(ZZ, {(e,): 1}, [1]) == {
+    assert shifted_term_map(ZZ, sparse_terms({(e,): 1}), [1]) == sparse_terms({
         (k,): comb(e, k) for k in range(e + 1)
-    }
-    assert shifted_term_map(F5, {(e,): 1}, [1]) == {
+    })
+    assert shifted_term_map(F5, sparse_terms({(e,): 1}), [1]) == sparse_terms({
         (k,): comb(e, k) % 5 for k in range(e + 1) if comb(e, k) % 5
-    }
+    })
 
 
 def direct_shifted_term_map(ring, terms, offsets):
@@ -357,6 +368,86 @@ def test_shifted_term_map_matches_direct_formula():
             offsets = [o.val for o in random_offsets(ring, rng, 3)]
             if rng.random() < 0.3:
                 offsets[rng.randrange(3)] = ring.canon(0)
-            assert shifted_term_map(ring, p.terms, offsets) == (
-                direct_shifted_term_map(ring, p.terms, offsets)
+            assert shifted_term_map(ring, sparse_terms(p.terms), offsets) == (
+                sparse_terms(direct_shifted_term_map(ring, p.terms, offsets))
             )
+
+
+def test_exponents_are_read_as_integers():
+    base = "ring Z\nvars 3 x y z\n"
+    assert poly_from_text(base + "term 2 00 1 -0\n") == P(ZZ, 3, {(0, 1, 0): 2},
+                                                          ["x", "y", "z"])
+    with pytest.raises(FormatError, match=r"duplicate exponent vector \(0, 1, 0\)"):
+        poly_from_text(base + "term 1 0 1 0\nterm 2 00 1 0\n")
+    with pytest.raises(FormatError, match="negative exponent in 'term 1 0 -1 2'"):
+        poly_from_text(base + "term 1 0 -1 2\n")
+    with pytest.raises(FormatError, match="bad integer 'q' in 'term 1 0 q -1'"):
+        poly_from_text(base + "term 1 0 q -1\n")
+
+
+def test_term_cap_bounds_whole_products(monkeypatch):
+    x = P(ZZ, 2, {(e, 0): 1 for e in range(20)})
+    y = P(ZZ, 2, {(0, e): 1 for e in range(20)})
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "399")
+    with pytest.raises(CapExceededError, match="product may reach 400 terms"):
+        x.mul(y)
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "400")
+    assert x.mul(y).sparsity() == 400
+
+
+def wide_poly(ring, rng, nvars):
+    """A polynomial over a wide catalog whose terms have at most 4
+    nonzero exponents, at most 3 each; sometimes a constant."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * nvars
+        for p in rng.sample(range(nvars), rng.randint(0, 4)):
+            exps[p] = rng.randint(1, 3)
+        terms[tuple(exps)] = random_offsets(ring, rng, 1)[0]
+    return P(ring, nvars, terms)
+
+
+def test_arithmetic_and_text_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(271)
+    for ring in (ZZ, QQ, F5, prime_field(7), Z6, modular(4)):
+        for _ in range(4):
+            nvars = rng.randint(30, 40)
+            gens = sympy.symbols("x0:%d" % nvars)
+
+            def expr(poly):
+                return sympy.Add(*(
+                    sympy.Rational(str(c)) * sympy.Mul(*(g ** e for g, e in zip(gens, exps)))
+                    for exps, c in poly.terms.items()))
+
+            def reference(e):
+                """The grlex-descending terms of e, expanded over Z or Q and
+                reduced into the ring."""
+                out = []
+                for exps, c in sympy.Poly(e, *gens).terms(order="grlex"):
+                    c = ring.canon(Fraction(int(c.p), int(c.q)) if ring == QQ else int(c))
+                    if c:
+                        out.append((exps, c))
+                return out
+
+            def check(poly, e):
+                assert sorted(poly.terms.items()) == sorted(reference(e))
+
+            p, q = wide_poly(ring, rng, nvars), wide_poly(ring, rng, nvars)
+            offsets = [ring.zero] * nvars
+            for i in rng.sample(range(nvars), rng.randint(1, 8)):
+                offsets[i] = random_offsets(ring, rng, 1)[0]
+            shifted = p.shift(offsets)
+            check(shifted, expr(p).xreplace(
+                {g: g + sympy.Rational(str(a.val)) for g, a in zip(gens, offsets)}))
+            assert shifted.shift([-a for a in offsets]) == p
+            check(p.mul(q), expr(p) * expr(q))
+            check(p.add(q), expr(p) + expr(q))
+            assert p.add(p.neg()).is_zero
+            for poly in (p, shifted):
+                text = poly_to_text(poly)
+                rows = [line.split()[1:] for line in text.splitlines()[2:]]
+                want = reference(expr(poly))
+                assert [tuple(map(int, r[1:])) for r in rows] == [e for e, _ in want]
+                assert [ring.parse_payload(r[0]) for r in rows] == [c for _, c in want]
+                assert poly_from_text(text) == poly
