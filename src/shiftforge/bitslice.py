@@ -3,7 +3,9 @@
 Every point of a block of the search domain owns one bit of a Python
 int, at its rank within the block, so one operation on ints acts on
 every point of the block at once.  The slots of slot_table, and from
-them the monomial count of P(X + a), come out for the whole block:
+them the monomial count of P(X + a), come out for the whole block; so
+do the rows of a Max-3-Lin system, each a slot with no quadratic part,
+and from them the unsatisfied row count:
 
 - over Z_q a coordinate, and a slot, is q one-hot planes: plane v has
   the bits of the points where the value is v.  Adding or multiplying
@@ -28,7 +30,7 @@ constants, so memory stays bounded whatever the size of the domain.
 from __future__ import annotations
 
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .sparsepoly import slot_table
 
@@ -63,10 +65,14 @@ def digit_planes(q, digits, runs):
     return out
 
 
+# one entry is at most q * digits planes of PLANE_BITS bits: 5 MiB for
+# q = 2, 4 or 7, so the cache holds at most about 21 MB
+@lru_cache(maxsize=4)
 def class_planes(q, digits):
     """One-hot digit planes: out[d][v] marks the ranks whose d-th digit
-    is v."""
-    return digit_planes(q, digits, [[(v, v + 1)] for v in range(q)])
+    is v.  Built once per (q, digits), as tuples."""
+    return tuple(map(tuple, digit_planes(q, digits,
+                                         [[(v, v + 1)] for v in range(q)])))
 
 
 def _apply(f, x, y, q):
@@ -226,11 +232,10 @@ class _Box:
         return reduce(operator.or_, value, 0)
 
 
-def _count(quadratic, slots, coords, arith):
-    """The monomial count of P(X + a) at every point of a block: returns
-    (fixed, counters), where the count is fixed plus the binary number
-    whose bit b is in counters[b]."""
-    fixed = quadratic
+def _count(fixed, slots, coords, arith):
+    """The number of nonzero slots at every point of a block, plus fixed:
+    returns (fixed, counters), where the count is fixed plus the binary
+    number whose bit b is in counters[b]."""
     counters = []
     for slot in slots:
         value = arith.slot(coords, *slot)
@@ -247,7 +252,24 @@ def _count(quadratic, slots, coords, arith):
     return fixed, counters
 
 
-def _blocks(ring, values, terms, k, free, zero_sum, nonconstant=False):
+def term_slots(ring, terms, k, nonconstant=False):
+    """The slots of slot_table for the payload term map `terms`, shifted
+    in its first k positions, as _blocks takes them: returns (fixed,
+    slots), where fixed counts the terms of degree 2 in those positions,
+    which never move, and each slot is (const, linear, quad), the value
+    const + sum of c * a_i over the (i, c) of linear + sum of
+    c * a_i * a_j over the ((i, j), c) of quad."""
+    fixed, groups = slot_table(ring, terms, range(k), nonconstant)
+    slots = []
+    for linear, quad, const in groups:
+        slots += [(c, list(deriv.items()), ()) for _, c, deriv in linear]
+        if const is not None:
+            slots.append((const, [(i, c) for i, c, _ in linear],
+                          list(quad.items())))
+    return fixed, slots
+
+
+def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     """The domain in blocks of at most PLANE_BITS ranks, in rank order.
 
     The domain is every vector whose coordinates off `free` are 0,
@@ -258,18 +280,9 @@ def _blocks(ring, values, terms, k, free, zero_sum, nonconstant=False):
     (offset, coords, inside, fixed, counters) per block: its first rank,
     the coordinates (a payload, or planes as _Residues or _Box hold
     them), the mask of its points that lie in the domain, and the counts
-    of _count, which are exact on those points.
+    of _count over the slots, which are exact on those points.
     """
     nv = len(values)
-    quadratic, groups = slot_table(ring, terms, range(k), nonconstant)
-    # each slot as (const, linear, quad): const + sum of c * a_i over the
-    # (i, c) of linear + sum of c * a_i * a_j over the ((i, j), c) of quad
-    slots = []
-    for linear, quad, const in groups:
-        slots += [(c, list(deriv.items()), ()) for _, c, deriv in linear]
-        if const is not None:
-            slots.append((const, [(i, c) for i, c, _ in linear],
-                          list(quad.items())))
     sliced = 0  # free coordinates that get planes: the lowest ones
     while sliced < len(free) and nv ** (sliced + 1) <= PLANE_BITS:
         sliced += 1
@@ -292,7 +305,21 @@ def _blocks(ring, values, terms, k, free, zero_sum, nonconstant=False):
             coords[0], inside = arith.forced(coords, free)
         if inside:
             yield ((block * width, coords, inside)
-                   + _count(quadratic, slots, coords, arith))
+                   + _count(fixed, slots, coords, arith))
+
+
+def _least(counters, points):
+    """The least count over the points of a block, less its fixed part,
+    and the mask of the points that reach it: one bit at a time from the
+    top."""
+    low = 0
+    for b in reversed(range(len(counters))):
+        rest = points & ~counters[b]
+        if rest:
+            points = rest
+        else:
+            low |= 1 << b
+    return low, points
 
 
 def sliced_min_count(ring, terms, k, free, zero_sum, nonconstant=False):
@@ -307,16 +334,9 @@ def sliced_min_count(ring, terms, k, free, zero_sum, nonconstant=False):
     """
     best = None
     for offset, coords, inside, fixed, counters in _blocks(
-            ring, range(ring.modulus), terms, k, free, zero_sum, nonconstant):
-        # the least count, one bit at a time from the top
-        low = 0
-        points = inside
-        for b in reversed(range(len(counters))):
-            rest = points & ~counters[b]
-            if rest:
-                points = rest
-            else:
-                low |= 1 << b
+            ring, range(ring.modulus),
+            *term_slots(ring, terms, k, nonconstant), k, free, zero_sum):
+        low, points = _least(counters, inside)
         first = coords[0] if zero_sum else 0
         if not isinstance(first, int):
             # the forced coordinate leads the vector comparison
@@ -328,6 +348,19 @@ def sliced_min_count(ring, terms, k, free, zero_sum, nonconstant=False):
     return best[0], best[2]
 
 
+def sliced_min_slots(ring, values, slots, k, free, zero_sum):
+    """Least number of nonzero slots over the domain of _blocks, over Z_q
+    or an integer box, and the rank of one point that reaches it, or
+    None when the domain is empty; slots are as in term_slots."""
+    best = None
+    for offset, _, inside, fixed, counters in _blocks(
+            ring, values, 0, slots, k, free, zero_sum):
+        low, points = _least(counters, inside)
+        if best is None or fixed + low < best[0]:
+            best = fixed + low, offset + (points & -points).bit_length() - 1
+    return best
+
+
 def sliced_ranks_below(ring, values, terms, k, free, zero_sum, threshold):
     """The number of points of the domain of _blocks, over Z_q or an
     integer box, and the ranks, ascending, of those where P(X + a) has
@@ -335,7 +368,7 @@ def sliced_ranks_below(ring, values, terms, k, free, zero_sum, threshold):
     points = 0
     ranks = []
     for offset, _, inside, fixed, counters in _blocks(
-            ring, values, terms, k, free, zero_sum):
+            ring, values, *term_slots(ring, terms, k), k, free, zero_sum):
         points += inside.bit_count()
         # compare each count with the threshold, one bit at a time from
         # the top: below holds the points already known to be smaller,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .errors import ArityError, FormatError
+from .errors import ArityError, FormatError, quoted
 from .rings import RingElement
 from .sparsepoly import (
     Reader,
@@ -187,7 +187,7 @@ def parse_node_line(parts, ring, line):
         return nid, kind, ring.parse_coeff(args[0]).val
     if kind in (MUL, ADD):
         return nid, kind, tuple(parse_int(a, line) for a in args)
-    raise FormatError("unknown node kind %r" % kind)
+    raise FormatError("unknown node kind %s" % quoted(kind))
 
 
 def read_circuit_line(reader, nodes, outputs, parts, line):

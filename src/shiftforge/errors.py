@@ -5,6 +5,19 @@ violated preconditions and domain problems are 3, exceeded budgets are 4.
 """
 
 
+# characters of a file token or line that a message quotes in full
+QUOTE_LIMIT = 40
+
+
+def quoted(text):
+    """repr(text) for an error message; a longer text than QUOTE_LIMIT is
+    cut to its head and its length, so a huge token gives a short
+    message."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:QUOTE_LIMIT], len(text))
+
+
 class ShiftForgeError(Exception):
     """Base class for every error raised by this package."""
 

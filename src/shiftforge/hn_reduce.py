@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     StructureError,
     UnsupportedDomainError,
+    quoted,
 )
 from .quadratizer import (
     EquationSystem,
@@ -287,14 +288,14 @@ def witness_from_text(text):
         if name in ("xprime", "wvars"):
             fields[name] = tuple(parse_int(v, line) for v in parts[1:])
         elif len(parts) < 2:
-            raise FormatError("missing value in %r" % line)
+            raise FormatError("missing value in %s" % quoted(line))
         elif name != "gamma":
             fields[name] = parse_int(parts[1], line)
         else:
             try:
                 fields[name] = reader.ring.parse_coeff(parts[1])
             except FormatError as exc:
-                raise FormatError("%s in %r" % (exc, line)) from exc
+                raise FormatError("%s in %s" % (exc, quoted(line))) from exc
 
     names = ("gamma", "x0", "xprime", "wvars", "g1")
     reader.read(text, dict.fromkeys(names, field))

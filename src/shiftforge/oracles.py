@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .bitslice import MAX_MODULUS, sliced_min_count, sliced_ranks_below
+from .bitslice import MAX_MODULUS, sliced_min_count, sliced_min_slots, sliced_ranks_below
 from .errors import (
     ArityError,
     CapExceededError,
@@ -32,7 +32,7 @@ from .hn_reduce import (
 )
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_solution, extend_solution
-from .rings import RATIONALS, RingElement
+from .rings import INTEGERS, RATIONALS, RingElement
 from .sparsepoly import eval_payload, format_vector, shift_counts, shifted_term_map
 
 DEFAULT_ENUM_CAP = 10 ** 7
@@ -287,6 +287,19 @@ def _shift_scores(subject, walk):
             for _, vec in walk)
 
 
+def _sliced(dom, ring):
+    """Whether the bit-sliced kernel counts over the domain: every vector
+    over Z_q with q at most MAX_MODULUS, or an integer box over Z."""
+    if dom.mode == EXHAUSTIVE:
+        return ring.is_finite and ring.modulus <= MAX_MODULUS
+    return dom.mode == BOX and ring.kind == INTEGERS
+
+
+def _at(values, free, k, restriction, ring, rank):
+    """The payload vector of an in-domain rank, by one walk step."""
+    return next(_walk(values, free, k, restriction, ring, rank, rank + 1))[1]
+
+
 def _sliced_scan(poly, dom, metric):
     """_scan's answer for a search over a whole small finite ring, from
     the bit-sliced kernel, in this process."""
@@ -295,8 +308,7 @@ def _sliced_scan(poly, dom, metric):
     count, rank = sliced_min_count(ring, poly.sparse_terms, poly.nvars, free,
                                    dom.restriction == ZERO_SUM,
                                    metric == "nonconstant")
-    _, vec = next(_walk(values, free, poly.nvars, dom.restriction, ring,
-                        rank, rank + 1))
+    vec = _at(values, free, poly.nvars, dom.restriction, ring, rank)
     return (count, tuple(vec)), size
 
 
@@ -308,12 +320,12 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
     a whole finite ring of at most MAX_MODULUS elements by the
     bit-sliced kernel, which ignores `jobs`, and otherwise by
     shift_counts.  Others are expanded at every point.  Either way the
-    winner is expanded once more and its count certified."""
+    winner is expanded once more and its count certified.  Integer boxes
+    stay on shift_counts: the kernel's tie-break reads one-hot planes."""
     if metric not in ("total", "nonconstant"):
         raise PreconditionError("metric must be total or nonconstant")
     ring = poly.ring
-    if (dom.mode == EXHAUSTIVE and ring.is_finite
-            and ring.modulus <= MAX_MODULUS and poly.degree() <= 2):
+    if _sliced(dom, ring) and ring.is_finite and poly.degree() <= 2:
         best, points = _sliced_scan(poly, dom, metric)
     else:
         best, points = _scan(_shift_scores, (poly, metric), dom, ring,
@@ -355,11 +367,37 @@ def _maxsat_scores(system, walk):
 
 def maxsat(system, dom, jobs=1):
     """Exact maximum number of simultaneously satisfiable rows over the
-    domain of assignments."""
-    best, _ = _scan(_maxsat_scores, system, dom, system.ring, system.n, jobs)
-    if best is None:
+    domain of assignments.
+
+    A row is unsatisfied where its slot b + c1*x_i + c2*x_j + c3*x_k is
+    nonzero.  On the domains of _sliced the bit-sliced kernel counts
+    those slots at every point at once, ignoring `jobs`, and the point
+    with the least count is certified by count_satisfied.  Other domains
+    are walked with count_satisfied at every point."""
+    ring = system.ring
+    if not _sliced(dom, ring):
+        best, _ = _scan(_maxsat_scores, system, dom, ring, system.n, jobs)
+        if best is None:
+            raise PreconditionError("search domain is empty")
+        return -best[0]
+    values, free, _ = _plan(dom, ring, system.n)
+    slots = [(b.val, [(j, c.val) for j, c in zip(idx, coeffs)], ())
+             for idx, coeffs, b in system.rows]
+    found = sliced_min_slots(ring, values, slots, system.n, free,
+                             dom.restriction == ZERO_SUM)
+    if found is None:
         raise PreconditionError("search domain is empty")
-    return -best[0]
+    unsatisfied, rank = found
+    x = [RingElement(ring, v)
+         for v in _at(values, free, system.n, dom.restriction, ring, rank)]
+    best = system.m - unsatisfied
+    exact = count_satisfied(system, x)
+    if exact != best:
+        raise InternalConsistencyError(
+            "assignment %s: counted %d satisfied rows, the rows give %d"
+            % (format_vector(x), best, exact)
+        )
+    return best
 
 
 # -- end-to-end verifiers ------------------------------------------------
@@ -463,8 +501,8 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
         ring, values, inst.polynomial.sparse_terms, k, shift_free, True, sigma)
     sparsifying = len(ranks)
     for rank in ranks:
-        _, vec = next(_walk(values, shift_free, k, ZERO_SUM, ring, rank, rank + 1))
-        b = tuple(RingElement(ring, v) for v in vec)
+        b = tuple(RingElement(ring, v)
+                  for v in _at(values, shift_free, k, ZERO_SUM, ring, rank))
         try:
             shift_to_solution(inst, b)
         except Exception as exc:  # noqa: BLE001 - recorded, not raised

@@ -27,7 +27,7 @@ from .circuits import (
     load_circuit,
     read_circuit_line,
 )
-from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
+from .errors import ArityError, FormatError, PreconditionError, RingMismatchError, quoted
 from .rings import RingElement
 from .sparsepoly import (
     Reader,
@@ -436,7 +436,7 @@ def system_from_text(text):
         tiers = tuple(tier for tier, _ in tagged)
         for tier in tiers:
             if tier not in (TIER_X, TIER_Y, TIER_Z):
-                raise FormatError("unknown tier prefix %r" % tier)
+                raise FormatError("unknown tier prefix %s" % quoted(tier))
         _check_tier_order(tiers)
 
     def body(parts, line):
@@ -462,7 +462,7 @@ def system_from_text(text):
         elif op in ("var", "mul", "sum"):
             steps.append((target, op, tuple(parse_int(a, line) for a in args)))
         else:
-            raise FormatError("unknown recipe op %r" % op)
+            raise FormatError("unknown recipe op %s" % quoted(op))
 
     statements = dict.fromkeys(("term", "node", "output"), body)
     statements.update(vars=catalog, eq=lambda parts, line: blocks.append(({}, {}, [])))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ArityError, FormatError, PreconditionError, RingMismatchError
+from .errors import ArityError, FormatError, PreconditionError, RingMismatchError, quoted
 
 INTEGERS = "Z"
 RATIONALS = "Q"
@@ -176,8 +176,8 @@ class Ring:
                     raise FormatError("ring %s needs a modulus" % kind)
                 return Ring(kind, int(parts[1]))
         except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        raise FormatError("unknown ring token %r" % " ".join(parts))
+            raise FormatError("bad modulus %s" % quoted(parts[1])) from exc
+        raise FormatError("unknown ring token %s" % quoted(" ".join(parts)))
 
     def parse_coeff(self, text):
         """Parse one coefficient in this ring's textual encoding."""
@@ -189,19 +189,25 @@ class Ring:
         Only the grammar format_coeff writes is read: -?[0-9]+, and over Q
         also -?[0-9]+/[0-9]+.  int and Fraction accept more, such as 1e2,
         1.5 and 1_000, and Fraction builds 10**e in full."""
+        num, slash, den = (text.partition("/") if self.kind == RATIONALS
+                           else (text, "", ""))
+        digits = num[1:] if num[:1] == "-" else num
+        if not (digits.isascii() and digits.isdigit()) or slash and not (
+                den.isascii() and den.isdigit()):
+            raise FormatError("bad coefficient %s" % quoted(text))
         try:
-            if self.kind == RATIONALS:
-                num, slash, den = text.partition("/")
-                digits = num.lstrip("-") + den
-                if not (digits.isascii() and digits.isdigit()) or slash and not den:
-                    raise FormatError("bad coefficient %r" % text)
-                return Fraction(int(num), int(den or 1))
-            digits = text.lstrip("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise FormatError("bad coefficient %r" % text)
-            v = int(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError("bad coefficient %r: %s" % (text, exc)) from exc
+            v = int(num)
+            if slash:
+                return Fraction(v, int(den))
+        except ValueError as exc:
+            # the grammar holds, so int() refused the length
+            raise FormatError("bad coefficient %s: too many digits"
+                              % quoted(text)) from exc
+        except ZeroDivisionError as exc:
+            raise FormatError("bad coefficient %s: zero denominator"
+                              % quoted(text)) from exc
+        if self.kind == RATIONALS:
+            return Fraction(v)
         return v if self.modulus is None else v % self.modulus
 
     def format_coeff(self, el):

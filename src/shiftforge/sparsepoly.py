@@ -28,6 +28,7 @@ from .errors import (
     FormatError,
     PreconditionError,
     RingMismatchError,
+    quoted,
 )
 from .rings import Ring, RingElement
 
@@ -562,7 +563,7 @@ class Reader:
                         raise FormatError("duplicate ring line")
                     self.ring = Ring.from_token(parts[1:])
                 elif handler is None and not (key == "vars" and self.vars_line):
-                    raise FormatError("unknown statement %r" % key)
+                    raise FormatError("unknown statement %s" % quoted(key))
                 elif self.ring is None:
                     raise FormatError("%s before ring" % key)
                 elif key == "vars":
@@ -602,7 +603,8 @@ def parse_int(token, line):
     try:
         return int(token)
     except ValueError as exc:
-        raise FormatError("bad integer %r in %r" % (token, line)) from exc
+        raise FormatError("bad integer %s in %s"
+                          % (quoted(token), quoted(line))) from exc
 
 
 def parse_vars_line(parts, line):
@@ -637,7 +639,7 @@ def read_term(reader, terms, parts, line):
     exps = key[1::2]
     if exps and min(exps) <= 0:
         if min(exps) < 0:
-            raise FormatError("negative exponent in %r" % line)
+            raise FormatError("negative exponent in %s" % quoted(line))
         key = [v for p, e in pairs(key) if e for v in (p, e)]  # such as "00"
     key = tuple(key)
     if key in terms:

@@ -24,6 +24,7 @@ from shiftforge import (
     save_system,
 )
 from shiftforge.cli import main
+from shiftforge.oracles import SUPPORT_LAST, ZERO_SUM, SearchDomain, maxsat
 
 F2 = prime_field(2)
 
@@ -204,6 +205,51 @@ def test_maxsat_command(tmp_path, capsys):
     code, out, _ = run(capsys, "maxsat", path, "--exhaustive")
     assert code == 0
     assert out == "maxsat 1\n"
+
+
+# (ring, n, m, gen-max3lin flags, seed, domain flags, stdout), recorded
+# from the walk before maxsat took the bit-sliced kernel
+FROZEN_MAXSAT = [
+    ("Fp 5", 5, 9, [], 3, ["--exhaustive"], "maxsat 7\n"),
+    ("Fp 7", 4, 8, [], 4, ["--exhaustive"], "maxsat 6\n"),
+    ("Zq 4", 5, 9, [], 5, ["--exhaustive"], "maxsat 7\n"),
+    ("Z", 5, 8, [], 6, ["--box", "1"], "maxsat 3\n"),
+    ("Z", 5, 8, ["--planted", "--noise", "2"], 7, ["--box", "2"], "maxsat 4\n"),
+]
+
+
+def gen_file(tmp_path, capsys, ring, n, m, flags, seed):
+    path = str(tmp_path / ("s%d.3lin" % seed))
+    code, _, _ = run(capsys, "gen-max3lin", "--n", str(n), "--m", str(m),
+                     "--ring", ring, "--seed", str(seed), "-o", path, *flags)
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("ring, n, m, flags, seed, domain, want", FROZEN_MAXSAT)
+def test_maxsat_frozen(tmp_path, capsys, ring, n, m, flags, seed, domain, want):
+    path = gen_file(tmp_path, capsys, ring, n, m, flags, seed)
+    assert run(capsys, "maxsat", path, *domain) == (0, want, "")
+
+
+def test_maxsat_frozen_under_restrictions(tmp_path, capsys):
+    # the CLI's maxsat takes no restriction flags, so these go through the API
+    boxes = [
+        (FROZEN_MAXSAT[3], SearchDomain.integer_box(1).restricted(ZERO_SUM), 3),
+        (FROZEN_MAXSAT[4], SearchDomain.integer_box(2).restricted(ZERO_SUM), 3),
+        (FROZEN_MAXSAT[3], SearchDomain.integer_box(1).restricted(SUPPORT_LAST, 2), 3),
+        (FROZEN_MAXSAT[4], SearchDomain.integer_box(2).restricted(SUPPORT_LAST, 2), 3),
+    ]
+    for (ring, n, m, flags, seed, _, _), dom, want in boxes:
+        L = load_max3lin(gen_file(tmp_path, capsys, ring, n, m, flags, seed))
+        assert maxsat(L, dom) == want
+
+
+def test_verify_max3lin_frozen_over_f5(tmp_path, capsys):
+    path = gen_file(tmp_path, capsys, "Fp 5", 3, 3, [], 8)
+    assert run(capsys, "verify-max3lin", path) == (0, (
+        "w 6\nsigma 12\nmaxsat 3\nmin_nonconstant 9\nexpected 9\nmatch true\n"
+    ), "")
 
 
 def test_verify_hn_frozen(tmp_path, capsys):

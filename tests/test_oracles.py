@@ -805,6 +805,92 @@ def test_maxsat_on_an_empty_domain_is_refused():
     assert solve_system(system(QQ, 3, [{(1, 0, 0): 1}]), dom) is None
 
 
+SLICED_MAXSAT_SPACES = (
+    [(ring, SearchDomain.exhaustive(), n)
+     for ring, n in ((F2, 6), (F3, 5), (F5, 4), (prime_field(7), 4),
+                     (modular(4), 4), (modular(6), 4))]
+    + [(ZZ, SearchDomain.integer_box(box), n)
+       for box, n in ((0, 5), (1, 5), (2, 4), (3, 4))])
+
+
+def test_sliced_maxsat_matches_the_walk_and_the_product(monkeypatch):
+    real_scan = oracles._scan
+
+    def no_scan(*args):
+        raise AssertionError("a bit-sliced maxsat domain was walked")
+
+    monkeypatch.setattr(oracles, "_scan", no_scan)
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+    rng = random.Random(251)
+    cases = blocks = 0
+    for ring, base, max_n in SLICED_MAXSAT_SPACES:
+        for planted, m in ((False, 0), (False, None), (True, None)):
+            n = rng.randint(3, max_n)
+            m = rng.randint(1, 2 * n) if m is None else m
+            L = gen_max3lin(n, m, ring, planted=planted,
+                            noise_count=rng.randint(0, m) if planted else 0,
+                            seed=rng.randrange(10 ** 6))
+            doms = [base, base.restricted(ZERO_SUM)]
+            doms += [base.restricted(SUPPORT_LAST, w) for w in range(n + 1)]
+            for dom in doms:
+                jobs = (1, 2, 3, 7)[cases % 4]
+                cases += 1
+                want = max(reference_rows_satisfied(L, vec)
+                           for vec in reference_points(dom, ring, n))
+                walk, _ = real_scan(oracles._maxsat_scores, L, dom, ring, n, jobs)
+                assert -walk[0] == want
+                # planes of 1 bit (every coordinate fixed per block), of
+                # some coordinates, and of the whole domain
+                size = oracles._plan(dom, ring, n)[2]
+                bits = (1, len(dom.values(ring)) + 1, 1 << 20)[cases % 3]
+                blocks += size > bits
+                monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
+                assert maxsat(L, dom, jobs=jobs) == want, \
+                    (ring, dom.mode, dom.bound, dom.restriction,
+                     dom.support_n, L.rows, bits)
+    assert cases >= 200 and blocks >= 50
+
+
+def test_sliced_maxsat_certifies_its_count(monkeypatch):
+    real = oracles.sliced_min_slots
+
+    def off_by_one(*args):
+        count, rank = real(*args)
+        return count + 1, rank
+
+    monkeypatch.setattr(oracles, "sliced_min_slots", off_by_one)
+    for ring, dom, _ in SLICED_MAXSAT_SPACES[1::3]:
+        L = gen_max3lin(4, 5, ring, seed=7)
+        with pytest.raises(InternalConsistencyError,
+                           match="counted .* satisfied rows"):
+            maxsat(L, dom)
+
+
+def test_maxsat_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
+    def no_slices(*args):
+        raise AssertionError("the sliced kernel ran out of its scope")
+
+    monkeypatch.setattr(oracles, "sliced_min_slots", no_slices)
+    for ring, dom in ((prime_field(11), SearchDomain.exhaustive()),
+                      (modular(8), SearchDomain.exhaustive()),
+                      (QQ, SearchDomain.integer_box(1)),
+                      (QQ, SearchDomain.rational_grid([0, 1], [1, 2]))):
+        L = gen_max3lin(3, 4, ring, seed=3)
+        want = max(reference_rows_satisfied(L, vec)
+                   for vec in reference_points(dom, ring, 3))
+        assert maxsat(L, dom) == want
+
+
+def test_class_planes_are_built_once_per_shape():
+    bitslice.class_planes.cache_clear()
+    planes = bitslice.class_planes(3, 4)
+    assert bitslice.class_planes(3, 4) is planes
+    assert isinstance(planes, tuple) and isinstance(planes[0], tuple)
+    assert planes == tuple(map(tuple, bitslice.digit_planes(
+        3, 4, [[(v, v + 1)] for v in range(3)])))
+    assert bitslice.class_planes.cache_info().maxsize == 4
+
+
 def random_box_poly(rng, k, unshifted):
     """A Z term map of degree at most 2 in its first k positions, with
     unshifted positions after them, and coefficients up to 10**30."""
@@ -826,7 +912,7 @@ def box_counts_from_planes(values, terms, k, free, zero_sum):
     counts = {}
     blocks = 0
     for offset, _, inside, fixed, counters in bitslice._blocks(
-            ZZ, values, terms, k, free, zero_sum):
+            ZZ, values, *bitslice.term_slots(ZZ, terms, k), k, free, zero_sum):
         blocks += 1
         for bit in range(inside.bit_length()):
             if inside >> bit & 1:

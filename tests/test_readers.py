@@ -186,3 +186,37 @@ def test_second_output_line_is_rejected(tmp_path, loader, name, text, lineno):
     with pytest.raises(FormatError, match="^duplicate output line") as info:
         loader(str(path))
     assert (info.value.path, info.value.line) == (str(path), lineno)
+
+
+HUGE = "7" * 5000
+
+
+@pytest.mark.parametrize("command, name, text, lineno", [
+    ("sparsity", "c.poly", "ring Z\nvars 1 x\nterm %s 1\n" % HUGE, 3),
+    ("sparsity", "c.poly", "ring Q\nvars 1 x\nterm 1/%s 1\n" % HUGE, 3),
+    ("sparsity", "e.poly", "ring Z\nvars 1 x\nterm 1 %s\n" % HUGE, 3),
+    ("sparsity", "m.poly", "ring Fp %s\nvars 1 x\nterm 1 1\n" % HUGE, 1),
+    ("maxsat", "s.3lin", "ring Z\nvars 3\neq 1 1 2 1 3 1 -%s\n" % HUGE, 3),
+    ("maxsat", "s.3lin", "ring Z\nvars 3\neq 1 1 2 1 3 1 --%s\n" % HUGE, 3),
+], ids=["coefficient", "denominator", "exponent", "modulus", "row constant",
+        "two signs"])
+def test_huge_tokens_give_short_messages(tmp_path, capsys, command, name, text,
+                                         lineno):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)] + (["--box", "1"] if command == "maxsat" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error: bad ")
+    assert err.endswith("(%s:%d)\n" % (path, lineno))
+    assert len(err.encode()) < 300, err
+    assert "7" * 41 not in err and "set_int_max_str_digits" not in err
+
+
+def test_quoted_tokens_are_cut_to_a_fixed_length():
+    from shiftforge.errors import QUOTE_LIMIT, quoted
+
+    assert quoted("term 1 0 q -1") == "'term 1 0 q -1'"
+    head = "9" * QUOTE_LIMIT
+    assert quoted(head) == repr(head)
+    assert quoted(head + "99") == "%r... (%d characters)" % (head, QUOTE_LIMIT + 2)
