@@ -23,6 +23,7 @@ from functools import partial
 from itertools import chain
 
 from .errors import (
+    QUOTE_LIMIT,
     ArityError,
     CapExceededError,
     FormatError,
@@ -92,65 +93,138 @@ def catalog_names(nvars, var_names):
     return var_names
 
 
-def shifted_term_map(ring, terms, offsets):
-    """Term map of P(X + a) from a payload term map and payload offsets.
+def split_terms(terms, moving):
+    """Group a payload term map by the unshifted part of every key.
 
-    Expands each term by the binomial theorem, one moving variable at a
-    time, and accumulates with cancellation.  The coefficients
-    C(e, k) * a^(e-k) of one variable come from a Pascal-row recurrence,
-    from k = e down to 0; the running binomial stays an exact integer,
-    because the recurrence divides it.  When the expansion may have more
-    than term_cap() monomials, the sum over terms of the product of
-    (e + 1) over their moving variables, CapExceededError is raised
-    before any of it is built.
+    moving is the set of shifted positions.  Returns a map from rest to
+    the list of (mov, c) of its terms, in the order the terms come: rest
+    holds a key's pairs off moving and mov its pairs on moving, both
+    flat sparse keys.  A shift changes only the mov part of a monomial,
+    so the terms of two groups never merge, and the monomials of P(X + a)
+    are the union of those of its groups.
     """
-    m = ring.modulus
-    if not any(offsets):
-        return dict(terms)
-    plan = []  # (key, coefficient, key indices of the moving positions)
-    worst = 0
+    groups = {}
     for key, c in terms.items():
-        moving = [j for j in range(0, len(key), 2) if offsets[key[j]]]
-        size = 1
-        for j in moving:
-            size *= key[j + 1] + 1
-        worst += size
-        plan.append((key, c, moving))
-    check_term_cap(worst, "shifted polynomial")
-    out = {}
-    for key, c, moving in plan:
-        if not moving:
-            out[key] = out.get(key, 0) + c
-            continue
-        # the expansion of one term, one moving position at a time: each
-        # level extends every partial key by the pairs up to that
-        # position, and the last level by the rest of the key as well
-        partial = [((), c)]
-        start = 0
-        for j in moving:
-            p, e = key[j], key[j + 1]
-            a = offsets[p]
-            head = key[start:j]
-            start = j + 2
-            tail = key[start:] if j == moving[-1] else ()
+        positions = key[::2]
+        if moving.isdisjoint(positions):
+            rest, mov = key, ()
+        elif moving.issuperset(positions):
+            rest, mov = (), key
+        else:
+            rest = mov = ()
+            it = iter(key)
+            for p, e in zip(it, it):
+                if p in moving:
+                    mov += (p, e)
+                else:
+                    rest += (p, e)
+        group = groups.get(rest)
+        if group is None:
+            groups[rest] = [(mov, c)]
+        else:
+            group.append((mov, c))
+    return groups
+
+
+def _expansion(mov, offsets, m):
+    """The (subkey, coefficient) pairs of the product over the pairs
+    (p, e) of mov of (x_p + a_p)^e; a subkey is the flat sparse key of a
+    monomial over the positions of mov.
+
+    The coefficients C(e, k) * a^(e-k) of one variable come from a
+    Pascal-row recurrence, from k = e down to 0; the running binomial
+    stays an exact integer, because the recurrence divides it."""
+    partial = [((), 1)]
+    for p, e in pairs(mov):
+        a = offsets[p]
+        if e == 1:  # x_p + a_p, where a_p is a reduced payload already
+            opts = (((), a), ((p, 1), 1))
+        else:
             opts = []
             binom = 1
             power = 1
             for k in range(e, -1, -1):
                 s = binom * power
-                opts.append((head + (p, k) + tail if k else head + tail,
-                             s if m is None else s % m))
+                opts.append(((p, k) if k else (), s if m is None else s % m))
                 binom = binom * k // (e - k + 1)
                 power *= a
                 if m is not None:
                     power %= m
             opts.reverse()
-            partial = [(pk + piece, ps * s) for pk, ps in partial for piece, s in opts]
-        for k, s in partial:
-            out[k] = out.get(k, 0) + s
-    if m is not None:
-        return {e: v % m for e, v in out.items() if v % m}
-    return {e: v for e, v in out.items() if v}
+        partial = [(pk + piece, ps * s) for pk, ps in partial for piece, s in opts]
+    return partial
+
+
+def shifted_term_map(ring, terms, offsets):
+    """Term map of P(X + a) from a payload term map and payload offsets.
+
+    The terms, nonzero reduced payloads as sparse_terms holds them, are
+    grouped by their unshifted part with split_terms.  Each distinct
+    moving part is expanded by the binomial theorem once per call
+    (_expansion), however many groups hold it; a group sums its
+    expansions on the short moving subkeys, and only the nonzero sums
+    are merged with the group's rest into full keys.  A term with no
+    moving part, alone in its group, is its own output.  When the
+    expansion may have more than term_cap() monomials, the sum over
+    terms (not over distinct moving parts) of the product of (e + 1)
+    over their moving variables, CapExceededError is raised before any
+    of it is built.
+    """
+    m = ring.modulus
+    moving = {p for p, a in enumerate(offsets) if a}
+    if not moving:
+        return dict(terms)
+    groups = split_terms(terms, moving)
+    sizes = {}  # the monomial count of each distinct moving part
+    worst = 0
+    for group in groups.values():
+        for mov, _ in group:
+            size = sizes.get(mov)
+            if size is None:
+                size = 1
+                for e in mov[1::2]:
+                    size *= e + 1
+                sizes[mov] = size
+            worst += size
+    check_term_cap(worst, "shifted polynomial")
+    # every moving part is expanded once, onto subkeys numbered in the
+    # order they first appear, so the sums below hash small ints
+    ids = {}
+    expansions = {}
+    for mov in sizes:
+        expansions[mov] = [(ids.setdefault(sub, len(ids)), s)
+                           for sub, s in _expansion(mov, offsets, m)]
+    subs = list(ids)
+    tails = [None] * len(subs)  # the pairs of each subkey, as merges need them
+    out = {}
+    for rest, group in groups.items():
+        if len(group) == 1 and not group[0][0]:
+            out[rest] = group[0][1]  # a term alone in its group, unshifted
+            continue
+        head = None  # the pairs of rest, as merges need them
+        acc = {}
+        for mov, c in group:
+            for i, s in expansions[mov]:
+                acc[i] = acc.get(i, 0) + c * s
+        for i, v in acc.items():
+            if m is not None:
+                v %= m
+            if not v:
+                continue
+            sub = subs[i]
+            # keys on disjoint ordered position ranges concatenate
+            if not rest or not sub or rest[-2] < sub[0]:
+                out[rest + sub] = v
+            elif sub[-2] < rest[0]:
+                out[sub + rest] = v
+            else:
+                if head is None:
+                    head = list(pairs(rest))
+                tail = tails[i]
+                if tail is None:
+                    tail = tails[i] = list(pairs(sub))
+                out[tuple(chain.from_iterable(sorted(head + tail)))] = v
+    return out
 
 
 def slot_table(ring, terms, shifted, nonconstant=False):
@@ -174,38 +248,29 @@ def slot_table(ring, terms, shifted, nonconstant=False):
       with nonconstant set, in the group whose unshifted exponents are
       all 0.
     """
-    shifted = set(shifted)
-    groups = {}
-    quadratic = 0
-    for key, c in terms.items():
-        moving = []
-        rest = ()
-        for p, e in pairs(key):
-            if p not in shifted:
-                rest += (p, e)
-            elif len(moving) + e > 2:
-                raise PreconditionError(
-                    "term %r has degree above 2 in the shifted positions" % (key,))
-            else:
-                moving += [p] * e
-        quadratic += len(moving) == 2
-        groups.setdefault(rest, []).append((moving, c))
-
     zero = ring.canon(0)
+    quadratic = 0
     table = []
-    for rest, group in groups.items():
+    for rest, group in split_terms(terms, set(shifted)).items():
         lin = {}
         quad = {}
         const = zero
-        for moving, c in group:
-            if len(moving) == 2:
-                quad[tuple(moving)] = c
-                for i in moving:
-                    lin.setdefault(i, zero)
-            elif moving:
-                lin[moving[0]] = lin.get(moving[0], zero) + c
-            else:
+        for mov, c in group:
+            # mov is 1, x_i, x_i^2 or x_i * x_j with i < j
+            if not mov:
                 const = c
+            elif len(mov) == 2 and mov[1] == 1:
+                lin[mov[0]] = lin.get(mov[0], zero) + c
+            elif mov[1::2] in ((2,), (1, 1)):
+                quadratic += 1
+                i, j = mov[0], mov[-2]
+                quad[i, j] = c
+                lin.setdefault(i, zero)
+                lin.setdefault(j, zero)
+            else:
+                raise PreconditionError(
+                    "term %r has degree above 2 in the shifted positions"
+                    % (map_key(dict(pairs(rest + mov))),))
         deriv = {i: {} for i in lin}
         for (i, j), c in quad.items():
             if i == j:
@@ -387,10 +452,14 @@ class SparsePoly:
     def sorted_keys(self):
         """Keys in graded-lexicographic descending order of their dense
         vectors: by degree, then by the pairs with each position negated,
-        since an earlier position is the larger exponent vector."""
+        since an earlier position is the larger exponent vector.  Two
+        stable passes, the second by degree, sort on cheaper keys than
+        one pass by (degree, pairs)."""
         signs = (-1, 1) * self.nvars
-        return sorted(self.sparse_terms, reverse=True, key=lambda k: (
-            sum(k[1::2]), tuple(map(operator.mul, k, signs))))
+        keys = sorted(self.sparse_terms, reverse=True,
+                      key=lambda k: tuple(map(operator.mul, k, signs)))
+        keys.sort(reverse=True, key=lambda k: sum(k[1::2]))
+        return keys
 
     # -- arithmetic --------------------------------------------------
 
@@ -643,8 +712,10 @@ def read_term(reader, terms, parts, line):
         key = [v for p, e in pairs(key) if e for v in (p, e)]  # such as "00"
     key = tuple(key)
     if key in terms:
-        exps = dense_exps(key, reader.nvars)
-        raise FormatError("duplicate exponent vector %r" % (exps,))
+        exps = repr(dense_exps(key, reader.nvars))
+        if len(exps) > QUOTE_LIMIT:
+            exps = quoted(exps)
+        raise FormatError("duplicate exponent vector %s" % exps)
     terms[key] = coef
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb
 
 import pytest
@@ -19,6 +19,7 @@ from shiftforge import (
     modular,
     prime_field,
 )
+from shiftforge.amplifier import amplified_shift, amplify
 from shiftforge.sparsepoly import (
     poly_from_text,
     poly_to_text,
@@ -371,6 +372,71 @@ def test_shifted_term_map_matches_direct_formula():
             assert shifted_term_map(ring, sparse_terms(p.terms), offsets) == (
                 sparse_terms(direct_shifted_term_map(ring, p.terms, offsets))
             )
+
+
+def pooled_poly(ring, rng, nvars, moving):
+    """A polynomial over nvars variables whose terms are products of an
+    unshifted part and a moving monomial, each from a pool of four, with
+    at most 4 nonzero exponents in all: many terms share a group, and
+    many groups share a moving monomial."""
+    fixed = [p for p in range(nvars) if p not in moving]
+
+    def pool(positions):
+        return [{p: rng.randint(1, 3)
+                 for p in rng.sample(positions, rng.randint(0, min(2, len(positions))))}
+                for _ in range(4)]
+
+    rests, movs = pool(fixed), pool(sorted(moving))
+    terms = {}
+    for _ in range(rng.randint(1, 14)):
+        exps = [0] * nvars
+        for p, e in chain(rng.choice(rests).items(), rng.choice(movs).items()):
+            exps[p] = e
+        terms[tuple(exps)] = random_nonzero(ring, rng).val
+    return P(ring, nvars, terms)
+
+
+def test_regrouped_shift_matches_direct_formula():
+    rng = random.Random(229)
+    for ring in (ZZ, QQ, F5, modular(4), Z6):
+        for _ in range(30):
+            nvars = rng.randint(12, 30)
+            moving = set(rng.sample(range(nvars), rng.randint(1, nvars - 1)))
+            p = pooled_poly(ring, rng, nvars, moving)
+            offsets = [random_offsets(ring, rng, 1)[0] if j in moving else ring.zero
+                       for j in range(nvars)]
+            vals = [o.val for o in offsets]
+            assert shifted_term_map(ring, p.sparse_terms, vals) == (
+                sparse_terms(direct_shifted_term_map(ring, p.terms, vals)))
+            # P(X - a) shifted by a is P again, through cancellation in
+            # every group
+            back = p.shift([-o for o in offsets])
+            assert back.shift(offsets) == p
+
+
+def test_regrouped_shift_of_amplified_products():
+    rng = random.Random(233)
+    for ring in (ZZ, F5, Z6):
+        for copies in (2, 3):
+            base = pooled_poly(ring, rng, 4, {2, 3})
+            inst = amplify(base, copies)
+            per_copy = [[ring.zero, ring.zero] + random_offsets(ring, rng, 2)
+                        for _ in range(copies)]
+            flat = [v for vec in per_copy for v in vec]
+            assert inst.polynomial.shift(flat) == amplified_shift(inst, per_copy)
+
+
+def test_shift_cap_counts_every_term_of_a_shared_moving_monomial(monkeypatch):
+    # ten groups share the moving monomial y^5: 10 * 6 monomials at most
+    terms = {tuple(1 if j == i else 0 for j in range(10)) + (5,): 1 for i in range(10)}
+    p = P(ZZ, 11, terms)
+    by = [ZZ.zero] * 10 + [ZZ.one]
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "59")
+    with pytest.raises(CapExceededError,
+                       match=r"^shifted polynomial may reach 60 terms, cap is 59$"):
+        p.shift(by)
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "60")
+    assert p.shift(by).sparsity() == 60
 
 
 def test_exponents_are_read_as_integers():
