@@ -25,6 +25,16 @@ TAOCP 4A, 7.1.3).
 A plane has at most PLANE_BITS bits: the lowest free coordinates get
 planes, and the higher ones are fixed for one block and enter as
 constants, so memory stays bounded whatever the size of the domain.
+
+What depends only on the shape of a block is built once and cached: the
+coordinate planes (class_planes over Z_q, box_planes over a box) and,
+over a box under zero_sum, the forced coordinate and its in-box mask
+(box_forced).  Under zero_sum, coordinate 0 and the free coordinates sum
+to 0 (mod q over Z_q), so subtracting one t from all their linear
+coefficients leaves a slot's value unchanged at every point of the
+domain; _balanced takes t as each slot's commonest coefficient there,
+which turns the HN wiring slot x0 + x1 + ... + 3*x3 + ... + x6 - 2*x1^2
+into 2*x3 - 2*x1^2.
 """
 
 from __future__ import annotations
@@ -121,6 +131,50 @@ class _Residues:
         return self.full ^ value[0]
 
 
+# one entry is digits * (span - 1).bit_length() planes of at most
+# PLANE_BITS bits: at most 2.9 MiB (a box of 10 values, 6 digits), so the
+# cache holds at most about 12 MB
+@lru_cache(maxsize=4)
+def box_planes(lo, hi, digits):
+    """The coordinates of _Box for `digits` coordinates over the box
+    lo..hi, one per digit of the rank, most significant first: each is
+    (lo, bits), where bits lists (2^b, plane of bit b of its offset from
+    lo).  Built once per (lo, hi, digits), as tuples."""
+    # bit b of a digit is set on runs of 2^b digits from 2^b on
+    span = hi - lo + 1
+    runs = [[(r, min(r + (1 << b), span)) for r in range(1 << b, span, 2 << b)]
+            for b in range((span - 1).bit_length())]
+    return tuple((lo, tuple((1 << b, p) for b, p in enumerate(bits)))
+                 for bits in digit_planes(span, digits, runs))
+
+
+# one entry is the offset bits of coordinate 0 and its in-box mask,
+# (span - 1).bit_length() + 1 planes of at most PLANE_BITS bits: at most
+# 2.7 MiB (a box of 2^20 values, 1 digit), so the cache holds at most
+# about 21 MB
+@lru_cache(maxsize=8)
+def box_forced(lo, hi, digits, const):
+    """Coordinate 0 of a zero-sum block over the box lo..hi whose planed
+    coordinates are those of box_planes(lo, hi, digits) and whose fixed
+    free coordinates sum to -const: x0 = const minus the sum of the
+    planed ones, and the mask of the points where it lies in the box,
+    from the sign tests of x0 - lo >= 0 and hi - x0 >= 0.  In the box,
+    x0 - lo is its offset from lo, so x0 is held as (lo, bits); with no
+    planed coordinates it is an int, and the mask is 1 or 0."""
+    box = _Box(lo, hi, (1 << (hi - lo + 1) ** digits) - 1)
+    # each free coordinate is lo plus its offset bits
+    const -= digits * lo
+    terms = [(-k, p) for _, bits in box_planes(lo, hi, digits)
+             for k, p in bits]
+    if not terms:
+        return const, box.full if lo <= const <= hi else 0
+    up = box.bits(const - lo, terms, True)
+    down = box.bits(hi - const, [(-k, p) for k, p in terms], True)
+    inside = box.full & ~(up[-1] | down[-1])
+    nbits = (hi - lo).bit_length()
+    return (lo, tuple((1 << b, p) for b, p in enumerate(up[:nbits]))), inside
+
+
 class _Box:
     """Values over the integer box lo..hi as two's-complement bit planes.
 
@@ -130,40 +184,24 @@ class _Box:
     coordinate bits and ANDs of two of them; its bits come from adding
     each column of planes with full adders."""
 
-    def __init__(self, values, full):
-        self.lo = values[0]
-        self.hi = values[-1]
+    def __init__(self, lo, hi, full):
+        self.lo = lo
+        self.hi = hi
         self.full = full
 
     def coordinates(self, digits):
-        # bit b of a digit is set on runs of 2^b digits from 2^b on
-        span = self.hi - self.lo + 1
-        runs = [[(lo, min(lo + (1 << b), span))
-                 for lo in range(1 << b, span, 2 << b)]
-                for b in range((span - 1).bit_length())]
-        return [(self.lo, [(1 << b, p) for b, p in enumerate(bits)])
-                for bits in digit_planes(span, digits, runs)]
+        return box_planes(self.lo, self.hi, digits)
 
     def forced(self, coords, free):
-        """Coordinate 0 as minus the sum of the free ones, and the mask of
-        the points where it lies in the box: the sign tests of x0 - lo >= 0
-        and hi - x0 >= 0.  In the box, x0 - lo is its offset from lo."""
-        const = 0
-        terms = []
+        """Coordinate 0 as box_forced gives it for the block."""
+        const = digits = 0
         for pos in free:
             x = coords[pos]
             if isinstance(x, int):
                 const -= x
             else:
-                const -= x[0]
-                terms += [(-k, p) for k, p in x[1]]
-        if not terms:
-            return const, self.full if self.lo <= const <= self.hi else 0
-        up = self.bits(const - self.lo, terms, True)
-        down = self.bits(self.hi - const, [(-k, p) for k, p in terms], True)
-        inside = self.full & ~(up[-1] | down[-1])
-        nbits = (self.hi - self.lo).bit_length()
-        return (self.lo, [(1 << b, p) for b, p in enumerate(up[:nbits])]), inside
+                digits += 1
+        return box_forced(self.lo, self.hi, digits, const)
 
     def slot(self, coords, const, linear, quad):
         """A slot of _blocks at the coordinates coords: an int when it is
@@ -176,6 +214,15 @@ class _Box:
                 x, y = y, x
             if isinstance(y, int):
                 linear.append((c * y, x))
+                continue
+            if i == j:
+                # (o + sum of k * [p])^2, where [p]^2 = [p] and each pair
+                # of distinct bits comes twice
+                o, e = x
+                const += c * o * o
+                terms += [(c * k * (2 * o + k), p) for k, p in e]
+                terms += [(2 * c * k * m, p & r)
+                          for n, (k, p) in enumerate(e) for m, r in e[n + 1:]]
                 continue
             (o1, e1), (o2, e2) = x, y
             const += c * o1 * o2
@@ -269,6 +316,30 @@ def term_slots(ring, terms, k, nonconstant=False):
     return fixed, slots
 
 
+def _balanced(ring, slots, domain):
+    """The slots with t subtracted from the linear coefficient of every
+    position of `domain`, where t is a slot's commonest coefficient there
+    (an absent one is 0), and ties go to 0.
+
+    Under zero_sum the coordinates of domain, coordinate 0 and the free
+    ones, sum to 0 (mod q over Z_q), so each slot keeps its value at
+    every point of the domain, and it never gets more nonzero
+    coefficients.  The positions of a slot's linear part are distinct."""
+    out = []
+    for const, linear, quad in slots:
+        # t can beat 0 only where most of domain has nonzero coefficients
+        if 2 * len(linear) > len(domain):
+            coef = dict(linear)
+            column = [coef.get(i, 0) for i in domain]
+            t = max(column, key=column.count)
+            if column.count(t) > column.count(0):
+                for i, c in zip(domain, column):
+                    coef[i] = ring.canon(c - t)
+                linear = [(i, c) for i, c in sorted(coef.items()) if c]
+        out.append((const, linear, quad))
+    return out
+
+
 def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     """The domain in blocks of at most PLANE_BITS ranks, in rank order.
 
@@ -290,8 +361,10 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     width = nv ** sliced
     full = (1 << width) - 1
     arith = (_Residues(ring.modulus, full) if ring.is_finite
-             else _Box(values, full))
+             else _Box(values[0], values[-1], full))
     planes = arith.coordinates(sliced)
+    if zero_sum:
+        slots = _balanced(ring, slots, [0] + free)
     for block in range(nv ** len(high)):
         coords = [0] * k
         for pos, p in zip(free[len(high):], planes):

@@ -363,9 +363,26 @@ def _build_parser():
     return parser
 
 
+# options whose value may start with '-' without being a plain negative
+# number, such as -1,2 or -3/2; argparse would take it for an option
+_SIGNED_VALUES = ("--by", "--gamma", "--e0")
+
+
+def _joined(argv):
+    """argv with `--by -1,2` written as `--by=-1,2`, and likewise for
+    every option of _SIGNED_VALUES, so both spellings parse alike."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUES:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except FormatError as exc:

@@ -32,6 +32,7 @@ from .rings import RingElement
 from .sparsepoly import (
     Reader,
     SparsePoly,
+    check_term_cap,
     default_names,
     eval_payload,
     header_lines,
@@ -236,6 +237,7 @@ def quadratize_sparse(system):
     nz = len(degrees)
     ny = sum(degrees) - nz
     nvars = nx + ny + nz
+    check_term_cap(nvars, "the lowering's variable catalog")
     lowering = _Lowering(system.ring, nx, nvars)
     y, z = nx, nx + ny  # the next free y and z positions
     names = list(system.var_names)

@@ -83,6 +83,24 @@ def test_shift_collapses_square(tmp_path, capsys):
     assert out == "ring Z\nvars 1 x\nterm 1 2\n"
 
 
+def test_negative_vector_entries_parse_in_both_spellings(tmp_path, capsys):
+    path = write_poly(tmp_path, "p.poly", ZZ, 2,
+                      {(2, 0): 1, (1, 1): 3, (0, 0): 1}, ["x", "y"])
+    joined = run(capsys, "shift", path, "--by=-1,2")
+    assert joined[0] == 0
+    assert run(capsys, "shift", path, "--by", "-1,2") == joined
+    assert joined[1] == ("ring Z\nvars 2 x y\nterm 1 2 0\nterm 3 1 1\n"
+                         "term 4 1 0\nterm -3 0 1\nterm -4 0 0\n")
+    src = write_system(tmp_path, "s.sys", ZZ, ["x"], [{(3,): 1, (0,): -1}])
+    outs = []
+    for gamma in (["--gamma=-3"], ["--gamma", "-3"]):
+        out = tmp_path / ("h%d.poly" % len(outs))
+        assert run(capsys, "reduce-hn", src, "-o", str(out), *gamma,
+                   "--witness", str(tmp_path / "h.wit"))[0] == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+
+
 def test_quadratize_round_trip(tmp_path, capsys):
     src = write_system(
         tmp_path, "cubic.sys", ZZ, ["x1", "x2", "x3"],
@@ -520,6 +538,22 @@ def test_term_cap_bounds_each_shifted_term_before_expanding(tmp_path, capsys,
     code, out, _ = run(capsys, "shift", square, "--by", "1,1")
     assert code == 0
     assert out.count("\nterm ") == 1681
+
+
+def test_term_cap_bounds_a_lowering_before_building_it(tmp_path, capsys):
+    src = tmp_path / "huge.sys"
+    src.write_text("ring Z\nvars 1 x1\neq\nterm 1 1000000000\nterm -1 0\n")
+    for argv in (["quadratize", str(src), "-o", str(tmp_path / "l.sys")],
+                 ["reduce-hn", str(src), "-o", str(tmp_path / "h.poly"),
+                  "--witness", str(tmp_path / "h.wit")]):
+        # one untimed call first, as in the shift test above
+        run(capsys, *argv)
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 0.1
+        assert (code, out) == (4, "")
+        assert err == ("cap exceeded: the lowering's variable catalog may "
+                       "reach 1000000001 terms, cap is 1000000\n")
 
 
 def test_term_cap_that_is_not_an_integer_is_exit_3(tmp_path, capsys, monkeypatch):

@@ -891,6 +891,40 @@ def test_class_planes_are_built_once_per_shape():
     assert bitslice.class_planes.cache_info().maxsize == 4
 
 
+def test_box_planes_are_built_once_per_shape():
+    bitslice.box_planes.cache_clear()
+    planes = bitslice.box_planes(-2, 2, 3)
+    assert bitslice.box_planes(-2, 2, 3) is planes
+    assert isinstance(planes, tuple) and isinstance(planes[0][1], tuple)
+    runs = [[(1, 2), (3, 4)], [(2, 4)], [(4, 5)]]
+    assert tuple(tuple(p for _, p in bits) for _, bits in planes) == tuple(
+        map(tuple, bitslice.digit_planes(5, 3, runs)))
+    assert [lo for lo, _ in planes] == [-2] * 3
+    assert [k for k, _ in planes[0][1]] == [1, 2, 4]
+    assert bitslice.box_planes.cache_info().maxsize == 4
+
+
+def test_box_forced_is_built_once_per_block_shape():
+    """The forced coordinate, const minus the sum of the planed ones,
+    and its in-box mask, against every rank; const is part of the key."""
+    bitslice.box_forced.cache_clear()
+    lo, hi, digits = -1, 2, 2
+    for const in (-3, 0, 2, 7):
+        forced = bitslice.box_forced(lo, hi, digits, const)
+        assert bitslice.box_forced(lo, hi, digits, const) is forced
+        (base, bits), inside = forced
+        assert base == lo and isinstance(bits, tuple)
+        for rank, combo in enumerate(itertools.product(range(lo, hi + 1),
+                                                       repeat=digits)):
+            x0 = const - sum(combo)
+            assert inside >> rank & 1 == (lo <= x0 <= hi)
+            if lo <= x0 <= hi:
+                assert sum(k for k, p in bits if p >> rank & 1) == x0 - lo
+    assert bitslice.box_forced(lo, hi, 0, 2) == (2, 1)
+    assert bitslice.box_forced(lo, hi, 0, 3) == (3, 0)
+    assert bitslice.box_forced.cache_info().maxsize == 8
+
+
 def random_box_poly(rng, k, unshifted):
     """A Z term map of degree at most 2 in its first k positions, with
     unshifted positions after them, and coefficients up to 10**30."""
@@ -906,13 +940,14 @@ def random_box_poly(rng, k, unshifted):
     return sparse_terms(SparsePoly(ZZ, k + unshifted, terms).terms)
 
 
-def box_counts_from_planes(values, terms, k, free, zero_sum):
-    """rank -> count at every in-box point, read from the counter planes
-    of the bit-sliced kernel, and the number of blocks."""
+def box_counts_from_planes(values, terms, k, free, zero_sum, ring=ZZ):
+    """rank -> count at every in-domain point, read from the counter
+    planes of the bit-sliced kernel, and the number of blocks."""
     counts = {}
     blocks = 0
     for offset, _, inside, fixed, counters in bitslice._blocks(
-            ZZ, values, *bitslice.term_slots(ZZ, terms, k), k, free, zero_sum):
+            ring, values, *bitslice.term_slots(ring, terms, k), k, free,
+            zero_sum):
         blocks += 1
         for bit in range(inside.bit_length()):
             if inside >> bit & 1:
@@ -952,6 +987,80 @@ def test_sliced_box_counts_match_shift_counts(monkeypatch):
                         assert got == (len(want), sorted(
                             r for r, c in want.items() if c < t))
     assert split >= 50
+
+
+def wiring_poly(ring, rng, k, unshifted):
+    """A term map shaped like the HN polynomial's wiring: per unshifted
+    monomial, a group with one nonzero coefficient s on at least half of
+    x_0..x_{k-1}, other linear terms, one or two squares or products,
+    and a constant."""
+    terms = {}
+    rests = rng.sample(list(itertools.product(range(3), repeat=unshifted)),
+                       rng.randint(1, 3))
+    for rest in rests:
+        s = rng.choice([-3, -2, -1, 1, 2, 3])
+        shared = set(rng.sample(range(k), rng.randint((k + 1) // 2, k)))
+        group = {(): rng.randint(-3, 3)}
+        for i in range(k):
+            c = s if i in shared else rng.choice([0, 0, 1, 3, -2])
+            group[(i,)] = c
+        for _ in range(rng.randint(1, 2)):
+            group[tuple(sorted(rng.choices(range(k), k=2)))] = rng.choice(
+                [-2, -1, 1, 2])
+        for mov, c in group.items():
+            exps = [0] * k + list(rest)
+            for i in mov:
+                exps[i] += 1
+            terms[tuple(exps)] = c
+    return sparse_terms(SparsePoly(ring, k + unshifted, terms).terms)
+
+
+def test_balanced_zero_sum_slots_match_shift_counts(monkeypatch):
+    """Zero-sum slots with t subtracted count the same as shift_counts
+    along the reference walk, over Z boxes and Z_q, and t fires."""
+    real = bitslice._balanced
+    fired = []
+
+    def checked(ring, slots, domain):
+        out = real(ring, slots, domain)
+        for (c0, before, q0), (c1, after, q1) in zip(slots, out):
+            assert (c0, q0) == (c1, q1)
+            assert all(ring.canon(c) == c for _, c in after)
+            nonzero = [sum(1 for i, c in lin if i in domain and c)
+                       for lin in (before, after)]
+            assert nonzero[1] <= nonzero[0]
+            fired.append(after != before)
+        return out
+
+    monkeypatch.setattr(bitslice, "_balanced", checked)
+    rng = random.Random(263)
+    spaces = ([(ZZ, SearchDomain.integer_box(box)) for box in range(4)]
+              + [(ring, SearchDomain.exhaustive())
+                 for ring in (F2, F3, F5, prime_field(7), modular(4),
+                              modular(6))])
+    split = 0
+    for ring, base in spaces:
+        for _ in range(4):
+            k = rng.randint(2, 4)
+            terms = wiring_poly(ring, rng, k, rng.randint(1, 2))
+            values, free, _ = oracles._plan(base.restricted(ZERO_SUM), ring, k)
+            points = reference_walk(values, free, k, ZERO_SUM, ring)
+            walk = (([(pos, v) for pos, v in enumerate(vec)], rank)
+                    for rank, vec in points)
+            want = {rank: count for count, rank
+                    in shift_counts(ring, terms, range(k), walk)}
+            for bits in (1, 5, 26, 1 << 20):
+                monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
+                counts, blocks = box_counts_from_planes(values, terms, k, free,
+                                                        True, ring)
+                assert counts == want, (ring, values, terms, bits)
+                split += blocks > 1
+                t = min(want.values(), default=0) + 1
+                assert bitslice.sliced_ranks_below(
+                    ring, values, terms, k, free, True, t) == (
+                    len(want), sorted(r for r, c in want.items() if c < t))
+    assert split >= 40
+    assert sum(fired) >= 100
 
 
 def squares_system(c1, c2, c0):
