@@ -1,4 +1,4 @@
-"""Bit-sliced shift counting over small finite rings and integer boxes.
+"""Bit-sliced shift counting over finite rings, integer and rational boxes.
 
 Every point of a block of the search domain owns one bit of a Python
 int, at its rank within the block, so one operation on ints acts on
@@ -7,15 +7,25 @@ them the monomial count of P(X + a), come out for the whole block; so
 do the rows of a Max-3-Lin system, each a slot with no quadratic part,
 and from them the unsatisfied row count:
 
-- over Z_q a coordinate, and a slot, is q one-hot planes: plane v has
-  the bits of the points where the value is v.  Adding or multiplying
-  two such values costs q^2 AND/OR operations on whole planes.
+- over Z_q with q at most MAX_MODULUS a coordinate, and a slot, is q
+  one-hot planes: plane v has the bits of the points where the value
+  is v.  Adding or multiplying two such values costs q^2 AND/OR
+  operations on whole planes.
 - over an integer box a coordinate is its offset from the box's low end
   in binary, one plane per bit, and a slot is taken mod 2^W in
   two's-complement bit planes, where 2^W exceeds a bound on the slot's
   magnitude over the box, so the slot is 0 exactly where all W planes
   are.  Each slot is a weighted sum of coordinate bits and of ANDs of
-  two of them, added column by column with full adders.
+  two of them, added column by column with full adders.  A box over Q
+  holds integers, and each slot is scaled by the lcm of its
+  denominators, which keeps its zeros.
+- over Z_q with q above MAX_MODULUS a coordinate is its residue
+  0..q-1 in binary, as in the box 0..q-1, and a slot's coefficients are
+  reduced into 0..q-1, so the slot is a sum of nonnegative terms, each
+  below q.  Only "slot != 0 mod q" is tested, once per slot: for q = 2^s
+  it is the OR of the low s bits; otherwise the bits are folded, bit b
+  weighing 2^b mod q, until the bound stops shrinking, and the few
+  multiples of q below the bound are tested for equality.
 
 The "slot != 0" masks are summed into bit-sliced binary counter planes
 by a ripple-carry adder, and the counts are read from those planes.
@@ -27,9 +37,10 @@ planes, and the higher ones are fixed for one block and enter as
 constants, so memory stays bounded whatever the size of the domain.
 
 What depends only on the shape of a block is built once and cached: the
-coordinate planes (class_planes over Z_q, box_planes over a box) and,
-over a box under zero_sum, the forced coordinate and its in-box mask
-(box_forced).  Under zero_sum, coordinate 0 and the free coordinates sum
+coordinate planes (class_planes one-hot, box_planes in binary, each in
+O(log) big-int operations per plane) and, under zero_sum, the forced
+coordinate and its in-domain mask (box_forced, in binary for every
+arithmetic).  Under zero_sum, coordinate 0 and the free coordinates sum
 to 0 (mod q over Z_q), so subtracting one t from all their linear
 coefficients leaves a slot's value unchanged at every point of the
 domain; _balanced takes t as each slot's commonest coefficient there,
@@ -41,48 +52,129 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
+from math import lcm
 
+from .rings import RATIONALS
 from .sparsepoly import slot_table
 
-# the q^2 cost per term grows quickly with q, and moduli above this go
-# to shift_counts
-MAX_MODULUS = 7
+# moduli up to this get one-hot planes (q^2 operations per term), larger
+# ones binary residues (a fold per slot).  Measured on a 2-CPU VM with
+# verify_max3lin (n = 3..7) and degree-2 searches of 10^4..10^6 points:
+# one-hot wins or ties at q = 2, 3 and 5, binary from q = 6 on (F7: 1.9
+# against 2.8 ms per verify and 19 against 28 ms per search), and at the
+# power of two q = 4 (0.4-0.6 against 0.5-0.8 ms per verify)
+MAX_MODULUS = 5
 # bits of one plane (128 KiB)
 PLANE_BITS = 1 << 20
 
 
-def digit_planes(q, digits, runs):
-    """Planes over the ranks 0..q**digits - 1 that test their base-q
-    digits, most significant digit first: out[d][i] marks the ranks
-    whose d-th digit lies in one of the [lo, hi) runs of runs[i].
-
-    The plane of a run at digit weight s is a repunit, with one bit at
-    every multiple of q*s, times the ones from lo*s to hi*s; that product
-    is written as the difference of two shifts."""
-    out = []
-    rep = 1  # one bit at every multiple of q*s below q**digits
-    for d in reversed(range(digits)):
-        s = q ** d
-        planes = []
-        for r in runs:
-            (lo, hi), *rest = r
-            plane = (rep << hi * s) - (rep << lo * s)
-            for lo, hi in rest:
-                plane |= (rep << hi * s) - (rep << lo * s)
-            planes.append(plane)
-        out.append(planes)
-        rep = sum(rep << u * s for u in range(q))
-    return out
+def _repeat(pattern, period, length):
+    """pattern, whose bits lie below `period`, repeated every `period`
+    bits and cut to `length` bits, by doubling: O(log(length / period))
+    big-int operations."""
+    while period < length:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern & ((1 << length) - 1)
 
 
 # one entry is at most q * digits planes of PLANE_BITS bits: 5 MiB for
-# q = 2, 4 or 7, so the cache holds at most about 21 MB
+# q = 2 or 4, so the cache holds at most about 21 MB
 @lru_cache(maxsize=4)
 def class_planes(q, digits):
-    """One-hot digit planes: out[d][v] marks the ranks whose d-th digit
-    is v.  Built once per (q, digits), as tuples."""
-    return tuple(map(tuple, digit_planes(q, digits,
-                                         [[(v, v + 1)] for v in range(q)])))
+    """One-hot digit planes over the ranks 0..q**digits - 1: out[d][v]
+    marks the ranks whose d-th digit, most significant first, is v.
+    Built once per (q, digits), as tuples."""
+    total = q ** digits
+    return tuple(tuple(_repeat(((1 << s) - 1) << v * s, q * s, total)
+                       for v in range(q))
+                 for s in [q ** d for d in reversed(range(digits))])
+
+
+# one entry is digits * (span - 1).bit_length() planes of at most
+# PLANE_BITS bits: at most 2.9 MiB (a box of 10 values, 6 digits), so the
+# cache holds at most about 12 MB
+@lru_cache(maxsize=4)
+def box_planes(lo, hi, digits):
+    """The coordinates of _Box for `digits` coordinates over the box
+    lo..hi, one per digit of the rank, most significant first: each is
+    (lo, bits), where bits lists (2^b, plane of bit b of its offset from
+    lo).  Built once per (lo, hi, digits), as tuples.
+
+    Bit b of a digit of weight s is set on runs of 2^b * s ranks, one
+    every 2^(b+1) * s ranks, within each period of span * s ranks."""
+    span = hi - lo + 1
+    total = span ** digits
+    out = []
+    for s in [span ** d for d in reversed(range(digits))]:
+        bits = []
+        for b in range((span - 1).bit_length()):
+            run = s << b
+            digit = _repeat(((1 << run) - 1) << run, 2 * run, span * s)
+            bits.append((1 << b, _repeat(digit, span * s, total)))
+        out.append((lo, tuple(bits)))
+    return tuple(out)
+
+
+def _below(value, bound, points):
+    """The mask of the points where the unsigned bit planes `value` hold
+    less than the int `bound`, one bit at a time from the top: below
+    holds the points already known to be smaller, equal those that match
+    bound on every bit read so far."""
+    if bound <= 0:
+        return 0
+    if bound >> len(value):
+        return points
+    below, equal = 0, points
+    for b in reversed(range(len(value))):
+        if bound >> b & 1:
+            below |= equal & ~value[b]
+            equal &= value[b]
+        else:
+            equal &= ~value[b]
+    return below
+
+
+# one entry is the offset bits of coordinate 0 and its in-box mask,
+# (span - 1).bit_length() + 1 planes of at most PLANE_BITS bits: at most
+# 2.7 MiB (a box of 2^20 values, 1 digit), so the cache holds at most
+# about 21 MB
+@lru_cache(maxsize=8)
+def box_forced(lo, hi, digits, const, modulus=None):
+    """Coordinate 0 of a zero-sum block over the box lo..hi whose planed
+    coordinates are those of box_planes(lo, hi, digits) and whose fixed
+    free coordinates sum to -const: x0 = const minus the sum S of the
+    planed ones, and the mask of the points where it lies in the domain,
+    from the sign tests of x0 - lo >= 0 and hi - x0 >= 0.  In the box,
+    x0 - lo is its offset from lo, so x0 is held as (lo, bits); with no
+    planed coordinates it is an int, and the mask is 1 or 0.
+
+    Over Z_q, (lo, hi) is (0, q - 1), const is reduced, and x0 is taken
+    mod q: x0 = const + j*q - S for the one j in 0..digits that puts it
+    in 0..q-1, so it is the disjoint union over j of the in-box parts of
+    const + j*q - S, and every point is in the domain.  That j is digits
+    less the number of bounds const + i*q, i < digits, that S does not
+    exceed, so x0 is one bit-sliced sum."""
+    full = (1 << (hi - lo + 1) ** digits) - 1
+    box = _Box(lo, hi, full)
+    # each planed coordinate is lo plus its offset bits
+    const -= digits * lo
+    terms = [(-k, p) for _, bits in box_planes(lo, hi, digits)
+             for k, p in bits]
+    if not terms:
+        return const, full if lo <= const <= hi else 0
+    if modulus is None:
+        up = box.bits(const - lo, terms, True)
+        down = box.bits(hi - const, [(-k, p) for k, p in terms], True)
+        inside = full & ~(up[-1] | down[-1])
+    else:
+        planed = box.bits(0, [(-k, p) for k, p in terms])
+        terms += [(-modulus, _below(planed, const + i * modulus + 1, full))
+                  for i in range(digits)]
+        up = box.bits(const + digits * modulus, terms)
+        inside = full
+    nbits = (hi - lo).bit_length()
+    return (lo, tuple((1 << b, p) for b, p in enumerate(up[:nbits]))), inside
 
 
 def _apply(f, x, y, q):
@@ -102,23 +194,24 @@ class _Residues:
     """Values over Z_q as q one-hot planes; a coordinate is its classes."""
 
     def __init__(self, q, full):
-        self.q = q
+        self.lo, self.hi, self.modulus = 0, q - 1, q
         self.full = full
 
     def coordinates(self, digits):
-        return class_planes(self.q, digits)
+        return class_planes(self.modulus, digits)
 
-    def forced(self, coords, free):
-        """Coordinate 0 as minus the sum of the free ones, and the mask of
-        the points in the domain: all of them."""
-        value = 0
-        for pos in free:
-            value = _apply(operator.sub, value, coords[pos], self.q)
-        return value, self.full
+    def lift(self, value):
+        """The one-hot planes of a coordinate given as box_forced gives
+        it: an int, or (0, offset bits)."""
+        if isinstance(value, int):
+            return value
+        return [reduce(operator.and_, (p if k & v else self.full ^ p
+                                       for k, p in value[1]), self.full)
+                for v in range(self.modulus)]
 
     def slot(self, coords, const, linear, quad):
         """A slot of _blocks at the coordinates coords."""
-        q = self.q
+        q = self.modulus
         value = const
         for i, c in linear:
             value = _apply(lambda u, w: u + c * w, value, coords[i], q)
@@ -131,52 +224,9 @@ class _Residues:
         return self.full ^ value[0]
 
 
-# one entry is digits * (span - 1).bit_length() planes of at most
-# PLANE_BITS bits: at most 2.9 MiB (a box of 10 values, 6 digits), so the
-# cache holds at most about 12 MB
-@lru_cache(maxsize=4)
-def box_planes(lo, hi, digits):
-    """The coordinates of _Box for `digits` coordinates over the box
-    lo..hi, one per digit of the rank, most significant first: each is
-    (lo, bits), where bits lists (2^b, plane of bit b of its offset from
-    lo).  Built once per (lo, hi, digits), as tuples."""
-    # bit b of a digit is set on runs of 2^b digits from 2^b on
-    span = hi - lo + 1
-    runs = [[(r, min(r + (1 << b), span)) for r in range(1 << b, span, 2 << b)]
-            for b in range((span - 1).bit_length())]
-    return tuple((lo, tuple((1 << b, p) for b, p in enumerate(bits)))
-                 for bits in digit_planes(span, digits, runs))
-
-
-# one entry is the offset bits of coordinate 0 and its in-box mask,
-# (span - 1).bit_length() + 1 planes of at most PLANE_BITS bits: at most
-# 2.7 MiB (a box of 2^20 values, 1 digit), so the cache holds at most
-# about 21 MB
-@lru_cache(maxsize=8)
-def box_forced(lo, hi, digits, const):
-    """Coordinate 0 of a zero-sum block over the box lo..hi whose planed
-    coordinates are those of box_planes(lo, hi, digits) and whose fixed
-    free coordinates sum to -const: x0 = const minus the sum of the
-    planed ones, and the mask of the points where it lies in the box,
-    from the sign tests of x0 - lo >= 0 and hi - x0 >= 0.  In the box,
-    x0 - lo is its offset from lo, so x0 is held as (lo, bits); with no
-    planed coordinates it is an int, and the mask is 1 or 0."""
-    box = _Box(lo, hi, (1 << (hi - lo + 1) ** digits) - 1)
-    # each free coordinate is lo plus its offset bits
-    const -= digits * lo
-    terms = [(-k, p) for _, bits in box_planes(lo, hi, digits)
-             for k, p in bits]
-    if not terms:
-        return const, box.full if lo <= const <= hi else 0
-    up = box.bits(const - lo, terms, True)
-    down = box.bits(hi - const, [(-k, p) for k, p in terms], True)
-    inside = box.full & ~(up[-1] | down[-1])
-    nbits = (hi - lo).bit_length()
-    return (lo, tuple((1 << b, p) for b, p in enumerate(up[:nbits]))), inside
-
-
 class _Box:
-    """Values over the integer box lo..hi as two's-complement bit planes.
+    """Values over the integer box lo..hi as two's-complement bit planes,
+    or, when modulus is set, over Z_q as residues in the box 0..q-1.
 
     A coordinate that varies over the block is a pair (lo, bits), where
     bits lists (2^b, plane of bit b) for its offset from lo.  A slot is a
@@ -184,28 +234,22 @@ class _Box:
     coordinate bits and ANDs of two of them; its bits come from adding
     each column of planes with full adders."""
 
-    def __init__(self, lo, hi, full):
+    def __init__(self, lo, hi, full, modulus=None):
         self.lo = lo
         self.hi = hi
         self.full = full
+        self.modulus = modulus
 
     def coordinates(self, digits):
         return box_planes(self.lo, self.hi, digits)
 
-    def forced(self, coords, free):
-        """Coordinate 0 as box_forced gives it for the block."""
-        const = digits = 0
-        for pos in free:
-            x = coords[pos]
-            if isinstance(x, int):
-                const -= x
-            else:
-                digits += 1
-        return box_forced(self.lo, self.hi, digits, const)
+    def lift(self, value):
+        return value
 
     def slot(self, coords, const, linear, quad):
         """A slot of _blocks at the coordinates coords: an int when it is
-        the same at every point, else its bits."""
+        the same at every point, else its bits.  Over Z_q both are only
+        congruent to the slot mod q."""
         terms = []
         linear = [(c, coords[i]) for i, c in linear]
         for (i, j), c in quad:
@@ -235,6 +279,10 @@ class _Box:
             else:
                 const += c * x[0]
                 terms += [(c * k, p) for k, p in x[1]]
+        q = self.modulus
+        if q is not None:
+            const %= q
+            terms = [(k % q, p) for k, p in terms if k % q]
         if not terms:
             return const
         return self.bits(const, terms)
@@ -276,7 +324,26 @@ class _Box:
         return out
 
     def nonzero(self, value):
-        return reduce(operator.or_, value, 0)
+        q = self.modulus
+        if q is None:
+            return reduce(operator.or_, value, 0)
+        if not q & q - 1:
+            # q = 2^s: the slot mod q is its low s bits
+            return reduce(operator.or_, value[:q.bit_length() - 1], 0)
+        # the value is congruent to the sum of (2^b mod q) * [bit b]
+        bound = (1 << len(value)) - 1
+        while True:
+            terms = [(pow(2, b, q), p) for b, p in enumerate(value) if p]
+            folded = sum(k for k, _ in terms)
+            if folded >= bound:
+                break
+            value, bound = self.bits(0, terms), folded
+        zero = 0
+        for j in range(0, bound + 1, q):
+            zero |= reduce(operator.and_, (p if j >> b & 1 else self.full ^ p
+                                           for b, p in enumerate(value)),
+                           self.full)
+        return self.full & ~zero
 
 
 def _count(fixed, slots, coords, arith):
@@ -340,6 +407,16 @@ def _balanced(ring, slots, domain):
     return out
 
 
+def _integral(slot):
+    """A slot over Q times the lcm of its denominators: integer
+    coefficients, and zero exactly where the slot is."""
+    const, linear, quad = slot
+    m = reduce(lcm, (c.denominator for _, c in (*linear, *quad)),
+               const.denominator)
+    return (int(const * m), [(i, int(c * m)) for i, c in linear],
+            [(ij, int(c * m)) for ij, c in quad])
+
+
 def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     """The domain in blocks of at most PLANE_BITS ranks, in rank order.
 
@@ -347,11 +424,12 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     except that under zero_sum coordinate 0 (not in `free`) is minus the
     sum of the others and must lie in `values`; ranks are odometer
     ranks, whose base-len(values) digits index the values of the free
-    coordinates in order; over Z, `values` is a box lo..hi.  Yields
-    (offset, coords, inside, fixed, counters) per block: its first rank,
-    the coordinates (a payload, or planes as _Residues or _Box hold
-    them), the mask of its points that lie in the domain, and the counts
-    of _count over the slots, which are exact on those points.
+    coordinates in order.  `values` is every residue of Z_q, or a box
+    lo..hi of integers (over Q, of integral fractions).  Yields (offset,
+    lead, inside, fixed, counters) per block: its first rank, coordinate
+    0 as box_forced gives it under zero_sum (else the payload 0), the
+    mask of its points that lie in the domain, and the counts of _count
+    over the slots, which are exact on those points.
     """
     nv = len(values)
     sliced = 0  # free coordinates that get planes: the lowest ones
@@ -360,11 +438,19 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     high = free[:len(free) - sliced]
     width = nv ** sliced
     full = (1 << width) - 1
-    arith = (_Residues(ring.modulus, full) if ring.is_finite
-             else _Box(values[0], values[-1], full))
+    q = ring.modulus
+    if q is None:
+        arith = _Box(int(values[0]), int(values[-1]), full)
+    elif q <= MAX_MODULUS:
+        arith = _Residues(q, full)
+    else:
+        arith = _Box(0, q - 1, full, q)
     planes = arith.coordinates(sliced)
     if zero_sum:
         slots = _balanced(ring, slots, [0] + free)
+    if ring.kind == RATIONALS:
+        slots = [_integral(slot) for slot in slots]
+    lead = 0
     for block in range(nv ** len(high)):
         coords = [0] * k
         for pos, p in zip(free[len(high):], planes):
@@ -372,12 +458,16 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
         rest = block
         for pos in reversed(high):
             rest, digit = divmod(rest, nv)
-            coords[pos] = values[digit]
+            coords[pos] = arith.lo + digit
         inside = full
         if zero_sum:
-            coords[0], inside = arith.forced(coords, free)
+            const = -sum(coords[pos] for pos in high)
+            if q is not None:
+                const %= q
+            lead, inside = box_forced(arith.lo, arith.hi, sliced, const, q)
+            coords[0] = arith.lift(lead)
         if inside:
-            yield ((block * width, coords, inside)
+            yield ((block * width, lead, inside)
                    + _count(fixed, slots, coords, arith))
 
 
@@ -395,70 +485,42 @@ def _least(counters, points):
     return low, points
 
 
-def sliced_min_count(ring, terms, k, free, zero_sum, nonconstant=False):
-    """Least monomial count of P(X + a) over the domain of _blocks in
-    Z_q, q at most MAX_MODULUS, and the rank of the least vector a that
-    reaches it.
+def sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum):
+    """The least of fixed plus the number of nonzero slots over the
+    domain of _blocks, the rank of the lexicographically least vector
+    that reaches it, and the number of points in the domain; None when
+    the domain is empty.  Slots are as in term_slots.
 
-    P is a payload term map of degree at most 2 in its first k
-    positions.  Ties go to the lexicographically least vector: the least
-    rank, except that under zero_sum the forced coordinate 0 is compared
-    first.
-    """
+    The least vector is the least rank, except that under zero_sum the
+    forced coordinate 0 is compared first."""
     best = None
-    for offset, coords, inside, fixed, counters in _blocks(
-            ring, range(ring.modulus),
-            *term_slots(ring, terms, k, nonconstant), k, free, zero_sum):
+    total = 0
+    for offset, lead, inside, fixed, counters in _blocks(
+            ring, values, fixed, slots, k, free, zero_sum):
+        total += inside.bit_count()
         low, points = _least(counters, inside)
-        first = coords[0] if zero_sum else 0
-        if not isinstance(first, int):
-            # the forced coordinate leads the vector comparison
-            first, points = next((v, points & p) for v, p in enumerate(first)
-                                 if points & p)
+        first = lead
+        if not isinstance(lead, int):
+            # the least coordinate 0 among them, from its offset bits
+            first, points = _least([p for _, p in lead[1]], points)
+            first += lead[0]
         if best is None or (fixed + low, first) < best[:2]:
             rank = offset + (points & -points).bit_length() - 1
             best = fixed + low, first, rank
-    return best[0], best[2]
-
-
-def sliced_min_slots(ring, values, slots, k, free, zero_sum):
-    """Least number of nonzero slots over the domain of _blocks, over Z_q
-    or an integer box, and the rank of one point that reaches it, or
-    None when the domain is empty; slots are as in term_slots."""
-    best = None
-    for offset, _, inside, fixed, counters in _blocks(
-            ring, values, 0, slots, k, free, zero_sum):
-        low, points = _least(counters, inside)
-        if best is None or fixed + low < best[0]:
-            best = fixed + low, offset + (points & -points).bit_length() - 1
-    return best
+    return None if best is None else (best[0], best[2], total)
 
 
 def sliced_ranks_below(ring, values, terms, k, free, zero_sum, threshold):
-    """The number of points of the domain of _blocks, over Z_q or an
-    integer box, and the ranks, ascending, of those where P(X + a) has
-    fewer than `threshold` monomials; P is as in sliced_min_count."""
+    """The number of points of the domain of _blocks and the ranks,
+    ascending, of those where P(X + a) has fewer than `threshold`
+    monomials; P is a payload term map of degree at most 2 in its first
+    k positions."""
     points = 0
     ranks = []
     for offset, _, inside, fixed, counters in _blocks(
             ring, values, *term_slots(ring, terms, k), k, free, zero_sum):
         points += inside.bit_count()
-        # compare each count with the threshold, one bit at a time from
-        # the top: below holds the points already known to be smaller,
-        # equal those that match the threshold on every bit read so far
-        rest = threshold - fixed
-        if rest <= 0:
-            continue
-        if rest >> len(counters):
-            below = inside
-        else:
-            below, equal = 0, inside
-            for b in reversed(range(len(counters))):
-                if rest >> b & 1:
-                    below |= equal & ~counters[b]
-                    equal &= counters[b]
-                else:
-                    equal &= ~counters[b]
+        below = _below(counters, threshold - fixed, inside)
         while below:
             low = below & -below
             ranks.append(offset + low.bit_length() - 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .bitslice import MAX_MODULUS, sliced_min_count, sliced_min_slots, sliced_ranks_below
+from .bitslice import sliced_min_slots, sliced_ranks_below, term_slots
 from .errors import (
     ArityError,
     CapExceededError,
@@ -32,10 +32,13 @@ from .hn_reduce import (
 )
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_solution, extend_solution
-from .rings import INTEGERS, RATIONALS, RingElement
-from .sparsepoly import eval_payload, format_vector, shift_counts, shifted_term_map
+from .rings import RATIONALS, RingElement
+from .sparsepoly import eval_payload, format_vector, pairs, shifted_term_map
 
 DEFAULT_ENUM_CAP = 10 ** 7
+# the most bits that one power in an exact evaluation over Z or Q may
+# take (512 KiB); 3^(10^6), about 1.6 million bits, takes 0.14 s to build
+POWER_BITS = 1 << 22
 
 EXHAUSTIVE = "exhaustive"
 BOX = "box"
@@ -130,14 +133,10 @@ def _walk(values, free, k, restriction, ring, lo, hi):
     """The ranks lo..hi-1 in odometer order, lexicographic in the free
     coordinates; the one domain enumerator of every oracle.
 
-    Yields (changes, vec) for every rank whose vector lies in the domain:
-    vec is the full payload vector (the same list each time, updated in
-    place), and changes is a fresh list of (position, payload) moves,
-    one per position, that take the previously yielded vector (or the
-    zero vector) to this one; this is the walk shift_counts takes.  A
-    zero-sum rank whose forced coordinate leaves the domain costs only
-    its odometer step: it is not yielded, and its moves are carried into
-    the next yielded point."""
+    Yields the full payload vector of every rank that lies in the
+    domain: the same list each time, updated in place.  A zero-sum rank
+    whose forced coordinate leaves the domain costs only its odometer
+    step."""
     if lo >= hi:
         return
     nv = len(values)
@@ -150,37 +149,23 @@ def _walk(values, free, k, restriction, ring, lo, hi):
         rank, digits[d] = divmod(rank, nv)
     zero = ring.canon(0)
     vec = [zero] * k
-    changes = []
-    carried = False
     for pos, d in zip(free, digits):
         vec[pos] = values[d]
-        changes.append((pos, values[d]))
     for rank in range(lo, hi):
         if rank > lo:
             d = last
             while digits[d] == nv - 1:
                 digits[d] = 0
-                pos = free[d]
-                vec[pos] = values[0]
-                changes.append((pos, values[0]))
+                vec[free[d]] = values[0]
                 d -= 1
             digits[d] += 1
-            pos = free[d]
-            vec[pos] = v = values[digits[d]]
-            changes.append((pos, v))
+            vec[free[d]] = values[digits[d]]
         if zero_sum:
             forced = ring.canon(-sum(vec[1:], zero))
             if forced not in value_set:
-                carried = True
                 continue
-            if carried:
-                # one move per position: the last of those carried
-                changes = list(dict(changes).items())
-                carried = False
             vec[0] = forced
-            changes.append((0, forced))
-        yield changes, vec
-        changes = []
+        yield vec
 
 
 def _chunk_bounds(size, parts):
@@ -280,53 +265,43 @@ def _count(terms, metric):
 
 def _shift_scores(subject, walk):
     poly, metric = subject
-    if poly.degree() <= 2:
-        return shift_counts(poly.ring, poly.sparse_terms, range(poly.nvars), walk,
-                            nonconstant=metric == "nonconstant")
     return ((_count(shifted_term_map(poly.ring, poly.sparse_terms, vec), metric), vec)
-            for _, vec in walk)
-
-
-def _sliced(dom, ring):
-    """Whether the bit-sliced kernel counts over the domain: every vector
-    over Z_q with q at most MAX_MODULUS, or an integer box over Z."""
-    if dom.mode == EXHAUSTIVE:
-        return ring.is_finite and ring.modulus <= MAX_MODULUS
-    return dom.mode == BOX and ring.kind == INTEGERS
+            for vec in walk)
 
 
 def _at(values, free, k, restriction, ring, rank):
     """The payload vector of an in-domain rank, by one walk step."""
-    return next(_walk(values, free, k, restriction, ring, rank, rank + 1))[1]
+    return next(_walk(values, free, k, restriction, ring, rank, rank + 1))
 
 
-def _sliced_scan(poly, dom, metric):
-    """_scan's answer for a search over a whole small finite ring, from
-    the bit-sliced kernel, in this process."""
-    ring = poly.ring
-    values, free, size = _plan(dom, ring, poly.nvars)
-    count, rank = sliced_min_count(ring, poly.sparse_terms, poly.nvars, free,
-                                   dom.restriction == ZERO_SUM,
-                                   metric == "nonconstant")
-    vec = _at(values, free, poly.nvars, dom.restriction, ring, rank)
-    return (count, tuple(vec)), size
+def _sliced_scan(dom, ring, k, fixed, slots):
+    """_scan's answer, the least (count, vector) key and the number of
+    points, from the bit-sliced kernel in this process, where the count
+    at a point is fixed plus the number of nonzero slots there."""
+    values, free, _ = _plan(dom, ring, k)
+    found = sliced_min_slots(ring, values, fixed, slots, k, free,
+                             dom.restriction == ZERO_SUM)
+    if found is None:
+        return None, 0
+    count, rank, points = found
+    return (count, tuple(_at(values, free, k, dom.restriction, ring, rank))), points
 
 
 def search_min_sparsity(poly, dom, metric="total", jobs=1):
     """Minimum (non)constant monomial count of poly(X + a) over the
     domain, with the lexicographically least witness shift.
 
-    Polynomials of degree at most 2 are counted without expansion: over
-    a whole finite ring of at most MAX_MODULUS elements by the
-    bit-sliced kernel, which ignores `jobs`, and otherwise by
-    shift_counts.  Others are expanded at every point.  Either way the
-    winner is expanded once more and its count certified.  Integer boxes
-    stay on shift_counts: the kernel's tie-break reads one-hot planes."""
+    Polynomials of degree at most 2 are counted without expansion by
+    the bit-sliced kernel, over every domain but a rational grid, in
+    this process, whatever `jobs` is.  Others, and grids, are expanded
+    at every point.  Either way the winner is expanded once more and its
+    count certified."""
     if metric not in ("total", "nonconstant"):
         raise PreconditionError("metric must be total or nonconstant")
     ring = poly.ring
-    if _sliced(dom, ring) and ring.is_finite and poly.degree() <= 2:
-        best, points = _sliced_scan(poly, dom, metric)
+    if dom.mode != GRID and poly.degree() <= 2:
+        best, points = _sliced_scan(dom, ring, poly.nvars, *term_slots(
+            ring, poly.sparse_terms, poly.nvars, metric == "nonconstant"))
     else:
         best, points = _scan(_shift_scores, (poly, metric), dom, ring,
                              poly.nvars, jobs)
@@ -344,15 +319,37 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
 
 def _solution_scores(system, walk):
     # eval_payload reduces residues, so a solution reads 0 in every ring
-    for _, vec in walk:
+    for vec in walk:
         if any(eval_payload(eq, vec) for eq in system.equations):
             yield None, vec
         else:
             yield 0, vec
 
 
+def _check_powers(system, dom):
+    """Refuse, before any point is evaluated, a system over Z or Q whose
+    evaluation may build a power of more than POWER_BITS bits: a term
+    holds at most e times the bits of the largest |numerator| times the
+    largest denominator of the domain, summed over its pairs (p, e).
+    Finite rings reduce as they go."""
+    ring = system.ring
+    if ring.is_finite:
+        return
+    values = dom.values(ring)
+    bits = (max(abs(v.numerator) for v in values)
+            * max(v.denominator for v in values)).bit_length()
+    worst = max((sum(e for _, e in pairs(key)) * bits
+                 for eq in system.equations for key in eq.sparse_terms),
+                default=0)
+    if worst > POWER_BITS:
+        raise CapExceededError(
+            "evaluation may build a power of %d bits, the limit is %d"
+            % (worst, POWER_BITS))
+
+
 def solve_system(system, dom, jobs=1):
     """Lexicographically least solution over the domain, or None."""
+    _check_powers(system, dom)
     best, _ = _scan(_solution_scores, system, dom, system.ring, system.nvars, jobs)
     if best is None:
         return None
@@ -361,7 +358,7 @@ def solve_system(system, dom, jobs=1):
 
 def _maxsat_scores(system, walk):
     ring = system.ring
-    for _, vec in walk:
+    for vec in walk:
         yield -count_satisfied(system, [RingElement(ring, v) for v in vec]), vec
 
 
@@ -370,27 +367,23 @@ def maxsat(system, dom, jobs=1):
     domain of assignments.
 
     A row is unsatisfied where its slot b + c1*x_i + c2*x_j + c3*x_k is
-    nonzero.  On the domains of _sliced the bit-sliced kernel counts
-    those slots at every point at once, ignoring `jobs`, and the point
-    with the least count is certified by count_satisfied.  Other domains
-    are walked with count_satisfied at every point."""
+    nonzero.  Over every domain but a rational grid the bit-sliced
+    kernel counts those slots at every point at once, ignoring `jobs`,
+    and the point with the least count is certified by count_satisfied.
+    Grids are walked with count_satisfied at every point."""
     ring = system.ring
-    if not _sliced(dom, ring):
+    if dom.mode == GRID:
         best, _ = _scan(_maxsat_scores, system, dom, ring, system.n, jobs)
         if best is None:
             raise PreconditionError("search domain is empty")
         return -best[0]
-    values, free, _ = _plan(dom, ring, system.n)
     slots = [(b.val, [(j, c.val) for j, c in zip(idx, coeffs)], ())
              for idx, coeffs, b in system.rows]
-    found = sliced_min_slots(ring, values, slots, system.n, free,
-                             dom.restriction == ZERO_SUM)
+    found, _ = _sliced_scan(dom, ring, system.n, 0, slots)
     if found is None:
         raise PreconditionError("search domain is empty")
-    unsatisfied, rank = found
-    x = [RingElement(ring, v)
-         for v in _at(values, free, system.n, dom.restriction, ring, rank)]
-    best = system.m - unsatisfied
+    x = [RingElement(ring, v) for v in found[1]]
+    best = system.m - found[0]
     exact = count_satisfied(system, x)
     if exact != best:
         raise InternalConsistencyError(
@@ -482,7 +475,7 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     # direction 1: box-bounded source assignments
     solutions = 0
     solution_points = 0
-    for _, combo in _walk(values, free, inst.n_inputs, NONE, ring, 0, size):
+    for combo in _walk(values, free, inst.n_inputs, NONE, ring, 0, size):
         solution_points += 1
         ax = [RingElement(ring, v) for v in combo]
         full = extend_solution(inst.recipe, ax) if inst.recipe else tuple(ax)

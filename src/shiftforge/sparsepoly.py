@@ -287,68 +287,6 @@ def slot_table(ring, terms, shifted, nonconstant=False):
     return quadratic, table
 
 
-def shift_counts(ring, terms, shifted, walk, nonconstant=False):
-    """Monomial counts of P(X + a) along a walk of shifts, without expanding.
-
-    P is given by its payload term map and has degree at most 2 in the
-    shifted positions.  The shift a starts at zero; each step of the walk
-    is (changes, tag), where changes is a sequence of (position, payload)
-    pairs, all at shifted positions, that move a to the next point.  For
-    every step this yields (count, tag): the number of monomials of
-    P(X + a), or of its nonconstant monomials when nonconstant is set.
-
-    The slots are those of slot_table; a step touches only the slots
-    next to the positions it changes.
-    """
-    m = ring.modulus
-    shifted = set(shifted)
-    quadratic, table = slot_table(ring, terms, shifted, nonconstant)
-    zero = ring.canon(0)
-    slots = []  # current slot values
-    const_steps = {}  # j -> [(constant slot, slot of x_j, coefficient of x_j^2)]
-    lin_steps = {}  # j -> [(slot of x_i, coefficient of the change in a_j)]
-    for linear, quad, const in table:
-        slot_of = {}
-        for i, c, deriv in linear:
-            slot_of[i] = len(slots)
-            for j, d in deriv.items():
-                lin_steps.setdefault(j, []).append((slot_of[i], d))
-            slots.append(c)
-        if const is None:
-            continue
-        cslot = len(slots)
-        slots.append(const)
-        for i, s in slot_of.items():
-            const_steps.setdefault(i, []).append((cslot, s, quad.get((i, i), zero)))
-
-    a = {j: zero for j in shifted}
-    nonzero = sum(1 for v in slots if v)
-    for changes, tag in walk:
-        for j, v in changes:
-            d = v - a[j]
-            if not d:
-                continue
-            a[j] = v
-            # Q(a + d e_j) = Q(a) + d * dQ/dx_j(a) + q_jj * d^2, so the
-            # constants move first, while the x_j slots still hold the
-            # derivatives at the old point
-            for cs, ls, q in const_steps.get(j, ()):
-                old = slots[cs]
-                new = old + d * (slots[ls] + q * d)
-                if m is not None:
-                    new %= m
-                slots[cs] = new
-                nonzero += (new != 0) - (old != 0)
-            for s, q in lin_steps.get(j, ()):
-                old = slots[s]
-                new = old + q * d
-                if m is not None:
-                    new %= m
-                slots[s] = new
-                nonzero += (new != 0) - (old != 0)
-        yield quadratic + nonzero, tag
-
-
 class SparsePoly:
     """A canonical sparse polynomial over a positional variable catalog.
 

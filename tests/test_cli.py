@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from shiftforge import (
     EquationSystem,
     Max3LinSystem,
+    Ring,
     SparsePoly,
     ZZ,
     encode_max3lin,
@@ -268,6 +270,58 @@ def test_verify_max3lin_frozen_over_f5(tmp_path, capsys):
     assert run(capsys, "verify-max3lin", path) == (0, (
         "w 6\nsigma 12\nmaxsat 3\nmin_nonconstant 9\nexpected 9\nmatch true\n"
     ), "")
+
+
+# (ring, variables, terms, flags, stdout): searches that left the walk
+# for the bit-sliced kernel, with the bytes the walk printed before
+FROZEN_SEARCH = [
+    ("Z", 3, {(1, 0, 0): -1, (0, 0, 2): 1, (0, 0, 1): 4, (0, 0, 0): 3},
+     ["--box", "2", "--zero-sum"], "3\nwitness 0,1,-1\npoints 19\ncomplete false"),
+    ("Z", 3, {(2, 0, 0): 1, (1, 1, 0): 4, (1, 0, 1): 4, (1, 0, 0): -4, (0, 2, 0): 4,
+              (0, 1, 1): 8, (0, 1, 0): -8, (0, 0, 2): 4, (0, 0, 1): -6, (0, 0, 0): 3},
+     ["--box", "3", "--support-last", "2"],
+     "8\nwitness 0,-2,3\npoints 49\ncomplete false"),
+    ("Q", 3, {(2, 0, 0): Fraction(1, 2), (1, 1, 0): -2, (1, 0, 1): -1, (1, 0, 0): 2,
+              (0, 2, 0): 2, (0, 1, 1): 2, (0, 1, 0): Fraction(-11, 2),
+              (0, 0, 2): Fraction(1, 2), (0, 0, 1): -2, (0, 0, 0): 2},
+     ["--box", "2", "--zero-sum", "--nonconstant"],
+     "7\nwitness -1,0,1\npoints 19\ncomplete false"),
+    ("Q", 2, {(2, 0): Fraction(1, 2), (1, 1): 1, (1, 0): 4, (0, 2): Fraction(1, 2),
+              (0, 1): 3, (0, 0): Fraction(7, 2)},
+     ["--box", "3", "--support-last", "1"], "5\nwitness 0,-3\npoints 7\ncomplete false"),
+    ("Fp 11", 3, {(2, 0, 0): 4, (1, 1, 0): 4, (1, 0, 1): 8, (1, 0, 0): 5, (0, 2, 0): 1,
+                  (0, 1, 1): 4, (0, 1, 0): 4, (0, 0, 2): 4, (0, 0, 1): 8, (0, 0, 0): 6},
+     ["--exhaustive"], "7\nwitness 8,0,2\npoints 1331\ncomplete true"),
+    ("Fp 11", 3, {(2, 0, 0): 1, (1, 0, 1): 4, (1, 0, 0): 6, (0, 1, 0): 3, (0, 0, 2): 4,
+                  (0, 0, 1): 1},
+     ["--exhaustive", "--zero-sum", "--nonconstant"],
+     "4\nwitness 0,7,4\npoints 121\ncomplete true"),
+    ("Fp 101", 2, {(2, 0): 4, (1, 1): 93, (1, 0): 12, (0, 2): 4, (0, 1): 91, (0, 0): 9},
+     ["--exhaustive"], "4\nwitness 49,0\npoints 10201\ncomplete true"),
+    ("Fp 101", 2, {(2, 0): 4, (1, 1): 93, (1, 0): 100, (0, 2): 4, (0, 1): 4, (0, 0): 3},
+     ["--exhaustive", "--zero-sum"], "5\nwitness 19,82\npoints 101\ncomplete true"),
+]
+
+
+@pytest.mark.parametrize("ring, nvars, terms, flags, want", FROZEN_SEARCH)
+def test_search_shift_frozen_on_the_kernel(tmp_path, capsys, ring, nvars, terms,
+                                           flags, want):
+    path = write_poly(tmp_path, "p.poly", Ring.from_token(ring), nvars, terms)
+    assert run(capsys, "search-shift", path, *flags) == (
+        0, "min_sparsity %s\nviolations 0\n" % want, "")
+
+
+def test_maxsat_and_verify_max3lin_frozen_over_f11(tmp_path, capsys):
+    # 11^6 points for verify-max3lin; the walk printed the same bytes
+    for flags, seed, maxsat_out, verify_out in (
+            ([], 3, "maxsat 2\n", "w 6\nsigma 13\nmaxsat 2\nmin_nonconstant 10\n"
+             "expected 10\nmatch true\n"),
+            (["--planted", "--noise", "1"], 12, "maxsat 3\n",
+             "w 6\nsigma 12\nmaxsat 3\nmin_nonconstant 9\nexpected 9\n"
+             "match true\n")):
+        path = gen_file(tmp_path, capsys, "Fp 11", 3, 3, flags, seed)
+        assert run(capsys, "maxsat", path, "--exhaustive") == (0, maxsat_out, "")
+        assert run(capsys, "verify-max3lin", path) == (0, verify_out, "")
 
 
 def test_verify_hn_frozen(tmp_path, capsys):
@@ -554,6 +608,25 @@ def test_term_cap_bounds_a_lowering_before_building_it(tmp_path, capsys):
         assert (code, out) == (4, "")
         assert err == ("cap exceeded: the lowering's variable catalog may "
                        "reach 1000000001 terms, cap is 1000000\n")
+
+
+def test_solve_refuses_a_huge_power_before_evaluating(tmp_path, capsys):
+    src = tmp_path / "huge.sys"
+    src.write_text("ring Z\nvars 1 x1\neq\nterm 1 1000000000\nterm -1 0\n")
+    # one untimed call first, as in the shift test above
+    run(capsys, "solve", str(src), "--box", "2")
+    start = time.process_time()
+    code, out, err = run(capsys, "solve", str(src), "--box", "2")
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (4, "")
+    assert err == ("cap exceeded: evaluation may build a power of 2000000000 "
+                   "bits, the limit is 4194304\n")
+    # 10^6 * bitlen(2) bits is under the limit, and over a box of 0 a
+    # power is 0 bits
+    src.write_text("ring Z\nvars 1 x1\neq\nterm 1 1000000\nterm -1 0\n")
+    assert run(capsys, "solve", str(src), "--box", "2") == (0, "solution -1\n", "")
+    src.write_text("ring Q\nvars 1 x1\neq\nterm 1 1000000000\n")
+    assert run(capsys, "solve", str(src), "--box", "0") == (0, "solution 0\n", "")
 
 
 def test_term_cap_that_is_not_an_integer_is_exit_3(tmp_path, capsys, monkeypatch):

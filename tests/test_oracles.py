@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -31,7 +33,7 @@ from shiftforge import (
 )
 from shiftforge import bitslice, oracles
 from shiftforge.oracles import NONE, SUPPORT_LAST, ZERO_SUM, SearchDomain
-from shiftforge.sparsepoly import shift_counts
+from shiftforge.sparsepoly import shifted_term_map
 
 from helpers import (
     out_of_box_system,
@@ -456,34 +458,35 @@ def test_kernel_counts_match_shift_instance_on_hn_corpora():
         n = inst.nsys
         box = rng.randint(1, 2)
         values = list(range(-box, box + 1))
-        walk = oracles._walk(values, range(1, n + 1), n + 1, ZERO_SUM, ZZ,
-                             0, len(values) ** n)
-        seen = []
-        for count, vec in shift_counts(ZZ, sparse_terms(inst.polynomial.terms),
-                                       range(n + 1), walk):
-            if vec is None:
-                continue
+        free = list(range(1, n + 1))
+        counts, _ = box_counts_from_planes(
+            values, sparse_terms(inst.polynomial.terms), n + 1, free, True)
+        points = reference_walk(values, free, n + 1, ZERO_SUM, ZZ)
+        assert sorted(counts) == [rank for rank, _ in points]
+        for rank, vec in points:
             b = [ZZ.el(v) for v in vec]
-            assert count == shift_instance(inst, b).sparsity()
-            seen.append(tuple(vec))
-        assert seen == [(-sum(tail),) + tail
-                        for tail in itertools.product(values, repeat=n)
-                        if abs(sum(tail)) <= box]
+            assert counts[rank] == shift_instance(inst, b).sparsity()
+        assert [vec for _, vec in points] == [
+            (-sum(tail),) + tail for tail in itertools.product(values, repeat=n)
+            if abs(sum(tail)) <= box]
         checked += 1
     assert checked >= 12
 
 
 def test_search_certifies_the_kernel_count(monkeypatch):
-    real = oracles.shift_counts
+    real = oracles.sliced_min_slots
 
-    def off_by_one(*args, **kwargs):
-        for count, vec in real(*args, **kwargs):
-            yield count + 1, vec
+    def off_by_one(*args):
+        count, rank, points = real(*args)
+        return count + 1, rank, points
 
-    monkeypatch.setattr(oracles, "shift_counts", off_by_one)
-    p = poly(ZZ, 2, {(1, 1): 1, (1, 0): 1, (0, 0): 2})
-    with pytest.raises(InternalConsistencyError):
-        search_min_sparsity(p, SearchDomain.integer_box(1))
+    monkeypatch.setattr(oracles, "sliced_min_slots", off_by_one)
+    for ring, dom in ((ZZ, SearchDomain.integer_box(1)),
+                      (QQ, SearchDomain.integer_box(1).restricted(ZERO_SUM)),
+                      (prime_field(11), SearchDomain.exhaustive())):
+        p = poly(ring, 2, {(1, 1): 1, (1, 0): 1, (0, 0): 2})
+        with pytest.raises(InternalConsistencyError):
+            search_min_sparsity(p, dom)
 
 
 # the largest k per modulus that keeps the expansion reference fast
@@ -519,15 +522,17 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
                         restriction, rng.randint(0, k))
                     want = reference_search(p, dom, metric)
                     free_count = len(oracles._plan(dom, ring, k)[1])
-                    kernel = real_scan(oracles._shift_scores, (p, metric), dom,
-                                       ring, k, 1)
+                    expanded = real_scan(oracles._shift_scores, (p, metric), dom,
+                                         ring, k, 1)
+                    slots = bitslice.term_slots(ring, p.sparse_terms, k,
+                                                metric == "nonconstant")
                     # planes of 1 bit (every coordinate fixed per block),
                     # of some coordinates, and of the whole domain
                     for bits, jobs in ((1, 1), (q, 2), (q * q + 1, 3),
                                        (1 << 20, 7)):
                         monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
                         blocks += want[2] > bits
-                        assert oracles._sliced_scan(p, dom, metric) == kernel
+                        assert oracles._sliced_scan(dom, ring, k, *slots) == expanded
                         report = search_min_sparsity(p, dom, metric, jobs=jobs)
                         got = (report.min_sparsity,
                                tuple(v.val for v in report.witness),
@@ -537,16 +542,23 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
 
 
 def test_search_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
+    """Degree above 2 and rational grids are expanded at every point."""
     def no_slices(*args):
         raise AssertionError("the sliced kernel ran out of its scope")
 
-    monkeypatch.setattr(oracles, "sliced_min_count", no_slices)
+    monkeypatch.setattr(oracles, "sliced_min_slots", no_slices)
     rng = random.Random(229)
     cases = [
-        (random_poly(prime_field(11), 2, 2, 5, rng), SearchDomain.exhaustive()),
-        (random_poly(modular(8), 2, 2, 5, rng), SearchDomain.exhaustive()),
+        (poly(prime_field(11), 2, {(3, 0): 1, (1, 1): 2, (0, 0): 1}),
+         SearchDomain.exhaustive()),
+        (poly(modular(8), 2, {(0, 3): 5, (1, 0): 1}), SearchDomain.exhaustive()),
         (poly(F3, 2, {(3, 0): 1, (1, 1): 2, (0, 0): 1}), SearchDomain.exhaustive()),
-        (random_poly(ZZ, 2, 2, 5, rng), SearchDomain.integer_box(1)),
+        (poly(ZZ, 2, {(2, 1): 1, (1, 0): -2, (0, 0): 1}), SearchDomain.integer_box(1)),
+        (poly(QQ, 2, {(1, 2): 3, (0, 0): -1}),
+         SearchDomain.integer_box(1).restricted(ZERO_SUM)),
+        (random_poly(QQ, 2, 2, 5, rng), SearchDomain.rational_grid([-1, 0, 2], [1, 2])),
+        (random_poly(QQ, 3, 2, 5, rng),
+         SearchDomain.rational_grid([-1, 0, 1], [1, 3]).restricted(ZERO_SUM)),
     ]
     for p, dom in cases:
         report = search_min_sparsity(p, dom)
@@ -555,13 +567,13 @@ def test_search_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
 
 
 def test_search_certifies_the_sliced_count(monkeypatch):
-    real = oracles.sliced_min_count
+    real = oracles.sliced_min_slots
 
     def off_by_one(*args):
-        count, rank = real(*args)
-        return count + 1, rank
+        count, rank, points = real(*args)
+        return count + 1, rank, points
 
-    monkeypatch.setattr(oracles, "sliced_min_count", off_by_one)
+    monkeypatch.setattr(oracles, "sliced_min_slots", off_by_one)
     p = poly(F3, 2, {(1, 1): 1, (1, 0): 1, (0, 0): 2})
     with pytest.raises(InternalConsistencyError):
         search_min_sparsity(p, SearchDomain.exhaustive())
@@ -581,17 +593,19 @@ def test_scan_makes_no_more_chunks_than_usable_cpus(monkeypatch):
 
     monkeypatch.setattr(oracles, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
-    p = random_poly(ZZ, 4, 2, 6, random.Random(233))
+    S = system(ZZ, 4, [{(1, 0, 0, 0): 1, (0, 0, 0, 1): -1},
+                        {(0, 1, 0, 0): 1, (0, 0, 0, 0): -2}])
     dom = SearchDomain.integer_box(2)
-    serial = search_min_sparsity(p, dom).lines()
+    serial = solve_system(S, dom)
+    assert tuple(v.val for v in serial) == (-2, 2, -2, -2)
     assert pools == []
-    assert search_min_sparsity(p, dom, jobs=10 ** 9).lines() == serial
+    assert solve_system(S, dom, jobs=10 ** 9) == serial
     assert [(pool.workers, len(pool.tasks)) for pool in pools] == [(3, 3)]
     # one chunk per point below the CPU count, and none for one point
     grid = SearchDomain.rational_grid([0, 1], [1])
-    search_min_sparsity(poly(QQ, 1, {(1,): 1}), grid, jobs=10 ** 9)
+    solve_system(system(QQ, 1, [{(1,): 1}]), grid, jobs=10 ** 9)
     one = SearchDomain.integer_box(0)
-    search_min_sparsity(poly(ZZ, 1, {(1,): 1}), one, jobs=10 ** 9)
+    solve_system(system(ZZ, 1, [{(1,): 1}]), one, jobs=10 ** 9)
     assert [(pool.workers, len(pool.tasks)) for pool in pools[1:]] == [(2, 2)]
 
 
@@ -650,22 +664,10 @@ def test_walk_matches_product_reference():
             for parts in (2, 3, 7):
                 splits += oracles._chunk_bounds(size, parts)
             for lo, hi in splits:
-                got = []
-                replay = [ring.canon(0)] * k
-                entries = 0
-                for changes, vec in oracles._walk(values, free, k, restriction,
-                                                  ring, lo, hi):
-                    for pos, v in changes:
-                        replay[pos] = v
-                    entries += len(changes)
-                    assert len({pos for pos, _ in changes}) == len(changes)
-                    assert replay == vec, (ring, restriction, lo, hi)
-                    got.append(tuple(vec))
+                got = [tuple(vec) for vec in oracles._walk(
+                    values, free, k, restriction, ring, lo, hi)]
                 assert got == [v for r, v in want if lo <= r < hi], \
                     (ring, restriction, lo, hi)
-                # each rank moves at most two odometer digits on average,
-                # plus the forced coordinate: linear in the ranks walked
-                assert entries <= 3 * (hi - lo) + k, (ring, restriction, lo, hi)
 
 
 def test_roundtrip_violations_are_in_rank_order(monkeypatch):
@@ -855,8 +857,8 @@ def test_sliced_maxsat_certifies_its_count(monkeypatch):
     real = oracles.sliced_min_slots
 
     def off_by_one(*args):
-        count, rank = real(*args)
-        return count + 1, rank
+        count, rank, points = real(*args)
+        return count + 1, rank, points
 
     monkeypatch.setattr(oracles, "sliced_min_slots", off_by_one)
     for ring, dom, _ in SLICED_MAXSAT_SPACES[1::3]:
@@ -867,18 +869,103 @@ def test_sliced_maxsat_certifies_its_count(monkeypatch):
 
 
 def test_maxsat_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
+    """Rational grids are walked with count_satisfied at every point."""
     def no_slices(*args):
         raise AssertionError("the sliced kernel ran out of its scope")
 
     monkeypatch.setattr(oracles, "sliced_min_slots", no_slices)
-    for ring, dom in ((prime_field(11), SearchDomain.exhaustive()),
-                      (modular(8), SearchDomain.exhaustive()),
-                      (QQ, SearchDomain.integer_box(1)),
-                      (QQ, SearchDomain.rational_grid([0, 1], [1, 2]))):
-        L = gen_max3lin(3, 4, ring, seed=3)
+    grid = SearchDomain.rational_grid([0, 1], [1, 2])
+    for dom in (grid, grid.restricted(ZERO_SUM), grid.restricted(SUPPORT_LAST, 2),
+                SearchDomain.rational_grid([-1, 1, 2], [1, 3])):
+        L = gen_max3lin(3, 4, QQ, seed=3)
         want = max(reference_rows_satisfied(L, vec)
-                   for vec in reference_points(dom, ring, 3))
+                   for vec in reference_points(dom, QQ, 3))
         assert maxsat(L, dom) == want
+
+
+# (ring, domain, coordinates): every domain the kernel took over from
+# the walk, with the expansion at every point as the reference
+KERNEL_SPACES = (
+    [(ring, SearchDomain.integer_box(box), 3) for ring in (ZZ, QQ)
+     for box in range(4)]
+    + [(prime_field(q), SearchDomain.exhaustive(), k)
+       for q, k in ((11, 3), (13, 3), (31, 3), (101, 2))]
+    + [(modular(q), SearchDomain.exhaustive(), 3) for q in (8, 9, 12)])
+
+
+def random_kernel_poly(ring, rng, k):
+    """Degree at most 2 in k variables; fractions over Q, and some large
+    coefficients over Z."""
+    terms = {}
+    for _ in range(rng.randint(1, 2 * k + 2)):
+        exps = [0] * k
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(k)] += 1
+        if ring.is_finite:
+            c = rng.randrange(1, ring.modulus)
+        else:
+            c = rng.choice([-3, -1, 1, 2, 5, 10 ** 20])
+            if ring == QQ:
+                c = Fraction(c, rng.choice([1, 2, 3, 4]))
+        terms[tuple(exps)] = c
+    return poly(ring, k, terms)
+
+
+def test_every_degree_two_search_and_maxsat_runs_the_kernel(monkeypatch):
+    """Search over Z and Q boxes 0..3 and Z_q of every size, under each
+    restriction and both metrics, at several plane widths and jobs,
+    against the expansion at every point; maxsat there against the walk.
+    _scan raises, so nothing is walked."""
+    real_scan = oracles._scan
+
+    def no_scan(*args):
+        raise AssertionError("a degree-2 search or maxsat was walked")
+
+    monkeypatch.setattr(oracles, "_scan", no_scan)
+    rng = random.Random(271)
+    cases = blocks = 0
+    for ring, base, k in KERNEL_SPACES:
+        values = base.values(ring)
+        p = random_kernel_poly(ring, rng, k)
+        counts = {}
+        for vec in itertools.product(values, repeat=k):
+            out = shifted_term_map(ring, p.sparse_terms, vec)
+            counts[vec] = (len(out), sum(1 for key in out if key))
+        L = gen_max3lin(3, rng.randint(1, 6), ring, planted=cases % 2 == 0,
+                        noise_count=1, seed=rng.randrange(10 ** 6))
+        doms = [base, base.restricted(ZERO_SUM),
+                base.restricted(SUPPORT_LAST, rng.randint(0, k - 1))]
+        for dom in doms:
+            values, free, size = oracles._plan(dom, ring, k)
+            points = [vec for _, vec in
+                      reference_walk(values, free, k, dom.restriction, ring)]
+            for m, metric in enumerate(("total", "nonconstant")):
+                want = min((counts[vec][m], vec) for vec in points)
+                want += (len(points),)
+                # planes of 1 bit (every coordinate fixed per block) on
+                # the small domains, of one or two coordinates, and of
+                # the whole domain
+                nv = len(values)
+                for bits in ((1,) if size <= 2500 else ()) + (nv, nv * nv, 1 << 20):
+                    monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
+                    jobs = (1, 2, 3, 7)[cases % 4]
+                    cases += 1
+                    blocks += size > bits
+                    report = search_min_sparsity(p, dom, metric, jobs=jobs)
+                    got = (report.min_sparsity,
+                           tuple(v.val for v in report.witness), report.points)
+                    assert got == want, (ring, dom.restriction, metric, p, bits)
+            if size <= 2500:
+                monkeypatch.setattr(bitslice, "PLANE_BITS", (1, nv, 1 << 20)[cases % 3])
+                walked, _ = real_scan(oracles._maxsat_scores, L, dom, ring, 3, 1)
+                assert maxsat(L, dom, jobs=(1, 2, 3, 7)[cases % 4]) == -walked[0], \
+                    (ring, dom.restriction, L.rows)
+    assert cases >= 300 and blocks >= 140
+
+
+def digit_of(rank, span, digits, d):
+    """The d-th base-span digit of rank, most significant first."""
+    return rank // span ** (digits - 1 - d) % span
 
 
 def test_class_planes_are_built_once_per_shape():
@@ -886,8 +973,10 @@ def test_class_planes_are_built_once_per_shape():
     planes = bitslice.class_planes(3, 4)
     assert bitslice.class_planes(3, 4) is planes
     assert isinstance(planes, tuple) and isinstance(planes[0], tuple)
-    assert planes == tuple(map(tuple, bitslice.digit_planes(
-        3, 4, [[(v, v + 1)] for v in range(3)])))
+    for d, row in enumerate(planes):
+        for v, plane in enumerate(row):
+            assert plane == sum(1 << r for r in range(3 ** 4)
+                                if digit_of(r, 3, 4, d) == v)
     assert bitslice.class_planes.cache_info().maxsize == 4
 
 
@@ -896,12 +985,34 @@ def test_box_planes_are_built_once_per_shape():
     planes = bitslice.box_planes(-2, 2, 3)
     assert bitslice.box_planes(-2, 2, 3) is planes
     assert isinstance(planes, tuple) and isinstance(planes[0][1], tuple)
-    runs = [[(1, 2), (3, 4)], [(2, 4)], [(4, 5)]]
-    assert tuple(tuple(p for _, p in bits) for _, bits in planes) == tuple(
-        map(tuple, bitslice.digit_planes(5, 3, runs)))
     assert [lo for lo, _ in planes] == [-2] * 3
     assert [k for k, _ in planes[0][1]] == [1, 2, 4]
+    for lo, hi, digits in ((-2, 2, 3), (0, 0, 2), (-1, 1, 0), (0, 9, 2),
+                           (3, 10, 2), (0, 1, 7), (-4, 12, 1)):
+        span = hi - lo + 1
+        for d, (base, bits) in enumerate(bitslice.box_planes(lo, hi, digits)):
+            assert base == lo
+            for k, plane in bits:
+                assert plane == sum(1 << r for r in range(span ** digits)
+                                    if digit_of(r, span, digits, d) & k)
     assert bitslice.box_planes.cache_info().maxsize == 4
+
+
+def test_box_planes_take_log_operations_per_plane():
+    """A box of 999,983 values in well under a second (a build with one
+    shift per run takes time quadratic in the span), with every bit of
+    a few ranks checked, and a search over a box of 600,001 values."""
+    bitslice.box_planes.cache_clear()
+    start = time.process_time()
+    ((lo, bits),) = bitslice.box_planes(-499991, 499991, 1)
+    assert time.process_time() - start < 1
+    for rank in (0, 1, 2, 12345, 524287, 524288, 999982):
+        assert sum(k for k, p in bits if p >> rank & 1) == rank
+    assert all(p.bit_length() <= 999983 for _, p in bits)
+    p = poly(ZZ, 1, {(2,): 3, (1,): 7, (0,): 5})
+    report = search_min_sparsity(p, SearchDomain.integer_box(300000))
+    assert report.lines()[:3] == ["min_sparsity 3", "witness -300000",
+                                  "points 600001"]
 
 
 def test_box_forced_is_built_once_per_block_shape():
@@ -956,7 +1067,7 @@ def box_counts_from_planes(values, terms, k, free, zero_sum, ring=ZZ):
     return counts, blocks
 
 
-def test_sliced_box_counts_match_shift_counts(monkeypatch):
+def test_sliced_box_counts_match_the_expansion(monkeypatch):
     rng = random.Random(241)
     split = 0
     for box in range(4):
@@ -967,11 +1078,9 @@ def test_sliced_box_counts_match_shift_counts(monkeypatch):
                 dom = SearchDomain.integer_box(box).restricted(
                     restriction, rng.randint(0, k))
                 values, free, _ = oracles._plan(dom, ZZ, k)
-                points = reference_walk(values, free, k, restriction, ZZ)
-                walk = (([(pos, v) for pos, v in enumerate(vec)], rank)
-                        for rank, vec in points)
-                want = {rank: count for count, rank
-                        in shift_counts(ZZ, terms, range(k), walk)}
+                want = {rank: len(shifted_term_map(ZZ, terms, vec))
+                        for rank, vec in reference_walk(values, free, k,
+                                                        restriction, ZZ)}
                 thresholds = {0, min(want.values()), min(want.values()) + 1,
                               max(want.values()), max(want.values()) + 1}
                 zero_sum = restriction == ZERO_SUM
@@ -1015,9 +1124,10 @@ def wiring_poly(ring, rng, k, unshifted):
     return sparse_terms(SparsePoly(ring, k + unshifted, terms).terms)
 
 
-def test_balanced_zero_sum_slots_match_shift_counts(monkeypatch):
-    """Zero-sum slots with t subtracted count the same as shift_counts
-    along the reference walk, over Z boxes and Z_q, and t fires."""
+def test_balanced_zero_sum_slots_match_the_expansion(monkeypatch):
+    """Zero-sum slots with t subtracted count the same as the expansion
+    at every point of the reference walk, over Z boxes and Z_q, in both
+    arithmetics, and t fires."""
     real = bitslice._balanced
     fired = []
 
@@ -1044,11 +1154,9 @@ def test_balanced_zero_sum_slots_match_shift_counts(monkeypatch):
             k = rng.randint(2, 4)
             terms = wiring_poly(ring, rng, k, rng.randint(1, 2))
             values, free, _ = oracles._plan(base.restricted(ZERO_SUM), ring, k)
-            points = reference_walk(values, free, k, ZERO_SUM, ring)
-            walk = (([(pos, v) for pos, v in enumerate(vec)], rank)
-                    for rank, vec in points)
-            want = {rank: count for count, rank
-                    in shift_counts(ring, terms, range(k), walk)}
+            want = {rank: len(shifted_term_map(ring, terms, vec))
+                    for rank, vec in reference_walk(values, free, k, ZERO_SUM,
+                                                    ring)}
             for bits in (1, 5, 26, 1 << 20):
                 monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
                 counts, blocks = box_counts_from_planes(values, terms, k, free,
@@ -1068,8 +1176,9 @@ def squares_system(c1, c2, c0):
 
 
 def test_roundtrip_shift_direction_matches_the_walk(monkeypatch):
-    """Direction 2 against shift_counts along the zero-sum walk: the same
-    shift points, and the same sparsifying shifts, in rank order."""
+    """Direction 2 against the expansion at every point of the zero-sum
+    walk: the same shift points, and the same sparsifying shifts, in
+    rank order."""
     real = oracles.shift_to_solution
     inverted = []
 
@@ -1079,24 +1188,28 @@ def test_roundtrip_shift_direction_matches_the_walk(monkeypatch):
 
     monkeypatch.setattr(oracles, "shift_to_solution", record)
     found = 0
+    # (system, largest box): the expansion costs about 0.1 ms per point
+    # of the 7-coordinate instances, so those stop at box 1
     systems = [
-        squares_system(1, 3, -1),  # planted: (+-1, 0)
-        squares_system(2, -1, -1),  # planted: (+-1, +-1)
-        squares_system(2, 1, 5),  # sum of squares
-        system(ZZ, 2, [{(1, 0): 2, (0, 1): -4, (0, 0): 3}]),  # parity
-        squares_system(1, 1, -10 ** 30),  # large c0
-        squares_system(10 ** 30, -1, 10 ** 30 - 1),  # planted, large
+        (squares_system(1, 3, -1), 1),  # planted: (+-1, 0)
+        (squares_system(2, -1, -1), 1),  # planted: (+-1, +-1)
+        (squares_system(2, 1, 5), 1),  # sum of squares
+        (squares_system(1, 1, -10 ** 30), 1),  # large c0
+        (squares_system(10 ** 30, -1, 10 ** 30 - 1), 1),  # planted, large
+        (system(ZZ, 2, [{(1, 0): 2, (0, 1): -4, (0, 0): 3}]), 3),  # parity
+        (system(ZZ, 2, [{(1, 0): 1, (0, 1): 1, (0, 0): -1}]), 3),  # a line
+        (system(ZZ, 1, [{(2,): 1, (0,): -1}]), 3),  # planted: +-1
+        (system(ZZ, 2, [{(1, 1): 10 ** 30, (0, 0): -2 * 10 ** 30}]), 3),
     ]
-    for S in systems:
+    for S, largest in systems:
         inst = reduce_hn(S)
         k = inst.nsys + 1
-        for box in range(4):
+        for box in range(largest + 1):
             values = list(range(-box, box + 1))
             free = list(range(1, k))
-            walk = oracles._walk(values, free, k, ZERO_SUM, ZZ, 0,
-                                 len(values) ** len(free))
-            counts = [(count, tuple(vec)) for count, vec
-                      in shift_counts(ZZ, sparse_terms(inst.polynomial.terms), range(k), walk)]
+            terms = sparse_terms(inst.polynomial.terms)
+            counts = [(len(shifted_term_map(ZZ, terms, vec)), vec) for _, vec
+                      in reference_walk(values, free, k, ZERO_SUM, ZZ)]
             want = [vec for count, vec in counts if count < inst.sigma]
             del inverted[:]
             report = verify_hn_roundtrip(S, box=box)

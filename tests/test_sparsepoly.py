@@ -23,8 +23,8 @@ from shiftforge.amplifier import amplified_shift, amplify
 from shiftforge.sparsepoly import (
     poly_from_text,
     poly_to_text,
-    shift_counts,
     shifted_term_map,
+    slot_table,
 )
 
 from helpers import (
@@ -265,38 +265,50 @@ def random_shift_terms(ring, rng, nvars, shifted):
     return sparse_terms(P(ring, nvars, terms).terms)
 
 
-def test_shift_counts_match_expansion_along_random_walks():
+def slot_count(ring, table, a):
+    """The monomial count that slot_table's (quadratic, groups) gives at
+    the shift a, a map from shifted position to payload: every slot
+    evaluated at a, directly."""
+    quadratic, groups = table
+    count = quadratic
+    for linear, quad, const in groups:
+        for _, c, deriv in linear:
+            count += bool(ring.canon(c + sum(d * a[j] for j, d in deriv.items())))
+        if const is not None:
+            value = const + sum(c * a[i] for i, c, _ in linear)
+            value += sum(c * a[i] * a[j] for (i, j), c in quad.items())
+            count += bool(ring.canon(value))
+    return count
+
+
+def test_slot_table_counts_match_expansion_at_random_points():
     rng = random.Random(181)
     for ring in (ZZ, QQ, F5, prime_field(2), modular(4), Z6):
         for _ in range(25):
             nvars = rng.randint(1, 5)
             shifted = sorted(rng.sample(range(nvars), rng.randint(1, nvars)))
             terms = random_shift_terms(ring, rng, nvars, shifted)
-            a = [ring.canon(0)] * nvars
-            walk = []
-            points = []
-            for _ in range(12):
-                changes = [(j, random_element(ring, rng, 2).val)
-                           for j in rng.sample(shifted, rng.randint(1, len(shifted)))]
-                for j, v in changes:
-                    a[j] = v
-                walk.append((changes, len(points)))
-                points.append(list(a))
             for nonconstant in (False, True):
-                steps = list(shift_counts(ring, terms, shifted, walk, nonconstant))
-                assert [tag for _, tag in steps] == list(range(len(points)))
-                for (count, tag), point in zip(steps, points):
+                table = slot_table(ring, terms, shifted, nonconstant)
+                for _ in range(6):
+                    point = [ring.canon(0)] * nvars
+                    for j in shifted:
+                        point[j] = random_element(ring, rng, 2).val
                     out = shifted_term_map(ring, terms, point)
                     if nonconstant:
-                        out = [e for e in out if sum(e)]
-                    assert count == len(out), (ring, terms, shifted, point)
+                        out = [e for e in out if e]
+                    assert slot_count(ring, table, point) == len(out), \
+                        (ring, terms, shifted, point)
 
 
-def test_shift_counts_needs_degree_two_in_the_shifted_positions():
+def test_slot_table_needs_degree_two_in_the_shifted_positions():
     terms = sparse_terms(P(ZZ, 2, {(3, 0): 1, (0, 1): 1}).terms)
-    assert list(shift_counts(ZZ, terms, [1], [([(1, 2)], None)])) == [(3, None)]
+    table = slot_table(ZZ, terms, [1])
+    assert table == (0, [([], {}, 1), ([(1, 1, {})], {}, 0)])
+    # P(X + (0, 2)) = x0^3 + x1 + 2
+    assert slot_count(ZZ, table, [0, 2]) == 3
     with pytest.raises(PreconditionError):
-        next(shift_counts(ZZ, terms, [0], [([(0, 2)], None)]))
+        slot_table(ZZ, terms, [0])
 
 
 def random_offsets(ring, rng, k):
