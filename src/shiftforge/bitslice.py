@@ -7,10 +7,10 @@ them the monomial count of P(X + a), come out for the whole block; so
 do the rows of a Max-3-Lin system, each a slot with no quadratic part,
 and from them the unsatisfied row count:
 
-- over Z_q with q at most MAX_MODULUS a coordinate, and a slot, is q
-  one-hot planes: plane v has the bits of the points where the value
-  is v.  Adding or multiplying two such values costs q^2 AND/OR
-  operations on whole planes.
+- over Z_q with q = 3 or 5 (odd and at most MAX_MODULUS) a coordinate,
+  and a slot, is q one-hot planes: plane v has the bits of the points
+  where the value is v.  Adding or multiplying two such values costs
+  q^2 AND/OR operations on whole planes.
 - over an integer box a coordinate is its offset from the box's low end
   in binary, one plane per bit, and a slot is taken mod 2^W in
   two's-complement bit planes, where 2^W exceeds a bound on the slot's
@@ -19,13 +19,14 @@ and from them the unsatisfied row count:
   two of them, added column by column with full adders.  A box over Q
   holds integers, and each slot is scaled by the lcm of its
   denominators, which keeps its zeros.
-- over Z_q with q above MAX_MODULUS a coordinate is its residue
-  0..q-1 in binary, as in the box 0..q-1, and a slot's coefficients are
-  reduced into 0..q-1, so the slot is a sum of nonnegative terms, each
-  below q.  Only "slot != 0 mod q" is tested, once per slot: for q = 2^s
-  it is the OR of the low s bits; otherwise the bits are folded, bit b
-  weighing 2^b mod q, until the bound stops shrinking, and the few
-  multiples of q below the bound are tested for equality.
+- over any other Z_q a coordinate is its residue 0..q-1 in binary, as
+  in the box 0..q-1, and a slot's coefficients are reduced into 0..q-1,
+  so the slot is a sum of nonnegative terms, each below q.  Only
+  "slot != 0 mod q" is tested, once per slot: for q = 2^s the adder
+  stops at bit s, since only the low s bits matter, and the test is
+  their OR; otherwise the bits are folded, bit b weighing 2^b mod q,
+  until the bound stops shrinking, and the few multiples of q below the
+  bound are tested for equality.
 
 The "slot != 0" masks are summed into bit-sliced binary counter planes
 by a ripple-carry adder, and the counts are read from those planes.
@@ -57,12 +58,13 @@ from math import lcm
 from .rings import RATIONALS
 from .sparsepoly import slot_table
 
-# moduli up to this get one-hot planes (q^2 operations per term), larger
-# ones binary residues (a fold per slot).  Measured on a 2-CPU VM with
-# verify_max3lin (n = 3..7) and degree-2 searches of 10^4..10^6 points:
-# one-hot wins or ties at q = 2, 3 and 5, binary from q = 6 on (F7: 1.9
-# against 2.8 ms per verify and 19 against 28 ms per search), and at the
-# power of two q = 4 (0.4-0.6 against 0.5-0.8 ms per verify)
+# odd moduli up to this get one-hot planes (q^2 operations per term);
+# larger ones and every power of two binary residues (a fold per slot,
+# none for q = 2^s).  Measured on a 2-CPU VM with verify_max3lin
+# (n = 3..7) and degree-2 searches of 10^4..10^6 points: one-hot wins or
+# ties at q = 3 and 5, binary from q = 6 on (F7: 1.9 against 2.8 ms per
+# verify and 19 against 28 ms per search), and at q = 2^s once the adder
+# stops at bit s (Z4 n = 5: 5-6.5 against 16.5 ms per verify)
 MAX_MODULUS = 5
 # bits of one plane (128 KiB)
 PLANE_BITS = 1 << 20
@@ -78,8 +80,8 @@ def _repeat(pattern, period, length):
     return pattern & ((1 << length) - 1)
 
 
-# one entry is at most q * digits planes of PLANE_BITS bits: 5 MiB for
-# q = 2 or 4, so the cache holds at most about 21 MB
+# one entry is q * digits planes of at most PLANE_BITS bits: at most
+# 2.3 MiB (q = 3, 12 digits), so the cache holds at most about 10 MB
 @lru_cache(maxsize=4)
 def class_planes(q, digits):
     """One-hot digit planes over the ranks 0..q**digits - 1: out[d][v]
@@ -239,6 +241,10 @@ class _Box:
         self.hi = hi
         self.full = full
         self.modulus = modulus
+        # over Z_q with q = 2^s only the low s bits of a slot matter
+        self.cap = None
+        if modulus is not None and not modulus & modulus - 1:
+            self.cap = modulus.bit_length() - 1
 
     def coordinates(self, digits):
         return box_planes(self.lo, self.hi, digits)
@@ -290,11 +296,14 @@ class _Box:
     def bits(self, const, terms, signed=False):
         """The bits of const + sum of k * [p] over the (k, p) terms, mod
         2^W, where 2^W exceeds the magnitude of that sum at every point,
-        with one more bit, the sign, when signed is set."""
+        with one more bit, the sign, when signed is set; W is at most s
+        over Z_q with q = 2^s."""
         width = (abs(const) + sum(abs(k) for k, _ in terms)).bit_length()
         width += signed
+        if self.cap is not None:
+            width = min(width, self.cap)
         mask = (1 << width) - 1
-        columns = [[] for _ in range(width + 1)]
+        columns = [[] for _ in range(width)]
         for k, p in terms:
             if k < 0:
                 # k * [p] = -k * [not p] + k
@@ -313,6 +322,10 @@ class _Box:
         out = []
         for b in range(width):
             column = columns[b]
+            if b + 1 == width:
+                # the carries of the last column fall outside mod 2^W
+                out.append(reduce(operator.xor, column, 0))
+                break
             carries = columns[b + 1]
             while len(column) > 1:
                 x, y = column.pop(), column.pop()
@@ -325,11 +338,8 @@ class _Box:
 
     def nonzero(self, value):
         q = self.modulus
-        if q is None:
+        if q is None or self.cap is not None:
             return reduce(operator.or_, value, 0)
-        if not q & q - 1:
-            # q = 2^s: the slot mod q is its low s bits
-            return reduce(operator.or_, value[:q.bit_length() - 1], 0)
         # the value is congruent to the sum of (2^b mod q) * [bit b]
         bound = (1 << len(value)) - 1
         while True:
@@ -441,7 +451,7 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     q = ring.modulus
     if q is None:
         arith = _Box(int(values[0]), int(values[-1]), full)
-    elif q <= MAX_MODULUS:
+    elif q <= MAX_MODULUS and q & q - 1:
         arith = _Residues(q, full)
     else:
         arith = _Box(0, q - 1, full, q)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 import os
+import sys
 from functools import partial
 from itertools import chain
 
@@ -392,7 +393,9 @@ class SparsePoly:
         vectors: by degree, then by the pairs with each position negated,
         since an earlier position is the larger exponent vector.  Two
         stable passes, the second by degree, sort on cheaper keys than
-        one pass by (degree, pairs)."""
+        one pass by (degree, pairs).  This is the reference order of the
+        text formats; term_lines reaches it by sorting strings when every
+        exponent is one digit."""
         signs = (-1, 1) * self.nvars
         keys = sorted(self.sparse_terms, reverse=True,
                       key=lambda k: tuple(map(operator.mul, k, signs)))
@@ -530,7 +533,11 @@ def eval_payload(poly, vals):
 #   vars <k> [<name> ...]
 #   term <coef> <e1> ... <ek>
 #
-# '#' starts a comment; duplicate exponent vectors are rejected.
+# '#' starts a comment; duplicate exponent vectors are rejected.  Terms
+# are written in graded-lex descending order, one space between tokens,
+# so when every exponent is one digit a row is fixed-width: term_lines
+# builds and sorts such rows as strings, and read_term reads them by
+# position.  Any other row is written and read token by token.
 
 
 class Reader:
@@ -543,16 +550,21 @@ class Reader:
     FormatError raised while a line is handled names the line.
     """
 
-    __slots__ = ("ring", "nvars", "names", "lineno", "vars_line")
+    __slots__ = ("ring", "nvars", "names", "lineno", "vars_line",
+                 "payloads", "chunks")
 
     def __init__(self, vars_line=True):
         self.ring = self.nvars = self.names = self.lineno = None
         self.vars_line = vars_line
+        # read_term's memos: coefficient tokens to payloads, and
+        # (position, 8 exponent digits) to the key of that chunk
+        self.payloads = {}
+        self.chunks = {}
 
     def lines(self, text, notes=None):
         """Yield (parts, line) per statement line; comment lines go to notes."""
         for self.lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
+            line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
             if line:
                 yield line.split(), line
             elif notes is not None and "#" in raw:
@@ -632,10 +644,47 @@ def parse_vars_line(parts, line):
 
 
 def read_term(reader, terms, parts, line):
-    """Add a `term` line to terms, a map from keys to payloads."""
-    if len(parts) != 2 + reader.nvars:
-        raise FormatError("term line needs %d exponents" % reader.nvars)
-    coef = reader.ring.parse_payload(parts[1])
+    """Add a `term` line to terms, a map from keys to payloads.
+
+    A line of n + 2 tokens that is len(coef) + 2n + 5 characters long,
+    the least possible, has one-character exponents and separators, so
+    its exponents are every other character after the coefficient; when
+    they are all ASCII digits, as term_lines writes them, the key of each
+    8-position chunk is looked up in a per-file memo.  Any other line is
+    read token by token, to the same key or error.  Coefficients go
+    through a per-file memo of parse_payload."""
+    n = reader.nvars
+    if len(parts) != 2 + n:
+        raise FormatError("term line needs %d exponents" % n)
+    token = parts[1]
+    coef = reader.payloads.get(token)
+    if coef is None:
+        coef = reader.payloads[token] = reader.ring.parse_payload(token)
+    digits = line[len(token) + 6::2]
+    if (len(line) == len(token) + 2 * n + 5 and digits.isascii()
+            and digits.isdigit()):
+        chunks = reader.chunks
+        key = ()
+        for s in range(0, n, 8):
+            piece = digits[s:s + 8]
+            chunk = chunks.get((s, piece))
+            if chunk is None:
+                chunk = chunks[s, piece] = tuple(
+                    v for p, e in enumerate(piece, s) if e != "0"
+                    for v in (p, int(e)))
+            key += chunk
+    else:
+        key = _token_key(parts, line)
+    if key in terms:
+        exps = repr(dense_exps(key, n))
+        if len(exps) > QUOTE_LIMIT:
+            exps = quoted(exps)
+        raise FormatError("duplicate exponent vector %s" % exps)
+    terms[key] = coef
+
+
+def _token_key(parts, line):
+    """The key of a `term` line's exponent tokens, parts[2:]."""
     key = []
     try:
         for p, token in enumerate(parts[2:]):
@@ -648,13 +697,7 @@ def read_term(reader, terms, parts, line):
         if min(exps) < 0:
             raise FormatError("negative exponent in %s" % quoted(line))
         key = [v for p, e in pairs(key) if e for v in (p, e)]  # such as "00"
-    key = tuple(key)
-    if key in terms:
-        exps = repr(dense_exps(key, reader.nvars))
-        if len(exps) > QUOTE_LIMIT:
-            exps = quoted(exps)
-        raise FormatError("duplicate exponent vector %s" % exps)
-    terms[key] = coef
+    return tuple(key)
 
 
 def header_lines(ring, nvars, names=()):
@@ -666,9 +709,37 @@ def header_lines(ring, nvars, names=()):
 
 
 def term_lines(poly):
-    """The `term` lines of poly, in graded-lexicographic descending order."""
+    """The `term` lines of poly, in graded-lexicographic descending order.
+
+    When poly has variables, every exponent is one digit and every degree
+    is at most sys.maxunicode, a line is a head `term <coef> ` and a
+    fixed-width row `e1 e2 ... ek`, whose byte 2p is the digit of
+    position p; the records chr(degree) + row + head sort as strings,
+    descending, into that order (by degree, then row), and rows are
+    unique, so the head never decides.  Any other poly is written token
+    by token in the order of sorted_keys, the reference."""
+    n = poly.nvars
     fmt = poly.ring.format_coeff
-    row = ["0"] * poly.nvars
+    if n:
+        zeros = b"0 " * (n - 1) + b"0"
+        heads = {}
+        records = []
+        for key, c in poly.sparse_terms.items():
+            exps = key[1::2]
+            degree = sum(exps)
+            if degree > 9 and (max(exps) > 9 or degree > sys.maxunicode):
+                break  # written token by token below
+            row = bytearray(zeros)
+            for p, e in pairs(key):
+                row[2 * p] = 48 + e  # the ASCII digit e
+            head = heads.get(c)
+            if head is None:
+                head = heads[c] = "term %s " % fmt(c)
+            records.append(chr(degree) + row.decode() + head)
+        else:
+            records.sort(reverse=True)
+            return [r[2 * n:] + r[1:2 * n] for r in records]
+    row = ["0"] * n
     lines = []
     for key in poly.sorted_keys():
         for p, e in pairs(key):

@@ -257,3 +257,28 @@ def test_product_nonconstant_minimum_decomposes():
 
     base_min = min_nonconstant_f2(base)
     assert actual >= base_min ** 2
+
+
+def test_amplified_bytes_are_pinned():
+    """The digest of a written 28,561-term product (13^4 terms of degree
+    up to 8 over 24 variables), and its reload, which writes the same
+    bytes: the text writer and reader at construction size."""
+    from hashlib import sha256
+
+    from shiftforge import gen_max3lin
+    from shiftforge.sparsepoly import poly_from_text, poly_to_text
+
+    rng = random.Random(89)
+    F5 = prime_field(5)
+    while True:
+        system = gen_max3lin(3, 3, F5, planted=True, seed=rng.randrange(10 ** 6))
+        enc = encode_max3lin(system)
+        if enc.polynomial.sparsity() == 13:
+            break
+    amp = amplify(enc.polynomial, 4).polynomial
+    text = poly_to_text(amp)
+    assert amp.sparsity() == 28561 and amp.nvars == 24
+    assert sha256(text.encode()).hexdigest() == (
+        "fb13f116d076b9fd4f3bd187178f3b455031116e5536836fdd277bb0183b625e")
+    reloaded = poly_from_text(text)
+    assert reloaded == amp and poly_to_text(reloaded) == text

@@ -890,7 +890,11 @@ KERNEL_SPACES = (
      for box in range(4)]
     + [(prime_field(q), SearchDomain.exhaustive(), k)
        for q, k in ((11, 3), (13, 3), (31, 3), (101, 2))]
-    + [(modular(q), SearchDomain.exhaustive(), 3) for q in (8, 9, 12)])
+    + [(modular(q), SearchDomain.exhaustive(), 3) for q in (8, 9, 12)]
+    # powers of two run binary with the adder cut at bit s
+    + [(ring, SearchDomain.exhaustive(), k)
+       for ring, k in ((prime_field(2), 5), (modular(2), 5), (modular(4), 4),
+                       (modular(16), 3))])
 
 
 def random_kernel_poly(ring, rng, k):
@@ -912,10 +916,10 @@ def random_kernel_poly(ring, rng, k):
 
 
 def test_every_degree_two_search_and_maxsat_runs_the_kernel(monkeypatch):
-    """Search over Z and Q boxes 0..3 and Z_q of every size, under each
-    restriction and both metrics, at several plane widths and jobs,
-    against the expansion at every point; maxsat there against the walk.
-    _scan raises, so nothing is walked."""
+    """Search over Z and Q boxes 0..3, Z_q of every size and the powers
+    of two up to 16, under each restriction and both metrics, at several
+    plane widths and jobs, against the expansion at every point; maxsat
+    there against the walk.  _scan raises, so nothing is walked."""
     real_scan = oracles._scan
 
     def no_scan(*args):

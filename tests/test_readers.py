@@ -56,6 +56,52 @@ def test_format_error_names_file_and_line(tmp_path, loader, name, text, lineno):
     assert "%s:%d" % (path, lineno) in str(info.value)
 
 
+TERM_HEAD = "ring Z\nvars 3 x y z\n"
+
+
+@pytest.mark.parametrize("loader, name, body, want", [
+    # a row as the writer writes it is read by position
+    (load_poly, "p.poly", "term 5 0 1 2\n", (0, 1, 2)),
+    (load_system, "s.sys", "eq\nterm 5 0 1 2\n", (0, 1, 2)),
+    # other blanks, a comment and other exponent spellings give the same
+    # key as the token loop
+    (load_poly, "p.poly", "term 5 0\t1 2\n", (0, 1, 2)),
+    (load_poly, "p.poly", "term\t5 0 1 2\n", (0, 1, 2)),
+    (load_poly, "p.poly", "term 5 0  1 2\n", (0, 1, 2)),
+    (load_poly, "p.poly", " term 5 0 1 2 \t\n", (0, 1, 2)),
+    (load_poly, "p.poly", "term 5 0 1 2 # note\n", (0, 1, 2)),
+    (load_poly, "p.poly", "term 5 00 1 2\n", (0, 1, 2)),
+    (load_poly, "p.poly", "term 5 +1 1 2\n", (1, 1, 2)),
+    (load_poly, "p.poly", "term 5 1_0 1 2\n", (10, 1, 2)),
+    (load_poly, "p.poly", "term 5 \u0663 1 2\n", (3, 1, 2)),
+    # or the same error
+    (load_poly, "p.poly", "term 5 -1 1 2\n", "negative exponent in 'term 5 -1 1 2'"),
+    (load_poly, "p.poly", "term 5 q 1 2\n", "bad integer 'q' in 'term 5 q 1 2'"),
+    (load_poly, "p.poly", "term 5 1 2 \u00b2\n",
+     "bad integer '\u00b2' in 'term 5 1 2 \u00b2'"),
+    (load_poly, "p.poly", "term 5 0 1\n", "term line needs 3 exponents"),
+    (load_poly, "p.poly", "term 5 0 1 2 3\n", "term line needs 3 exponents"),
+    (load_poly, "p.poly", "term x 0 1 2\n", "bad coefficient 'x'"),
+    (load_poly, "p.poly", "term 5 0 1 2\nterm 6 0 1 2\n",
+     "duplicate exponent vector (0, 1, 2)"),
+    (load_system, "s.sys", "eq\nterm 5 0 1 2\nterm 6 0 1 2\n",
+     "duplicate exponent vector (0, 1, 2)"),
+])
+def test_term_lines_read_the_same_by_position_and_by_token(tmp_path, loader, name,
+                                                           body, want):
+    path = tmp_path / name
+    path.write_text(TERM_HEAD + body, encoding="utf-8")
+    if isinstance(want, tuple):
+        loaded = loader(str(path))
+        poly = loaded if loader is load_poly else loaded[1].equations[0]
+        assert poly.terms == {want: 5}
+        return
+    with pytest.raises(FormatError) as info:
+        loader(str(path))
+    lineno = TERM_HEAD.count("\n") + body.count("\n")
+    assert str(info.value) == "%s (%s:%d)" % (want, path, lineno)
+
+
 def test_error_in_a_manifest_circuit_names_the_circuit_file(tmp_path):
     (tmp_path / "c.circ").write_text("ring Z\nvars 1 x\nnode 0 input 0\noutput last\n")
     manifest = tmp_path / "m.sys"

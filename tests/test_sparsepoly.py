@@ -21,10 +21,12 @@ from shiftforge import (
 )
 from shiftforge.amplifier import amplified_shift, amplify
 from shiftforge.sparsepoly import (
+    dense_exps,
     poly_from_text,
     poly_to_text,
     shifted_term_map,
     slot_table,
+    term_lines,
 )
 
 from helpers import (
@@ -221,6 +223,51 @@ def test_file_round_trip_bit_exact():
             q = poly_from_text(text)
             assert q == p
             assert poly_to_text(q) == text
+
+
+def token_lines(poly):
+    """The `term` lines of poly joined token by token, in the order of
+    sorted_keys: the writer's reference."""
+    lines = []
+    for key in poly.sorted_keys():
+        tokens = ["term", poly.ring.format_coeff(poly.sparse_terms[key])]
+        tokens += [str(e) for e in dense_exps(key, poly.nvars)]
+        lines.append(" ".join(tokens))
+    return lines
+
+
+def test_term_lines_match_the_token_writer():
+    """term_lines writes the reference's bytes, and they read back equal,
+    over four rings, 0..30 variables and exponents 0..12, so on both sides
+    of the one-digit rule."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def polys(draw):
+        ring = draw(st.sampled_from((ZZ, QQ, F5, Z6)))
+        nvars = draw(st.integers(0, 30))
+        top = draw(st.sampled_from((1, 9, 12)))
+        # the terms come from a drawn seed, which keeps each draw cheap;
+        # each sets up to 8 positions, so rows of any width stay sparse
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        terms = {}
+        for _ in range(draw(st.integers(0, 12))):
+            exps = [0] * nvars
+            for p in rng.sample(range(nvars), min(nvars, rng.randint(0, 8))):
+                exps[p] = rng.randint(0, top)
+            c = rng.randint(-10 ** 20, 10 ** 20)
+            terms[tuple(exps)] = Fraction(c, rng.randint(1, 12)) if ring == QQ else c
+        return P(ring, nvars, terms)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(polys())
+    def check(p):
+        text = poly_to_text(p)
+        assert text.splitlines()[2:] == term_lines(p) == token_lines(p)
+        assert poly_from_text(text) == p
+
+    check()
 
 
 def test_file_format_fields():
