@@ -4,19 +4,22 @@ Every point of a block of the search domain owns one bit of a Python
 int, at its rank within the block, so one operation on ints acts on
 every point of the block at once.  The slots of slot_table, and from
 them the monomial count of P(X + a), come out for the whole block; so
-do the rows of a Max-3-Lin system, each a slot with no quadratic part,
-and from them the unsatisfied row count:
+do the rows of a Max-3-Lin system and the equations of a system, each a
+slot, and from them the count of unsatisfied rows or equations.  A slot
+is const plus a sum of c * a^key, for any degree:
 
 - over Z_q with q = 3 or 5 (odd and at most MAX_MODULUS) a coordinate,
   and a slot, is q one-hot planes: plane v has the bits of the points
   where the value is v.  Adding or multiplying two such values costs
-  q^2 AND/OR operations on whole planes.
+  q^2 AND/OR operations on whole planes, and a factor a_i^e one
+  relabelling of the planes of a_i.
 - over an integer box a coordinate is its offset from the box's low end
-  in binary, one plane per bit, and a slot is taken mod 2^W in
+  in binary, one plane per bit: the form o + sum of k * [p].  A product
+  of forms multiplies out over those bits, with [p] * [p] = [p], into a
+  weighted sum of ANDs of coordinate bits, and a slot, taken mod 2^W in
   two's-complement bit planes, where 2^W exceeds a bound on the slot's
-  magnitude over the box, so the slot is 0 exactly where all W planes
-  are.  Each slot is a weighted sum of coordinate bits and of ANDs of
-  two of them, added column by column with full adders.  A box over Q
+  magnitude over the box, is 0 exactly where all W planes are; its
+  planes are added column by column with full adders.  A box over Q
   holds integers, and each slot is scaled by the lcm of its
   denominators, which keeps its zeros.
 - over any other Z_q a coordinate is its residue 0..q-1 in binary, as
@@ -27,6 +30,10 @@ and from them the unsatisfied row count:
   their OR; otherwise the bits are folded, bit b weighing 2^b mod q,
   until the bound stops shrinking, and the few multiples of q below the
   bound are tested for equality.
+
+The binary layout takes a slot set while its width bound, the planes
+its products may need times the bits of their values, is at most
+MAX_WIDTH (fits); the oracles walk wider ones.
 
 The "slot != 0" masks are summed into bit-sliced binary counter planes
 by a ripple-carry adder, and the counts are read from those planes.
@@ -39,10 +46,11 @@ constants, so memory stays bounded whatever the size of the domain.
 
 What depends only on the shape of a block is built once and cached: the
 coordinate planes (class_planes one-hot, box_planes in binary, each in
-O(log) big-int operations per plane) and, under zero_sum, the forced
-coordinate and its in-domain mask (box_forced, in binary for every
-arithmetic).  Under zero_sum, coordinate 0 and the free coordinates sum
-to 0 (mod q over Z_q), so subtracting one t from all their linear
+O(log) big-int operations per plane) and, under zero_sum, the sum S of
+the planed coordinates (box_sum), from which box_forced derives the
+forced coordinate and its in-domain mask for each sum of the fixed
+ones.  Under zero_sum, coordinate 0 and the free coordinates sum to 0
+(mod q over Z_q), so subtracting one t from all their linear
 coefficients leaves a slot's value unchanged at every point of the
 domain; _balanced takes t as each slot's commonest coefficient there,
 which turns the HN wiring slot x0 + x1 + ... + 3*x3 + ... + x6 - 2*x1^2
@@ -53,10 +61,10 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
-from math import lcm
+from math import comb, lcm
 
 from .rings import RATIONALS
-from .sparsepoly import slot_table
+from .sparsepoly import pairs, slot_table
 
 # odd moduli up to this get one-hot planes (q^2 operations per term);
 # larger ones and every power of two binary residues (a fold per slot,
@@ -68,6 +76,16 @@ from .sparsepoly import slot_table
 MAX_MODULUS = 5
 # bits of one plane (128 KiB)
 PLANE_BITS = 1 << 20
+# the largest width bound (fits) of a slot set that the binary
+# arithmetic takes; the oracles walk wider ones.  The kernel's cost grows
+# with the bound, the walk's with the points.  Measured on a 2-CPU VM:
+# over one block of 390,625 points (solve of x1^e*x2 + x3 + ... + x8 - 1
+# over [-2, 2]^8) they cross near a bound of 4e6, and at 67,648 the
+# kernel takes 0.10 s against 3.4 s; over the 5 points of x1^e - 1 the
+# walk takes 0.2 ms at every e, the kernel 5 ms at 32,016 and 0.13 s at
+# 320,016.  2^15 keeps the kernel within milliseconds where the walk is
+# cheap
+MAX_WIDTH = 1 << 15
 
 
 def _repeat(pattern, period, length):
@@ -137,45 +155,63 @@ def _below(value, bound, points):
     return below
 
 
-# one entry is the offset bits of coordinate 0 and its in-box mask,
-# (span - 1).bit_length() + 1 planes of at most PLANE_BITS bits: at most
-# 2.7 MiB (a box of 2^20 values, 1 digit), so the cache holds at most
-# about 21 MB
-@lru_cache(maxsize=8)
+# one entry is the bits of the sum of the planed offsets, at most
+# (digits * (span - 1)).bit_length() planes of at most PLANE_BITS bits:
+# at most 2.7 MiB (a box of 2^20 values, 1 digit), so the cache holds at
+# most about 11 MB
+@lru_cache(maxsize=4)
+def box_sum(lo, hi, digits):
+    """The sum S of the offsets from lo of the coordinates of
+    box_planes(lo, hi, digits), as unsigned bit planes, least significant
+    first.  Built once per (lo, hi, digits), as a tuple."""
+    box = _Box(lo, hi, (1 << (hi - lo + 1) ** digits) - 1)
+    return tuple(box.bits(0, [(k, p) for _, bits in box_planes(lo, hi, digits)
+                              for k, p in bits]))
+
+
 def box_forced(lo, hi, digits, const, modulus=None):
     """Coordinate 0 of a zero-sum block over the box lo..hi whose planed
     coordinates are those of box_planes(lo, hi, digits) and whose fixed
-    free coordinates sum to -const: x0 = const minus the sum S of the
-    planed ones, and the mask of the points where it lies in the domain,
-    from the sign tests of x0 - lo >= 0 and hi - x0 >= 0.  In the box,
-    x0 - lo is its offset from lo, so x0 is held as (lo, bits); with no
-    planed coordinates it is an int, and the mask is 1 or 0.
+    free coordinates sum to -const: x0 = const minus the sum of the
+    planed ones, that is c - S with c = const - digits * lo and S from
+    box_sum, and the mask of the points where it lies in the domain,
+    where c - hi <= S <= c - lo.  In the box, x0 - lo is its offset from
+    lo, so x0 is held as (lo, bits), whose bits are exact on that mask;
+    with no planed coordinate bits it is an int, and the mask is full or
+    0.
 
     Over Z_q, (lo, hi) is (0, q - 1), const is reduced, and x0 is taken
-    mod q: x0 = const + j*q - S for the one j in 0..digits that puts it
-    in 0..q-1, so it is the disjoint union over j of the in-box parts of
-    const + j*q - S, and every point is in the domain.  That j is digits
-    less the number of bounds const + i*q, i < digits, that S does not
+    mod q: x0 = c + j*q - S for the one j in 0..digits that puts it in
+    0..q-1, so it is the disjoint union over j of the in-box parts of
+    c + j*q - S, and every point is in the domain.  That j is digits
+    less the number of bounds c + i*q, i < digits, that S does not
     exceed, so x0 is one bit-sliced sum."""
     full = (1 << (hi - lo + 1) ** digits) - 1
-    box = _Box(lo, hi, full)
-    # each planed coordinate is lo plus its offset bits
     const -= digits * lo
-    terms = [(-k, p) for _, bits in box_planes(lo, hi, digits)
-             for k, p in bits]
-    if not terms:
+    if not digits or lo == hi:
         return const, full if lo <= const <= hi else 0
+    planed = box_sum(lo, hi, digits)
+    nbits = (hi - lo).bit_length()
     if modulus is None:
-        up = box.bits(const - lo, terms, True)
-        down = box.bits(hi - const, [(-k, p) for k, p in terms], True)
-        inside = full & ~(up[-1] | down[-1])
+        inside = (_below(planed, const - lo + 1, full)
+                  & ~_below(planed, const - hi, full))
+        # the low bits of const - lo - S: const - lo + ~S + 1, rippled
+        up = []
+        carry = full
+        for b in range(nbits):
+            x = full ^ planed[b] if b < len(planed) else full
+            if const - lo >> b & 1:
+                up.append(full ^ x ^ carry)
+                carry |= x
+            else:
+                up.append(x ^ carry)
+                carry &= x
     else:
-        planed = box.bits(0, [(-k, p) for k, p in terms])
+        terms = [(-1 << b, p) for b, p in enumerate(planed)]
         terms += [(-modulus, _below(planed, const + i * modulus + 1, full))
                   for i in range(digits)]
-        up = box.bits(const + digits * modulus, terms)
+        up = _Box(lo, hi, full).bits(const + digits * modulus, terms)
         inside = full
-    nbits = (hi - lo).bit_length()
     return (lo, tuple((1 << b, p) for b, p in enumerate(up[:nbits]))), inside
 
 
@@ -211,16 +247,25 @@ class _Residues:
                                        for k, p in value[1]), self.full)
                 for v in range(self.modulus)]
 
-    def slot(self, coords, const, linear, quad):
-        """A slot of _blocks at the coordinates coords."""
+    def values(self, coords, slots):
+        """The value of every slot at the coordinates coords, in order:
+        a payload where it is the same at every point, else its classes.
+        The value of each a^key is built once per block, one _apply per
+        factor."""
         q = self.modulus
-        value = const
-        for i, c in linear:
-            value = _apply(lambda u, w: u + c * w, value, coords[i], q)
-        for (i, j), c in quad:
-            term = _apply(operator.mul, coords[i], coords[j], q)
-            value = _apply(lambda u, w: u + c * w, value, term, q)
-        return value
+        products = {(pos, 1): x for pos, x in enumerate(coords)}
+        for const, terms in slots:
+            value = const
+            for c, key in terms:
+                x = products.get(key)
+                if x is None:
+                    x = 1
+                    for p, e in pairs(key):
+                        x = _apply(lambda u, w: u * pow(w, e, q), x,
+                                   coords[p], q)
+                    products[key] = x
+                value = _apply(lambda u, w: u + c * w, value, x, q)
+            yield value
 
     def nonzero(self, value):
         return self.full ^ value[0]
@@ -231,10 +276,11 @@ class _Box:
     or, when modulus is set, over Z_q as residues in the box 0..q-1.
 
     A coordinate that varies over the block is a pair (lo, bits), where
-    bits lists (2^b, plane of bit b) for its offset from lo.  A slot is a
-    weighted sum of planes, const + sum of k * [p], whose planes are
-    coordinate bits and ANDs of two of them; its bits come from adding
-    each column of planes with full adders."""
+    bits lists (2^b, plane of bit b) for its offset from lo: the form
+    o + sum of k * [p] with o = lo.  A product of coordinates multiplies
+    their forms out, so a slot is a weighted sum of planes, const + sum
+    of k * [p], whose planes are ANDs of coordinate bits; its bits come
+    from adding each column of planes with full adders."""
 
     def __init__(self, lo, hi, full, modulus=None):
         self.lo = lo
@@ -252,56 +298,83 @@ class _Box:
     def lift(self, value):
         return value
 
-    def slot(self, coords, const, linear, quad):
-        """A slot of _blocks at the coordinates coords: an int when it is
-        the same at every point, else its bits.  Over Z_q both are only
-        congruent to the slot mod q."""
-        terms = []
-        linear = [(c, coords[i]) for i, c in linear]
-        for (i, j), c in quad:
-            x, y = coords[i], coords[j]
-            if isinstance(x, int):
-                x, y = y, x
-            if isinstance(y, int):
-                linear.append((c * y, x))
-                continue
-            if i == j:
-                # (o + sum of k * [p])^2, where [p]^2 = [p] and each pair
-                # of distinct bits comes twice
-                o, e = x
-                const += c * o * o
-                terms += [(c * k * (2 * o + k), p) for k, p in e]
-                terms += [(2 * c * k * m, p & r)
-                          for n, (k, p) in enumerate(e) for m, r in e[n + 1:]]
-                continue
-            (o1, e1), (o2, e2) = x, y
-            const += c * o1 * o2
-            terms += [(c * o2 * k, p) for k, p in e1]
-            terms += [(c * o1 * k, p) for k, p in e2]
-            terms += [(c * k * m, p & r) for k, p in e1 for m, r in e2]
-        for c, x in linear:
-            if isinstance(x, int):
-                const += c * x
-            else:
-                const += c * x[0]
-                terms += [(c * k, p) for k, p in x[1]]
+    def _times(self, f, g):
+        """The product of two forms, maps from plane masks to
+        coefficients (mask 0 for the constant): [p] * [p] = [p], so
+        masks OR."""
         q = self.modulus
-        if q is not None:
-            const %= q
-            terms = [(k % q, p) for k, p in terms if k % q]
-        if not terms:
-            return const
-        return self.bits(const, terms)
+        out = {}
+        for m, c in f.items():
+            for n, d in g.items():
+                out[m | n] = out.get(m | n, 0) + c * d
+        return {m: c if q is None else c % q for m, c in out.items()
+                if c and (q is None or c % q)}
+
+    def values(self, coords, slots):
+        """The value of every slot at the coordinates coords, in order:
+        an int where it is the same at every point, else its bits.  Over
+        Z_q both are only congruent to the slot mod q.
+
+        A varying coordinate (o, bits) enters a slot as const o plus its
+        bits, and a monomial a^key of higher degree as _monomial gives
+        it; each is built once per block, and so is the plane of each
+        mask, the AND of its bits' planes."""
+        q = self.modulus
+        products = {(pos, 1): x for pos, x in enumerate(coords)}
+        forms = planes = None
+
+        def plane(mask):
+            p = planes.get(mask)
+            if p is None:
+                low = mask & -mask
+                p = planes[mask] = planes[low] & plane(mask ^ low)
+            return p
+
+        for const, terms in slots:
+            out = []
+            for c, key in terms:
+                x = products.get(key)
+                if x is None:
+                    if forms is None:
+                        forms, planes = _forms(coords)
+                    x = products[key] = self._monomial(forms, plane, key)
+                if isinstance(x, int):
+                    const += c * x
+                else:
+                    const += c * x[0]
+                    out += [(c * k, p) for k, p in x[1]]
+            if q is not None:
+                const %= q
+                out = [(k % q, p) for k, p in out if k % q]
+            yield self.bits(const, out) if out else const
+
+    def _monomial(self, forms, plane, key):
+        """a^key as a varying coordinate is held, (const, [(k, plane)]):
+        the product of the forms of its factors, x^e by repeated
+        squaring."""
+        x = None
+        for p, e in pairs(key):
+            power, base = None, forms[p]
+            while True:
+                if e & 1:
+                    power = base if power is None else self._times(power, base)
+                e >>= 1
+                if not e:
+                    break
+                base = self._times(base, base)
+            x = power if x is None else self._times(x, power)
+        return x.get(0, 0), [(k, plane(m)) for m, k in x.items() if m]
 
     def bits(self, const, terms, signed=False):
         """The bits of const + sum of k * [p] over the (k, p) terms, mod
         2^W, where 2^W exceeds the magnitude of that sum at every point,
-        with one more bit, the sign, when signed is set; W is at most s
-        over Z_q with q = 2^s."""
-        width = (abs(const) + sum(abs(k) for k, _ in terms)).bit_length()
-        width += signed
+        with one more bit, the sign, when signed is set; W is s over Z_q
+        with q = 2^s, where only the sum mod q matters."""
         if self.cap is not None:
-            width = min(width, self.cap)
+            width = self.cap
+        else:
+            width = (abs(const) + sum(abs(k) for k, _ in terms)).bit_length()
+            width += signed
         mask = (1 << width) - 1
         columns = [[] for _ in range(width)]
         for k, p in terms:
@@ -356,13 +429,29 @@ class _Box:
         return self.full & ~zero
 
 
+def _forms(coords):
+    """The form of each coordinate, a map from plane masks to
+    coefficients (mask 0 for the constant), where each bit of a varying
+    coordinate owns one mask bit, and the planes of those mask bits."""
+    forms, planes = [], {}
+    for x in coords:
+        if isinstance(x, int):
+            forms.append({0: x})
+            continue
+        forms.append({0: x[0]} if x[0] else {})
+        for k, p in x[1]:
+            mask = 1 << len(planes)
+            forms[-1][mask] = k
+            planes[mask] = p
+    return forms, planes
+
+
 def _count(fixed, slots, coords, arith):
     """The number of nonzero slots at every point of a block, plus fixed:
     returns (fixed, counters), where the count is fixed plus the binary
     number whose bit b is in counters[b]."""
     counters = []
-    for slot in slots:
-        value = arith.slot(coords, *slot)
+    for value in arith.values(coords, slots):
         if isinstance(value, int):
             fixed += value != 0
             continue
@@ -376,55 +465,75 @@ def _count(fixed, slots, coords, arith):
     return fixed, counters
 
 
-def term_slots(ring, terms, k, nonconstant=False):
-    """The slots of slot_table for the payload term map `terms`, shifted
-    in its first k positions, as _blocks takes them: returns (fixed,
-    slots), where fixed counts the terms of degree 2 in those positions,
-    which never move, and each slot is (const, linear, quad), the value
-    const + sum of c * a_i over the (i, c) of linear + sum of
-    c * a_i * a_j over the ((i, j), c) of quad."""
-    fixed, groups = slot_table(ring, terms, range(k), nonconstant)
-    slots = []
-    for linear, quad, const in groups:
-        slots += [(c, list(deriv.items()), ()) for _, c, deriv in linear]
-        if const is not None:
-            slots.append((const, [(i, c) for i, c, _ in linear],
-                          list(quad.items())))
-    return fixed, slots
-
-
 def _balanced(ring, slots, domain):
-    """The slots with t subtracted from the linear coefficient of every
-    position of `domain`, where t is a slot's commonest coefficient there
-    (an absent one is 0), and ties go to 0.
+    """The slots with t subtracted from the coefficient of a_i for every
+    position i of `domain`, where t is a slot's commonest such
+    coefficient (an absent one is 0), and ties go to 0.
 
     Under zero_sum the coordinates of domain, coordinate 0 and the free
     ones, sum to 0 (mod q over Z_q), so each slot keeps its value at
     every point of the domain, and it never gets more nonzero
-    coefficients.  The positions of a slot's linear part are distinct."""
+    coefficients."""
     out = []
-    for const, linear, quad in slots:
+    for const, terms in slots:
         # t can beat 0 only where most of domain has nonzero coefficients
-        if 2 * len(linear) > len(domain):
-            coef = dict(linear)
-            column = [coef.get(i, 0) for i in domain]
+        if 2 * len(terms) > len(domain):
+            coef = {key: c for c, key in terms}
+            column = [coef.get((i, 1), 0) for i in domain]
             t = max(column, key=column.count)
             if column.count(t) > column.count(0):
                 for i, c in zip(domain, column):
-                    coef[i] = ring.canon(c - t)
-                linear = [(i, c) for i, c in sorted(coef.items()) if c]
-        out.append((const, linear, quad))
+                    coef[i, 1] = ring.canon(c - t)
+                terms = [(c, key) for key, c in coef.items() if c]
+        out.append((const, terms))
     return out
 
 
 def _integral(slot):
     """A slot over Q times the lcm of its denominators: integer
     coefficients, and zero exactly where the slot is."""
-    const, linear, quad = slot
-    m = reduce(lcm, (c.denominator for _, c in (*linear, *quad)),
-               const.denominator)
-    return (int(const * m), [(i, int(c * m)) for i, c in linear],
-            [(ij, int(c * m)) for ij, c in quad])
+    const, terms = slot
+    m = reduce(lcm, (c.denominator for c, _ in terms), const.denominator)
+    return int(const * m), [(int(c * m), key) for c, key in terms]
+
+
+def fits(ring, values, slots):
+    """Whether _blocks takes the slots: always in one-hot planes, and in
+    binary ones while their width bound is at most MAX_WIDTH.  The bound
+    comes before any plane is built: the planes that the monomials a^key
+    may need, ANDs of at most e of the bits of a_p for each factor a_p^e
+    (and the empty one where a coordinate's form has a constant), times
+    the bits that their values may take."""
+    q = ring.modulus
+    if q is not None and q <= MAX_MODULUS and q & q - 1 or not slots:
+        return True
+    lo, hi = (0, q - 1) if q else (int(values[0]), int(values[-1]))
+    nbits = (hi - lo).bit_length()
+    counts = [sum(comb(nbits, j) for j in range(0 if lo else 1, e + 1))
+              for e in range(nbits + 1)]
+    keys = {key for _, part in slots for _, key in part}
+    # a_p alone, the common key, needs counts[1] planes
+    nonlinear = [key for key in keys if len(key) > 2 or key[1] > 1]
+    products = (len(keys) - len(nonlinear)) * counts[min(1, nbits)]
+    degree = 1
+    for key in nonlinear:
+        n = 1
+        for e in key[1::2]:
+            n *= counts[min(e, nbits)]
+        products += n
+        degree = max(degree, sum(key[1::2]))
+    if q is not None:
+        # reduced coefficients: the value is below q * products
+        return products * (q * products).bit_length() <= MAX_WIDTH
+    if ring.kind == RATIONALS:
+        slots = [_integral(slot) for slot in slots]
+    coefs = [c for _, part in slots for c, _ in part]
+    coefs += [const for const, _ in slots]
+    # a coordinate's form o + sum of k * [p] is below 2^norm
+    norm = (abs(lo) + (1 << nbits) - 1).bit_length()
+    width = (degree * norm + max(max(coefs), -min(coefs)).bit_length()
+             + max(len(part) for _, part in slots).bit_length())
+    return products * width <= MAX_WIDTH
 
 
 def _blocks(ring, values, fixed, slots, k, free, zero_sum):
@@ -499,7 +608,7 @@ def sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum):
     """The least of fixed plus the number of nonzero slots over the
     domain of _blocks, the rank of the lexicographically least vector
     that reaches it, and the number of points in the domain; None when
-    the domain is empty.  Slots are as in term_slots.
+    the domain is empty.  Slots are as in slot_table.
 
     The least vector is the least rank, except that under zero_sum the
     forced coordinate 0 is compared first."""
@@ -523,12 +632,13 @@ def sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum):
 def sliced_ranks_below(ring, values, terms, k, free, zero_sum, threshold):
     """The number of points of the domain of _blocks and the ranks,
     ascending, of those where P(X + a) has fewer than `threshold`
-    monomials; P is a payload term map of degree at most 2 in its first
-    k positions."""
+    monomials; P is a payload term map shifted in its first k
+    positions."""
     points = 0
     ranks = []
     for offset, _, inside, fixed, counters in _blocks(
-            ring, values, *term_slots(ring, terms, k), k, free, zero_sum):
+            ring, values, *slot_table(ring, terms, range(k)), k, free,
+            zero_sum):
         points += inside.bit_count()
         below = _below(counters, threshold - fixed, inside)
         while below:

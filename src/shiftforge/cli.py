@@ -173,7 +173,7 @@ def _cmd_search_shift(args):
     poly = load_poly(args.poly)
     dom = _domain_from_args(args)
     metric = "nonconstant" if args.nonconstant else "total"
-    report = search_min_sparsity(poly, dom, metric=metric, jobs=args.jobs)
+    report = search_min_sparsity(poly, dom, metric=metric)
     for line in report.lines():
         print(line)
     return 0
@@ -182,7 +182,7 @@ def _cmd_search_shift(args):
 def _cmd_solve(args):
     system, recipe = _require_sparse(args.source)
     dom = _domain_from_args(args)
-    found = solve_system(system, dom, jobs=args.jobs)
+    found = solve_system(system, dom)
     if found is None:
         print("solution NONE")
     else:
@@ -193,7 +193,7 @@ def _cmd_solve(args):
 def _cmd_maxsat(args):
     system = load_max3lin(args.source)
     dom = _domain_from_args(args)
-    print("maxsat %d" % maxsat(system, dom, jobs=args.jobs))
+    print("maxsat %d" % maxsat(system, dom))
     return 0
 
 
@@ -260,7 +260,8 @@ def _build_parser():
 
     def add_jobs(p):
         p.add_argument("--jobs", type=_jobs_arg, default=1,
-                       help="worker processes for enumeration")
+                       help="accepted and unused: every oracle runs in "
+                       "one process")
 
     def add_domain(p):
         g = p.add_mutually_exclusive_group(required=True)

@@ -6,16 +6,17 @@ Restrictions either force the first coordinate to minus the sum of the
 rest (membership in the domain is still required) or pin all but the
 last n coordinates to zero.  Spaces are sized up front and refused when
 they exceed the cap.  Witnesses are tie-broken to the lexicographically
-least vector under the canonical element order, which makes results
-independent of how the space is split across workers.
+least vector under the canonical element order.  Every oracle runs in
+the calling process: the bit-sliced kernel (bitslice) counts every
+domain but a rational grid, and the rest is walked point by point.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
+from itertools import product
 
-from .bitslice import sliced_min_slots, sliced_ranks_below, term_slots
+from .bitslice import fits, sliced_min_slots, sliced_ranks_below
 from .errors import (
     ArityError,
     CapExceededError,
@@ -33,7 +34,13 @@ from .hn_reduce import (
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_solution, extend_solution
 from .rings import RATIONALS, RingElement
-from .sparsepoly import eval_payload, format_vector, pairs, shifted_term_map
+from .sparsepoly import (
+    eval_payload,
+    format_vector,
+    pairs,
+    shifted_term_map,
+    slot_table,
+)
 
 DEFAULT_ENUM_CAP = 10 ** 7
 # the most bits that one power in an exact evaluation over Z or Q may
@@ -129,111 +136,38 @@ def _plan(dom, ring, k):
     return values, free, size
 
 
-def _walk(values, free, k, restriction, ring, lo, hi):
-    """The ranks lo..hi-1 in odometer order, lexicographic in the free
-    coordinates; the one domain enumerator of every oracle.
+def _walk(values, free, k, restriction, ring):
+    """Every point of the domain in odometer order, lexicographic in the
+    free coordinates; the one domain enumerator of every oracle.
 
-    Yields the full payload vector of every rank that lies in the
-    domain: the same list each time, updated in place.  A zero-sum rank
-    whose forced coordinate leaves the domain costs only its odometer
-    step."""
-    if lo >= hi:
-        return
-    nv = len(values)
-    value_set = set(values)
-    zero_sum = restriction == ZERO_SUM
-    last = len(free) - 1
-    digits = [0] * len(free)
-    rank = lo
-    for d in reversed(range(len(free))):
-        rank, digits[d] = divmod(rank, nv)
+    Yields the full payload vector of every point that lies in the
+    domain: the same list each time, updated in place."""
     zero = ring.canon(0)
+    value_set = set(values)
     vec = [zero] * k
-    for pos, d in zip(free, digits):
-        vec[pos] = values[d]
-    for rank in range(lo, hi):
-        if rank > lo:
-            d = last
-            while digits[d] == nv - 1:
-                digits[d] = 0
-                vec[free[d]] = values[0]
-                d -= 1
-            digits[d] += 1
-            vec[free[d]] = values[digits[d]]
-        if zero_sum:
-            forced = ring.canon(-sum(vec[1:], zero))
-            if forced not in value_set:
+    for combo in product(values, repeat=len(free)):
+        for pos, v in zip(free, combo):
+            vec[pos] = v
+        if restriction == ZERO_SUM:
+            vec[0] = ring.canon(-sum(vec[1:], zero))
+            if vec[0] not in value_set:
                 continue
-            vec[0] = forced
         yield vec
 
 
-def _chunk_bounds(size, parts):
-    parts = max(1, min(parts, size)) if size else 1
-    step, extra = divmod(size, parts)
-    bounds = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def _usable_cpus():
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU of the host."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _pool_size(jobs, points):
-    """Rank chunks, one per worker process, for `jobs` over `points`
-    points: never more than the points or the usable CPUs.  The least
-    key and the point count do not depend on the chunking, so output
-    does not depend on the machine."""
-    return max(1, min(jobs, points, _usable_cpus()))
-
-
-def ProcessPoolExecutor(max_workers):
-    """The worker pool of _scan.  concurrent.futures.process loads
-    multiprocessing, which is most of the package's import time, so it
-    is imported here, on first use."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
-
-
-def _scan(score, subject, dom, ring, k, jobs):
-    """Walk the domain in rank chunks, one per worker, and keep the least
-    (head, vector) key over the (head, vec) pairs that
-    score(subject, walk) yields for every point; a head of None keeps no
-    key.  Returns the least key, or None, and the number of points
-    walked."""
-    values, free, size = _plan(dom, ring, k)
-    tasks = [(score, subject, values, free, k, dom.restriction, ring, lo, hi)
-             for lo, hi in _chunk_bounds(size, _pool_size(jobs, size))]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_scan_chunk, tasks))
-    else:
-        results = [_scan_chunk(t) for t in tasks]
-    keys = [key for key, _ in results if key is not None]
-    return min(keys, default=None), sum(points for _, points in results)
-
-
-def _scan_chunk(args):
-    score, subject, values, free, k, restriction, ring, lo, hi = args
-    walk = _walk(values, free, k, restriction, ring, lo, hi)
+def _scan(score, subject, dom, ring, k):
+    """Walk the domain and keep the least (head, vector) key over the
+    (head, vec) pairs that score(subject, walk) yields for every point.
+    Returns the least key, or None, and the number of points walked."""
+    values, free, _ = _plan(dom, ring, k)
     best = None
     points = 0
-    for head, vec in score(subject, walk):
+    for head, vec in score(subject, _walk(values, free, k, dom.restriction,
+                                          ring)):
         points += 1
-        if head is not None and (best is None or head <= best[0]):
-            key = (head, tuple(vec))
-            if best is None or key < best:
-                best = key
+        key = head, tuple(vec)
+        if best is None or key < best:
+            best = key
     return best, points
 
 
@@ -270,41 +204,55 @@ def _shift_scores(subject, walk):
 
 
 def _at(values, free, k, restriction, ring, rank):
-    """The payload vector of an in-domain rank, by one walk step."""
-    return next(_walk(values, free, k, restriction, ring, rank, rank + 1))
+    """The payload vector of an in-domain rank, whose base-len(values)
+    digits index the values of the free coordinates in order."""
+    vec = [ring.canon(0)] * k
+    for pos in reversed(free):
+        rank, digit = divmod(rank, len(values))
+        vec[pos] = values[digit]
+    if restriction == ZERO_SUM:
+        vec[0] = ring.canon(-sum(vec[1:], ring.canon(0)))
+    return vec
 
 
-def _sliced_scan(dom, ring, k, fixed, slots):
-    """_scan's answer, the least (count, vector) key and the number of
-    points, from the bit-sliced kernel in this process, where the count
-    at a point is fixed plus the number of nonzero slots there."""
+def _least_key(dom, ring, k, make_slots, score, subject):
+    """The least (count, vector) key over the domain and its number of
+    points, where the count at a point is the number of nonzero slots
+    there, plus fixed; make_slots(moving) gives (fixed, slots) for the
+    positions that can move.  The bit-sliced kernel counts every domain
+    but a rational grid, in this process, while the slots fit it
+    (bitslice.fits); otherwise score(subject, walk), which yields the
+    same counts, runs at every point of the walk."""
     values, free, _ = _plan(dom, ring, k)
-    found = sliced_min_slots(ring, values, fixed, slots, k, free,
-                             dom.restriction == ZERO_SUM)
-    if found is None:
-        return None, 0
-    count, rank, points = found
-    return (count, tuple(_at(values, free, k, dom.restriction, ring, rank))), points
+    if dom.mode != GRID:
+        zero_sum = dom.restriction == ZERO_SUM
+        moving = [0] + free if zero_sum and free else free
+        fixed, slots = make_slots(moving if any(values) else [])
+        if fits(ring, values, slots):
+            found = sliced_min_slots(ring, values, fixed, slots, k, free,
+                                     zero_sum)
+            if found is None:
+                return None, 0
+            count, rank, points = found
+            vec = _at(values, free, k, dom.restriction, ring, rank)
+            return (count, tuple(vec)), points
+    return _scan(score, subject, dom, ring, k)
 
 
-def search_min_sparsity(poly, dom, metric="total", jobs=1):
+def search_min_sparsity(poly, dom, metric="total"):
     """Minimum (non)constant monomial count of poly(X + a) over the
     domain, with the lexicographically least witness shift.
 
-    Polynomials of degree at most 2 are counted without expansion by
-    the bit-sliced kernel, over every domain but a rational grid, in
-    this process, whatever `jobs` is.  Others, and grids, are expanded
-    at every point.  Either way the winner is expanded once more and its
-    count certified."""
+    The slots of slot_table are counted by _least_key; the winner is
+    expanded once more and its count certified."""
     if metric not in ("total", "nonconstant"):
         raise PreconditionError("metric must be total or nonconstant")
     ring = poly.ring
-    if dom.mode != GRID and poly.degree() <= 2:
-        best, points = _sliced_scan(dom, ring, poly.nvars, *term_slots(
-            ring, poly.sparse_terms, poly.nvars, metric == "nonconstant"))
-    else:
-        best, points = _scan(_shift_scores, (poly, metric), dom, ring,
-                             poly.nvars, jobs)
+    best, points = _least_key(
+        dom, ring, poly.nvars,
+        lambda moving: slot_table(ring, poly.sparse_terms, moving,
+                                  metric == "nonconstant"),
+        _shift_scores, (poly, metric))
     if best is None:
         raise PreconditionError("search domain is empty")
     witness = tuple(RingElement(poly.ring, v) for v in best[1])
@@ -320,10 +268,7 @@ def search_min_sparsity(poly, dom, metric="total", jobs=1):
 def _solution_scores(system, walk):
     # eval_payload reduces residues, so a solution reads 0 in every ring
     for vec in walk:
-        if any(eval_payload(eq, vec) for eq in system.equations):
-            yield None, vec
-        else:
-            yield 0, vec
+        yield sum(1 for eq in system.equations if eval_payload(eq, vec)), vec
 
 
 def _check_powers(system, dom):
@@ -347,39 +292,50 @@ def _check_powers(system, dom):
             % (worst, POWER_BITS))
 
 
-def solve_system(system, dom, jobs=1):
-    """Lexicographically least solution over the domain, or None."""
+def solve_system(system, dom):
+    """Lexicographically least solution over the domain, or None.
+
+    Each equation is one slot, its value at the point, so a solution is
+    a point with no nonzero slot, and the least key of _least_key is the
+    least solution when its count is 0.  The solution is evaluated once
+    more and certified."""
     _check_powers(system, dom)
-    best, _ = _scan(_solution_scores, system, dom, system.ring, system.nvars, jobs)
-    if best is None:
+    ring = system.ring
+    zero = ring.canon(0)
+    slots = [(eq.sparse_terms.get((), zero),
+              [(c, key) for key, c in eq.sparse_terms.items() if key])
+             for eq in system.equations]
+    best, _ = _least_key(dom, ring, system.nvars, lambda moving: (0, slots),
+                         _solution_scores, system)
+    if best is None or best[0]:
         return None
-    return tuple(RingElement(system.ring, v) for v in best[1])
+    found = tuple(RingElement(ring, v) for v in best[1])
+    if any(eval_payload(eq, best[1]) for eq in system.equations):
+        raise InternalConsistencyError(
+            "point %s: counted as a solution, the equations do not vanish"
+            % format_vector(found))
+    return found
 
 
 def _maxsat_scores(system, walk):
     ring = system.ring
     for vec in walk:
-        yield -count_satisfied(system, [RingElement(ring, v) for v in vec]), vec
+        yield system.m - count_satisfied(
+            system, [RingElement(ring, v) for v in vec]), vec
 
 
-def maxsat(system, dom, jobs=1):
+def maxsat(system, dom):
     """Exact maximum number of simultaneously satisfiable rows over the
     domain of assignments.
 
     A row is unsatisfied where its slot b + c1*x_i + c2*x_j + c3*x_k is
-    nonzero.  Over every domain but a rational grid the bit-sliced
-    kernel counts those slots at every point at once, ignoring `jobs`,
-    and the point with the least count is certified by count_satisfied.
-    Grids are walked with count_satisfied at every point."""
+    nonzero, so maxsat is m less the least count of _least_key, and the
+    point that reaches it is certified by count_satisfied."""
     ring = system.ring
-    if dom.mode == GRID:
-        best, _ = _scan(_maxsat_scores, system, dom, ring, system.n, jobs)
-        if best is None:
-            raise PreconditionError("search domain is empty")
-        return -best[0]
-    slots = [(b.val, [(j, c.val) for j, c in zip(idx, coeffs)], ())
+    slots = [(b.val, [(c.val, (j, 1)) for j, c in zip(idx, coeffs)])
              for idx, coeffs, b in system.rows]
-    found, _ = _sliced_scan(dom, ring, system.n, 0, slots)
+    found, _ = _least_key(dom, ring, system.n, lambda moving: (0, slots),
+                          _maxsat_scores, system)
     if found is None:
         raise PreconditionError("search domain is empty")
     x = [RingElement(ring, v) for v in found[1]]
@@ -448,7 +404,7 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     box-bounded vectors, counted at once by the bit-sliced kernel; each
     one that lowers the count must invert to a verified solution.  Box
     search over the integers is sound, not complete.  Both directions
-    run in this process; `jobs` is accepted but not used yet.
+    run in this process; `jobs` is accepted and not used.
     """
     result = reduce_hn(source, gamma)
     if isinstance(result, TriviallySolvable):
@@ -468,14 +424,14 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     dom = SearchDomain.integer_box(box, cap=cap)
     # both spaces are planned, and so capped, before either is walked
     k = inst.nsys + 1
-    values, free, size = _plan(dom, ring, inst.n_inputs)
+    values, free, _ = _plan(dom, ring, inst.n_inputs)
     shift_free = _plan(dom.restricted(ZERO_SUM), ring, k)[1]
     violations = []
 
     # direction 1: box-bounded source assignments
     solutions = 0
     solution_points = 0
-    for combo in _walk(values, free, inst.n_inputs, NONE, ring, 0, size):
+    for combo in _walk(values, free, inst.n_inputs, NONE, ring):
         solution_points += 1
         ax = [RingElement(ring, v) for v in combo]
         full = extend_solution(inst.recipe, ax) if inst.recipe else tuple(ax)
@@ -543,13 +499,14 @@ class EncodingReport:
 
 def verify_max3lin(system, e0=None, jobs=1, cap=DEFAULT_ENUM_CAP):
     """Exhaustively confirm that the least nonconstant monomial count of
-    the shifted encoding equals 4m minus the best satisfiable row count."""
+    the shifted encoding equals 4m minus the best satisfiable row count.
+    `jobs` is accepted and not used."""
     if not system.ring.is_finite:
         raise UnsupportedDomainError("exhaustive verification needs a finite ring")
     enc = encode_max3lin(system, e0)
     dom = SearchDomain.exhaustive(cap=cap)
-    report = search_min_sparsity(enc.polynomial, dom, metric="nonconstant", jobs=jobs)
-    best = maxsat(system, dom, jobs=jobs)
+    report = search_min_sparsity(enc.polynomial, dom, metric="nonconstant")
+    best = maxsat(system, dom)
     expected = 4 * system.m - best
     return EncodingReport(enc.w, enc.polynomial.sparsity(), best,
                           report.min_sparsity, expected)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import operator
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
+from math import comb
 
 from .errors import (
     QUOTE_LIMIT,
@@ -127,6 +128,27 @@ def split_terms(terms, moving):
     return groups
 
 
+# one entry is a moving part and its count: a few MB at most
+@lru_cache(maxsize=4096)
+def _size(mov):
+    """The monomial count of a moving part under a shift: the product of
+    e + 1 over its pairs."""
+    size = 1
+    for e in mov[1::2]:
+        size *= e + 1
+    return size
+
+
+def _moving_parts(groups):
+    """The distinct moving parts of the split_terms groups, in the order
+    they first come.  Raises CapExceededError, before anything is
+    expanded, when the sum over the terms of their sizes exceeds
+    term_cap()."""
+    movs = [mov for group in groups.values() for mov, _ in group]
+    check_term_cap(sum(map(_size, movs)), "shifted polynomial")
+    return dict.fromkeys(movs)
+
+
 def _expansion(mov, offsets, m):
     """The (subkey, coefficient) pairs of the product over the pairs
     (p, e) of mov of (x_p + a_p)^e; a subkey is the flat sparse key of a
@@ -176,23 +198,11 @@ def shifted_term_map(ring, terms, offsets):
     if not moving:
         return dict(terms)
     groups = split_terms(terms, moving)
-    sizes = {}  # the monomial count of each distinct moving part
-    worst = 0
-    for group in groups.values():
-        for mov, _ in group:
-            size = sizes.get(mov)
-            if size is None:
-                size = 1
-                for e in mov[1::2]:
-                    size *= e + 1
-                sizes[mov] = size
-            worst += size
-    check_term_cap(worst, "shifted polynomial")
     # every moving part is expanded once, onto subkeys numbered in the
     # order they first appear, so the sums below hash small ints
     ids = {}
     expansions = {}
-    for mov in sizes:
+    for mov in _moving_parts(groups):
         expansions[mov] = [(ids.setdefault(sub, len(ids)), s)
                            for sub, s in _expansion(mov, offsets, m)]
     subs = list(ids)
@@ -229,63 +239,77 @@ def shifted_term_map(ring, terms, offsets):
 
 
 def slot_table(ring, terms, shifted, nonconstant=False):
-    """The moving coefficients of P(X + a), as functions of the shift a.
+    """The coefficients of P(X + a), as polynomials in the shift a.
 
-    P is given by its payload term map and has degree at most 2 in the
-    shifted positions.  Terms are grouped by their exponents on the
-    unshifted positions, and distinct groups never merge, so the
-    monomial count of P(X + a) is a sum over groups.  In a group with
-    quadratic part Q, the quadratic terms do not move, the coefficient
-    of x_i is the partial derivative of Q at a, and the constant is
-    Q(a).  These values are the slots.
+    P is given by its payload term map, and a moves the positions in
+    `shifted`.  Terms are grouped by their unshifted part with
+    split_terms, and distinct groups never merge.  In a group, the
+    coefficient of the shifted monomial m is its slot,
 
-    Returns (quadratic, groups): quadratic is the number of terms of
-    degree 2 in the shifted positions, and each group is a triple
-    (linear, quad, const):
-    - linear lists (i, c, deriv) for every shifted x_i of the group,
-      ascending in i: the slot of x_i holds c + sum(deriv[j] * a_j);
-    - quad maps (i, j), i <= j, to the coefficient of x_i * x_j;
-    - const is the constant of Q, or None when its slot is not counted:
-      with nonconstant set, in the group whose unshifted exponents are
-      all 0.
+        sum over the group's terms c * x^t with t >= m of
+        c * prod_i C(t_i, m_i) * a^(t - m),
+
+    so the monomial count of P(X + a) is the number of nonzero slots.
+    Distinct terms t give distinct keys t - m, so nothing merges.  A slot
+    is (const, [(c, key)]), the value const plus the sum of c * a^key
+    over flat sparse keys.
+
+    Returns (fixed, slots): fixed counts the slots that are nonzero
+    constants, such as the coefficient of a top-degree term, and slots
+    lists the others that are not identically 0.  With nonconstant set,
+    the constant of the group whose unshifted part is () is left out.
+    The table has at most the entries of the worst-case expansion,
+    checked first as shifted_term_map checks it.
     """
+    m = ring.modulus
     zero = ring.canon(0)
-    quadratic = 0
-    table = []
-    for rest, group in split_terms(terms, set(shifted)).items():
-        lin = {}
-        quad = {}
-        const = zero
+    groups = split_terms(terms, set(shifted))
+    expansions = {mov: _submonomials(mov) if _size(mov) <= 32
+                  else _submonomials.__wrapped__(mov)
+                  for mov in _moving_parts(groups)}
+    fixed = 0
+    slots = []
+    for rest, group in groups.items():
+        consts = {}  # m -> c for each term c * x^m of the group
+        table = {}  # m -> the nonconstant part of its slot
+        drop = nonconstant and not rest  # leave out the slot of m = ()
         for mov, c in group:
-            # mov is 1, x_i, x_i^2 or x_i * x_j with i < j
-            if not mov:
-                const = c
-            elif len(mov) == 2 and mov[1] == 1:
-                lin[mov[0]] = lin.get(mov[0], zero) + c
-            elif mov[1::2] in ((2,), (1, 1)):
-                quadratic += 1
-                i, j = mov[0], mov[-2]
-                quad[i, j] = c
-                lin.setdefault(i, zero)
-                lin.setdefault(j, zero)
-            else:
-                raise PreconditionError(
-                    "term %r has degree above 2 in the shifted positions"
-                    % (map_key(dict(pairs(rest + mov))),))
-        deriv = {i: {} for i in lin}
-        for (i, j), c in quad.items():
-            if i == j:
-                c = ring.canon(2 * c)
-                if c:
-                    deriv[i][i] = c
-            else:
-                deriv[j][i] = c
-                deriv[i][j] = c
-        linear = [(i, lin[i], deriv[i]) for i in sorted(lin)]
-        if nonconstant and not rest:
-            const = None
-        table.append((linear, quad, const))
-    return quadratic, table
+            consts[mov] = c
+            # the first part of an expansion is the one of m = ()
+            for sub, key, b in expansions[mov][drop:]:
+                if b != 1:
+                    v = c * b if m is None else c * b % m
+                    if not v:
+                        continue
+                else:
+                    v = c
+                part = table.get(sub)
+                if part is None:
+                    table[sub] = [(v, key)]
+                else:
+                    part.append((v, key))
+        if drop:
+            consts.pop((), None)
+        for sub, part in table.items():
+            slots.append((consts.pop(sub, zero), part))
+        fixed += len(consts)
+    return fixed, slots
+
+
+# one entry holds at most 32 triples, so the cache holds at most a few MB
+@lru_cache(maxsize=512)
+def _submonomials(mov):
+    """The expansion of x^t under the shift, t = mov: a triple (m, t - m,
+    prod_i C(t_i, m_i)) for each monomial m under t but t itself, as
+    flat sparse keys.  slot_table caches the small moving parts, which
+    recur across calls, and builds the others through __wrapped__."""
+    parts = [((), (), 1)]
+    for p, e in pairs(mov):
+        row = [((p, j) if j else (), (p, e - j) if j < e else (), comb(e, j))
+               for j in range(e + 1)]
+        parts = [(sub + s, key + k, b * c) for sub, key, b in parts
+                 for s, k, c in row]
+    return parts[:-1]
 
 
 class SparsePoly:

@@ -33,12 +33,13 @@ from shiftforge import (
 )
 from shiftforge import bitslice, oracles
 from shiftforge.oracles import NONE, SUPPORT_LAST, ZERO_SUM, SearchDomain
-from shiftforge.sparsepoly import shifted_term_map
+from shiftforge.sparsepoly import eval_payload, shifted_term_map, slot_table
 
 from helpers import (
     out_of_box_system,
     planted_integer_system,
     random_poly,
+    random_nonzero,
     random_sparse_system,
     sparse_terms,
     unsolvable_integer_system,
@@ -327,31 +328,6 @@ def test_verify_max3lin_report():
         verify_max3lin(gen_max3lin(3, 1, ZZ, seed=1))
 
 
-def test_parallel_matches_serial():
-    rng = random.Random(173)
-    for _ in range(30):
-        ring = rng.choice([F2, F3, ZZ])
-        p = random_poly(ring, rng.randint(1, 3), 2, 4, rng)
-        dom = (
-            SearchDomain.exhaustive()
-            if ring.is_finite
-            else SearchDomain.integer_box(1)
-        )
-        serial = search_min_sparsity(p, dom)
-        parallel = search_min_sparsity(p, dom, jobs=4)
-        assert serial.min_sparsity == parallel.min_sparsity
-        assert serial.witness == parallel.witness
-        assert serial.points == parallel.points
-    for _ in range(10):
-        S, _ = planted_integer_system(rng, max_vars=2, value_bound=1)
-        dom = SearchDomain.integer_box(1)
-        assert solve_system(S, dom) == solve_system(S, dom, jobs=4)
-    for _ in range(10):
-        L = gen_max3lin(4, 4, F2, planted=True, seed=rng.random())
-        dom = SearchDomain.exhaustive()
-        assert maxsat(L, dom) == maxsat(L, dom, jobs=4)
-
-
 def test_zero_sum_over_a_finite_ring_visits_every_completion():
     # the forced first coordinate is reduced into the ring, so each of
     # the 9 tails of F3^3 has a completion
@@ -370,22 +346,6 @@ def test_zero_sum_over_a_finite_ring_visits_every_completion():
     assert tuple(v.val for v in sol) == (0, 1, 2)
     L = Max3LinSystem(F3, 3, [((0, 1, 2), (F3.one, F3.one, F3.el(2)), F3.one)])
     assert maxsat(L, zs) == 1
-
-
-class SerialPool:
-    """Stands in for the process pool: same chunks, run in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
 
 
 def reference_search(p, dom, metric):
@@ -418,8 +378,7 @@ def reference_search(p, dom, metric):
     return best[0], best[1], points
 
 
-def test_kernel_search_matches_expansion(monkeypatch):
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+def test_kernel_search_matches_expansion():
     rng = random.Random(191)
     rings = [ZZ, QQ, F2, F3, F5, modular(4), modular(6)]
     for ring in rings:
@@ -436,12 +395,11 @@ def test_kernel_search_matches_expansion(monkeypatch):
                         dom = SearchDomain.integer_box(rng.randint(1, 2))
                     dom = dom.restricted(restriction, rng.randint(0, k))
                     want = reference_search(p, dom, metric)
-                    for jobs in (1, 2, 3, 7):
-                        report = search_min_sparsity(p, dom, metric, jobs=jobs)
-                        got = (report.min_sparsity,
-                               tuple(v.val for v in report.witness),
-                               report.points)
-                        assert got == want, (ring, restriction, metric, p, jobs)
+                    report = search_min_sparsity(p, dom, metric)
+                    got = (report.min_sparsity,
+                           tuple(v.val for v in report.witness),
+                           report.points)
+                    assert got == want, (ring, restriction, metric, p)
 
 
 def test_kernel_counts_match_shift_instance_on_hn_corpora():
@@ -523,17 +481,20 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
                     want = reference_search(p, dom, metric)
                     free_count = len(oracles._plan(dom, ring, k)[1])
                     expanded = real_scan(oracles._shift_scores, (p, metric), dom,
-                                         ring, k, 1)
-                    slots = bitslice.term_slots(ring, p.sparse_terms, k,
-                                                metric == "nonconstant")
+                                         ring, k)
+
+                    def slots(moving):
+                        return slot_table(ring, p.sparse_terms, moving,
+                                          metric == "nonconstant")
+
                     # planes of 1 bit (every coordinate fixed per block),
                     # of some coordinates, and of the whole domain
-                    for bits, jobs in ((1, 1), (q, 2), (q * q + 1, 3),
-                                       (1 << 20, 7)):
+                    for bits in (1, q, q * q + 1, 1 << 20):
                         monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
                         blocks += want[2] > bits
-                        assert oracles._sliced_scan(dom, ring, k, *slots) == expanded
-                        report = search_min_sparsity(p, dom, metric, jobs=jobs)
+                        assert oracles._least_key(dom, ring, k, slots, None,
+                                                  None) == expanded
+                        report = search_min_sparsity(p, dom, metric)
                         got = (report.min_sparsity,
                                tuple(v.val for v in report.witness),
                                report.points)
@@ -542,23 +503,24 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
 
 
 def test_search_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
-    """Degree above 2 and rational grids are expanded at every point."""
+    """Rational grids, and slot sets whose width bound exceeds
+    MAX_WIDTH, are expanded at every point."""
     def no_slices(*args):
         raise AssertionError("the sliced kernel ran out of its scope")
 
     monkeypatch.setattr(oracles, "sliced_min_slots", no_slices)
     rng = random.Random(229)
+    # x2^500 over [-7, 7]: 16 plane products of about 2,500 bits
+    wide = {(0, 500): 1, (0, 1): 3, (1, 0): 2, (0, 0): -1}
+    box = SearchDomain.integer_box(7)
+    assert not bitslice.fits(ZZ, box.values(ZZ), slot_table(
+        ZZ, poly(ZZ, 2, wide).sparse_terms, [1])[1])
     cases = [
-        (poly(prime_field(11), 2, {(3, 0): 1, (1, 1): 2, (0, 0): 1}),
-         SearchDomain.exhaustive()),
-        (poly(modular(8), 2, {(0, 3): 5, (1, 0): 1}), SearchDomain.exhaustive()),
-        (poly(F3, 2, {(3, 0): 1, (1, 1): 2, (0, 0): 1}), SearchDomain.exhaustive()),
-        (poly(ZZ, 2, {(2, 1): 1, (1, 0): -2, (0, 0): 1}), SearchDomain.integer_box(1)),
-        (poly(QQ, 2, {(1, 2): 3, (0, 0): -1}),
-         SearchDomain.integer_box(1).restricted(ZERO_SUM)),
         (random_poly(QQ, 2, 2, 5, rng), SearchDomain.rational_grid([-1, 0, 2], [1, 2])),
-        (random_poly(QQ, 3, 2, 5, rng),
+        (random_poly(QQ, 3, 4, 5, rng),
          SearchDomain.rational_grid([-1, 0, 1], [1, 3]).restricted(ZERO_SUM)),
+        (poly(ZZ, 2, wide), box.restricted(SUPPORT_LAST, 1)),
+        (poly(QQ, 2, wide), box.restricted(ZERO_SUM)),
     ]
     for p, dom in cases:
         report = search_min_sparsity(p, dom)
@@ -579,54 +541,6 @@ def test_search_certifies_the_sliced_count(monkeypatch):
         search_min_sparsity(p, SearchDomain.exhaustive())
 
 
-def test_scan_makes_no_more_chunks_than_usable_cpus(monkeypatch):
-    pools = []
-
-    class RecordingPool(SerialPool):
-        def __init__(self, max_workers):
-            self.workers = max_workers
-            pools.append(self)
-
-        def map(self, fn, tasks):
-            self.tasks = list(tasks)
-            return map(fn, self.tasks)
-
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
-    S = system(ZZ, 4, [{(1, 0, 0, 0): 1, (0, 0, 0, 1): -1},
-                        {(0, 1, 0, 0): 1, (0, 0, 0, 0): -2}])
-    dom = SearchDomain.integer_box(2)
-    serial = solve_system(S, dom)
-    assert tuple(v.val for v in serial) == (-2, 2, -2, -2)
-    assert pools == []
-    assert solve_system(S, dom, jobs=10 ** 9) == serial
-    assert [(pool.workers, len(pool.tasks)) for pool in pools] == [(3, 3)]
-    # one chunk per point below the CPU count, and none for one point
-    grid = SearchDomain.rational_grid([0, 1], [1])
-    solve_system(system(QQ, 1, [{(1,): 1}]), grid, jobs=10 ** 9)
-    one = SearchDomain.integer_box(0)
-    solve_system(system(ZZ, 1, [{(1,): 1}]), one, jobs=10 ** 9)
-    assert [(pool.workers, len(pool.tasks)) for pool in pools[1:]] == [(2, 2)]
-
-
-def test_pool_size_is_capped_by_chunks_and_cpus(monkeypatch):
-    # the affinity mask wins over the host's CPU count
-    monkeypatch.setattr(oracles.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 64)
-    assert oracles._pool_size(10 ** 9, 10 ** 6) == 2
-    assert oracles._pool_size(4, 1) == 1
-    assert oracles._pool_size(1, 5) == 1
-    # without an affinity call, the host's count
-    monkeypatch.delattr(oracles.os, "sched_getaffinity", raising=False)
-    assert oracles._pool_size(8, 3) == 3
-    assert oracles._pool_size(100, 100) == 64
-    monkeypatch.setattr(oracles.os, "cpu_count", lambda: None)
-    assert oracles._pool_size(8, 8) == 1
-    # the chunk count follows jobs, not the machine
-    assert len(oracles._chunk_bounds(100, 8)) == 8
-
-
 def reference_walk(values, free, k, restriction, ring):
     """(rank, vector) of every in-domain point, from itertools.product."""
     zero = ring.canon(0)
@@ -643,8 +557,7 @@ def reference_walk(values, free, k, restriction, ring):
     return points
 
 
-def test_walk_matches_product_reference():
-    rng = random.Random(197)
+def test_walk_and_rank_decoding_match_product_reference():
     spaces = [
         (ZZ, SearchDomain.integer_box(2), 4),
         (QQ, SearchDomain.integer_box(1), 4),
@@ -655,19 +568,15 @@ def test_walk_matches_product_reference():
     ]
     for ring, dom, k in spaces:
         for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
-            values, free, size = oracles._plan(dom.restricted(restriction, 2),
-                                               ring, k)
+            values, free, _ = oracles._plan(dom.restricted(restriction, 2),
+                                            ring, k)
             want = reference_walk(values, free, k, restriction, ring)
-            splits = [(0, size), (0, 0), (size, size), (size - 1, size)]
-            splits += [tuple(sorted(rng.sample(range(size + 1), 2)))
-                       for _ in range(6)]
-            for parts in (2, 3, 7):
-                splits += oracles._chunk_bounds(size, parts)
-            for lo, hi in splits:
-                got = [tuple(vec) for vec in oracles._walk(
-                    values, free, k, restriction, ring, lo, hi)]
-                assert got == [v for r, v in want if lo <= r < hi], \
-                    (ring, restriction, lo, hi)
+            got = [tuple(vec) for vec in oracles._walk(values, free, k,
+                                                       restriction, ring)]
+            assert got == [vec for _, vec in want], (ring, restriction)
+            for rank, vec in want:
+                assert tuple(oracles._at(values, free, k, restriction, ring,
+                                         rank)) == vec
 
 
 def test_roundtrip_violations_are_in_rank_order(monkeypatch):
@@ -752,8 +661,7 @@ SCAN_SPACES = [
 ]
 
 
-def test_solve_matches_product_reference(monkeypatch):
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+def test_solve_matches_product_reference():
     rng = random.Random(211)
     seen_ties = seen_none = 0
     for ring, base in SCAN_SPACES:
@@ -774,15 +682,13 @@ def test_solve_matches_product_reference(monkeypatch):
                 want = min(sols) if sols else None
                 seen_ties += len(sols) > 1
                 seen_none += want is None
-                for jobs in (1, 2, 3, 7):
-                    got = solve_system(S, dom, jobs=jobs)
-                    got = None if got is None else tuple(v.val for v in got)
-                    assert got == want, (ring, restriction, S.equations, jobs)
+                got = solve_system(S, dom)
+                got = None if got is None else tuple(v.val for v in got)
+                assert got == want, (ring, restriction, S.equations)
     assert seen_ties and seen_none
 
 
-def test_maxsat_matches_product_reference(monkeypatch):
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+def test_maxsat_matches_product_reference():
     rng = random.Random(223)
     for ring, base in SCAN_SPACES:
         for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
@@ -793,9 +699,7 @@ def test_maxsat_matches_product_reference(monkeypatch):
                 dom = base.restricted(restriction, rng.randint(0, n))
                 want = max(reference_rows_satisfied(L, vec)
                            for vec in reference_points(dom, ring, n))
-                for jobs in (1, 2, 3, 7):
-                    assert maxsat(L, dom, jobs=jobs) == want, \
-                        (ring, restriction, L.rows, jobs)
+                assert maxsat(L, dom) == want, (ring, restriction, L.rows)
 
 
 def test_maxsat_on_an_empty_domain_is_refused():
@@ -822,7 +726,6 @@ def test_sliced_maxsat_matches_the_walk_and_the_product(monkeypatch):
         raise AssertionError("a bit-sliced maxsat domain was walked")
 
     monkeypatch.setattr(oracles, "_scan", no_scan)
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
     rng = random.Random(251)
     cases = blocks = 0
     for ring, base, max_n in SLICED_MAXSAT_SPACES:
@@ -835,19 +738,18 @@ def test_sliced_maxsat_matches_the_walk_and_the_product(monkeypatch):
             doms = [base, base.restricted(ZERO_SUM)]
             doms += [base.restricted(SUPPORT_LAST, w) for w in range(n + 1)]
             for dom in doms:
-                jobs = (1, 2, 3, 7)[cases % 4]
                 cases += 1
                 want = max(reference_rows_satisfied(L, vec)
                            for vec in reference_points(dom, ring, n))
-                walk, _ = real_scan(oracles._maxsat_scores, L, dom, ring, n, jobs)
-                assert -walk[0] == want
+                walk, _ = real_scan(oracles._maxsat_scores, L, dom, ring, n)
+                assert L.m - walk[0] == want
                 # planes of 1 bit (every coordinate fixed per block), of
                 # some coordinates, and of the whole domain
                 size = oracles._plan(dom, ring, n)[2]
                 bits = (1, len(dom.values(ring)) + 1, 1 << 20)[cases % 3]
                 blocks += size > bits
                 monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
-                assert maxsat(L, dom, jobs=jobs) == want, \
+                assert maxsat(L, dom) == want, \
                     (ring, dom.mode, dom.bound, dom.restriction,
                      dom.support_n, L.rows, bits)
     assert cases >= 200 and blocks >= 50
@@ -918,7 +820,7 @@ def random_kernel_poly(ring, rng, k):
 def test_every_degree_two_search_and_maxsat_runs_the_kernel(monkeypatch):
     """Search over Z and Q boxes 0..3, Z_q of every size and the powers
     of two up to 16, under each restriction and both metrics, at several
-    plane widths and jobs, against the expansion at every point; maxsat
+    plane widths, against the expansion at every point; maxsat
     there against the walk.  _scan raises, so nothing is walked."""
     real_scan = oracles._scan
 
@@ -952,17 +854,16 @@ def test_every_degree_two_search_and_maxsat_runs_the_kernel(monkeypatch):
                 nv = len(values)
                 for bits in ((1,) if size <= 2500 else ()) + (nv, nv * nv, 1 << 20):
                     monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
-                    jobs = (1, 2, 3, 7)[cases % 4]
                     cases += 1
                     blocks += size > bits
-                    report = search_min_sparsity(p, dom, metric, jobs=jobs)
+                    report = search_min_sparsity(p, dom, metric)
                     got = (report.min_sparsity,
                            tuple(v.val for v in report.witness), report.points)
                     assert got == want, (ring, dom.restriction, metric, p, bits)
             if size <= 2500:
                 monkeypatch.setattr(bitslice, "PLANE_BITS", (1, nv, 1 << 20)[cases % 3])
-                walked, _ = real_scan(oracles._maxsat_scores, L, dom, ring, 3, 1)
-                assert maxsat(L, dom, jobs=(1, 2, 3, 7)[cases % 4]) == -walked[0], \
+                walked, _ = real_scan(oracles._maxsat_scores, L, dom, ring, 3)
+                assert maxsat(L, dom) == L.m - walked[0], \
                     (ring, dom.restriction, L.rows)
     assert cases >= 300 and blocks >= 140
 
@@ -1019,15 +920,12 @@ def test_box_planes_take_log_operations_per_plane():
                                   "points 600001"]
 
 
-def test_box_forced_is_built_once_per_block_shape():
+def test_box_forced_matches_every_rank():
     """The forced coordinate, const minus the sum of the planed ones,
-    and its in-box mask, against every rank; const is part of the key."""
-    bitslice.box_forced.cache_clear()
+    and its in-box mask, against every rank."""
     lo, hi, digits = -1, 2, 2
     for const in (-3, 0, 2, 7):
-        forced = bitslice.box_forced(lo, hi, digits, const)
-        assert bitslice.box_forced(lo, hi, digits, const) is forced
-        (base, bits), inside = forced
+        (base, bits), inside = bitslice.box_forced(lo, hi, digits, const)
         assert base == lo and isinstance(bits, tuple)
         for rank, combo in enumerate(itertools.product(range(lo, hi + 1),
                                                        repeat=digits)):
@@ -1037,7 +935,24 @@ def test_box_forced_is_built_once_per_block_shape():
                 assert sum(k for k, p in bits if p >> rank & 1) == x0 - lo
     assert bitslice.box_forced(lo, hi, 0, 2) == (2, 1)
     assert bitslice.box_forced(lo, hi, 0, 3) == (3, 0)
-    assert bitslice.box_forced.cache_info().maxsize == 8
+    assert bitslice.box_forced(0, 0, 3, 0) == (0, 1)
+
+
+def test_box_sum_is_built_once_per_shape():
+    """A zero-sum F11 search over 7 coordinates runs 11 blocks, one per
+    sum of the fixed coordinates; the planed sum behind every forced
+    coordinate is built once, and a repeat of the search builds
+    nothing."""
+    bitslice.box_sum.cache_clear()
+    F11 = prime_field(11)
+    p = poly(F11, 7, {(1, 0, 0, 0, 0, 0, 1): 3, (0, 2, 0, 0, 0, 0, 0): 1,
+                      (0, 0, 1, 0, 0, 0, 0): 5, (0, 0, 0, 0, 0, 0, 0): 2})
+    dom = SearchDomain.exhaustive().restricted(ZERO_SUM)
+    first = search_min_sparsity(p, dom).lines()
+    assert bitslice.box_sum.cache_info()[:2] == (10, 1)  # (hits, misses)
+    assert search_min_sparsity(p, dom).lines() == first
+    assert bitslice.box_sum.cache_info()[:2] == (21, 1)
+    assert bitslice.box_sum.cache_info().maxsize == 4
 
 
 def random_box_poly(rng, k, unshifted):
@@ -1061,7 +976,7 @@ def box_counts_from_planes(values, terms, k, free, zero_sum, ring=ZZ):
     counts = {}
     blocks = 0
     for offset, _, inside, fixed, counters in bitslice._blocks(
-            ring, values, *bitslice.term_slots(ring, terms, k), k, free,
+            ring, values, *slot_table(ring, terms, range(k)), k, free,
             zero_sum):
         blocks += 1
         for bit in range(inside.bit_length()):
@@ -1135,15 +1050,23 @@ def test_balanced_zero_sum_slots_match_the_expansion(monkeypatch):
     real = bitslice._balanced
     fired = []
 
+    def parts(terms, domain):
+        # the coefficients of a_i for i in domain, and the other terms
+        linear = {key[0]: c for c, key in terms
+                  if key[1:] == (1,) and key[0] in domain}
+        return linear, {key: c for c, key in terms
+                        if not (key[1:] == (1,) and key[0] in domain)}
+
     def checked(ring, slots, domain):
         out = real(ring, slots, domain)
-        for (c0, before, q0), (c1, after, q1) in zip(slots, out):
-            assert (c0, q0) == (c1, q1)
-            assert all(ring.canon(c) == c for _, c in after)
-            nonzero = [sum(1 for i, c in lin if i in domain and c)
-                       for lin in (before, after)]
-            assert nonzero[1] <= nonzero[0]
-            fired.append(after != before)
+        for (c0, before), (c1, after) in zip(slots, out):
+            assert c0 == c1
+            (lin0, rest0), (lin1, rest1) = (parts(before, domain),
+                                            parts(after, domain))
+            assert rest0 == rest1
+            assert all(c and ring.canon(c) == c for c in lin1.values())
+            assert len(lin1) <= len(lin0)
+            fired.append(lin1 != lin0)
         return out
 
     monkeypatch.setattr(bitslice, "_balanced", checked)
@@ -1223,3 +1146,144 @@ def test_roundtrip_shift_direction_matches_the_walk(monkeypatch):
             assert report.consistent, report.violations
             found += len(want)
     assert found >= 5
+
+
+def with_degree(ring, rng, k, degree):
+    """A random polynomial in k variables with a term of total degree
+    `degree` and others of lower degree."""
+    exps = [0] * k
+    for _ in range(degree):
+        exps[rng.randrange(k)] += 1
+    p = random_poly(ring, k, degree - 1, 5, rng)
+    terms = dict(p.terms)
+    terms[tuple(exps)] = random_nonzero(ring, rng).val
+    return poly(ring, k, terms)
+
+
+# (ring, domain, coordinates): one-hot F3 and F5, binary F7, F11, Z8, Z9
+# and Z12, and Z and Q boxes, each small enough to expand at every point
+HIGH_DEGREE_SPACES = (
+    [(F3, SearchDomain.exhaustive(), 4), (F5, SearchDomain.exhaustive(), 3)]
+    + [(ring, SearchDomain.exhaustive(), k)
+       for ring, k in ((prime_field(7), 3), (prime_field(11), 2),
+                       (modular(8), 3), (modular(9), 2), (modular(12), 2))]
+    + [(ring, SearchDomain.integer_box(box), k)
+       for ring, box, k in ((ZZ, 1, 3), (ZZ, 2, 3), (QQ, 1, 3), (QQ, 2, 2))])
+
+
+@pytest.mark.parametrize(
+    "ring, base, k", HIGH_DEGREE_SPACES,
+    ids=["%s-%s%s" % (str(ring)[5:-1].replace(" ", ""), base.mode,
+                       base.bound or "")
+         for ring, base, _ in HIGH_DEGREE_SPACES])
+def test_degree_three_and_four_searches_run_the_kernel(monkeypatch, ring, base,
+                                                       k):
+    """Degrees 3 and 4 under each restriction and both metrics, at two
+    plane widths, against the expansion at every point; _scan raises,
+    so nothing is walked."""
+    def no_scan(*args):
+        raise AssertionError("a degree-3 or degree-4 search was walked")
+
+    monkeypatch.setattr(oracles, "_scan", no_scan)
+    rng = random.Random(281 + k * len(base.values(ring)))
+    values = base.values(ring)
+    for degree in (3, 4):
+        p = with_degree(ring, rng, k, degree)
+        counts = {}
+        for vec in itertools.product(values, repeat=k):
+            out = shifted_term_map(ring, p.sparse_terms, vec)
+            counts[vec] = (len(out), sum(1 for key in out if key))
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            dom = base.restricted(restriction, rng.randint(1, k))
+            points = reference_points(dom, ring, k)
+            for m, metric in enumerate(("total", "nonconstant")):
+                want = min((counts[vec][m], vec) for vec in points)
+                for bits in (len(values), 1 << 20):
+                    monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
+                    report = search_min_sparsity(p, dom, metric)
+                    got = (report.min_sparsity,
+                           tuple(v.val for v in report.witness), report.points)
+                    assert got == want + (len(points),), \
+                        (ring, restriction, metric, p, bits)
+
+
+def planted_system(ring, rng, k, degree, point):
+    """Up to two equations of degree at most `degree`, the first of that
+    degree, that all vanish at the payload vector point."""
+    eqs = []
+    for i in range(rng.randint(1, 2)):
+        p = (with_degree(ring, rng, k, degree) if i == 0
+             else random_poly(ring, k, degree, 3, rng))
+        terms = dict(p.terms)
+        zero = (0,) * k
+        terms[zero] = ring.canon(terms.get(zero, 0) - eval_payload(p, point))
+        eqs.append(terms)
+    return system(ring, k, eqs)
+
+
+def test_solve_runs_the_kernel_at_degrees_one_to_four(monkeypatch):
+    """Planted and random systems of degree 1 to 4 under each
+    restriction, against check_solution at every point of
+    reference_points; _scan raises, so nothing is walked."""
+    def no_scan(*args):
+        raise AssertionError("a solve was walked")
+
+    monkeypatch.setattr(oracles, "_scan", no_scan)
+    rng = random.Random(283)
+    seen = [0, 0]
+    spaces = SCAN_SPACES + [(F5, SearchDomain.exhaustive()),
+                            (modular(6), SearchDomain.exhaustive()),
+                            (QQ, SearchDomain.integer_box(2))]
+    for ring, base in spaces:
+        values = base.values(ring)
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            for degree in (1, 2, 3, 4):
+                k = rng.randint(1, 3)
+                dom = base.restricted(restriction, rng.randint(0, k))
+                points = reference_points(dom, ring, k)
+                if rng.random() < 0.5 and points:
+                    S = planted_system(ring, rng, k, degree, rng.choice(points))
+                else:
+                    S = system(ring, k, [dict(with_degree(ring, rng, k,
+                                                          degree).terms)])
+                sols = [vec for vec in points
+                        if check_solution(S, [ring.el(v) for v in vec])]
+                want = min(sols) if sols else None
+                seen[want is None] += 1
+                got = solve_system(S, dom)
+                got = None if got is None else tuple(v.val for v in got)
+                assert got == want, (ring, restriction, S.equations)
+    assert min(seen) >= 10
+
+
+def test_solve_walks_an_over_wide_slot_set(monkeypatch):
+    """x1^1000000 - 1 over [-2, 2] is too wide for the kernel, and the
+    exact scorer finds -1."""
+    real = oracles._scan
+    walked = []
+
+    def spy(*args):
+        walked.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "_scan", spy)
+    S = system(ZZ, 1, [{(10 ** 6,): 1, (0,): -1}])
+    assert solve_system(S, SearchDomain.integer_box(2)) == (ZZ.el(-1),)
+    assert walked == [oracles._solution_scores]
+
+
+def test_solve_certifies_its_solution(monkeypatch):
+    real = oracles.sliced_min_slots
+
+    def next_rank(*args):
+        count, rank, points = real(*args)
+        return count, rank + 1, points
+
+    monkeypatch.setattr(oracles, "sliced_min_slots", next_rank)
+    # x1 = 1 and x2 = 0: the one solution (1, 0) is not the last point
+    for ring, dom in ((ZZ, SearchDomain.integer_box(1)),
+                      (F5, SearchDomain.exhaustive())):
+        S = system(ring, 2, [{(1, 0): 1, (0, 0): -1}, {(0, 1): 1}])
+        with pytest.raises(InternalConsistencyError,
+                           match="counted as a solution"):
+            solve_system(S, dom)

@@ -11,7 +11,6 @@ from shiftforge import (
     ArityError,
     CapExceededError,
     FormatError,
-    PreconditionError,
     QQ,
     RingMismatchError,
     SparsePoly,
@@ -298,12 +297,12 @@ def test_comments_and_blank_lines_ignored():
 
 
 def random_shift_terms(ring, rng, nvars, shifted):
-    """Payload terms of degree at most 2 in the shifted positions and up
+    """Payload terms of degree at most 4 in the shifted positions and up
     to 2 in each of the others."""
     terms = {}
     for _ in range(rng.randint(1, 8)):
         exps = [0] * nvars
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, 4)):
             exps[rng.choice(shifted)] += 1
         for i in range(nvars):
             if i not in shifted:
@@ -313,18 +312,18 @@ def random_shift_terms(ring, rng, nvars, shifted):
 
 
 def slot_count(ring, table, a):
-    """The monomial count that slot_table's (quadratic, groups) gives at
-    the shift a, a map from shifted position to payload: every slot
+    """The monomial count that slot_table's (fixed, slots) gives at the
+    shift a, a map from shifted position to payload: every slot
     evaluated at a, directly."""
-    quadratic, groups = table
-    count = quadratic
-    for linear, quad, const in groups:
-        for _, c, deriv in linear:
-            count += bool(ring.canon(c + sum(d * a[j] for j, d in deriv.items())))
-        if const is not None:
-            value = const + sum(c * a[i] for i, c, _ in linear)
-            value += sum(c * a[i] * a[j] for (i, j), c in quad.items())
-            count += bool(ring.canon(value))
+    fixed, slots = table
+    count = fixed
+    for const, part in slots:
+        value = const
+        for c, key in part:
+            for p, e in zip(key[::2], key[1::2]):
+                c *= a[p] ** e
+            value += c
+        count += bool(ring.canon(value))
     return count
 
 
@@ -348,14 +347,26 @@ def test_slot_table_counts_match_expansion_at_random_points():
                         (ring, terms, shifted, point)
 
 
-def test_slot_table_needs_degree_two_in_the_shifted_positions():
+def test_slot_table_takes_every_degree_and_bounds_it_first(monkeypatch):
     terms = sparse_terms(P(ZZ, 2, {(3, 0): 1, (0, 1): 1}).terms)
-    table = slot_table(ZZ, terms, [1])
-    assert table == (0, [([], {}, 1), ([(1, 1, {})], {}, 0)])
-    # P(X + (0, 2)) = x0^3 + x1 + 2
-    assert slot_count(ZZ, table, [0, 2]) == 3
-    with pytest.raises(PreconditionError):
-        slot_table(ZZ, terms, [0])
+    # P(X + (0, a1)) = x0^3 + x1 + a1: two constant slots, and a1
+    assert slot_table(ZZ, terms, [1]) == (2, [(0, [(1, (1, 1))])])
+    assert slot_count(ZZ, slot_table(ZZ, terms, [1]), [0, 2]) == 3
+    # P(X + (a0, 0)) = x0^3 + 3*a0*x0^2 + 3*a0^2*x0 + a0^3 + x1
+    assert slot_table(ZZ, terms, [0]) == (
+        2, [(0, [(1, (0, 3))]), (0, [(3, (0, 2))]), (0, [(3, (0, 1))])])
+    assert slot_count(ZZ, slot_table(ZZ, terms, [0]), [2, 0]) == 5
+    # over F3, C(3, 1) = C(3, 2) = 0: (x0 + a0)^3 = x0^3 + a0^3
+    F3 = prime_field(3)
+    assert slot_table(F3, sparse_terms(P(F3, 1, {(3,): 1}).terms), [0]) == (
+        1, [(0, [(1, (0, 3))])])
+    # the worst case of the expansion, 4 + 2 terms, is checked first
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "5")
+    with pytest.raises(CapExceededError,
+                       match=r"^shifted polynomial may reach 6 terms, cap is 5$"):
+        slot_table(ZZ, terms, [0, 1])
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "6")
+    assert slot_table(ZZ, terms, [0, 1])[0] == 2
 
 
 def random_offsets(ring, rng, k):
