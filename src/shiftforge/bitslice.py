@@ -1,4 +1,4 @@
-"""Bit-sliced shift counting over finite rings, integer and rational boxes.
+"""Bit-sliced shift counting over finite rings, boxes and rational grids.
 
 Every point of a block of the search domain owns one bit of a Python
 int, at its rank within the block, so one operation on ints acts on
@@ -33,7 +33,9 @@ is const plus a sum of c * a^key, for any degree:
 
 The binary layout takes a slot set while its width bound, the planes
 its products may need times the bits of their values, is at most
-MAX_WIDTH (fits); the oracles walk wider ones.
+MAX_WIDTH (_fits).  A wider slot set, and a rational grid, get no
+planes: each block is one point, every coordinate fixed, and the same
+evaluation runs on exact numbers.
 
 The "slot != 0" masks are summed into bit-sliced binary counter planes
 by a ripple-carry adder, and the counts are read from those planes.
@@ -61,10 +63,11 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
+from itertools import product
 from math import comb, lcm
 
 from .rings import RATIONALS
-from .sparsepoly import pairs, slot_table
+from .sparsepoly import pairs
 
 # odd moduli up to this get one-hot planes (q^2 operations per term);
 # larger ones and every power of two binary residues (a fold per slot,
@@ -76,15 +79,16 @@ from .sparsepoly import pairs, slot_table
 MAX_MODULUS = 5
 # bits of one plane (128 KiB)
 PLANE_BITS = 1 << 20
-# the largest width bound (fits) of a slot set that the binary
-# arithmetic takes; the oracles walk wider ones.  The kernel's cost grows
-# with the bound, the walk's with the points.  Measured on a 2-CPU VM:
-# over one block of 390,625 points (solve of x1^e*x2 + x3 + ... + x8 - 1
-# over [-2, 2]^8) they cross near a bound of 4e6, and at 67,648 the
-# kernel takes 0.10 s against 3.4 s; over the 5 points of x1^e - 1 the
-# walk takes 0.2 ms at every e, the kernel 5 ms at 32,016 and 0.13 s at
-# 320,016.  2^15 keeps the kernel within milliseconds where the walk is
-# cheap
+# the largest width bound (_fits) of a slot set that gets binary planes;
+# a wider one gets none, and _blocks counts it one point per block.  The
+# planes' cost grows with the bound, the one-point blocks' with the
+# points.  Measured on a 2-CPU VM: over the 390,625 points of the solve
+# of x1^e*x2 + x3 + ... + x8 - 1 over [-2, 2]^8, planes take 0.61 s at a
+# bound of 448,448 against 5.1 s one point at a time, and 8.5 s against
+# 17 s at 4.5e6; over the 5 points of x1^e - 1, one-point blocks take at
+# most 3 ms up to e = 320,000, planes 22 ms at a bound of 102,416 and
+# 77 s at 1e7.  2^15 keeps planes within milliseconds where one-point
+# blocks are cheap
 MAX_WIDTH = 1 << 15
 
 
@@ -280,13 +284,24 @@ class _Box:
     o + sum of k * [p] with o = lo.  A product of coordinates multiplies
     their forms out, so a slot is a weighted sum of planes, const + sum
     of k * [p], whose planes are ANDs of coordinate bits; its bits come
-    from adding each column of planes with full adders."""
+    from adding each column of planes with full adders.
 
-    def __init__(self, lo, hi, full, modulus=None):
+    A fixed coordinate enters a monomial as its powers, built once per
+    block up the ladder of the slots to evaluate: for each position, the
+    exponents above 1 that their keys raise it to, ascending, each power
+    the one below times a^gap."""
+
+    def __init__(self, lo, hi, full, modulus=None, slots=()):
         self.lo = lo
         self.hi = hi
         self.full = full
         self.modulus = modulus
+        ladder = {}
+        for key in {key for _, terms in slots for _, key in terms}:
+            for p, e in pairs(key):
+                if e > 1:
+                    ladder.setdefault(p, set()).add(e)
+        self.ladder = [(p, sorted(exps)) for p, exps in ladder.items()]
         # over Z_q with q = 2^s only the low s bits of a slot matter
         self.cap = None
         if modulus is not None and not modulus & modulus - 1:
@@ -312,16 +327,34 @@ class _Box:
 
     def values(self, coords, slots):
         """The value of every slot at the coordinates coords, in order:
-        an int where it is the same at every point, else its bits.  Over
-        Z_q both are only congruent to the slot mod q.
+        a number where it is the same at every point, else its bits.
+        Over Z_q both are only congruent to the slot mod q.
 
         A varying coordinate (o, bits) enters a slot as const o plus its
         bits, and a monomial a^key of higher degree as _monomial gives
-        it; each is built once per block, and so is the plane of each
-        mask, the AND of its bits' planes."""
+        it; each is built once per block, and so are the form of each
+        varying coordinate, where each of its bits owns one mask bit, and
+        the plane of each mask, the AND of its bits' planes."""
         q = self.modulus
         products = {(pos, 1): x for pos, x in enumerate(coords)}
-        forms = planes = None
+        for p, exps in self.ladder:
+            x, y, last = coords[p], 1, 0
+            if isinstance(x, tuple):
+                continue
+            for e in exps:
+                y *= pow(x, e - last, q)
+                products[p, e] = y = y % q if q else y
+                last = e
+        forms, planes = {}, {}
+
+        def form(p):
+            f = forms.get(p)
+            if f is None:
+                f = forms[p] = {0: coords[p][0]} if coords[p][0] else {}
+                for k, bit in coords[p][1]:
+                    mask = 1 << len(planes)
+                    f[mask], planes[mask] = k, bit
+            return f
 
         def plane(mask):
             p = planes.get(mask)
@@ -335,26 +368,30 @@ class _Box:
             for c, key in terms:
                 x = products.get(key)
                 if x is None:
-                    if forms is None:
-                        forms, planes = _forms(coords)
-                    x = products[key] = self._monomial(forms, plane, key)
-                if isinstance(x, int):
-                    const += c * x
-                else:
+                    x = products[key] = self._monomial(products, form, plane,
+                                                       key)
+                if isinstance(x, tuple):
                     const += c * x[0]
                     out += [(c * k, p) for k, p in x[1]]
+                else:
+                    const += c * x
             if q is not None:
                 const %= q
                 out = [(k % q, p) for k, p in out if k % q]
             yield self.bits(const, out) if out else const
 
-    def _monomial(self, forms, plane, key):
-        """a^key as a varying coordinate is held, (const, [(k, plane)]):
-        the product of the forms of its factors, x^e by repeated
-        squaring."""
-        x = None
+    def _monomial(self, products, form, plane, key):
+        """a^key as a varying coordinate is held, (const, [(k, plane)]),
+        or a number where no factor varies: a fixed factor a_p^e is its
+        power in products, and the forms of the varying ones multiply
+        out, x^e by repeated squaring."""
+        q = self.modulus
+        scale, x = 1, None
         for p, e in pairs(key):
-            power, base = None, forms[p]
+            if not isinstance(products[p, 1], tuple):
+                scale *= products[p, e]
+                continue
+            power, base = None, form(p)
             while True:
                 if e & 1:
                     power = base if power is None else self._times(power, base)
@@ -363,7 +400,10 @@ class _Box:
                     break
                 base = self._times(base, base)
             x = power if x is None else self._times(x, power)
-        return x.get(0, 0), [(k, plane(m)) for m, k in x.items() if m]
+        if x is None or not scale:
+            return scale if q is None else scale % q
+        return (scale * x.get(0, 0),
+                [(scale * k, plane(m)) for m, k in x.items() if m])
 
     def bits(self, const, terms, signed=False):
         """The bits of const + sum of k * [p] over the (k, p) terms, mod
@@ -429,30 +469,13 @@ class _Box:
         return self.full & ~zero
 
 
-def _forms(coords):
-    """The form of each coordinate, a map from plane masks to
-    coefficients (mask 0 for the constant), where each bit of a varying
-    coordinate owns one mask bit, and the planes of those mask bits."""
-    forms, planes = [], {}
-    for x in coords:
-        if isinstance(x, int):
-            forms.append({0: x})
-            continue
-        forms.append({0: x[0]} if x[0] else {})
-        for k, p in x[1]:
-            mask = 1 << len(planes)
-            forms[-1][mask] = k
-            planes[mask] = p
-    return forms, planes
-
-
 def _count(fixed, slots, coords, arith):
     """The number of nonzero slots at every point of a block, plus fixed:
     returns (fixed, counters), where the count is fixed plus the binary
     number whose bit b is in counters[b]."""
     counters = []
     for value in arith.values(coords, slots):
-        if isinstance(value, int):
+        if not isinstance(value, list):
             fixed += value != 0
             continue
         carry = arith.nonzero(value)
@@ -497,17 +520,22 @@ def _integral(slot):
     return int(const * m), [(int(c * m), key) for c, key in terms]
 
 
-def fits(ring, values, slots):
-    """Whether _blocks takes the slots: always in one-hot planes, and in
-    binary ones while their width bound is at most MAX_WIDTH.  The bound
-    comes before any plane is built: the planes that the monomials a^key
-    may need, ANDs of at most e of the bits of a_p for each factor a_p^e
-    (and the empty one where a coordinate's form has a constant), times
-    the bits that their values may take."""
+def _fits(ring, values, slots):
+    """Whether _blocks gives the slots planes: always in one-hot ones,
+    and in binary ones over a run of consecutive integers (not a
+    rational grid) while their width bound is at most MAX_WIDTH.  The
+    bound comes before any plane is built: the planes that the monomials
+    a^key may need, ANDs of at most e of the bits of a_p for each factor
+    a_p^e (and the empty one where a coordinate's form has a constant),
+    times the bits that their values may take."""
     q = ring.modulus
-    if q is not None and q <= MAX_MODULUS and q & q - 1 or not slots:
+    if q is not None and q <= MAX_MODULUS and q & q - 1:
         return True
-    lo, hi = (0, q - 1) if q else (int(values[0]), int(values[-1]))
+    lo, hi = values[0], values[-1]
+    if not all(isinstance(v, int) for v in values) or hi - lo >= len(values):
+        return False
+    if not slots:
+        return True
     nbits = (hi - lo).bit_length()
     counts = [sum(comb(nbits, j) for j in range(0 if lo else 1, e + 1))
               for e in range(nbits + 1)]
@@ -525,8 +553,6 @@ def fits(ring, values, slots):
     if q is not None:
         # reduced coefficients: the value is below q * products
         return products * (q * products).bit_length() <= MAX_WIDTH
-    if ring.kind == RATIONALS:
-        slots = [_integral(slot) for slot in slots]
     coefs = [c for _, part in slots for c, _ in part]
     coefs += [const for const, _ in slots]
     # a coordinate's form o + sum of k * [p] is below 2^norm
@@ -543,51 +569,65 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     except that under zero_sum coordinate 0 (not in `free`) is minus the
     sum of the others and must lie in `values`; ranks are odometer
     ranks, whose base-len(values) digits index the values of the free
-    coordinates in order.  `values` is every residue of Z_q, or a box
-    lo..hi of integers (over Q, of integral fractions).  Yields (offset,
-    lead, inside, fixed, counters) per block: its first rank, coordinate
-    0 as box_forced gives it under zero_sum (else the payload 0), the
-    mask of its points that lie in the domain, and the counts of _count
-    over the slots, which are exact on those points.
+    coordinates in order.  `values` is every residue of Z_q, a box lo..hi
+    of integers (over Q, of integral fractions), or any ascending list
+    of distinct numbers, such as a rational grid.  Where the slots
+    _fit, the lowest free coordinates get planes; otherwise none does,
+    and each block is one point, every coordinate fixed, whose slots
+    are evaluated exactly.  Yields (offset, lead, inside, fixed,
+    counters) per block: its first rank, coordinate 0 as box_forced
+    gives it under zero_sum (else the payload 0), the mask of its points
+    that lie in the domain, and the counts of _count over the slots,
+    which are exact on those points.
     """
-    nv = len(values)
-    sliced = 0  # free coordinates that get planes: the lowest ones
-    while sliced < len(free) and nv ** (sliced + 1) <= PLANE_BITS:
-        sliced += 1
-    high = free[:len(free) - sliced]
-    width = nv ** sliced
-    full = (1 << width) - 1
     q = ring.modulus
-    if q is None:
-        arith = _Box(int(values[0]), int(values[-1]), full)
-    elif q <= MAX_MODULUS and q & q - 1:
-        arith = _Residues(q, full)
-    else:
-        arith = _Box(0, q - 1, full, q)
-    planes = arith.coordinates(sliced)
     if zero_sum:
         slots = _balanced(ring, slots, [0] + free)
     if ring.kind == RATIONALS:
+        # a box over Q is planed as integers; a grid's values stay as given
+        values = [v.numerator if v.denominator == 1 else v for v in values]
         slots = [_integral(slot) for slot in slots]
+    nv = len(values)
+    sliced = 0  # free coordinates that get planes: the lowest ones
+    if _fits(ring, values, slots):
+        while sliced < len(free) and nv ** (sliced + 1) <= PLANE_BITS:
+            sliced += 1
+    high = free[:len(free) - sliced]
+    width = nv ** sliced
+    full = (1 << width) - 1
+    if q is not None and q <= MAX_MODULUS and q & q - 1:
+        arith = _Residues(q, full)
+    else:
+        arith = _Box(values[0], values[-1], full, q, slots)
+    planes = arith.coordinates(sliced) if sliced else ()
+    members = set(values)
     lead = 0
-    for block in range(nv ** len(high)):
+    for block, combo in enumerate(product(values, repeat=len(high))):
         coords = [0] * k
         for pos, p in zip(free[len(high):], planes):
             coords[pos] = p
-        rest = block
-        for pos in reversed(high):
-            rest, digit = divmod(rest, nv)
-            coords[pos] = arith.lo + digit
+        for pos, v in zip(high, combo):
+            coords[pos] = v
         inside = full
         if zero_sum:
             const = -sum(coords[pos] for pos in high)
             if q is not None:
                 const %= q
-            lead, inside = box_forced(arith.lo, arith.hi, sliced, const, q)
+            if sliced:
+                lead, inside = box_forced(arith.lo, arith.hi, sliced, const, q)
+            else:
+                lead, inside = const, int(const in members)
             coords[0] = arith.lift(lead)
         if inside:
             yield ((block * width, lead, inside)
                    + _count(fixed, slots, coords, arith))
+
+
+def count_at(ring, fixed, slots, point):
+    """fixed plus the number of slots (as slot_table gives them) that are
+    nonzero at the payload vector point, evaluated exactly."""
+    arith = _Box(0, 0, 1, ring.modulus, slots)
+    return _count(fixed, slots, list(point), arith)[0]
 
 
 def _least(counters, points):
@@ -619,7 +659,7 @@ def sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum):
         total += inside.bit_count()
         low, points = _least(counters, inside)
         first = lead
-        if not isinstance(lead, int):
+        if isinstance(lead, tuple):
             # the least coordinate 0 among them, from its offset bits
             first, points = _least([p for _, p in lead[1]], points)
             first += lead[0]
@@ -629,16 +669,15 @@ def sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum):
     return None if best is None else (best[0], best[2], total)
 
 
-def sliced_ranks_below(ring, values, terms, k, free, zero_sum, threshold):
+def sliced_ranks_below(ring, values, fixed, slots, k, free, zero_sum,
+                       threshold):
     """The number of points of the domain of _blocks and the ranks,
-    ascending, of those where P(X + a) has fewer than `threshold`
-    monomials; P is a payload term map shifted in its first k
-    positions."""
+    ascending, of those where fixed plus the number of nonzero slots is
+    below `threshold`."""
     points = 0
     ranks = []
     for offset, _, inside, fixed, counters in _blocks(
-            ring, values, *slot_table(ring, terms, range(k)), k, free,
-            zero_sum):
+            ring, values, fixed, slots, k, free, zero_sum):
         points += inside.bit_count()
         below = _below(counters, threshold - fixed, inside)
         while below:

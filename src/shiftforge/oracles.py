@@ -7,8 +7,9 @@ rest (membership in the domain is still required) or pin all but the
 last n coordinates to zero.  Spaces are sized up front and refused when
 they exceed the cap.  Witnesses are tie-broken to the lexicographically
 least vector under the canonical element order.  Every oracle runs in
-the calling process: the bit-sliced kernel (bitslice) counts every
-domain but a rational grid, and the rest is walked point by point.
+the calling process and counts the nonzero slots of slot_table with the
+bit-sliced kernel (bitslice), over every domain; the full expansion only
+certifies answers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .bitslice import fits, sliced_min_slots, sliced_ranks_below
+from .bitslice import count_at, sliced_min_slots, sliced_ranks_below
 from .errors import (
     ArityError,
     CapExceededError,
@@ -27,7 +28,6 @@ from .errors import (
 from .hn_reduce import (
     TriviallySolvable,
     reduce_hn,
-    shift_instance,
     shift_to_solution,
     solution_to_shift,
 )
@@ -136,41 +136,6 @@ def _plan(dom, ring, k):
     return values, free, size
 
 
-def _walk(values, free, k, restriction, ring):
-    """Every point of the domain in odometer order, lexicographic in the
-    free coordinates; the one domain enumerator of every oracle.
-
-    Yields the full payload vector of every point that lies in the
-    domain: the same list each time, updated in place."""
-    zero = ring.canon(0)
-    value_set = set(values)
-    vec = [zero] * k
-    for combo in product(values, repeat=len(free)):
-        for pos, v in zip(free, combo):
-            vec[pos] = v
-        if restriction == ZERO_SUM:
-            vec[0] = ring.canon(-sum(vec[1:], zero))
-            if vec[0] not in value_set:
-                continue
-        yield vec
-
-
-def _scan(score, subject, dom, ring, k):
-    """Walk the domain and keep the least (head, vector) key over the
-    (head, vec) pairs that score(subject, walk) yields for every point.
-    Returns the least key, or None, and the number of points walked."""
-    values, free, _ = _plan(dom, ring, k)
-    best = None
-    points = 0
-    for head, vec in score(subject, _walk(values, free, k, dom.restriction,
-                                          ring)):
-        points += 1
-        key = head, tuple(vec)
-        if best is None or key < best:
-            best = key
-    return best, points
-
-
 class SearchReport:
     __slots__ = ("min_sparsity", "witness", "points", "complete", "violations")
 
@@ -197,12 +162,6 @@ def _count(terms, metric):
     return len(terms)
 
 
-def _shift_scores(subject, walk):
-    poly, metric = subject
-    return ((_count(shifted_term_map(poly.ring, poly.sparse_terms, vec), metric), vec)
-            for vec in walk)
-
-
 def _at(values, free, k, restriction, ring, rank):
     """The payload vector of an in-domain rank, whose base-len(values)
     digits index the values of the free coordinates in order."""
@@ -215,28 +174,22 @@ def _at(values, free, k, restriction, ring, rank):
     return vec
 
 
-def _least_key(dom, ring, k, make_slots, score, subject):
+def _least_key(dom, ring, k, make_slots):
     """The least (count, vector) key over the domain and its number of
     points, where the count at a point is the number of nonzero slots
     there, plus fixed; make_slots(moving) gives (fixed, slots) for the
-    positions that can move.  The bit-sliced kernel counts every domain
-    but a rational grid, in this process, while the slots fit it
-    (bitslice.fits); otherwise score(subject, walk), which yields the
-    same counts, runs at every point of the walk."""
+    positions that can move.  The bit-sliced kernel counts every domain,
+    in this process."""
     values, free, _ = _plan(dom, ring, k)
-    if dom.mode != GRID:
-        zero_sum = dom.restriction == ZERO_SUM
-        moving = [0] + free if zero_sum and free else free
-        fixed, slots = make_slots(moving if any(values) else [])
-        if fits(ring, values, slots):
-            found = sliced_min_slots(ring, values, fixed, slots, k, free,
-                                     zero_sum)
-            if found is None:
-                return None, 0
-            count, rank, points = found
-            vec = _at(values, free, k, dom.restriction, ring, rank)
-            return (count, tuple(vec)), points
-    return _scan(score, subject, dom, ring, k)
+    zero_sum = dom.restriction == ZERO_SUM
+    moving = [0] + free if zero_sum and free else free
+    fixed, slots = make_slots(moving if any(values) else [])
+    found = sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum)
+    if found is None:
+        return None, 0
+    count, rank, points = found
+    vec = _at(values, free, k, dom.restriction, ring, rank)
+    return (count, tuple(vec)), points
 
 
 def search_min_sparsity(poly, dom, metric="total"):
@@ -251,8 +204,7 @@ def search_min_sparsity(poly, dom, metric="total"):
     best, points = _least_key(
         dom, ring, poly.nvars,
         lambda moving: slot_table(ring, poly.sparse_terms, moving,
-                                  metric == "nonconstant"),
-        _shift_scores, (poly, metric))
+                                  metric == "nonconstant"))
     if best is None:
         raise PreconditionError("search domain is empty")
     witness = tuple(RingElement(poly.ring, v) for v in best[1])
@@ -263,12 +215,6 @@ def search_min_sparsity(poly, dom, metric="total"):
             % (format_vector(witness), best[0], exact)
         )
     return SearchReport(best[0], witness, points, dom.mode == EXHAUSTIVE)
-
-
-def _solution_scores(system, walk):
-    # eval_payload reduces residues, so a solution reads 0 in every ring
-    for vec in walk:
-        yield sum(1 for eq in system.equations if eval_payload(eq, vec)), vec
 
 
 def _check_powers(system, dom):
@@ -305,8 +251,7 @@ def solve_system(system, dom):
     slots = [(eq.sparse_terms.get((), zero),
               [(c, key) for key, c in eq.sparse_terms.items() if key])
              for eq in system.equations]
-    best, _ = _least_key(dom, ring, system.nvars, lambda moving: (0, slots),
-                         _solution_scores, system)
+    best, _ = _least_key(dom, ring, system.nvars, lambda moving: (0, slots))
     if best is None or best[0]:
         return None
     found = tuple(RingElement(ring, v) for v in best[1])
@@ -315,13 +260,6 @@ def solve_system(system, dom):
             "point %s: counted as a solution, the equations do not vanish"
             % format_vector(found))
     return found
-
-
-def _maxsat_scores(system, walk):
-    ring = system.ring
-    for vec in walk:
-        yield system.m - count_satisfied(
-            system, [RingElement(ring, v) for v in vec]), vec
 
 
 def maxsat(system, dom):
@@ -334,8 +272,7 @@ def maxsat(system, dom):
     ring = system.ring
     slots = [(b.val, [(c.val, (j, 1)) for j, c in zip(idx, coeffs)])
              for idx, coeffs, b in system.rows]
-    found, _ = _least_key(dom, ring, system.n, lambda moving: (0, slots),
-                          _maxsat_scores, system)
+    found, _ = _least_key(dom, ring, system.n, lambda moving: (0, slots))
     if found is None:
         raise PreconditionError("search domain is empty")
     x = [RingElement(ring, v) for v in found[1]]
@@ -396,15 +333,17 @@ class RoundtripReport:
 
 
 def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
-    """Reduce, then check both directions over the box.
+    """Reduce, then check both directions over the box, counting the
+    slots of one slot_table with the x-block shifted and the w variables
+    not.
 
     Solutions are enumerated over box-bounded assignments of the source
     variables (each extends uniquely); each must yield a wired shift that
-    lowers the count by exactly one.  Shifts range over all zero-sum
-    box-bounded vectors, counted at once by the bit-sliced kernel; each
-    one that lowers the count must invert to a verified solution.  Box
-    search over the integers is sound, not complete.  Both directions
-    run in this process; `jobs` is accepted and not used.
+    lowers the count by exactly one, counted at that point.  Shifts range
+    over all zero-sum box-bounded vectors, counted at once by the
+    bit-sliced kernel; each one that lowers the count must invert to a
+    verified solution.  Box search over the integers is sound, not
+    complete.  `jobs` is accepted and not used.
     """
     result = reduce_hn(source, gamma)
     if isinstance(result, TriviallySolvable):
@@ -422,16 +361,17 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     ring = inst.polynomial.ring
     sigma = inst.sigma
     dom = SearchDomain.integer_box(box, cap=cap)
-    # both spaces are planned, and so capped, before either is walked
+    # both spaces are planned, and so capped, before any work
     k = inst.nsys + 1
-    values, free, _ = _plan(dom, ring, inst.n_inputs)
+    values = _plan(dom, ring, inst.n_inputs)[0]
     shift_free = _plan(dom.restricted(ZERO_SUM), ring, k)[1]
+    fixed, slots = slot_table(ring, inst.polynomial.sparse_terms, range(k))
     violations = []
 
     # direction 1: box-bounded source assignments
     solutions = 0
     solution_points = 0
-    for combo in _walk(values, free, inst.n_inputs, NONE, ring):
+    for combo in product(values, repeat=inst.n_inputs):
         solution_points += 1
         ax = [RingElement(ring, v) for v in combo]
         full = extend_solution(inst.recipe, ax) if inst.recipe else tuple(ax)
@@ -439,15 +379,15 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
             continue
         solutions += 1
         b = solution_to_shift(inst, full)
-        drop = sigma - shift_instance(inst, b).sparsity()
+        drop = sigma - count_at(ring, fixed, slots, [v.val for v in b])
         if drop != 1:
             violations.append("solution %s drops %d" % (format_vector(full), drop))
 
     # direction 2: zero-sum shifts of the x-block inside the box, counted
-    # by the bit-sliced kernel with the w variables unshifted; each one
-    # that lowers the count is decoded from its rank by one walk step
+    # by the bit-sliced kernel; each one that lowers the count is decoded
+    # from its rank
     shift_points, ranks = sliced_ranks_below(
-        ring, values, inst.polynomial.sparse_terms, k, shift_free, True, sigma)
+        ring, values, fixed, slots, k, shift_free, True, sigma)
     sparsifying = len(ranks)
     for rank in ranks:
         b = tuple(RingElement(ring, v)

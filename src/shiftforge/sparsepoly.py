@@ -22,7 +22,6 @@ import os
 import sys
 from functools import lru_cache, partial
 from itertools import chain
-from math import comb
 
 from .errors import (
     QUOTE_LIMIT,
@@ -149,14 +148,21 @@ def _moving_parts(groups):
     return dict.fromkeys(movs)
 
 
+def _binomials(e):
+    """The row C(e, 0), ..., C(e, e), by the Pascal-row recurrence
+    C(e, j + 1) = C(e, j) * (e - j) / (j + 1), whose division is exact:
+    one product of a big and a small int per entry."""
+    row = [1]
+    for j in range(e):
+        row.append(row[-1] * (e - j) // (j + 1))
+    return row
+
+
 def _expansion(mov, offsets, m):
     """The (subkey, coefficient) pairs of the product over the pairs
     (p, e) of mov of (x_p + a_p)^e; a subkey is the flat sparse key of a
-    monomial over the positions of mov.
-
-    The coefficients C(e, k) * a^(e-k) of one variable come from a
-    Pascal-row recurrence, from k = e down to 0; the running binomial
-    stays an exact integer, because the recurrence divides it."""
+    monomial over the positions of mov.  The coefficients of one variable
+    are C(e, k) * a^(e-k), from k = 0 up, C(e, k) from _binomials."""
     partial = [((), 1)]
     for p, e in pairs(mov):
         a = offsets[p]
@@ -164,12 +170,10 @@ def _expansion(mov, offsets, m):
             opts = (((), a), ((p, 1), 1))
         else:
             opts = []
-            binom = 1
             power = 1
-            for k in range(e, -1, -1):
+            for k, binom in zip(range(e, -1, -1), _binomials(e)):
                 s = binom * power
                 opts.append(((p, k) if k else (), s if m is None else s % m))
-                binom = binom * k // (e - k + 1)
                 power *= a
                 if m is not None:
                     power %= m
@@ -305,8 +309,8 @@ def _submonomials(mov):
     recur across calls, and builds the others through __wrapped__."""
     parts = [((), (), 1)]
     for p, e in pairs(mov):
-        row = [((p, j) if j else (), (p, e - j) if j < e else (), comb(e, j))
-               for j in range(e + 1)]
+        row = [((p, j) if j else (), (p, e - j) if j < e else (), b)
+               for j, b in enumerate(_binomials(e))]
         parts = [(sub + s, key + k, b * c) for sub, key, b in parts
                  for s, k, c in row]
     return parts[:-1]

@@ -404,15 +404,8 @@ def test_kernel_search_matches_expansion():
 
 def test_kernel_counts_match_shift_instance_on_hn_corpora():
     rng = random.Random(193)
-    systems = [planted_integer_system(rng, max_vars=2, max_eqs=2, value_bound=1,
-                                      max_degree=2, max_terms=2)[0]
-               for _ in range(12)]
-    systems += [unsolvable_integer_system(rng) for _ in range(12)]
     checked = 0
-    for S in systems:
-        inst = reduce_hn(S)
-        if not hasattr(inst, "nsys") or inst.nsys > 4:
-            continue
+    for _, inst in hn_corpus(rng):
         n = inst.nsys
         box = rng.randint(1, 2)
         values = list(range(-box, box + 1))
@@ -431,6 +424,118 @@ def test_kernel_counts_match_shift_instance_on_hn_corpora():
     assert checked >= 12
 
 
+def hn_corpus(rng):
+    """The systems of test_kernel_counts_match_shift_instance_on_hn_corpora:
+    planted and unsolvable, lowered to at most 4 system variables."""
+    systems = [planted_integer_system(rng, max_vars=2, max_eqs=2, value_bound=1,
+                                      max_degree=2, max_terms=2)[0]
+               for _ in range(12)]
+    systems += [unsolvable_integer_system(rng) for _ in range(12)]
+    for S in systems:
+        inst = reduce_hn(S)
+        if hasattr(inst, "nsys") and inst.nsys <= 4:
+            yield S, inst
+
+
+def test_roundtrip_solution_counts_match_shift_instance(monkeypatch):
+    """Direction 1 counts each solution's wired shift from the slot
+    table at that one point: the count equals the expansion's at every
+    wired shift, also where x0 or an auxiliary coordinate lies outside
+    the box, and at random points far outside it."""
+    real = oracles.count_at
+    seen = []
+
+    def record(ring, fixed, slots, point):
+        count = real(ring, fixed, slots, point)
+        seen.append((tuple(point), count))
+        return count
+
+    monkeypatch.setattr(oracles, "count_at", record)
+    rng = random.Random(193)
+    outside = checked = 0
+    for S, inst in hn_corpus(rng):
+        box = rng.randint(1, 2)
+        del seen[:]
+        report = verify_hn_roundtrip(S, box=box)
+        assert len(seen) == report.solutions
+        for point, count in seen:
+            assert count == shift_instance(
+                inst, [ZZ.el(v) for v in point]).sparsity()
+            outside += max(map(abs, point)) > box
+        k = inst.nsys + 1
+        table = slot_table(ZZ, inst.polynomial.sparse_terms, range(k))
+        for _ in range(3):
+            point = [rng.randint(-9, 9) for _ in range(k)]
+            assert real(ZZ, *table, point) == shift_instance(
+                inst, [ZZ.el(v) for v in point]).sparsity()
+        checked += 1
+    assert checked >= 12 and outside >= 3
+
+
+def test_search_expands_only_the_certificate(monkeypatch):
+    """Exhaustive, box, grid and over-wide searches count slots, and
+    expand P(X + a) once, at the winner."""
+    real = oracles.shifted_term_map
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "shifted_term_map", counted)
+    rng = random.Random(233)
+    wide = poly(ZZ, 2, {(0, 500): 1, (0, 1): 3, (1, 0): 2, (0, 0): -1})
+    cases = [
+        (random_poly(F3, 3, 2, 6, rng), SearchDomain.exhaustive()),
+        (random_poly(ZZ, 3, 3, 6, rng), SearchDomain.integer_box(2)),
+        (random_poly(QQ, 2, 2, 5, rng),
+         SearchDomain.rational_grid([-1, 0, 2], [1, 2])),
+        (wide, SearchDomain.integer_box(7)),
+    ]
+    for p, base in cases:
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            dom = base.restricted(restriction, 1)
+            del calls[:]
+            report = search_min_sparsity(p, dom)
+            assert calls == [tuple(v.val for v in report.witness)]
+
+
+def test_grid_searches_match_the_reference_and_its_tie_break():
+    """Grid searches under every restriction and both metrics against
+    the expansion at every point; (x0 + x1)^2 has 3 monomials under
+    every zero-sum shift, so its witness is the point with the least
+    forced coordinate, the last rank."""
+    rng = random.Random(239)
+    grids = [SearchDomain.rational_grid([-1, 0, 1], [1, 2]),
+             SearchDomain.rational_grid([-2, 0, 3], [1, 2, 3]),
+             SearchDomain.rational_grid([1, 2], [3]),
+             # integers, but not a run: no planes
+             SearchDomain.rational_grid([-3, 0, 1, 4], [1])]
+    cases = 0
+    for grid in grids:
+        for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
+            for metric in ("total", "nonconstant"):
+                for _ in range(3):
+                    k = rng.randint(1, 3)
+                    p = random_poly(QQ, k, 2, 5, rng)
+                    dom = grid.restricted(restriction, rng.randint(0, k))
+                    if not reference_points(dom, QQ, k):
+                        continue
+                    report = search_min_sparsity(p, dom, metric)
+                    assert (report.min_sparsity,
+                            tuple(v.val for v in report.witness),
+                            report.points) == reference_search(p, dom, metric)
+                    cases += 1
+    assert cases >= 50
+    square = poly(QQ, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    dom = grids[0].restricted(ZERO_SUM)
+    want = reference_search(square, dom, "total")
+    assert want == (3, (Fraction(-1), Fraction(1)), 5)
+    report = search_min_sparsity(square, dom)
+    assert (report.min_sparsity, tuple(v.val for v in report.witness),
+            report.points) == want
+
+
 def test_search_certifies_the_kernel_count(monkeypatch):
     real = oracles.sliced_min_slots
 
@@ -447,16 +552,33 @@ def test_search_certifies_the_kernel_count(monkeypatch):
             search_min_sparsity(p, dom)
 
 
+def require_planes(monkeypatch, why):
+    """Fail when the kernel would count a slot set one point per block
+    instead of in planes."""
+    real = bitslice._fits
+
+    def planed(*args):
+        assert real(*args), why
+        return True
+
+    monkeypatch.setattr(bitslice, "_fits", planed)
+
+
+def forbid_planes(monkeypatch):
+    """Fail when the kernel builds coordinate planes: every block must be
+    one point, every coordinate fixed."""
+    def no_planes(*args):
+        raise AssertionError("planes were built for a one-point domain")
+
+    monkeypatch.setattr(bitslice, "box_planes", no_planes)
+    monkeypatch.setattr(bitslice, "class_planes", no_planes)
+
+
 # the largest k per modulus that keeps the expansion reference fast
 SLICED_K = {2: 8, 3: 5, 4: 4, 5: 3, 6: 3, 7: 3}
 
 
 def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
-    real_scan = oracles._scan
-
-    def no_scan(*args):
-        raise AssertionError("a small finite ring search left the sliced path")
-
     real_planes = bitslice.class_planes
 
     def bounded_planes(q, digits):
@@ -465,7 +587,7 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
         assert digits == free_count or q ** (digits + 1) > bitslice.PLANE_BITS
         return real_planes(q, digits)
 
-    monkeypatch.setattr(oracles, "_scan", no_scan)
+    require_planes(monkeypatch, "a small finite ring search left the planes")
     monkeypatch.setattr(bitslice, "class_planes", bounded_planes)
     rng = random.Random(227)
     blocks = 0
@@ -480,8 +602,6 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
                         restriction, rng.randint(0, k))
                     want = reference_search(p, dom, metric)
                     free_count = len(oracles._plan(dom, ring, k)[1])
-                    expanded = real_scan(oracles._shift_scores, (p, metric), dom,
-                                         ring, k)
 
                     def slots(moving):
                         return slot_table(ring, p.sparse_terms, moving,
@@ -492,8 +612,8 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
                     for bits in (1, q, q * q + 1, 1 << 20):
                         monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
                         blocks += want[2] > bits
-                        assert oracles._least_key(dom, ring, k, slots, None,
-                                                  None) == expanded
+                        assert oracles._least_key(dom, ring, k, slots) == (
+                            want[:2], want[2])
                         report = search_min_sparsity(p, dom, metric)
                         got = (report.min_sparsity,
                                tuple(v.val for v in report.witness),
@@ -502,19 +622,18 @@ def test_sliced_search_matches_kernel_and_expansion(monkeypatch):
     assert blocks >= 100
 
 
-def test_search_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
+def test_search_counts_grids_and_wide_slot_sets_one_point_per_block(
+        monkeypatch):
     """Rational grids, and slot sets whose width bound exceeds
-    MAX_WIDTH, are expanded at every point."""
-    def no_slices(*args):
-        raise AssertionError("the sliced kernel ran out of its scope")
-
-    monkeypatch.setattr(oracles, "sliced_min_slots", no_slices)
+    MAX_WIDTH, get no planes: the kernel evaluates them one point per
+    block, against the expansion at every point."""
     rng = random.Random(229)
     # x2^500 over [-7, 7]: 16 plane products of about 2,500 bits
     wide = {(0, 500): 1, (0, 1): 3, (1, 0): 2, (0, 0): -1}
     box = SearchDomain.integer_box(7)
-    assert not bitslice.fits(ZZ, box.values(ZZ), slot_table(
+    assert not bitslice._fits(ZZ, box.values(ZZ), slot_table(
         ZZ, poly(ZZ, 2, wide).sparse_terms, [1])[1])
+    forbid_planes(monkeypatch)
     cases = [
         (random_poly(QQ, 2, 2, 5, rng), SearchDomain.rational_grid([-1, 0, 2], [1, 2])),
         (random_poly(QQ, 3, 4, 5, rng),
@@ -557,7 +676,7 @@ def reference_walk(values, free, k, restriction, ring):
     return points
 
 
-def test_walk_and_rank_decoding_match_product_reference():
+def test_rank_decoding_matches_product_reference():
     spaces = [
         (ZZ, SearchDomain.integer_box(2), 4),
         (QQ, SearchDomain.integer_box(1), 4),
@@ -571,9 +690,6 @@ def test_walk_and_rank_decoding_match_product_reference():
             values, free, _ = oracles._plan(dom.restricted(restriction, 2),
                                             ring, k)
             want = reference_walk(values, free, k, restriction, ring)
-            got = [tuple(vec) for vec in oracles._walk(values, free, k,
-                                                       restriction, ring)]
-            assert got == [vec for _, vec in want], (ring, restriction)
             for rank, vec in want:
                 assert tuple(oracles._at(values, free, k, restriction, ring,
                                          rank)) == vec
@@ -583,22 +699,26 @@ def test_roundtrip_violations_are_in_rank_order(monkeypatch):
     from shiftforge import NoReductionError, extend_solution
     from shiftforge.sparsepoly import format_vector
 
-    real_shift_instance = oracles.shift_instance
+    real_solution_to_shift = oracles.solution_to_shift
 
     def odd(vec):
         return vec[1].val % 2 == 1
 
-    def short_drop(inst, b):
+    def moved(b):
+        return (b[0] + ZZ.one,) + tuple(b[1:])
+
+    def wired_off(inst, full):
         # every solution whose wired shift has an odd second coordinate
-        # reports no drop
-        return inst.polynomial if odd(b) else real_shift_instance(inst, b)
+        # is wired one step off in x0
+        b = real_solution_to_shift(inst, full)
+        return moved(b) if odd(b) else b
 
     def refuse(inst, b):
         if odd(b):
             raise NoReductionError("refused")
         return tuple(b[1:])
 
-    monkeypatch.setattr(oracles, "shift_instance", short_drop)
+    monkeypatch.setattr(oracles, "solution_to_shift", wired_off)
     monkeypatch.setattr(oracles, "shift_to_solution", refuse)
     S = system(ZZ, 3, [{(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): -1}])
     box = 2
@@ -607,12 +727,16 @@ def test_roundtrip_violations_are_in_rank_order(monkeypatch):
     want = []
     for combo in itertools.product(values, repeat=inst.n_inputs):
         full = extend_solution(inst.recipe, [ZZ.el(v) for v in combo])
-        if check_solution(inst.system, full) and odd(solution_to_shift(inst, full)):
-            want.append("solution %s drops 0" % format_vector(full))
+        if not check_solution(inst.system, full):
+            continue
+        drop = inst.sigma - shift_instance(
+            inst, wired_off(inst, full)).sparsity()
+        if drop != 1:
+            want.append("solution %s drops %d" % (format_vector(full), drop))
     for tail in itertools.product(values, repeat=inst.nsys):
         b = (ZZ.el(-sum(tail)),) + tuple(ZZ.el(v) for v in tail)
         if (abs(sum(tail)) <= box and odd(b)
-                and real_shift_instance(inst, b).sparsity() < inst.sigma):
+                and shift_instance(inst, b).sparsity() < inst.sigma):
             want.append("shift %s: refused" % format_vector(b))
     assert len(want) >= 10
     assert any(w.startswith("solution") for w in want)
@@ -620,10 +744,11 @@ def test_roundtrip_violations_are_in_rank_order(monkeypatch):
 
 
 def test_roundtrip_checks_both_caps_before_any_work(monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("a space was walked before the cap check")
+    def no_work(*args):
+        raise AssertionError("work began before the cap check")
 
-    monkeypatch.setattr(oracles, "_walk", no_walk)
+    monkeypatch.setattr(oracles, "slot_table", no_work)
+    monkeypatch.setattr(oracles, "check_solution", no_work)
     S = system(ZZ, 2, [{(1, 0): 1, (0, 1): 1, (0, 0): -1}])
     # 25 source assignments fit, 625 zero-sum ranks do not
     with pytest.raises(CapExceededError):
@@ -719,13 +844,8 @@ SLICED_MAXSAT_SPACES = (
        for box, n in ((0, 5), (1, 5), (2, 4), (3, 4))])
 
 
-def test_sliced_maxsat_matches_the_walk_and_the_product(monkeypatch):
-    real_scan = oracles._scan
-
-    def no_scan(*args):
-        raise AssertionError("a bit-sliced maxsat domain was walked")
-
-    monkeypatch.setattr(oracles, "_scan", no_scan)
+def test_sliced_maxsat_matches_the_product(monkeypatch):
+    require_planes(monkeypatch, "a bit-sliced maxsat domain left the planes")
     rng = random.Random(251)
     cases = blocks = 0
     for ring, base, max_n in SLICED_MAXSAT_SPACES:
@@ -741,8 +861,6 @@ def test_sliced_maxsat_matches_the_walk_and_the_product(monkeypatch):
                 cases += 1
                 want = max(reference_rows_satisfied(L, vec)
                            for vec in reference_points(dom, ring, n))
-                walk, _ = real_scan(oracles._maxsat_scores, L, dom, ring, n)
-                assert L.m - walk[0] == want
                 # planes of 1 bit (every coordinate fixed per block), of
                 # some coordinates, and of the whole domain
                 size = oracles._plan(dom, ring, n)[2]
@@ -770,12 +888,10 @@ def test_sliced_maxsat_certifies_its_count(monkeypatch):
             maxsat(L, dom)
 
 
-def test_maxsat_keeps_the_walk_outside_the_sliced_scope(monkeypatch):
-    """Rational grids are walked with count_satisfied at every point."""
-    def no_slices(*args):
-        raise AssertionError("the sliced kernel ran out of its scope")
-
-    monkeypatch.setattr(oracles, "sliced_min_slots", no_slices)
+def test_maxsat_counts_grids_one_point_per_block(monkeypatch):
+    """Rational grids get no planes: the kernel evaluates the rows one
+    point per block."""
+    forbid_planes(monkeypatch)
     grid = SearchDomain.rational_grid([0, 1], [1, 2])
     for dom in (grid, grid.restricted(ZERO_SUM), grid.restricted(SUPPORT_LAST, 2),
                 SearchDomain.rational_grid([-1, 1, 2], [1, 3])):
@@ -821,13 +937,9 @@ def test_every_degree_two_search_and_maxsat_runs_the_kernel(monkeypatch):
     """Search over Z and Q boxes 0..3, Z_q of every size and the powers
     of two up to 16, under each restriction and both metrics, at several
     plane widths, against the expansion at every point; maxsat
-    there against the walk.  _scan raises, so nothing is walked."""
-    real_scan = oracles._scan
-
-    def no_scan(*args):
-        raise AssertionError("a degree-2 search or maxsat was walked")
-
-    monkeypatch.setattr(oracles, "_scan", no_scan)
+    there against reference_rows_satisfied.  Every slot set gets
+    planes."""
+    require_planes(monkeypatch, "a degree-2 search or maxsat left the planes")
     rng = random.Random(271)
     cases = blocks = 0
     for ring, base, k in KERNEL_SPACES:
@@ -862,9 +974,9 @@ def test_every_degree_two_search_and_maxsat_runs_the_kernel(monkeypatch):
                     assert got == want, (ring, dom.restriction, metric, p, bits)
             if size <= 2500:
                 monkeypatch.setattr(bitslice, "PLANE_BITS", (1, nv, 1 << 20)[cases % 3])
-                walked, _ = real_scan(oracles._maxsat_scores, L, dom, ring, 3)
-                assert maxsat(L, dom) == L.m - walked[0], \
-                    (ring, dom.restriction, L.rows)
+                best = max(reference_rows_satisfied(L, vec)
+                           for vec in reference_points(dom, ring, 3))
+                assert maxsat(L, dom) == best, (ring, dom.restriction, L.rows)
     assert cases >= 300 and blocks >= 140
 
 
@@ -1011,7 +1123,8 @@ def test_sliced_box_counts_match_the_expansion(monkeypatch):
                     split += blocks > 1
                     for t in thresholds:
                         got = bitslice.sliced_ranks_below(
-                            ZZ, values, terms, k, free, zero_sum, t)
+                            ZZ, values, *slot_table(ZZ, terms, range(k)), k,
+                            free, zero_sum, t)
                         assert got == (len(want), sorted(
                             r for r, c in want.items() if c < t))
     assert split >= 50
@@ -1092,7 +1205,8 @@ def test_balanced_zero_sum_slots_match_the_expansion(monkeypatch):
                 split += blocks > 1
                 t = min(want.values(), default=0) + 1
                 assert bitslice.sliced_ranks_below(
-                    ring, values, terms, k, free, True, t) == (
+                    ring, values, *slot_table(ring, terms, range(k)), k, free,
+                    True, t) == (
                     len(want), sorted(r for r, c in want.items() if c < t))
     assert split >= 40
     assert sum(fired) >= 100
@@ -1179,12 +1293,9 @@ HIGH_DEGREE_SPACES = (
 def test_degree_three_and_four_searches_run_the_kernel(monkeypatch, ring, base,
                                                        k):
     """Degrees 3 and 4 under each restriction and both metrics, at two
-    plane widths, against the expansion at every point; _scan raises,
-    so nothing is walked."""
-    def no_scan(*args):
-        raise AssertionError("a degree-3 or degree-4 search was walked")
-
-    monkeypatch.setattr(oracles, "_scan", no_scan)
+    plane widths, against the expansion at every point; every slot set
+    gets planes."""
+    require_planes(monkeypatch, "a degree-3 or degree-4 search left the planes")
     rng = random.Random(281 + k * len(base.values(ring)))
     values = base.values(ring)
     for degree in (3, 4):
@@ -1224,11 +1335,8 @@ def planted_system(ring, rng, k, degree, point):
 def test_solve_runs_the_kernel_at_degrees_one_to_four(monkeypatch):
     """Planted and random systems of degree 1 to 4 under each
     restriction, against check_solution at every point of
-    reference_points; _scan raises, so nothing is walked."""
-    def no_scan(*args):
-        raise AssertionError("a solve was walked")
-
-    monkeypatch.setattr(oracles, "_scan", no_scan)
+    reference_points; every slot set gets planes."""
+    require_planes(monkeypatch, "a solve left the planes")
     rng = random.Random(283)
     seen = [0, 0]
     spaces = SCAN_SPACES + [(F5, SearchDomain.exhaustive()),
@@ -1256,20 +1364,14 @@ def test_solve_runs_the_kernel_at_degrees_one_to_four(monkeypatch):
     assert min(seen) >= 10
 
 
-def test_solve_walks_an_over_wide_slot_set(monkeypatch):
-    """x1^1000000 - 1 over [-2, 2] is too wide for the kernel, and the
-    exact scorer finds -1."""
-    real = oracles._scan
-    walked = []
-
-    def spy(*args):
-        walked.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(oracles, "_scan", spy)
+def test_solve_counts_an_over_wide_slot_set_one_point_per_block(monkeypatch):
+    """x1^1000000 - 1 over [-2, 2] is too wide for planes, and the
+    kernel's one-point blocks find -1."""
     S = system(ZZ, 1, [{(10 ** 6,): 1, (0,): -1}])
+    assert not bitslice._fits(ZZ, list(range(-2, 3)),
+                              [(-1, [(1, (0, 10 ** 6))])])
+    forbid_planes(monkeypatch)
     assert solve_system(S, SearchDomain.integer_box(2)) == (ZZ.el(-1),)
-    assert walked == [oracles._solution_scores]
 
 
 def test_solve_certifies_its_solution(monkeypatch):

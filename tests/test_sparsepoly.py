@@ -1,6 +1,7 @@
 """Canonical sparse polynomials: arithmetic, shift, and serialization."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import chain, product
 from math import comb
@@ -367,6 +368,20 @@ def test_slot_table_takes_every_degree_and_bounds_it_first(monkeypatch):
         slot_table(ZZ, terms, [0, 1])
     monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "6")
     assert slot_table(ZZ, terms, [0, 1])[0] == 2
+
+
+def test_slot_table_of_a_high_power_builds_its_binomial_row_fast():
+    """x^20000 - 1: its row of binomials comes from the Pascal
+    recurrence, one product of a big and a small int per entry; one comb
+    call per entry took minutes."""
+    terms = sparse_terms(P(ZZ, 1, {(20000,): 1, (0,): -1}).terms)
+    start = time.process_time()
+    fixed, slots = slot_table(ZZ, terms, [0])
+    assert time.process_time() - start < 1
+    assert fixed == 1 and len(slots) == 20000
+    for j in (0, 1, 777, 10000, 19999):
+        assert slots[j] == (-1 if j == 0 else 0,
+                            [(comb(20000, j), (0, 20000 - j))])
 
 
 def random_offsets(ring, rng, k):
