@@ -46,6 +46,9 @@ DEFAULT_ENUM_CAP = 10 ** 7
 # the most bits that one power in an exact evaluation over Z or Q may
 # take (512 KiB); 3^(10^6), about 1.6 million bits, takes 0.14 s to build
 POWER_BITS = 1 << 22
+# the expansions behind every oracle are bounded the same way, in bits,
+# by sparsepoly.ROW_BITS: each row of binomials is checked before it is
+# built
 
 EXHAUSTIVE = "exhaustive"
 BOX = "box"

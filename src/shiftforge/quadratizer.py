@@ -454,6 +454,14 @@ def system_from_text(text):
         else:
             read_circuit_line(reader, nodes, outputs, parts, line)
 
+    def rows():
+        # where a run of fixed-width term rows goes: the current eq block,
+        # unless body() must reject the first row
+        if blocks and False not in kinds:
+            kinds.add(True)
+            return blocks[-1][0]
+        return None
+
     def recipe(words, line):
         if len(words) < 4:
             raise FormatError("truncated recipe line")
@@ -468,13 +476,13 @@ def system_from_text(text):
 
     statements = dict.fromkeys(("term", "node", "output"), body)
     statements.update(vars=catalog, eq=lambda parts, line: blocks.append(({}, {}, [])))
-    reader.read(text, statements, {"recipe": recipe})
+    reader.read(text, statements, {"recipe": recipe}, rows)
     if reader.nvars is None:
         raise FormatError("system file needs ring and vars lines")
     ring, nvars = reader.ring, reader.nvars
     if False not in kinds:
         equations = [
-            SparsePoly._from_payloads(ring, nvars, terms, names)
+            SparsePoly._from_payloads(ring, nvars, terms, names, reduced=True)
             for terms, _, _ in blocks
         ]
         system = EquationSystem(ring, names, equations, tiers)

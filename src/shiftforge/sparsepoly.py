@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 import sys
 from functools import lru_cache, partial
 from itertools import chain
@@ -32,9 +33,15 @@ from .errors import (
     RingMismatchError,
     quoted,
 )
-from .rings import Ring, RingElement
+from .rings import INTEGERS, Ring, RingElement
 
 DEFAULT_TERM_CAP = 10 ** 6
+# the most bits, estimated as e * e times the bits of the offset, that
+# the row of binomials of one exponent e may take in an expansion (64
+# MiB): the term cap bounds monomials, not bits.  A row of x^e holds
+# about 0.72 * e^2 bits; the row of x^20000, 36 MB, takes 0.14 s to
+# build on one core of a 2-CPU x86-64 VM
+ROW_BITS = 1 << 29
 
 
 def term_cap():
@@ -103,8 +110,14 @@ def split_terms(terms, moving):
     flat sparse keys.  A shift changes only the mov part of a monomial,
     so the terms of two groups never merge, and the monomials of P(X + a)
     are the union of those of its groups.
+
+    A key with pairs both on and off moving is split by the itemgetters
+    of _selectors, looked up by its moving-flag mask: one byte per pair,
+    translated from its positions through a table of the moving ones
+    below 256, or built pair by pair when a position is 256 or more.
     """
     groups = {}
+    table = None
     for key, c in terms.items():
         positions = key[::2]
         if moving.isdisjoint(positions):
@@ -112,19 +125,33 @@ def split_terms(terms, moving):
         elif moving.issuperset(positions):
             rest, mov = (), key
         else:
-            rest = mov = ()
-            it = iter(key)
-            for p, e in zip(it, it):
-                if p in moving:
-                    mov += (p, e)
-                else:
-                    rest += (p, e)
+            if table is None:
+                table = bytearray(256)
+                for p in moving:
+                    if p < 256:
+                        table[p] = 1
+            try:
+                mask = bytes(positions).translate(table)
+            except ValueError:  # a position of 256 or more
+                mask = bytes(p in moving for p in positions)
+            off, on = _selectors(mask)
+            rest, mov = off(key), on(key)
         group = groups.get(rest)
         if group is None:
             groups[rest] = [(mov, c)]
         else:
             group.append((mov, c))
     return groups
+
+
+@lru_cache(maxsize=4096)
+def _selectors(mask):
+    """The itemgetters of the pairs of a key off and on moving, for a
+    mask with a 0 byte per pair off moving and a 1 byte per pair on it,
+    at least one of each."""
+    off = [i for j, f in enumerate(mask) if not f for i in (2 * j, 2 * j + 1)]
+    on = [i for j, f in enumerate(mask) if f for i in (2 * j, 2 * j + 1)]
+    return operator.itemgetter(*off), operator.itemgetter(*on)
 
 
 # one entry is a moving part and its count: a few MB at most
@@ -148,10 +175,20 @@ def _moving_parts(groups):
     return dict.fromkeys(movs)
 
 
-def _binomials(e):
+def _binomials(e, bits=1):
     """The row C(e, 0), ..., C(e, e), by the Pascal-row recurrence
     C(e, j + 1) = C(e, j) * (e - j) / (j + 1), whose division is exact:
-    one product of a big and a small int per entry."""
+    one product of a big and a small int per entry.
+
+    Raises CapExceededError, before the row is built, when e * e * bits
+    exceeds ROW_BITS: the row holds at most about e^2 bits, and about
+    e^2 times the bits of the offset once scaled by its powers, which
+    take `bits` bits each."""
+    worst = e * e * bits
+    if worst > ROW_BITS:
+        raise CapExceededError(
+            "the binomials of exponent %d may take %d bits, the limit is %d"
+            % (e, worst, ROW_BITS))
     row = [1]
     for j in range(e):
         row.append(row[-1] * (e - j) // (j + 1))
@@ -169,9 +206,13 @@ def _expansion(mov, offsets, m):
         if e == 1:  # x_p + a_p, where a_p is a reduced payload already
             opts = (((), a), ((p, 1), 1))
         else:
+            # a power of a reduced offset is reduced again; one over Z
+            # or Q grows by the bits of a per factor
+            bits = 1 if m is not None else (
+                a.numerator.bit_length() + a.denominator.bit_length() - 1)
             opts = []
             power = 1
-            for k, binom in zip(range(e, -1, -1), _binomials(e)):
+            for k, binom in zip(range(e, -1, -1), _binomials(e, bits)):
                 s = binom * power
                 opts.append(((p, k) if k else (), s if m is None else s % m))
                 power *= a
@@ -195,7 +236,8 @@ def shifted_term_map(ring, terms, offsets):
     expansion may have more than term_cap() monomials, the sum over
     terms (not over distinct moving parts) of the product of (e + 1)
     over their moving variables, CapExceededError is raised before any
-    of it is built.
+    of it is built.  The map holds reduced nonzero payloads, as
+    sparse_terms does.
     """
     m = ring.modulus
     moving = {p for p, a in enumerate(offsets) if a}
@@ -316,6 +358,13 @@ def _submonomials(mov):
     return parts[:-1]
 
 
+def _ends_before(first, second):
+    """Whether every position in the keys of the term map first is below
+    every position in those of second."""
+    last = max((k[-2] for k in first if k), default=-1)
+    return all(k[0] > last for k in second if k)
+
+
 class SparsePoly:
     """A canonical sparse polynomial over a positional variable catalog.
 
@@ -348,24 +397,45 @@ class SparsePoly:
         self._canonicalize(ring, nvars, payloads, var_names)
 
     @classmethod
-    def _from_payloads(cls, ring, nvars, terms, var_names):
+    def _from_payloads(cls, ring, nvars, terms, var_names, reduced=False):
         """Trusted constructor for producers that hold valid keys.
 
         terms maps keys over nvars variables, each once, to raw payloads
-        of ring; the payloads are reduced with ring.canon and zeros are
-        dropped.  The keys are not checked.
+        of ring; the payloads are reduced and zeros are dropped.  With
+        reduced set, the payloads are canonical already, as the readers
+        parse them, and only the zeros are dropped.  The keys are not
+        checked.
         """
         self = cls.__new__(cls)
-        self._canonicalize(ring, nvars, terms, catalog_names(nvars, var_names))
+        self._canonicalize(ring, nvars, terms, catalog_names(nvars, var_names),
+                           reduced)
         return self
 
-    def _canonicalize(self, ring, nvars, terms, var_names):
-        # the one place that reduces coefficients and drops zeros
+    def _canonicalize(self, ring, nvars, terms, var_names, reduced=False):
+        # the one place that reduces coefficients and drops zeros, in one
+        # comprehension per ring kind; only Q calls canon per term
         self.ring = ring
         self.nvars = nvars
         self.var_names = var_names
-        canon = ring.canon
-        self.sparse_terms = {k: v for k, c in terms.items() if (v := canon(c))}
+        m = ring.modulus
+        if reduced or ring.kind == INTEGERS:
+            self.sparse_terms = {k: c for k, c in terms.items() if c}
+        elif m is not None:
+            self.sparse_terms = {k: v for k, c in terms.items() if (v := c % m)}
+        else:
+            canon = ring.canon
+            self.sparse_terms = {k: v for k, c in terms.items() if (v := canon(c))}
+
+    def _derived(self, nvars, sparse_terms, var_names):
+        """A polynomial over the same ring that takes sparse_terms, keys
+        over nvars variables to canonical nonzero payloads, as it is:
+        what a rename, an embedding or a shift of this one holds."""
+        out = SparsePoly.__new__(SparsePoly)
+        out.ring = self.ring
+        out.nvars = nvars
+        out.sparse_terms = sparse_terms
+        out.var_names = catalog_names(nvars, var_names)
+        return out
 
     @property
     def terms(self):
@@ -469,6 +539,21 @@ class SparsePoly:
         self._align(other)
         mine, theirs = self.sparse_terms, other.sparse_terms
         check_term_cap(len(mine) * len(theirs), "product", cap)
+        # operands on disjoint ordered position ranges, such as the
+        # copies amplify multiplies, give distinct concatenated keys
+        if _ends_before(mine, theirs):
+            out = {k1 + k2: c1 * c2 for k1, c1 in mine.items()
+                   for k2, c2 in theirs.items()}
+        elif _ends_before(theirs, mine):
+            out = {k2 + k1: c1 * c2 for k1, c1 in mine.items()
+                   for k2, c2 in theirs.items()}
+        else:
+            out = self._product(mine, theirs)
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
+
+    @staticmethod
+    def _product(mine, theirs):
+        """The raw payload map of the product of two term maps."""
         out = {}
         for k1, c1 in mine.items():
             for k2, c2 in theirs.items():
@@ -483,13 +568,13 @@ class SparsePoly:
                         exps[p] = exps.get(p, 0) + e
                     key = map_key(exps)
                 out[key] = out.get(key, 0) + c1 * c2
-        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
+        return out
 
     def shift(self, offsets):
         """P(X + a) for a vector a of ring elements, expanded and reduced."""
         vals = self.ring.payloads(offsets, self.nvars, "shift vector")
         out = shifted_term_map(self.ring, self.sparse_terms, vals)
-        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
+        return self._derived(self.nvars, out, self.var_names)
 
     def eval(self, point):
         vals = self.ring.payloads(point, self.nvars, "point")
@@ -503,10 +588,10 @@ class SparsePoly:
         step = (offset, 0) * self.nvars
         out = {tuple(map(operator.add, k, step)): c
                for k, c in self.sparse_terms.items()}
-        return SparsePoly._from_payloads(self.ring, nvars, out, var_names)
+        return self._derived(nvars, out, var_names)
 
     def rename(self, var_names):
-        return SparsePoly._from_payloads(self.ring, self.nvars, self.sparse_terms, var_names)
+        return self._derived(self.nvars, self.sparse_terms, var_names)
 
     # -- comparison and display --------------------------------------
 
@@ -564,8 +649,65 @@ def eval_payload(poly, vals):
 # '#' starts a comment; duplicate exponent vectors are rejected.  Terms
 # are written in graded-lex descending order, one space between tokens,
 # so when every exponent is one digit a row is fixed-width: term_lines
-# builds and sorts such rows as strings, and read_term reads them by
-# position.  Any other row is written and read token by token.
+# builds and sorts such rows as strings, and Reader.lines reads each run
+# of 8 or more of them in one regular-expression pass.  Any other row is
+# written and read token by token, by read_term.
+
+# the fewest and the most rows one pass of Reader.lines takes: below 8
+# rows its fixed cost (memos, two passes, the term map of the run) is
+# more than reading them token by token costs, and 1024 rows keep the
+# strings one pass holds at once small
+RUN_ROWS = (8, 1024)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with fill(k)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
+
+
+@lru_cache(maxsize=32)
+def _row_patterns(n):
+    """(run, row, width) for fixed-width term rows over n > 0 variables.
+
+    row matches one row `term c e e ... e` and its newline, with a group
+    for the coefficient and one for each chunk of `width` positions (at
+    most 64 chunks); run matches as many rows as RUN_ROWS allows at a
+    line start, so findall of row over a run gives its rows.  Both use
+    only repeats of one character class, which the regular-expression
+    engine runs fastest, so they let through rows whose coefficient or
+    spacing is wrong: parse_payload and _chunk_key check those, once
+    per distinct token."""
+    width = max(8, -(-n // 64))
+
+    def row(group):  # group opens "(" to capture or "(?:" not to
+        return ("term %s[-0-9/]+)" % group
+                + "".join(" %s[0-9 ]{%d})" % (group, 2 * min(width, n - s) - 1)
+                          for s in range(0, n, width))
+                + "\n")
+
+    return (re.compile("^(?:%s){%d,%d}" % ((row("(?:"),) + RUN_ROWS), re.M),
+            re.compile(row("(")), width)
+
+
+def _chunk_key(start, chunk):
+    """The key of one chunk `e e ... e` of a fixed-width row, whose first
+    exponent is that of position start; ValueError when the chunk is not
+    one-digit exponents with one space between them."""
+    if chunk[1::2].strip(" "):  # a digit where a space belongs
+        raise ValueError("not a fixed-width chunk")
+    key = []
+    for p, e in enumerate(chunk[::2], start):
+        if e != "0":
+            key += (p, int(e))  # int(" ") raises ValueError
+    return tuple(key)
 
 
 class Reader:
@@ -584,31 +726,91 @@ class Reader:
     def __init__(self, vars_line=True):
         self.ring = self.nvars = self.names = self.lineno = None
         self.vars_line = vars_line
-        # read_term's memos: coefficient tokens to payloads, and
-        # (position, 8 exponent digits) to the key of that chunk
-        self.payloads = {}
-        self.chunks = {}
+        # the memos of both term paths, filled once the ring and the
+        # variable count are known: coefficient tokens to payloads, and
+        # for each chunk of a fixed-width row, its digits to its key
+        self.payloads = self.chunks = None
 
-    def lines(self, text, notes=None):
-        """Yield (parts, line) per statement line; comment lines go to notes."""
-        for self.lineno, raw in enumerate(text.splitlines(), 1):
-            line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-            if line:
-                yield line.split(), line
-            elif notes is not None and "#" in raw:
-                line = raw.strip()
-                notes.append((self.lineno, line[1:].split(), line))
+    def lines(self, text, notes=None, rows=None):
+        """Yield (parts, line) per statement line; comment lines go to notes.
 
-    def read(self, text, statements, comments=()):
+        With rows given, once nvars is known, each run of fixed-width
+        term rows (see _row_patterns) at a line start is offered to
+        rows(), which returns the term map they belong in, or None.  The
+        run is read into that map here, and none of its lines is
+        yielded, unless a coefficient is bad or a key is in the map
+        already or comes twice; then, as every other line, its rows are
+        yielded one by one, for read_term to read or to reject with
+        their own line numbers."""
+        self.lineno = 0
+        for part in self._parts(text, rows):
+            for raw in part.splitlines():
+                self.lineno += 1
+                line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+                if line:
+                    yield line.split(), line
+                elif notes is not None and "#" in raw:
+                    line = raw.strip()
+                    notes.append((self.lineno, line[1:].split(), line))
+
+    def _parts(self, text, rows):
+        # the stretches of text that lines() reads line by line: all of
+        # it but the runs that _take reads
+        pos = 0
+        end = len(text)
+        while pos < end:
+            run = None
+            if rows is None or self.nvars == 0:
+                stop = end
+            elif self.nvars is None:  # the header, up to the first term row
+                stop = text.find("\nterm ", pos) + 1 or end
+            else:
+                run = _row_patterns(self.nvars)[0].search(text, pos)
+                stop = end if run is None else run.start()
+            yield text[pos:stop]
+            pos = stop
+            if run is not None:
+                pos = run.end()
+                if not self._take(text, stop, pos, rows()):
+                    yield text[stop:pos]
+
+    def _take(self, text, pos, stop, terms):
+        """Read the run of fixed-width rows text[pos:stop] into terms in
+        one pass; False, with terms as they were, if terms is None or the
+        rows cannot all be taken."""
+        if terms is None:
+            return False
+        _, row, width = _row_patterns(self.nvars)
+        if self.chunks is None:
+            self.chunks = [_Memo(partial(_chunk_key, s))
+                           for s in range(0, self.nvars, width)]
+        cols = zip(*row.findall(text, pos, stop))
+        try:
+            coefs = list(map(self.payloads.__getitem__, next(cols)))
+            keys = map(self.chunks[0].__getitem__, next(cols))
+            for memo, col in zip(self.chunks[1:], cols):
+                keys = map(operator.add, keys, map(memo.__getitem__, col))
+            run = dict(zip(keys, coefs))
+        except (FormatError, ValueError):  # a bad coefficient or chunk
+            return False
+        if len(run) < len(coefs) or not terms.keys().isdisjoint(run):
+            return False
+        terms.update(run)
+        self.lineno += len(coefs)
+        return True
+
+    def read(self, text, statements, comments=(), rows=None):
+        """Handle the statements of text; rows is as for lines()."""
         notes = []
         try:
-            for parts, line in self.lines(text, notes):
+            for parts, line in self.lines(text, notes, rows):
                 key = parts[0]
                 handler = statements.get(key)
                 if key == "ring":
                     if self.ring is not None:
                         raise FormatError("duplicate ring line")
                     self.ring = Ring.from_token(parts[1:])
+                    self.payloads = _Memo(self.ring.parse_payload)
                 elif handler is None and not (key == "vars" and self.vars_line):
                     raise FormatError("unknown statement %s" % quoted(key))
                 elif self.ring is None:
@@ -672,37 +874,14 @@ def parse_vars_line(parts, line):
 
 
 def read_term(reader, terms, parts, line):
-    """Add a `term` line to terms, a map from keys to payloads.
-
-    A line of n + 2 tokens that is len(coef) + 2n + 5 characters long,
-    the least possible, has one-character exponents and separators, so
-    its exponents are every other character after the coefficient; when
-    they are all ASCII digits, as term_lines writes them, the key of each
-    8-position chunk is looked up in a per-file memo.  Any other line is
-    read token by token, to the same key or error.  Coefficients go
-    through a per-file memo of parse_payload."""
+    """Add a `term` line, read token by token, to terms, a map from keys
+    to payloads.  Runs of fixed-width rows are read by Reader.lines to
+    the same keys, through the same coefficient memo."""
     n = reader.nvars
     if len(parts) != 2 + n:
         raise FormatError("term line needs %d exponents" % n)
-    token = parts[1]
-    coef = reader.payloads.get(token)
-    if coef is None:
-        coef = reader.payloads[token] = reader.ring.parse_payload(token)
-    digits = line[len(token) + 6::2]
-    if (len(line) == len(token) + 2 * n + 5 and digits.isascii()
-            and digits.isdigit()):
-        chunks = reader.chunks
-        key = ()
-        for s in range(0, n, 8):
-            piece = digits[s:s + 8]
-            chunk = chunks.get((s, piece))
-            if chunk is None:
-                chunk = chunks[s, piece] = tuple(
-                    v for p, e in enumerate(piece, s) if e != "0"
-                    for v in (p, int(e)))
-            key += chunk
-    else:
-        key = _token_key(parts, line)
+    coef = reader.payloads[parts[1]]
+    key = _token_key(parts, line)
     if key in terms:
         exps = repr(dense_exps(key, n))
         if len(exps) > QUOTE_LIMIT:
@@ -786,10 +965,12 @@ def poly_to_text(poly):
 def poly_from_text(text):
     reader = Reader()
     terms = {}
-    reader.read(text, {"term": partial(read_term, reader, terms)})
+    reader.read(text, {"term": partial(read_term, reader, terms)},
+                rows=lambda: terms)
     if reader.nvars is None:
         raise FormatError("polynomial file needs ring and vars lines")
-    return SparsePoly._from_payloads(reader.ring, reader.nvars, terms, reader.names)
+    return SparsePoly._from_payloads(reader.ring, reader.nvars, terms, reader.names,
+                                     reduced=True)
 
 
 def save_poly(path, poly, header_comments=()):

@@ -456,6 +456,20 @@ def test_term_cap_env_var_is_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_a_huge_binomial_row_is_exit_4_before_it_is_built(tmp_path, capsys):
+    # 40 bytes: the row of C(999990, k) alone would take about 90 GB
+    path = tmp_path / "x.poly"
+    path.write_text("ring Z\nvars 1 x\nterm 1 999990\nterm -1 0\n")
+    assert path.stat().st_size == 40
+    start = time.process_time()
+    code, out, err = run(capsys, "search-shift", str(path), "--box", "1")
+    assert time.process_time() - start < 1
+    assert code == 4
+    assert out == ""
+    assert err == ("cap exceeded: the binomials of exponent 999990 may take "
+                   "999980000100 bits, the limit is 536870912\n")
+
+
 def test_reduce_then_search_matches_verify(tmp_path, capsys):
     # piping the reduction into a zero-sum box search reproduces the
     # verifier's verdict: solvable drops to sigma - 1, unsolvable stays put

@@ -12,7 +12,7 @@ from shiftforge.cli import main
 from shiftforge.hn_reduce import load_witness, witness_from_text
 from shiftforge.max3lin import load_max3lin
 from shiftforge.quadratizer import load_system
-from shiftforge.sparsepoly import load_poly
+from shiftforge.sparsepoly import Reader, load_poly
 
 LOADERS = (load_poly, load_max3lin, load_circuit, load_system, load_witness)
 
@@ -60,7 +60,8 @@ TERM_HEAD = "ring Z\nvars 3 x y z\n"
 
 
 @pytest.mark.parametrize("loader, name, body, want", [
-    # a row as the writer writes it is read by position
+    # a row as the writer writes it; runs of 8 or more such rows are
+    # read in one pass (test_one_pass_rows_read_as_the_token_path)
     (load_poly, "p.poly", "term 5 0 1 2\n", (0, 1, 2)),
     (load_system, "s.sys", "eq\nterm 5 0 1 2\n", (0, 1, 2)),
     # other blanks, a comment and other exponent spellings give the same
@@ -100,6 +101,132 @@ def test_term_lines_read_the_same_by_position_and_by_token(tmp_path, loader, nam
         loader(str(path))
     lineno = TERM_HEAD.count("\n") + body.count("\n")
     assert str(info.value) == "%s (%s:%d)" % (want, path, lineno)
+
+
+def test_one_pass_rows_read_as_the_token_path(tmp_path):
+    """Runs of fixed-width rows, read in one pass, give the term maps, or
+    the error, file and line, that the token path alone gives: .poly
+    files and .sys eq blocks of rows as term_lines writes them and rows
+    one edit away, with zero coefficients, duplicates and bad tokens."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    edits = st.sampled_from([None] * 80 + [
+        "tab", "comment", "00", "+1", "crlf", "short", "long", "non-ascii",
+        "two spaces", "no space", "leading space", "trailing space"])
+
+    @st.composite
+    def row(draw, exps):
+        coef = draw(st.sampled_from(["1"] * 60 + ["4", "-1", "0", "12", "00"] * 4 + [
+            "3/4", "-2/6", "5/0", "1/-2", "+1", "\u0663", "x"]))
+        edit = draw(edits)
+        if edit in ("00", "+1", "non-ascii"):
+            exps[draw(st.integers(0, len(exps) - 1))] = {
+                "00": "00", "+1": "+1", "non-ascii": "\u0663"}[edit]
+        elif edit == "short":
+            exps.pop()
+        elif edit == "long":
+            exps.append("0")
+        line = "term %s %s" % (coef, " ".join(exps))
+        if edit in ("tab", "two spaces", "no space"):
+            cut = draw(st.sampled_from([i for i, ch in enumerate(line) if ch == " "]))
+            gap = {"tab": "\t", "two spaces": "  ", "no space": "0"}[edit]
+            line = line[:cut] + gap + line[cut + 1:]
+        line = {"comment": line + " # c", "leading space": " " + line,
+                "trailing space": line + " "}.get(edit, line)
+        return line + ("\r\n" if edit == "crlf" else "\n")
+
+    @st.composite
+    def block(draw, n):
+        # distinct exponent rows, long enough for runs, and now and then
+        # one row again
+        size = draw(st.integers(0, 20 if n > 1 else 10))
+        exps = draw(st.lists(st.lists(st.sampled_from("0123456789"), min_size=n,
+                                      max_size=n).map(tuple),
+                             unique=True, min_size=size, max_size=size))
+        if exps and draw(st.integers(0, 3)) == 0:
+            exps.insert(draw(st.integers(0, len(exps))), draw(st.sampled_from(exps)))
+        return "".join(draw(row(list(e))) for e in exps)
+
+    @st.composite
+    def files(draw):
+        ring = draw(st.sampled_from(["Z", "Q", "Fp 5", "Zq 6"]))
+        n = draw(st.sampled_from([1, 2, 3, 9, 17]))
+        blocks = draw(st.lists(block(n), min_size=1, max_size=3))
+        poly = draw(st.booleans())
+        if poly:
+            body = blocks[0]
+        else:
+            body = "".join("eq\n" + b for b in blocks)
+        text = "ring %s\nvars %d\n%s" % (ring, n, body)
+        if draw(st.booleans()):
+            text = text.rstrip("\n")
+        return poly, text
+
+    def outcome(loader, path):
+        try:
+            got = loader(str(path))
+        except FormatError as exc:
+            return str(exc), exc.path, exc.line
+        polys = [got] if loader is load_poly else got[1].equations
+        return [list(p.sparse_terms.items()) for p in polys]
+
+    taken = []
+    take = Reader._take
+
+    def counted(*args):
+        taken.append(take(*args))
+        return taken[-1]
+
+    path = tmp_path / "input"
+
+    @hypothesis.settings(max_examples=70, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(files())
+    def check(case):
+        poly, text = case
+        loader = load_poly if poly else load_system
+        path.write_text(text, encoding="utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Reader, "_take", counted)
+            one_pass = outcome(loader, path)
+            patch.setattr(Reader, "_take", lambda *args: False)
+            assert outcome(loader, path) == one_pass
+
+    check()
+    # both ways of ending a run came up
+    assert True in taken and False in taken
+
+
+@pytest.mark.parametrize("n, gap", [(9, 1), (9, 7), (17, 7), (17, 12)])
+def test_a_row_with_two_exponents_joined_is_read_by_token(tmp_path, n, gap):
+    # positions gap and gap + 1 with no space between them, inside a
+    # chunk of 8 positions or across two: the width of a fixed-width
+    # row, one exponent short, in a run of 12 rows
+    rows = ["term 1 %s\n" % " ".join("0" * (n - 2) + str(e)) for e in range(10, 22)]
+    cut = 8 + 2 * gap
+    assert rows[5][cut] == " "
+    rows[5] = rows[5][:cut] + "0" + rows[5][cut + 1:]
+    path = tmp_path / "p.poly"
+    path.write_text("ring Z\nvars %d\n" % n + "".join(rows))
+    with pytest.raises(FormatError) as info:
+        load_poly(str(path))
+    assert str(info.value) == "term line needs %d exponents (%s:8)" % (n, path)
+
+
+@pytest.mark.parametrize("between", ["", "# a comment\n", "term 7 9\t9 9 9\n"])
+def test_a_duplicate_in_a_later_run_names_its_line(tmp_path, between):
+    # 1040 distinct rows fill two runs of the most rows one pass takes;
+    # the last repeats the first, after a comment or a tab row or neither
+    rows = ["term 1 %s\n" % " ".join("%04d" % i) for i in range(1040)]
+    text = "ring Z\nvars 4\n" + rows[0] + between + "".join(rows[1:]) + rows[0]
+    path = tmp_path / "p.poly"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        load_poly(str(path))
+    assert str(info.value) == "duplicate exponent vector (0, 0, 0, 0) (%s:%d)" % (
+        path, text.count("\n"))
+    path.write_text(text[:-len(rows[0])])
+    assert load_poly(str(path)).sparsity() == 1040 + between.startswith("term")
 
 
 def test_error_in_a_manifest_circuit_names_the_circuit_file(tmp_path):

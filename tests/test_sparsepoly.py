@@ -1,5 +1,6 @@
 """Canonical sparse polynomials: arithmetic, shift, and serialization."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from shiftforge import (
     CapExceededError,
     FormatError,
     QQ,
+    Ring,
     RingMismatchError,
     SparsePoly,
     ZZ,
@@ -22,10 +24,12 @@ from shiftforge import (
 from shiftforge.amplifier import amplified_shift, amplify
 from shiftforge.sparsepoly import (
     dense_exps,
+    pairs,
     poly_from_text,
     poly_to_text,
     shifted_term_map,
     slot_table,
+    split_terms,
     term_lines,
 )
 
@@ -384,6 +388,17 @@ def test_slot_table_of_a_high_power_builds_its_binomial_row_fast():
                             [(comb(20000, j), (0, 20000 - j))])
 
 
+def test_shift_refuses_a_binomial_row_past_the_bit_bound():
+    # 2000^2 times the 201 bits of 2^200 is 804,000,000 > 2^29
+    x = P(ZZ, 1, {(2000,): 1})
+    with pytest.raises(CapExceededError, match=(
+            "^the binomials of exponent 2000 may take 804000000 bits, "
+            "the limit is 536870912$")):
+        x.shift([ZZ.el(1 << 200)])
+    # over a finite ring the powers are reduced, so only the row counts
+    assert P(F5, 1, {(20000,): 1}).shift([F5.el(3)]).sparsity() > 0
+
+
 def random_offsets(ring, rng, k):
     """Nonzero shift entries; over Q, proper fractions too."""
     if ring == QQ:
@@ -415,6 +430,89 @@ def test_trusted_producers_match_public_constructor():
     two_x = P(Z6, 2, {(1, 0): 2})
     assert two_x.scale(Z6.el(3)).is_zero
     assert two_x.mul(P(Z6, 2, {(0, 1): 3, (1, 0): 1})) == P(Z6, 2, {(2, 0): 2})
+
+
+def reference_split(terms, moving):
+    """split_terms, pair by pair."""
+    groups = {}
+    for key, c in terms.items():
+        rest = tuple(v for p, e in pairs(key) if p not in moving for v in (p, e))
+        mov = tuple(v for p, e in pairs(key) if p in moving for v in (p, e))
+        groups.setdefault(rest, []).append((mov, c))
+    return groups
+
+
+def dense_product(p, q):
+    """p * q on dense exponent vectors, through the public constructor."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(map(operator.add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return P(p.ring, p.nvars, out)
+
+
+def spread_poly(ring, rng, nvars, spots):
+    """A polynomial over nvars variables with exponents only at spots."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exps = [0] * nvars
+        for p in rng.sample(spots, rng.randint(0, min(4, len(spots)))):
+            exps[p] = rng.randint(1, 2)
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + random_nonzero(ring, rng).val
+    return P(ring, nvars, terms)
+
+
+def test_key_surgery_matches_dense_references(monkeypatch):
+    """split_terms and shift on moving sets that interleave with the rest
+    of a key, also past position 255, where masks are built pair by
+    pair; mul of operands on ordered disjoint positions, in both orders
+    and with a constant or the zero polynomial, which concatenates keys
+    without the general product."""
+    rng = random.Random(239)
+    for ring in (ZZ, QQ, F5, Z6):
+        for nvars, spots in ((8, list(range(8))),
+                             (300, [0, 3, 254, 255, 256, 257, 298, 299])):
+            for _ in range(12):
+                p = spread_poly(ring, rng, nvars, spots)
+                if rng.random() < 0.5:
+                    moving = set(spots[rng.randrange(2)::2])
+                else:
+                    moving = set(rng.sample(spots, rng.randint(1, len(spots) - 1)))
+                assert list(split_terms(p.sparse_terms, moving).items()) == list(
+                    reference_split(p.sparse_terms, moving).items())
+                offsets = [random_offsets(ring, rng, 1)[0] if j in moving
+                           else ring.zero for j in range(nvars)]
+                assert p.shift(offsets).sparse_terms == sparse_terms(
+                    direct_shifted_term_map(ring, p.terms, [o.val for o in offsets]))
+
+                cut = rng.choice(spots[1:])
+                low = spread_poly(ring, rng, nvars, [j for j in spots if j < cut])
+                high = spread_poly(ring, rng, nvars, [j for j in spots if j >= cut])
+                const = P(ring, nvars, {(0,) * nvars: random_nonzero(ring, rng).val})
+                zero = P(ring, nvars, {})
+                expected = [dense_product(a, b) for a, b in (
+                    (low, high), (high, low), (low, const), (const, high),
+                    (low, zero), (zero, high))]
+                with monkeypatch.context() as patch:
+                    patch.setattr(SparsePoly, "_product", None)
+                    got = [low.mul(high), high.mul(low), low.mul(const),
+                           const.mul(high), low.mul(zero), zero.mul(high)]
+                assert got == expected
+                for r in got:
+                    assert_canonical(r)
+                assert got[-1].is_zero and got[-2].is_zero
+
+
+def test_rename_and_embed_take_the_canonical_map_as_it_is(monkeypatch):
+    p = P(QQ, 3, {(1, 0, 2): Fraction(3, 4), (0, 0, 0): -2}, ["a", "b", "c"])
+    monkeypatch.setattr(Ring, "canon", None)
+    renamed = p.rename(["u", "v", "w"])
+    embedded = p.embed(5, 2)
+    assert renamed.sparse_terms is p.sparse_terms
+    assert renamed.var_names == ("u", "v", "w")
+    assert embedded.sparse_terms == {(2, 1, 4, 2): Fraction(3, 4), (): -2}
+    assert embedded.var_names == ("x1", "x2", "x3", "x4", "x5")
 
 
 def test_shift_of_a_power_matches_binomials():
@@ -534,6 +632,16 @@ def test_exponents_are_read_as_integers():
         poly_from_text(base + "term 1 0 -1 2\n")
     with pytest.raises(FormatError, match="bad integer 'q' in 'term 1 0 q -1'"):
         poly_from_text(base + "term 1 0 q -1\n")
+
+
+def test_read_payloads_lose_their_zeros_and_are_reduced_once():
+    # a 0 row, a row that reduces to 0 and one that reduces to 2, each
+    # also as the one row of a file, read in one pass or token by token
+    rows = ["term 0 1 0\n", "term 5 0 1\n", "term 7 0 0\n", "term 0\t1 1\n"]
+    for text in ["".join(rows)] + rows:
+        got = poly_from_text("ring Fp 5\nvars 2 x y\n" + text)
+        assert_canonical(got)
+        assert got.sparse_terms == ({(): 2} if "term 7" in text else {})
 
 
 def test_term_cap_bounds_whole_products(monkeypatch):
