@@ -51,12 +51,12 @@ coordinate planes (class_planes one-hot, box_planes in binary, each in
 O(log) big-int operations per plane) and, under zero_sum, the sum S of
 the planed coordinates (box_sum), from which box_forced derives the
 forced coordinate and its in-domain mask for each sum of the fixed
-ones.  Under zero_sum, coordinate 0 and the free coordinates sum to 0
-(mod q over Z_q), so subtracting one t from all their linear
-coefficients leaves a slot's value unchanged at every point of the
-domain; _balanced takes t as each slot's commonest coefficient there,
-which turns the HN wiring slot x0 + x1 + ... + 3*x3 + ... + x6 - 2*x1^2
-into 2*x3 - 2*x1^2.
+ones, keeping the last two.  Under zero_sum, coordinate 0 and the free
+coordinates sum to 0 (mod q over Z_q), so subtracting one t from all
+their linear coefficients leaves a slot's value unchanged at every
+point of the domain; _balanced takes t as each slot's commonest
+coefficient there, which turns the HN wiring slot
+x0 + x1 + ... + 3*x3 + ... + x6 - 2*x1^2 into 2*x3 - 2*x1^2.
 """
 
 from __future__ import annotations
@@ -173,6 +173,11 @@ def box_sum(lo, hi, digits):
                               for k, p in bits]))
 
 
+# one entry is (hi - lo).bit_length() planes and a mask of at most
+# PLANE_BITS bits: at most 2.6 MiB (a box of 2^20 values, 1 digit), so
+# the cache holds at most about 5.5 MB; a miss costs only the derivation
+# from box_sum, so a loop over more sums than entries loses nothing
+@lru_cache(maxsize=2)
 def box_forced(lo, hi, digits, const, modulus=None):
     """Coordinate 0 of a zero-sum block over the box lo..hi whose planed
     coordinates are those of box_planes(lo, hi, digits) and whose fixed

@@ -215,17 +215,15 @@ def shift_instance(inst, bx):
 def solution_to_shift(inst, a):
     """The wired shift (-sum(a), a) for a verified solution a of the
     normalized system; it lowers the monomial count by exactly one."""
-    a = list(a)
+    a = tuple(a)
     if len(a) != inst.nsys:
         raise ArityError(
             "solution of length %d for %d system variables" % (len(a), inst.nsys)
         )
     if not check_solution(inst.system, a):
         raise NotASolutionError("assignment does not satisfy the system")
-    total = inst.polynomial.ring.zero
-    for v in a:
-        total = total + v
-    return (-total,) + tuple(a)
+    ring = inst.polynomial.ring
+    return (RingElement(ring, ring.canon(-sum(v.val for v in a))),) + a
 
 
 def shift_to_solution(inst, b):
@@ -239,10 +237,9 @@ def shift_to_solution(inst, b):
     n = inst.nsys
     if len(b) != n + 1:
         raise ArityError("shift of length %d for %d+1 coordinates" % (len(b), n))
-    total = inst.polynomial.ring.zero
-    for v in b[1:]:
-        total = total + v
-    if b[0] != -total:
+    ring = inst.polynomial.ring
+    vals = ring.payloads(b, n + 1, "shift")
+    if vals[0] != ring.canon(-sum(vals[1:])):
         raise StructureError("first coordinate must be minus the sum of the rest")
     if shift_instance(inst, b).sparsity() >= inst.sigma:
         raise NoReductionError("shift does not lower the monomial count")

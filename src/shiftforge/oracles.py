@@ -32,7 +32,7 @@ from .hn_reduce import (
     solution_to_shift,
 )
 from .max3lin import count_satisfied, encode_max3lin
-from .quadratizer import check_solution, extend_solution
+from .quadratizer import check_payloads, check_solution, extend_solution
 from .rings import RATIONALS, RingElement
 from .sparsepoly import (
     eval_payload,
@@ -341,12 +341,15 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     not.
 
     Solutions are enumerated over box-bounded assignments of the source
-    variables (each extends uniquely); each must yield a wired shift that
-    lowers the count by exactly one, counted at that point.  Shifts range
-    over all zero-sum box-bounded vectors, counted at once by the
-    bit-sliced kernel; each one that lowers the count must invert to a
-    verified solution.  Box search over the integers is sound, not
-    complete.  `jobs` is accepted and not used.
+    variables as payload tuples: each extends uniquely
+    (ExtensionRecipe.extend_payloads) and is checked on payloads
+    (check_payloads), and only a solution is made ring elements.  Each
+    solution must yield a wired shift that lowers the count by exactly
+    one, counted at that point.  Shifts range over all zero-sum
+    box-bounded vectors, counted at once by the bit-sliced kernel; each
+    one that lowers the count must invert to a verified solution.  Box
+    search over the integers is sound, not complete.  `jobs` is accepted
+    and not used.
     """
     result = reduce_hn(source, gamma)
     if isinstance(result, TriviallySolvable):
@@ -371,16 +374,20 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     fixed, slots = slot_table(ring, inst.polynomial.sparse_terms, range(k))
     violations = []
 
-    # direction 1: box-bounded source assignments
+    # direction 1: box-bounded source assignments, walked as payloads;
+    # only a solution is made ring elements, by extend_solution
+    recipe = inst.recipe
     solutions = 0
     solution_points = 0
     for combo in product(values, repeat=inst.n_inputs):
         solution_points += 1
-        ax = [RingElement(ring, v) for v in combo]
-        full = extend_solution(inst.recipe, ax) if inst.recipe else tuple(ax)
-        if not check_solution(inst.system, full):
+        vals = recipe.extend_payloads(combo) if recipe else combo
+        if not check_payloads(inst.system, vals):
             continue
         solutions += 1
+        full = tuple(RingElement(ring, v) for v in combo)
+        if recipe:
+            full = extend_solution(recipe, full)
         b = solution_to_shift(inst, full)
         drop = sigma - count_at(ring, fixed, slots, [v.val for v in b])
         if drop != 1:

@@ -136,7 +136,12 @@ class ExtensionRecipe:
 
     def extend(self, ax):
         vals = self.ring.payloads(ax, self.n_inputs, "assignment")
-        vals += [None] * (self.nvars - self.n_inputs)
+        return tuple(RingElement(self.ring, v) for v in self.extend_payloads(vals))
+
+    def extend_payloads(self, vals):
+        """The full assignment, as canonical payloads, that extends the
+        canonical payloads vals of the inputs; not checked."""
+        vals = list(vals) + [None] * (self.nvars - self.n_inputs)
         m = self.ring.modulus
         for target, op, args in self.steps:
             if op == "var":
@@ -150,7 +155,7 @@ class ExtensionRecipe:
             if m is not None:
                 v %= m
             vals[target] = v
-        return tuple(RingElement(self.ring, self.ring.canon(v)) for v in vals)
+        return tuple(map(self.ring.canon, vals))
 
     def __eq__(self, other):
         return (
@@ -167,7 +172,12 @@ def extend_solution(recipe, ax):
 
 
 def check_solution(system, assignment):
-    vals = system.ring.payloads(assignment, system.nvars, "assignment")
+    return check_payloads(
+        system, system.ring.payloads(assignment, system.nvars, "assignment"))
+
+
+def check_payloads(system, vals):
+    """Whether the canonical payloads vals solve the system; not checked."""
     # eval_payload reduces residues, so a solution reads 0 in every ring
     return not any(eval_payload(eq, vals) for eq in system.equations)
 

@@ -10,6 +10,7 @@ import pytest
 from shiftforge import (
     ArityError,
     CapExceededError,
+    Circuit,
     EquationSystem,
     InternalConsistencyError,
     Max3LinSystem,
@@ -18,7 +19,9 @@ from shiftforge import (
     SparsePoly,
     UnsupportedDomainError,
     ZZ,
+    build_hn_instance,
     check_solution,
+    extend_solution,
     gen_max3lin,
     maxsat,
     modular,
@@ -26,14 +29,22 @@ from shiftforge import (
     reduce_hn,
     search_min_sparsity,
     shift_instance,
+    shift_to_solution,
     solution_to_shift,
     solve_system,
     verify_hn_roundtrip,
     verify_max3lin,
 )
 from shiftforge import bitslice, oracles
+from shiftforge.circuits import ADD, CONST, INPUT, MUL
 from shiftforge.oracles import NONE, SUPPORT_LAST, ZERO_SUM, SearchDomain
-from shiftforge.sparsepoly import eval_payload, shifted_term_map, slot_table
+from shiftforge.quadratizer import ExtensionRecipe, check_payloads, quadratize_circuit
+from shiftforge.sparsepoly import (
+    eval_payload,
+    format_vector,
+    shifted_term_map,
+    slot_table,
+)
 
 from helpers import (
     out_of_box_system,
@@ -749,10 +760,139 @@ def test_roundtrip_checks_both_caps_before_any_work(monkeypatch):
 
     monkeypatch.setattr(oracles, "slot_table", no_work)
     monkeypatch.setattr(oracles, "check_solution", no_work)
+    # direction 1 walks payloads with these two
+    monkeypatch.setattr(oracles, "check_payloads", no_work)
+    monkeypatch.setattr(ExtensionRecipe, "extend_payloads", no_work)
     S = system(ZZ, 2, [{(1, 0): 1, (0, 1): 1, (0, 0): -1}])
     # 25 source assignments fit, 625 zero-sum ranks do not
     with pytest.raises(CapExceededError):
         verify_hn_roundtrip(S, box=2, cap=100)
+
+
+def payload_sources():
+    """(source, instance) pairs whose recipes hold every kind of step:
+    hn_corpus (var and mul), a circuit for x1*x2 - 1 (var, mul, const
+    and sum) and an encoded system with no recipe at all, whose
+    solutions are (1, 0) and (1, 1)."""
+    pairs_ = list(hn_corpus(random.Random(211)))
+    nodes = [(0, INPUT, 0), (1, INPUT, 1), (2, MUL, (0, 1)), (3, CONST, -1),
+             (4, ADD, (2, 3))]
+    circuits = [Circuit(ZZ, 2, nodes, output=4)]
+    pairs_.append((circuits, reduce_hn(circuits)))
+    S = system(ZZ, 2, [{(1, 0): 1, (0, 0): -1}, {(0, 2): 1, (0, 1): -1}])
+    pairs_.append((S, build_hn_instance(S, ZZ.el(2))))
+    return pairs_
+
+
+def test_payload_walk_matches_ring_elements():
+    """At every source point of the box, the payload core of the recipe
+    gives the payloads of extend_solution, and check_payloads the answer
+    of check_solution; over F5 and Q too."""
+    sources = payload_sources()
+    ops = {op for _, op, _ in sources[-2][1].recipe.steps}
+    assert ops == {"var", "mul", "const", "sum"}
+    assert sources[-1][1].recipe is None
+    spaces = [(ZZ, range(-2, 3), inst.system, inst.recipe) for _, inst in sources]
+    for ring, values in ((F5, range(5)), (QQ, [Fraction(v, 2) for v in range(-3, 4)])):
+        lowered, recipe = quadratize_circuit([
+            Circuit(ring, 2, [(0, INPUT, 0), (1, INPUT, 1), (2, MUL, (0, 1)),
+                              (3, CONST, ring.canon(3)), (4, ADD, (2, 3, 0))],
+                    output=4)])
+        spaces.append((ring, values, lowered, recipe))
+    solutions = 0
+    for ring, values, S, recipe in spaces:
+        for combo in itertools.product(values, repeat=S.n_inputs):
+            ax = tuple(ring.el(v) for v in combo)
+            if recipe is None:
+                full, vals = ax, combo
+            else:
+                full = extend_solution(recipe, ax)
+                vals = recipe.extend_payloads(combo)
+                assert vals == tuple(v.val for v in full)
+                assert [type(v) for v in vals] == [type(v.val) for v in full]
+            ok = check_payloads(S, vals)
+            assert ok == check_solution(S, full)
+            solutions += ok
+    assert solutions >= 20
+
+
+def reference_roundtrip(inst, box):
+    """verify_hn_roundtrip's report on an instance: direction 1 from
+    extend_solution and check_solution on ring elements at every source
+    point, direction 2 from the expansion at every zero-sum point."""
+    values = list(range(-box, box + 1))
+    violations = []
+    solutions = 0
+    points = list(itertools.product(values, repeat=inst.n_inputs))
+    for combo in points:
+        ax = tuple(ZZ.el(v) for v in combo)
+        full = extend_solution(inst.recipe, ax) if inst.recipe else ax
+        if not check_solution(inst.system, full):
+            continue
+        solutions += 1
+        drop = inst.sigma - shift_instance(
+            inst, solution_to_shift(inst, full)).sparsity()
+        if drop != 1:
+            violations.append("solution %s drops %d" % (format_vector(full), drop))
+    k = inst.nsys + 1
+    terms = sparse_terms(inst.polynomial.terms)
+    shifts = reference_walk(values, list(range(1, k)), k, ZERO_SUM, ZZ)
+    sparsifying = 0
+    for _, vec in shifts:
+        if len(shifted_term_map(ZZ, terms, vec)) < inst.sigma:
+            sparsifying += 1
+            b = tuple(ZZ.el(v) for v in vec)
+            try:
+                shift_to_solution(inst, b)
+            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                violations.append("shift %s: %s" % (format_vector(b), exc))
+    if solutions == 0 and sparsifying > 0:
+        violations.append("sparsifying shifts exist without solutions")
+    return oracles.RoundtripReport(
+        trivial=False, sigma=inst.sigma, solutions=solutions,
+        sparsifying_shifts=sparsifying, solution_points=len(points),
+        shift_points=len(shifts), violations=violations)
+
+
+def roundtrip_of(monkeypatch, inst, box):
+    """verify_hn_roundtrip on an instance as given, recipe or none."""
+    monkeypatch.setattr(oracles, "reduce_hn", lambda source, gamma=None: inst)
+    return verify_hn_roundtrip(inst.system, box=box)
+
+
+def test_roundtrip_matches_reference_walk(monkeypatch):
+    """The report and violations of verify_hn_roundtrip equal those of a
+    walk on ring elements, at box 1 and, up to 3 system variables, box 2."""
+    found = 0
+    for _, inst in payload_sources():
+        for box in (1, 2) if inst.nsys <= 3 else (1,):
+            report = roundtrip_of(monkeypatch, inst, box)
+            want = reference_roundtrip(inst, box)
+            assert report.lines() == want.lines()
+            assert report.violations == want.violations
+            found += report.solutions
+    assert found >= 10
+
+
+def test_roundtrip_payload_core_is_what_direction_1_runs(monkeypatch):
+    """A payload core one off in the last auxiliary makes every
+    instance with a solution in the box report otherwise."""
+    sources = payload_sources()
+    before = [roundtrip_of(monkeypatch, inst, 1) for _, inst in sources]
+    real = ExtensionRecipe.extend_payloads
+
+    def one_off(self, vals):
+        full = real(self, vals)
+        return full[:-1] + (full[-1] + 1,)
+
+    monkeypatch.setattr(ExtensionRecipe, "extend_payloads", one_off)
+    changed = 0
+    for (_, inst), old in zip(sources, before):
+        new = roundtrip_of(monkeypatch, inst, 1)
+        if old.solutions and inst.recipe is not None:
+            assert (new.lines(), new.violations) != (old.lines(), old.violations)
+            changed += 1
+    assert changed >= 5
 
 
 def reference_points(dom, ring, k):
