@@ -11,9 +11,11 @@ target ratio.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, inf, log, log1p
 
-from .errors import ArityError, PreconditionError
+from .errors import ArityError, CapExceededError, PreconditionError
+from .oracles import POWER_BITS
+from .rings import MAX_DIGITS, decimal_text
 from .sparsepoly import check_term_cap
 
 
@@ -21,20 +23,15 @@ class AmplifiedInstance:
     """Product of `copies` disjoint renamed copies of `base`.
 
     Copy k occupies variable positions [k*n, (k+1)*n) where n is the base
-    variable count; its names carry the suffix `__c<k>`.  circuit_size is
-    bookkeeping only: s*d + 1 when the base is promised a circuit of size
-    s, else None.
+    variable count; its names carry the suffix `__c<k>`.
     """
 
-    __slots__ = ("polynomial", "copies", "base", "copy_layout", "circuit_size")
+    __slots__ = ("polynomial", "copies", "base")
 
-    def __init__(self, polynomial, copies, base, circuit_size=None):
+    def __init__(self, polynomial, copies, base):
         self.polynomial = polynomial
         self.copies = copies
         self.base = base
-        n = base.nvars
-        self.copy_layout = tuple((k * n, (k + 1) * n) for k in range(copies))
-        self.circuit_size = circuit_size
 
 
 def _copy_names(base, copies):
@@ -44,19 +41,18 @@ def _copy_names(base, copies):
     return names
 
 
-def amplify(base, copies, base_circuit_size=None, cap=None):
+def amplify(base, copies):
     """The product of `copies` variable-disjoint renamed copies of base."""
     if copies < 1:
         raise PreconditionError("copy count must be >= 1")
-    check_term_cap(base.sparsity() ** copies, "amplified polynomial", cap)
+    check_term_cap(base.sparsity() ** copies, "amplified polynomial")
     n = base.nvars
     total = n * copies
     names = _copy_names(base, copies)
     poly = base.embed(total, 0, names)
     for k in range(1, copies):
-        poly = poly.mul(base.embed(total, k * n, names), cap)
-    size = None if base_circuit_size is None else base_circuit_size * copies + 1
-    return AmplifiedInstance(poly, copies, base, size)
+        poly = poly.mul(base.embed(total, k * n, names))
+    return AmplifiedInstance(poly, copies, base)
 
 
 def amplified_shift(inst, per_copy):
@@ -93,18 +89,33 @@ def gap_alpha(epsilon, delta, m):
 
 
 def copies_for_gap(sigma, target):
-    """Smallest d with (sigma/(sigma-1))^d >= target, by exact rational
-    powering.  sigma = 1 admits no amplification at all."""
+    """Smallest d with (sigma/(sigma-1))^d >= target, estimated from
+    logarithms and confirmed with exact integer powers.  sigma = 1 admits
+    no amplification at all.  CapExceededError, before any power is
+    built, when d exceeds POWER_BITS // sigma.bit_length()."""
     if sigma < 2:
         raise PreconditionError("base count must be >= 2 to amplify a gap")
     target = Fraction(target)
     if target <= 1:
         raise PreconditionError("target gap must exceed 1")
-    ratio = Fraction(sigma, sigma - 1)
-    acc = ratio
-    d = 1
-    while acc < target:
-        acc *= ratio
+    p, q = target.numerator, target.denominator
+    most = POWER_BITS // sigma.bit_length()
+
+    def reaches(d):
+        if d > most:
+            raise CapExceededError(
+                "the gap needs more than %d copies, the most whose power "
+                "of the base count fits in %d bits" % (most, POWER_BITS))
+        return q * sigma ** d >= p * (sigma - 1) ** d
+
+    # both logarithms are accurate in double precision, so the walks
+    # below take a step or two
+    log_target = log(p) - log(q) if target > 2 else log1p((p - q) / q)
+    rate = log1p(1 / (sigma - 1))
+    d = max(1, ceil(min(log_target / rate if rate else inf, most + 1)))
+    while 1 < d <= most and reaches(d - 1):
+        d -= 1
+    while not reaches(d):
         d += 1
     return d
 
@@ -113,19 +124,16 @@ class GapParams:
     """Thresholds for a promise gap: YES instances stay at or below t_yes
     monomials, NO instances carry at least t_no nonconstant monomials."""
 
-    __slots__ = ("epsilon", "delta", "m", "copies", "alpha", "t_yes", "t_no")
+    __slots__ = ("alpha", "t_yes", "t_no")
 
     def __init__(self, epsilon, delta, m, copies=1):
-        self.epsilon = Fraction(epsilon)
-        self.delta = Fraction(delta)
-        self.m = m
         if copies < 1:
             raise PreconditionError("copy count must be >= 1")
-        self.copies = copies
-        self.alpha = gap_alpha(self.epsilon, self.delta, m)
-        self.t_yes = (floor((3 + self.epsilon) * m) + 1) ** copies
+        self.alpha = gap_alpha(epsilon, delta, m)
+        base = floor((3 + Fraction(epsilon)) * m) + 1
+        # 2^(10/3 * MAX_DIGITS) > 10^MAX_DIGITS: t_yes is not built
+        if (base.bit_length() - 1) * copies > MAX_DIGITS * 10 // 3:
+            raise CapExceededError("t_yes = %s^%d has more than %d digits" % (
+                decimal_text(base, "t_yes"), copies, MAX_DIGITS))
+        self.t_yes = base ** copies
         self.t_no = ceil(self.alpha ** copies * self.t_yes)
-
-    @property
-    def has_gap(self):
-        return self.alpha > 1

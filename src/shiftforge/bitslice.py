@@ -410,16 +410,14 @@ class _Box:
         return (scale * x.get(0, 0),
                 [(scale * k, plane(m)) for m, k in x.items() if m])
 
-    def bits(self, const, terms, signed=False):
+    def bits(self, const, terms):
         """The bits of const + sum of k * [p] over the (k, p) terms, mod
-        2^W, where 2^W exceeds the magnitude of that sum at every point,
-        with one more bit, the sign, when signed is set; W is s over Z_q
-        with q = 2^s, where only the sum mod q matters."""
+        2^W, where 2^W exceeds the magnitude of that sum at every point;
+        W is s over Z_q with q = 2^s, where only the sum mod q matters."""
         if self.cap is not None:
             width = self.cap
         else:
             width = (abs(const) + sum(abs(k) for k, _ in terms)).bit_length()
-            width += signed
         mask = (1 << width) - 1
         columns = [[] for _ in range(width)]
         for k, p in terms:

@@ -99,7 +99,7 @@ class Circuit:
             out[nid] = v
         return RingElement(self.ring, self.ring.canon(out[self.output]))
 
-    def expand(self, cap=None):
+    def expand(self):
         """The output polynomial, expanded to sparse form.
 
         Raises CapExceededError before a node is built when its worst
@@ -109,10 +109,10 @@ class Circuit:
         for nid in self.ids:
             kind, data = self.nodes[nid]
             if kind == MUL:
-                p = out[data[0]].mul(out[data[1]], cap)
+                p = out[data[0]].mul(out[data[1]])
             elif kind == ADD:
                 worst = sum(out[c].sparsity() for c in data)
-                check_term_cap(worst, "node %d" % nid, cap)
+                check_term_cap(worst, "node %d" % nid)
                 p = SparsePoly.zero(self.ring, self.nvars, self.var_names)
                 for c in data:
                     p = p.add(out[c])

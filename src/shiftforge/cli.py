@@ -38,7 +38,7 @@ from .quadratizer import (
     quadratize_sparse,
     save_system,
 )
-from .rings import Ring
+from .rings import Ring, decimal_text
 from .sparsepoly import (
     format_vector,
     load_poly,
@@ -57,16 +57,6 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError("expected a rational like 1/10")
 
 
-def _jobs_arg(text):
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % jobs)
-    return jobs
-
-
 def _load_source(path):
     """System file: sparse system (with optional recipe) or circuit list."""
     loaded = load_system(path)
@@ -82,7 +72,7 @@ def _require_sparse(path):
     return system, recipe
 
 
-def _domain_from_args(args, support_width=None):
+def _domain_from_args(args):
     if getattr(args, "exhaustive", False):
         dom = SearchDomain.exhaustive()
     elif getattr(args, "box", None) is not None:
@@ -200,7 +190,7 @@ def _cmd_maxsat(args):
 def _cmd_verify_hn(args):
     system, recipe, circuits = _load_source(args.source)
     source = circuits if circuits is not None else system
-    report = verify_hn_roundtrip(source, box=args.box, jobs=args.jobs)
+    report = verify_hn_roundtrip(source, box=args.box)
     for line in report.lines():
         print(line)
     return 0
@@ -209,7 +199,7 @@ def _cmd_verify_hn(args):
 def _cmd_verify_max3lin(args):
     system = load_max3lin(args.source)
     e0 = system.ring.parse_coeff(args.e0) if args.e0 is not None else None
-    report = verify_max3lin(system, e0, jobs=args.jobs)
+    report = verify_max3lin(system, e0)
     for line in report.lines():
         print(line)
     return 0
@@ -217,15 +207,16 @@ def _cmd_verify_max3lin(args):
 
 def _cmd_gap_params(args):
     alpha = gap_alpha(args.epsilon, args.delta, args.m)
-    print("alpha %s" % alpha)
+    lines = ["alpha %s" % decimal_text(alpha, "alpha")]
     if args.sigma is not None or args.target_gap is not None:
         if args.sigma is None or args.target_gap is None:
             raise PreconditionError("--target-gap and --sigma go together")
         copies = copies_for_gap(args.sigma, args.target_gap)
         params = GapParams(args.epsilon, args.delta, args.m, copies)
-        print("copies %d" % copies)
-        print("t_yes %d" % params.t_yes)
-        print("t_no %d" % params.t_no)
+        lines += ["copies %d" % copies,
+                  "t_yes %s" % decimal_text(params.t_yes, "t_yes"),
+                  "t_no %s" % decimal_text(params.t_no, "t_no")]
+    print("\n".join(lines))
     return 0
 
 
@@ -257,11 +248,6 @@ def _build_parser():
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         return p
-
-    def add_jobs(p):
-        p.add_argument("--jobs", type=_jobs_arg, default=1,
-                       help="accepted and unused: every oracle runs in "
-                       "one process")
 
     def add_domain(p):
         g = p.add_mutually_exclusive_group(required=True)
@@ -318,30 +304,25 @@ def _build_parser():
                    help="all but the last N coordinates pinned to zero")
     p.add_argument("--nonconstant", action="store_true",
                    help="count only monomials of positive degree")
-    add_jobs(p)
 
     p = add("solve", _cmd_solve, help="least solution of a system in a domain")
     p.add_argument("source")
     add_domain(p)
-    add_jobs(p)
 
     p = add("maxsat", _cmd_maxsat,
             help="most simultaneously satisfiable rows")
     p.add_argument("source")
     add_domain(p)
-    add_jobs(p)
 
     p = add("verify-hn", _cmd_verify_hn,
             help="reduce and check both solution/shift directions in a box")
     p.add_argument("source")
     p.add_argument("--box", type=int, required=True, metavar="B")
-    add_jobs(p)
 
     p = add("verify-max3lin", _cmd_verify_max3lin,
             help="check the shifted-sparsity/maxsat identity exhaustively")
     p.add_argument("source")
     p.add_argument("--e0")
-    add_jobs(p)
 
     p = add("gap-params", _cmd_gap_params,
             help="promise-gap ratio and copy count")

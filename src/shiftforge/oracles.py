@@ -33,7 +33,7 @@ from .hn_reduce import (
 )
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_payloads, check_solution, extend_solution
-from .rings import RATIONALS, RingElement
+from .rings import RATIONALS, RingElement, decimal_text
 from .sparsepoly import (
     eval_payload,
     format_vector,
@@ -134,20 +134,20 @@ def _plan(dom, ring, k):
     size = len(values) ** len(free) if free else 1
     if size > dom.cap:
         raise CapExceededError(
-            "search space of %d points exceeds the cap of %d" % (size, dom.cap)
+            "search space of %s points exceeds the cap of %d"
+            % (decimal_text(size, "the search space's size"), dom.cap)
         )
     return values, free, size
 
 
 class SearchReport:
-    __slots__ = ("min_sparsity", "witness", "points", "complete", "violations")
+    __slots__ = ("min_sparsity", "witness", "points", "complete")
 
-    def __init__(self, min_sparsity, witness, points, complete, violations=0):
+    def __init__(self, min_sparsity, witness, points, complete):
         self.min_sparsity = min_sparsity
         self.witness = witness
         self.points = points
         self.complete = complete
-        self.violations = violations
 
     def lines(self):
         return [
@@ -155,7 +155,6 @@ class SearchReport:
             "witness %s" % format_vector(self.witness),
             "points %d" % self.points,
             "complete %s" % ("true" if self.complete else "false"),
-            "violations %d" % self.violations,
         ]
 
 
@@ -237,8 +236,8 @@ def _check_powers(system, dom):
                 default=0)
     if worst > POWER_BITS:
         raise CapExceededError(
-            "evaluation may build a power of %d bits, the limit is %d"
-            % (worst, POWER_BITS))
+            "evaluation may build a power of %s bits, the limit is %d"
+            % (decimal_text(worst, "the power's bit count"), POWER_BITS))
 
 
 def solve_system(system, dom):
@@ -335,7 +334,7 @@ class RoundtripReport:
         ]
 
 
-def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
+def verify_hn_roundtrip(source, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
     """Reduce, then check both directions over the box, counting the
     slots of one slot_table with the x-block shifted and the w variables
     not.
@@ -349,9 +348,9 @@ def verify_hn_roundtrip(source, gamma=None, box=2, jobs=1, cap=DEFAULT_ENUM_CAP)
     box-bounded vectors, counted at once by the bit-sliced kernel; each
     one that lowers the count must invert to a verified solution.  Box
     search over the integers is sound, not complete.  `jobs` is accepted
-    and not used.
+    and not used; it stays while the benchmark's workloads pass it.
     """
-    result = reduce_hn(source, gamma)
+    result = reduce_hn(source)
     if isinstance(result, TriviallySolvable):
         full = (
             extend_solution(result.recipe, result.certificate)
@@ -450,7 +449,8 @@ class EncodingReport:
 def verify_max3lin(system, e0=None, jobs=1, cap=DEFAULT_ENUM_CAP):
     """Exhaustively confirm that the least nonconstant monomial count of
     the shifted encoding equals 4m minus the best satisfiable row count.
-    `jobs` is accepted and not used."""
+    `jobs` is accepted and not used; it stays while the benchmark's
+    workloads pass it."""
     if not system.ring.is_finite:
         raise UnsupportedDomainError("exhaustive verification needs a finite ring")
     enc = encode_max3lin(system, e0)

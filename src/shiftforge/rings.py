@@ -12,7 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ArityError, FormatError, PreconditionError, RingMismatchError, quoted
+from .errors import (
+    ArityError,
+    CapExceededError,
+    FormatError,
+    PreconditionError,
+    RingMismatchError,
+    quoted,
+)
 
 INTEGERS = "Z"
 RATIONALS = "Q"
@@ -26,6 +33,11 @@ _KINDS = (INTEGERS, RATIONALS, PRIME_FIELD, MODULAR_RING)
 # every n below this bound (Sorenson & Webster 2015, psi_13)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_MODULUS_BOUND = 3317044064679887385961981
+# the most decimal digits of a number that is written: CPython's default
+# int_max_str_digits, fixed here, so that the rule is the same where that
+# limit is missing (Python 3.10.0 to 3.10.6)
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
 
 
 def _is_prime(n):
@@ -54,6 +66,16 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def decimal_text(v, what):
+    """str(v) of an int or a Fraction; CapExceededError, stating the size
+    of `what`, when a part has more than MAX_DIGITS digits."""
+    for part in (v.numerator, v.denominator):
+        if not -_TOO_LONG < part < _TOO_LONG:
+            raise CapExceededError("%s has more than %d digits (%d bits)"
+                                   % (what, MAX_DIGITS, part.bit_length()))
+    return str(v)
 
 
 class Ring:
@@ -94,18 +116,6 @@ class Ring:
     @property
     def is_finite(self):
         return self.modulus is not None
-
-    @property
-    def is_field(self):
-        if self.kind in (RATIONALS, PRIME_FIELD):
-            return True
-        return self.kind == MODULAR_RING and _is_prime(self.modulus)
-
-    @property
-    def is_integral_domain(self):
-        if self.kind == MODULAR_RING:
-            return _is_prime(self.modulus)
-        return True
 
     def canon(self, v):
         """Reduce a raw payload to canonical form."""
@@ -212,13 +222,10 @@ class Ring:
 
     def format_coeff(self, el):
         """Canonical text for an element: integers and residues as decimals,
-        rationals as `a/b` with the `/b` omitted when the value is integral."""
-        v = el.val if isinstance(el, RingElement) else el
-        if self.kind == RATIONALS and v.denominator != 1:
-            return "%d/%d" % (v.numerator, v.denominator)
-        if self.kind == RATIONALS:
-            return str(v.numerator)
-        return str(v)
+        rationals as `a/b` with the `/b` omitted when the value is integral.
+        A part of more than MAX_DIGITS digits raises CapExceededError."""
+        return decimal_text(el.val if isinstance(el, RingElement) else el,
+                            "coefficient")
 
 
 class RingElement:

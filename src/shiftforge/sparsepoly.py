@@ -33,7 +33,7 @@ from .errors import (
     RingMismatchError,
     quoted,
 )
-from .rings import INTEGERS, Ring, RingElement
+from .rings import INTEGERS, Ring, RingElement, decimal_text
 
 DEFAULT_TERM_CAP = 10 ** 6
 # the most bits, estimated as e * e times the bits of the offset, that
@@ -54,13 +54,13 @@ def term_cap():
             "SHIFTFORGE_TERM_CAP must be an integer, not %r" % v) from None
 
 
-def check_term_cap(worst, what, cap=None):
+def check_term_cap(worst, what):
     """Raise CapExceededError, before any work starts, when `what` may
-    reach `worst` terms, more than cap (term_cap() when None)."""
-    if cap is None:
-        cap = term_cap()
+    reach `worst` terms, more than term_cap()."""
+    cap = term_cap()
     if worst > cap:
-        raise CapExceededError("%s may reach %d terms, cap is %d" % (what, worst, cap))
+        raise CapExceededError("%s may reach %s terms, cap is %d" % (
+            what, decimal_text(worst, "the term count of " + what), cap))
 
 
 def pairs(key):
@@ -187,8 +187,8 @@ def _binomials(e, bits=1):
     worst = e * e * bits
     if worst > ROW_BITS:
         raise CapExceededError(
-            "the binomials of exponent %d may take %d bits, the limit is %d"
-            % (e, worst, ROW_BITS))
+            "the binomials of exponent %d may take %s bits, the limit is %d"
+            % (e, decimal_text(worst, "the binomials' bit count"), ROW_BITS))
     row = [1]
     for j in range(e):
         row.append(row[-1] * (e - j) // (j + 1))
@@ -534,11 +534,11 @@ class SparsePoly:
         out = {k: c * el.val for k, c in self.sparse_terms.items()}
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
-    def mul(self, other, cap=None):
-        """The product; cap overrides term_cap() for its bound."""
+    def mul(self, other):
+        """The product, bounded by term_cap()."""
         self._align(other)
         mine, theirs = self.sparse_terms, other.sparse_terms
-        check_term_cap(len(mine) * len(theirs), "product", cap)
+        check_term_cap(len(mine) * len(theirs), "product")
         # operands on disjoint ordered position ranges, such as the
         # copies amplify multiplies, give distinct concatenated keys
         if _ends_before(mine, theirs):
@@ -927,6 +927,9 @@ def term_lines(poly):
     by token in the order of sorted_keys, the reference."""
     n = poly.nvars
     fmt = poly.ring.format_coeff
+    if not poly.ring.is_finite:  # the widest parts first, before any line
+        for part in map(operator.attrgetter, ("numerator", "denominator")):
+            fmt(max(map(abs, map(part, poly.sparse_terms.values())), default=0))
     if n:
         zeros = b"0 " * (n - 1) + b"0"
         heads = {}

@@ -2,17 +2,13 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from shiftforge import (
-    ADD,
-    CONST,
-    INPUT,
-    MUL,
     ArityError,
-    Circuit,
     CapExceededError,
     EquationSystem,
     GapParams,
@@ -49,7 +45,6 @@ def test_two_copies_of_linear_frozen():
         (1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1,
     }
     assert inst.polynomial.sparsity() == 4
-    assert inst.copy_layout == ((0, 1), (1, 2))
 
 
 def test_two_copies_of_encoded_system():
@@ -79,7 +74,8 @@ def test_zero_divisors_can_merge_terms():
     assert inst.polynomial.sparsity() == 2
 
 
-def test_integral_domain_count_is_exact_power():
+def test_integral_domain_count_is_exact_power(monkeypatch):
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", str(10 ** 4))
     rng = random.Random(109)
     for ring in (ZZ, prime_field(5)):
         for _ in range(25):
@@ -87,38 +83,19 @@ def test_integral_domain_count_is_exact_power():
             for d in (1, 2, 3):
                 if base.sparsity() ** d > 10 ** 4:
                     continue
-                inst = amplify(base, d, cap=10 ** 4)
+                inst = amplify(base, d)
                 assert inst.polynomial.sparsity() == base.sparsity() ** d
                 assert inst.polynomial.degree() == d * base.degree()
                 assert inst.polynomial.nvars == d * base.nvars
 
 
-def test_circuit_size_bookkeeping():
-    inst = amplify(linear_plus_one(ZZ), 3, base_circuit_size=7)
-    assert inst.circuit_size == 22
-    assert amplify(linear_plus_one(ZZ), 2).circuit_size is None
-
-
-def test_cap_refusal_and_bad_copy_count():
+def test_cap_refusal_and_bad_copy_count(monkeypatch):
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", str(10 ** 6))
     base = random_poly(ZZ, 2, 2, 4, random.Random(1))
     with pytest.raises(CapExceededError):
-        amplify(linear_plus_one(ZZ), 30, cap=10 ** 6)
+        amplify(linear_plus_one(ZZ), 30)
     with pytest.raises(PreconditionError):
         amplify(base, 0)
-
-
-def test_an_explicit_cap_overrides_the_environment(monkeypatch):
-    # the products inside are bounded by the cap the caller gave
-    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "5")
-    base = SparsePoly(ZZ, 2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
-    assert amplify(base, 2, cap=9).polynomial.sparsity() == 9
-    with pytest.raises(CapExceededError):
-        amplify(base, 2, cap=8)
-    squares = Circuit(ZZ, 2, [(0, INPUT, 0), (1, INPUT, 1), (2, CONST, 1),
-                              (3, ADD, (0, 1, 2)), (4, MUL, (3, 3))], output=4)
-    assert squares.expand(cap=9).sparsity() == 6
-    with pytest.raises(CapExceededError):
-        squares.expand(cap=8)
 
 
 def test_amplified_shift_frozen():
@@ -195,14 +172,46 @@ def test_copies_for_gap_is_minimal():
             assert d == 1 or ratio ** (d - 1) < target
 
 
+def test_copies_for_gap_matches_the_rational_loop_at_every_tie():
+    # the loop copies_for_gap replaced, kept as the reference: targets at,
+    # just above and just below an exact power of the ratio make the
+    # logarithmic estimate land on both sides of the least d
+    def reference(sigma, target):
+        ratio = Fraction(sigma, sigma - 1)
+        acc, d = ratio, 1
+        while acc < target:
+            acc *= ratio
+            d += 1
+        return d
+
+    for sigma in (2, 3, 5, 7, 10, 101, 1000):
+        for k in (1, 2, 3, 7, 20, 50):
+            power = Fraction(sigma, sigma - 1) ** k
+            for target in (power, power + Fraction(1, 10 ** 40),
+                           power - Fraction(1, 10 ** 40)):
+                if target > 1:
+                    assert copies_for_gap(sigma, target) == reference(sigma, target)
+
+
+def test_copies_for_gap_refuses_before_building_a_huge_power():
+    # about 1.15 million copies; the most whose power fits is 246,723
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match="more than 246723 copies"):
+        copies_for_gap(10 ** 5, 10 ** 5)
+    assert time.process_time() - start < 0.5
+    # t_yes = 10^13809 is refused before it is built
+    with pytest.raises(CapExceededError, match="10\\^13809 has more than 4300"):
+        GapParams(0, 0, 3, copies_for_gap(1000, 10 ** 6))
+
+
 def test_gap_params_thresholds():
     p = GapParams(0, 0, 10, copies=4)
     assert p.alpha == Fraction(40, 31)
     assert p.t_yes == 31 ** 4
     assert p.t_no == 40 ** 4
-    assert p.has_gap
+    assert p.alpha > 1
     q = GapParams(Fraction(1, 2), Fraction(1, 2), 2)
-    assert not q.has_gap
+    assert q.alpha <= 1
     with pytest.raises(PreconditionError):
         GapParams(0, 0, 5, copies=0)
 

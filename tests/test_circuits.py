@@ -80,7 +80,7 @@ def test_validation():
         Circuit(ZZ, 1, [(0, INPUT, 0)], output=5)
 
 
-def test_expand_cap():
+def test_expand_cap(monkeypatch):
     # ((x+1)^2)^2 ... repeated squaring grows the term count; a tiny cap trips
     nodes = [(0, INPUT, 0), (1, CONST, 1), (2, ADD, (0, 1))]
     prev = 2
@@ -89,18 +89,20 @@ def test_expand_cap():
         prev = nid
     c = Circuit(ZZ, 1, nodes, output=prev)
     assert c.expand().sparsity() == 9
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "4")
     with pytest.raises(CapExceededError):
-        c.expand(cap=4)
+        c.expand()
 
 
-def test_eval_expand_agreement_random():
+def test_eval_expand_agreement_random(monkeypatch):
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "2000")
     rng = random.Random(47)
     for _ in range(200):
         ring = rng.choice([ZZ, F5])
         nvars = rng.randint(1, 3)
         c = random_circuit(ring, nvars, 12, rng)
         try:
-            p = c.expand(cap=2000)
+            p = c.expand()
         except CapExceededError:
             continue
         for _ in range(100):
