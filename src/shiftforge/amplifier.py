@@ -15,7 +15,7 @@ from math import ceil, floor, inf, log, log1p
 
 from .errors import ArityError, CapExceededError, PreconditionError
 from .oracles import POWER_BITS
-from .rings import MAX_DIGITS, decimal_text
+from .rings import check_power_digits, decimal_text
 from .sparsepoly import check_term_cap
 
 
@@ -45,7 +45,9 @@ def amplify(base, copies):
     """The product of `copies` variable-disjoint renamed copies of base."""
     if copies < 1:
         raise PreconditionError("copy count must be >= 1")
-    check_term_cap(base.sparsity() ** copies, "amplified polynomial")
+    sigma = base.sparsity()
+    check_power_digits(sigma, copies, "the term count of amplified polynomial")
+    check_term_cap(sigma ** copies, "amplified polynomial")
     n = base.nvars
     total = n * copies
     names = _copy_names(base, copies)
@@ -131,9 +133,7 @@ class GapParams:
             raise PreconditionError("copy count must be >= 1")
         self.alpha = gap_alpha(epsilon, delta, m)
         base = floor((3 + Fraction(epsilon)) * m) + 1
-        # 2^(10/3 * MAX_DIGITS) > 10^MAX_DIGITS: t_yes is not built
-        if (base.bit_length() - 1) * copies > MAX_DIGITS * 10 // 3:
-            raise CapExceededError("t_yes = %s^%d has more than %d digits" % (
-                decimal_text(base, "t_yes"), copies, MAX_DIGITS))
+        check_power_digits(base, copies, "t_yes = %s^%d" % (
+            decimal_text(base, "t_yes"), copies))
         self.t_yes = base ** copies
         self.t_no = ceil(self.alpha ** copies * self.t_yes)

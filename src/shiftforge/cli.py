@@ -38,7 +38,7 @@ from .quadratizer import (
     quadratize_sparse,
     save_system,
 )
-from .rings import Ring, decimal_text
+from .rings import QQ, Ring, decimal_text
 from .sparsepoly import (
     format_vector,
     load_poly,
@@ -49,12 +49,11 @@ from .sparsepoly import (
 
 
 def _fraction_arg(text):
-    from fractions import Fraction
-
+    # the readers' grammar: Fraction() also reads 1e1000000, built in full
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("expected a rational like 1/10")
+        return QQ.parse_payload(text)
+    except FormatError:
+        raise argparse.ArgumentTypeError("expected a rational like 1/10") from None
 
 
 def _load_source(path):

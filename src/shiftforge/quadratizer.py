@@ -455,6 +455,10 @@ def system_from_text(text):
         key = parts[0]
         if not blocks:
             raise FormatError("%s line outside an eq block" % key)
+        if key != "term" and reader.rows is not None:
+            # the first node or output line: term rows taken before it count
+            reader.rows = None
+            kinds.add(any(terms for terms, _, _ in blocks))
         kinds.add(key == "term")
         if len(kinds) > 1:
             raise FormatError("mixed term and node blocks")
@@ -463,14 +467,6 @@ def system_from_text(text):
             read_term(reader, terms, parts, line)
         else:
             read_circuit_line(reader, nodes, outputs, parts, line)
-
-    def rows():
-        # where a run of fixed-width term rows goes: the current eq block,
-        # unless body() must reject the first row
-        if blocks and False not in kinds:
-            kinds.add(True)
-            return blocks[-1][0]
-        return None
 
     def recipe(words, line):
         if len(words) < 4:
@@ -484,9 +480,14 @@ def system_from_text(text):
         else:
             raise FormatError("unknown recipe op %s" % quoted(op))
 
+    def equation(parts, line):
+        blocks.append(({}, {}, []))
+        if False not in kinds:  # fixed-width term rows go into the new block
+            reader.rows = blocks[-1][0]
+
     statements = dict.fromkeys(("term", "node", "output"), body)
-    statements.update(vars=catalog, eq=lambda parts, line: blocks.append(({}, {}, [])))
-    reader.read(text, statements, {"recipe": recipe}, rows)
+    statements.update(vars=catalog, eq=equation)
+    reader.read(text, statements, {"recipe": recipe})
     if reader.nvars is None:
         raise FormatError("system file needs ring and vars lines")
     ring, nvars = reader.ring, reader.nvars

@@ -78,6 +78,15 @@ def decimal_text(v, what):
     return str(v)
 
 
+def check_power_digits(base, exp, what):
+    """CapExceededError, as decimal_text raises, when base^exp (base, exp
+    >= 1) has more than MAX_DIGITS digits by the bit length of base alone."""
+    bits = (base.bit_length() - 1) * exp  # base^exp >= 2^bits
+    if bits > MAX_DIGITS * 10 // 3:  # 2^(10/3 * MAX_DIGITS) > 10^MAX_DIGITS
+        raise CapExceededError("%s has more than %d digits (at least %d bits)"
+                               % (what, MAX_DIGITS, bits + 1))
+
+
 class Ring:
     """A coefficient domain and its arithmetic on raw payloads."""
 

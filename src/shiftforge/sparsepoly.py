@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import operator
 import os
-import re
 import sys
 from functools import lru_cache, partial
 from itertools import chain
@@ -646,18 +645,12 @@ def eval_payload(poly, vals):
 #   vars <k> [<name> ...]
 #   term <coef> <e1> ... <ek>
 #
-# '#' starts a comment; duplicate exponent vectors are rejected.  Terms
-# are written in graded-lex descending order, one space between tokens,
-# so when every exponent is one digit a row is fixed-width: term_lines
-# builds and sorts such rows as strings, and Reader.lines reads each run
-# of 8 or more of them in one regular-expression pass.  Any other row is
-# written and read token by token, by read_term.
-
-# the fewest and the most rows one pass of Reader.lines takes: below 8
-# rows its fixed cost (memos, two passes, the term map of the run) is
-# more than reading them token by token costs, and 1024 rows keep the
-# strings one pass holds at once small
-RUN_ROWS = (8, 1024)
+# Lines end at "\n" alone; '#' starts a comment; duplicate exponent
+# vectors are rejected.  Terms are written in graded-lex descending
+# order, one space between tokens, so when every exponent is one digit
+# a row is fixed-width: term_lines builds and sorts such rows as
+# strings, and Reader._take keys them by slices of 8 exponents, unsplit.
+# Any other row is written and read token by token, by read_term.
 
 
 class _Memo(dict):
@@ -673,41 +666,26 @@ class _Memo(dict):
         return v
 
 
-@lru_cache(maxsize=32)
-def _row_patterns(n):
-    """(run, row, width) for fixed-width term rows over n > 0 variables.
-
-    row matches one row `term c e e ... e` and its newline, with a group
-    for the coefficient and one for each chunk of `width` positions (at
-    most 64 chunks); run matches as many rows as RUN_ROWS allows at a
-    line start, so findall of row over a run gives its rows.  Both use
-    only repeats of one character class, which the regular-expression
-    engine runs fastest, so they let through rows whose coefficient or
-    spacing is wrong: parse_payload and _chunk_key check those, once
-    per distinct token."""
-    width = max(8, -(-n // 64))
-
-    def row(group):  # group opens "(" to capture or "(?:" not to
-        return ("term %s[-0-9/]+)" % group
-                + "".join(" %s[0-9 ]{%d})" % (group, 2 * min(width, n - s) - 1)
-                          for s in range(0, n, width))
-                + "\n")
-
-    return (re.compile("^(?:%s){%d,%d}" % ((row("(?:"),) + RUN_ROWS), re.M),
-            re.compile(row("(")), width)
-
-
 def _chunk_key(start, chunk):
-    """The key of one chunk `e e ... e` of a fixed-width row, whose first
-    exponent is that of position start; ValueError when the chunk is not
-    one-digit exponents with one space between them."""
-    if chunk[1::2].strip(" "):  # a digit where a space belongs
+    """The key of one slice ` e e ... e` of a fixed-width row, from position
+    start; ValueError unless each exponent is one ASCII digit after a space."""
+    if chunk[::2].strip(" ") or not chunk.isascii():
         raise ValueError("not a fixed-width chunk")
     key = []
-    for p, e in enumerate(chunk[::2], start):
+    for p, e in enumerate(chunk[1::2], start):
         if e != "0":
             key += (p, int(e))  # int(" ") raises ValueError
     return tuple(key)
+
+
+def _lines(text):
+    """The lines of text, ended by "\\n" alone, split 8K characters at a time."""
+    pos, end = 0, len(text) - text.endswith("\n")  # no empty line after the last
+    while text and pos <= end:
+        stop = text.find("\n", pos + 8192)
+        stop = end if stop < 0 else stop
+        yield from text[pos:stop].split("\n")
+        pos = stop + 1
 
 
 class Reader:
@@ -721,89 +699,63 @@ class Reader:
     """
 
     __slots__ = ("ring", "nvars", "names", "lineno", "vars_line",
-                 "payloads", "chunks")
+                 "payloads", "chunks", "cuts", "rows")
 
     def __init__(self, vars_line=True):
-        self.ring = self.nvars = self.names = self.lineno = None
+        self.ring = self.nvars = self.names = self.lineno = self.rows = None
         self.vars_line = vars_line
-        # the memos of both term paths, filled once the ring and the
-        # variable count are known: coefficient tokens to payloads, and
-        # for each chunk of a fixed-width row, its digits to its key
-        self.payloads = self.chunks = None
+        # rows, set by the format where a `term` line may come: the term
+        # map fixed-width rows go straight into, or None; the memos of both
+        # term paths, filled once the ring and the variable count are known:
+        # coefficient tokens to payloads, and each slice's text to its key
+        self.payloads = self.chunks = self.cuts = None
 
-    def lines(self, text, notes=None, rows=None):
-        """Yield (parts, line) per statement line; comment lines go to notes.
-
-        With rows given, once nvars is known, each run of fixed-width
-        term rows (see _row_patterns) at a line start is offered to
-        rows(), which returns the term map they belong in, or None.  The
-        run is read into that map here, and none of its lines is
-        yielded, unless a coefficient is bad or a key is in the map
-        already or comes twice; then, as every other line, its rows are
-        yielded one by one, for read_term to read or to reject with
-        their own line numbers."""
+    def lines(self, text, notes=None):
+        """Yield (parts, line) per statement line but the term rows _take
+        reads into rows; comment lines go to notes."""
         self.lineno = 0
-        for part in self._parts(text, rows):
-            for raw in part.splitlines():
-                self.lineno += 1
-                line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-                if line:
-                    yield line.split(), line
-                elif notes is not None and "#" in raw:
-                    line = raw.strip()
-                    notes.append((self.lineno, line[1:].split(), line))
+        for raw in _lines(text):
+            self.lineno += 1
+            if raw[:5] == "term " and self._take(raw):
+                continue
+            line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+            if line:
+                yield line.split(), line
+            elif notes is not None and "#" in raw:
+                line = raw.strip()
+                notes.append((self.lineno, line[1:].split(), line))
 
-    def _parts(self, text, rows):
-        # the stretches of text that lines() reads line by line: all of
-        # it but the runs that _take reads
-        pos = 0
-        end = len(text)
-        while pos < end:
-            run = None
-            if rows is None or self.nvars == 0:
-                stop = end
-            elif self.nvars is None:  # the header, up to the first term row
-                stop = text.find("\nterm ", pos) + 1 or end
-            else:
-                run = _row_patterns(self.nvars)[0].search(text, pos)
-                stop = end if run is None else run.start()
-            yield text[pos:stop]
-            pos = stop
-            if run is not None:
-                pos = run.end()
-                if not self._take(text, stop, pos, rows()):
-                    yield text[stop:pos]
-
-    def _take(self, text, pos, stop, terms):
-        """Read the run of fixed-width rows text[pos:stop] into terms in
-        one pass; False, with terms as they were, if terms is None or the
-        rows cannot all be taken."""
-        if terms is None:
+    def _take(self, raw):
+        """Read the term line raw into rows, and True, if it is a fixed-width
+        row, `term <coef>` and a space and one ASCII digit per exponent,
+        whose key rows lacks; if not, False, and read_term reads it."""
+        n = self.nvars
+        cut = len(raw) - 2 * n if n else 0  # the space before the exponents
+        if cut <= 5 or self.rows is None:  # no coefficient, or no term map
             return False
-        _, row, width = _row_patterns(self.nvars)
         if self.chunks is None:
-            self.chunks = [_Memo(partial(_chunk_key, s))
-                           for s in range(0, self.nvars, width)]
-        cols = zip(*row.findall(text, pos, stop))
+            # at most 64 slices, of 8 exponents below 513 variables, keep
+            # sum() linear on a dense row; below 9 variables a second, empty
+            # slice makes itemgetter give a tuple
+            w = max(8, -(-n // 64))
+            starts = range(0, max(n, 9), w)
+            self.chunks = [_Memo(partial(_chunk_key, s)) for s in starts]
+            self.cuts = operator.itemgetter(*(slice(2 * s, 2 * (s + w)) for s in starts))
         try:
-            coefs = list(map(self.payloads.__getitem__, next(cols)))
-            keys = map(self.chunks[0].__getitem__, next(cols))
-            for memo, col in zip(self.chunks[1:], cols):
-                keys = map(operator.add, keys, map(memo.__getitem__, col))
-            run = dict(zip(keys, coefs))
-        except (FormatError, ValueError):  # a bad coefficient or chunk
+            coef = self.payloads[raw[5:cut]]
+            key = sum(map(dict.__getitem__, self.chunks, self.cuts(raw[cut:])), ())
+        except (FormatError, ValueError):  # a bad coefficient or exponent
             return False
-        if len(run) < len(coefs) or not terms.keys().isdisjoint(run):
+        if key in self.rows:
             return False
-        terms.update(run)
-        self.lineno += len(coefs)
+        self.rows[key] = coef
         return True
 
-    def read(self, text, statements, comments=(), rows=None):
-        """Handle the statements of text; rows is as for lines()."""
+    def read(self, text, statements, comments=()):
+        """Handle the statements of text."""
         notes = []
         try:
-            for parts, line in self.lines(text, notes, rows):
+            for parts, line in self.lines(text, notes):
                 key = parts[0]
                 handler = statements.get(key)
                 if key == "ring":
@@ -875,8 +827,8 @@ def parse_vars_line(parts, line):
 
 def read_term(reader, terms, parts, line):
     """Add a `term` line, read token by token, to terms, a map from keys
-    to payloads.  Runs of fixed-width rows are read by Reader.lines to
-    the same keys, through the same coefficient memo."""
+    to payloads.  Fixed-width rows are read by Reader._take to the same
+    keys, through the same coefficient memo."""
     n = reader.nvars
     if len(parts) != 2 + n:
         raise FormatError("term line needs %d exponents" % n)
@@ -967,9 +919,8 @@ def poly_to_text(poly):
 
 def poly_from_text(text):
     reader = Reader()
-    terms = {}
-    reader.read(text, {"term": partial(read_term, reader, terms)},
-                rows=lambda: terms)
+    terms = reader.rows = {}
+    reader.read(text, {"term": partial(read_term, reader, terms)})
     if reader.nvars is None:
         raise FormatError("polynomial file needs ring and vars lines")
     return SparsePoly._from_payloads(reader.ring, reader.nvars, terms, reader.names,

@@ -670,6 +670,11 @@ HOSTILE = [
     ({}, ["gap-params", "--epsilon", "0", "--delta", "0", "-m", "3",
           "--sigma", "100000", "--target-gap", "100000"],
      "the gap needs more than 246723 copies"),
+    # 3^10000000 is refused from the copy count, before it is built
+    ({"three.poly": "ring Z\nvars 1\nterm 1 2\nterm 1 1\nterm 1 0\n"},
+     ["amplify", "three.poly", "--copies", "10000000", "-o", "out.poly"],
+     "the term count of amplified polynomial has more than 4300 digits "
+     "(at least 10000001 bits)"),
 ]
 
 
@@ -697,6 +702,28 @@ def test_hostile_sizes_exit_4_within_seconds(tmp_path, capsys, files, argv,
     assert message in err
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert not (tmp_path / "out.poly").exists()
+
+
+@pytest.mark.parametrize("gap", ["1e30000000", "1e3", "0.1", "1/0"])
+def test_gap_params_reads_rationals_in_the_readers_grammar(capsys, gap):
+    # -?[0-9]+(/[0-9]+)? as in the files: Fraction() also reads exponent
+    # notation, and builds 10^30000000 in full
+    def expire(signum, frame):
+        raise TimeoutError("gap-params ran past its 3 s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["gap-params", "--epsilon", "0", "--delta", "0", "-m", "3",
+                  "--sigma", "5", "--target-gap", gap])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --target-gap: expected a rational like 1/10" in err
 
 
 def test_readme_names_every_option_and_only_those():

@@ -1,5 +1,6 @@
 """The file readers: line locations, the shared header rule, and fuzzing."""
 
+import signal
 import tempfile
 import time
 from pathlib import Path
@@ -12,7 +13,7 @@ from shiftforge.cli import main
 from shiftforge.hn_reduce import load_witness, witness_from_text
 from shiftforge.max3lin import load_max3lin
 from shiftforge.quadratizer import load_system
-from shiftforge.sparsepoly import Reader, load_poly
+from shiftforge.sparsepoly import Reader, _lines, load_poly
 
 LOADERS = (load_poly, load_max3lin, load_circuit, load_system, load_witness)
 
@@ -46,6 +47,8 @@ def test_a_wide_duplicate_term_gives_a_short_message(tmp_path, capsys):
     (load_circuit, "bad2.circ", "ring Z\nvars 1 x\nnode 0 input 0\n"
      "node 1 mul 0 5\noutput 1\n", 4),
     (load_circuit, "c.circ", "ring Z\nvars 2 a b\nnode 0 input 2\noutput 0\n", 3),
+    # lines end at "\n" alone, as undecodable bytes are numbered
+    (load_poly, "p.poly", "ring Z\nvars 1 x\x0c\nterm 1 q\n", 3),
 ])
 def test_format_error_names_file_and_line(tmp_path, loader, name, text, lineno):
     path = tmp_path / name
@@ -60,13 +63,14 @@ TERM_HEAD = "ring Z\nvars 3 x y z\n"
 
 
 @pytest.mark.parametrize("loader, name, body, want", [
-    # a row as the writer writes it; runs of 8 or more such rows are
-    # read in one pass (test_one_pass_rows_read_as_the_token_path)
+    # a row as the writer writes it, keyed without being split
+    # (test_one_pass_rows_read_as_the_token_path)
     (load_poly, "p.poly", "term 5 0 1 2\n", (0, 1, 2)),
     (load_system, "s.sys", "eq\nterm 5 0 1 2\n", (0, 1, 2)),
     # other blanks, a comment and other exponent spellings give the same
     # key as the token loop
     (load_poly, "p.poly", "term 5 0\t1 2\n", (0, 1, 2)),
+    (load_poly, "p.poly", "term 5 0\x0c1 2\n", (0, 1, 2)),
     (load_poly, "p.poly", "term\t5 0 1 2\n", (0, 1, 2)),
     (load_poly, "p.poly", "term 5 0  1 2\n", (0, 1, 2)),
     (load_poly, "p.poly", " term 5 0 1 2 \t\n", (0, 1, 2)),
@@ -87,6 +91,12 @@ TERM_HEAD = "ring Z\nvars 3 x y z\n"
      "duplicate exponent vector (0, 1, 2)"),
     (load_system, "s.sys", "eq\nterm 5 0 1 2\nterm 6 0 1 2\n",
      "duplicate exponent vector (0, 1, 2)"),
+    # a form feed ends no line, and a lone carriage return neither
+    (load_poly, "p.poly", "term 5 0 1 2\x0c\nterm 6 0 1 2\n",
+     "duplicate exponent vector (0, 1, 2)"),
+    (load_poly, "p.poly", "# a\x0cnote\nterm 5 q 1 2\n",
+     "bad integer 'q' in 'term 5 q 1 2'"),
+    (load_poly, "p.poly", "term 5 0 1 2\rterm 6 0 1 3\n", "term line needs 3 exponents"),
 ])
 def test_term_lines_read_the_same_by_position_and_by_token(tmp_path, loader, name,
                                                            body, want):
@@ -104,7 +114,7 @@ def test_term_lines_read_the_same_by_position_and_by_token(tmp_path, loader, nam
 
 
 def test_one_pass_rows_read_as_the_token_path(tmp_path):
-    """Runs of fixed-width rows, read in one pass, give the term maps, or
+    """Fixed-width rows, keyed without being split, give the term maps, or
     the error, file and line, that the token path alone gives: .poly
     files and .sys eq blocks of rows as term_lines writes them and rows
     one edit away, with zero coefficients, duplicates and bad tokens."""
@@ -137,8 +147,8 @@ def test_one_pass_rows_read_as_the_token_path(tmp_path):
 
     @st.composite
     def block(draw, n):
-        # distinct exponent rows, long enough for runs, and now and then
-        # one row again
+        # up to 20 distinct exponent rows, and now and then one row
+        # again
         size = draw(st.integers(0, 20 if n > 1 else 10))
         exps = draw(st.lists(st.lists(st.sampled_from("0123456789"), min_size=n,
                                       max_size=n).map(tuple),
@@ -193,15 +203,36 @@ def test_one_pass_rows_read_as_the_token_path(tmp_path):
             assert outcome(loader, path) == one_pass
 
     check()
-    # both ways of ending a run came up
+    # rows were both taken by _take and left to the token path
     assert True in taken and False in taken
+
+
+def test_a_short_block_of_fixed_width_rows_is_keyed_without_splitting(tmp_path):
+    # three rows, as hn-roundtrip's systems have: each is read by _take
+    text = "ring Z\nvars 2 x1 x2\neq\nterm -3 2 0\nterm -2 0 2\nterm 3 0 0\n"
+    path = tmp_path / "s.sys"
+    path.write_text(text)
+    taken = []
+    take = Reader._take
+
+    def counted(*args):
+        taken.append(take(*args))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Reader, "_take", counted)
+        one_pass = load_system(str(path))[1].equations
+        patch.setattr(Reader, "_take", lambda *args: False)
+        assert load_system(str(path))[1].equations == one_pass
+    assert taken == [True] * 3
+    assert one_pass[0].terms == {(2, 0): -3, (0, 2): -2, (0, 0): 3}
 
 
 @pytest.mark.parametrize("n, gap", [(9, 1), (9, 7), (17, 7), (17, 12)])
 def test_a_row_with_two_exponents_joined_is_read_by_token(tmp_path, n, gap):
     # positions gap and gap + 1 with no space between them, inside a
     # chunk of 8 positions or across two: the width of a fixed-width
-    # row, one exponent short, in a run of 12 rows
+    # row, one exponent short, among 12 fixed-width rows
     rows = ["term 1 %s\n" % " ".join("0" * (n - 2) + str(e)) for e in range(10, 22)]
     cut = 8 + 2 * gap
     assert rows[5][cut] == " "
@@ -213,10 +244,35 @@ def test_a_row_with_two_exponents_joined_is_read_by_token(tmp_path, n, gap):
     assert str(info.value) == "term line needs %d exponents (%s:8)" % (n, path)
 
 
+def test_a_dense_row_over_many_variables_reads_in_linear_time(tmp_path):
+    # 200,000 nonzero one-digit exponents: keyed in at most 64 slices,
+    # as the token path keys it, within a 3 s budget (slices of 8 join
+    # their keys in time quadratic in the row, about 30 s here)
+    n = 200000
+    path = tmp_path / "p.poly"
+    path.write_text("ring Z\nvars %d\nterm 1 %s\n" % (
+        n, " ".join(str(1 + p % 9) for p in range(n))))
+
+    def expire(signum, frame):
+        raise TimeoutError("a dense row ran past its 3 s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        one_pass = load_poly(str(path)).sparse_terms
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Reader, "_take", lambda *args: False)
+            assert load_poly(str(path)).sparse_terms == one_pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert list(one_pass) == [tuple(v for p in range(n) for v in (p, 1 + p % 9))]
+
+
 @pytest.mark.parametrize("between", ["", "# a comment\n", "term 7 9\t9 9 9\n"])
 def test_a_duplicate_in_a_later_run_names_its_line(tmp_path, between):
-    # 1040 distinct rows fill two runs of the most rows one pass takes;
-    # the last repeats the first, after a comment or a tab row or neither
+    # 1040 distinct fixed-width rows; the last repeats the first, after
+    # a comment or a tab row or neither
     rows = ["term 1 %s\n" % " ".join("%04d" % i) for i in range(1040)]
     text = "ring Z\nvars 4\n" + rows[0] + between + "".join(rows[1:]) + rows[0]
     path = tmp_path / "p.poly"
@@ -227,6 +283,15 @@ def test_a_duplicate_in_a_later_run_names_its_line(tmp_path, between):
         path, text.count("\n"))
     path.write_text(text[:-len(rows[0])])
     assert load_poly(str(path)).sparsity() == 1040 + between.startswith("term")
+
+
+@pytest.mark.parametrize("widths", [(8191, 0), (8192, 0, 5), (0, 9000, 0, 0),
+                                    (100, 8000, 91, 8193, 1)])
+def test_lines_across_blocks_are_those_of_splitlines(widths):
+    # _lines splits 8K characters at a time; a line may cross the 8K mark
+    text = "\n".join("x" * w for w in widths)
+    for t in (text, text + "\n", text + "\n\n"):
+        assert list(_lines(t)) == t.splitlines()
 
 
 def test_error_in_a_manifest_circuit_names_the_circuit_file(tmp_path):
