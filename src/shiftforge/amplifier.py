@@ -14,8 +14,7 @@ from fractions import Fraction
 from math import ceil, floor, inf, log, log1p
 
 from .errors import ArityError, CapExceededError, PreconditionError
-from .oracles import POWER_BITS
-from .rings import check_power_digits, decimal_text
+from .rings import POWER_BITS, check_power_digits, decimal_text
 from .sparsepoly import check_term_cap
 
 
@@ -92,9 +91,11 @@ def gap_alpha(epsilon, delta, m):
 
 def copies_for_gap(sigma, target):
     """Smallest d with (sigma/(sigma-1))^d >= target, estimated from
-    logarithms and confirmed with exact integer powers.  sigma = 1 admits
-    no amplification at all.  CapExceededError, before any power is
-    built, when d exceeds POWER_BITS // sigma.bit_length()."""
+    logarithms and confirmed by them, or with exact integer powers where
+    d * log(sigma/(sigma-1)) lies within their rounding error of
+    log(target).  sigma = 1 admits no amplification at all.
+    CapExceededError, before any power is built, when d exceeds
+    POWER_BITS // sigma.bit_length()."""
     if sigma < 2:
         raise PreconditionError("base count must be >= 2 to amplify a gap")
     target = Fraction(target)
@@ -102,18 +103,25 @@ def copies_for_gap(sigma, target):
         raise PreconditionError("target gap must exceed 1")
     p, q = target.numerator, target.denominator
     most = POWER_BITS // sigma.bit_length()
+    # both logarithms are accurate in double precision, so the walks
+    # below take a step or two; their rounding errors, a few units in
+    # the last place of the logarithms involved (and under 2^-1050 where
+    # a quotient underflows), stay far below a 2^-40 share of those
+    # logarithms plus 2^-1000
+    log_target = log(p) - log(q) if target > 2 else log1p((p - q) / q)
+    rate = log1p(1 / (sigma - 1))
+    slack = (log(p) + log(q)) * 2 ** -40 + 2 ** -1000
 
     def reaches(d):
         if d > most:
             raise CapExceededError(
                 "the gap needs more than %d copies, the most whose power "
                 "of the base count fits in %d bits" % (most, POWER_BITS))
+        gap = d * rate - log_target
+        if abs(gap) > slack + d * rate * 2 ** -40:
+            return gap > 0
         return q * sigma ** d >= p * (sigma - 1) ** d
 
-    # both logarithms are accurate in double precision, so the walks
-    # below take a step or two
-    log_target = log(p) - log(q) if target > 2 else log1p((p - q) / q)
-    rate = log1p(1 / (sigma - 1))
     d = max(1, ceil(min(log_target / rate if rate else inf, most + 1)))
     while 1 < d <= most and reaches(d - 1):
         d -= 1

@@ -18,8 +18,8 @@ is const plus a sum of c * a^key, for any degree:
   of forms multiplies out over those bits, with [p] * [p] = [p], into a
   weighted sum of ANDs of coordinate bits, and a slot, taken mod 2^W in
   two's-complement bit planes, where 2^W exceeds a bound on the slot's
-  magnitude over the box, is 0 exactly where all W planes are; its
-  planes are added column by column with full adders.  A box over Q
+  magnitude over the box, is 0 exactly where all W planes are; _add
+  sums its planes column by column with full adders.  A box over Q
   holds integers, and each slot is scaled by the lcm of its
   denominators, which keeps its zeros.
 - over any other Z_q a coordinate is its residue 0..q-1 in binary, as
@@ -37,10 +37,11 @@ MAX_WIDTH (_fits).  A wider slot set, and a rational grid, get no
 planes: each block is one point, every coordinate fixed, and the same
 evaluation runs on exact numbers.
 
-The "slot != 0" masks are summed into bit-sliced binary counter planes
-by a ripple-carry adder, and the counts are read from those planes.
-This is bitslicing (Biham, FSE 1997) and broadword computing (Knuth,
-TAOCP 4A, 7.1.3).
+_add is the one adder of weighted planes; _below reads a sign from it.
+Only the "slot != 0" masks go to a ripple-carry counter, whose binary
+planes, about log2 of the slot count, hold the counts: one _add over
+every mask would hold one plane per slot.  This is bitslicing (Biham,
+FSE 1997) and broadword computing (Knuth, TAOCP 4A, 7.1.3).
 
 A plane has at most PLANE_BITS bits: the lowest free coordinates get
 planes, and the higher ones are fixed for one block and enter as
@@ -140,23 +141,58 @@ def box_planes(lo, hi, digits):
     return tuple(out)
 
 
+def _add(full, const, terms, width=None):
+    """The bits of const + sum of k * [p] over the (k, p) terms, mod
+    2^width, least significant first, for planes p within the mask
+    full: the one adder of this module.  Each column of planes is added
+    with full adders, whose carries go to the next column.  The default
+    width is the bit length of |const| + sum of |k|, so the sum is 0
+    exactly where all its bits are; one bit more holds its sign."""
+    if width is None:
+        width = (abs(const) + sum(abs(k) for k, _ in terms)).bit_length()
+    mask = (1 << width) - 1
+    columns = [[] for _ in range(width)]
+    for k, p in terms:
+        if k < 0:
+            # k * [p] = -k * [not p] + k
+            k, p = -k, full ^ p
+            const -= k
+        k &= mask
+        while k:
+            low = k & -k
+            columns[low.bit_length() - 1].append(p)
+            k ^= low
+    const &= mask
+    while const:
+        low = const & -const
+        columns[low.bit_length() - 1].append(full)
+        const ^= low
+    out = []
+    for b in range(width):
+        column = columns[b]
+        if b + 1 == width:
+            # the carries of the last column fall outside mod 2^width
+            out.append(reduce(operator.xor, column, 0))
+            break
+        carries = columns[b + 1]
+        while len(column) > 1:
+            x, y = column.pop(), column.pop()
+            z = column.pop() if column else 0
+            s = x ^ y
+            column.append(s ^ z)
+            carries.append(x & y | s & z)
+        out.append(column[0] if column else 0)
+    return out
+
+
 def _below(value, bound, points):
     """The mask of the points where the unsigned bit planes `value` hold
-    less than the int `bound`, one bit at a time from the top: below
-    holds the points already known to be smaller, equal those that match
-    bound on every bit read so far."""
-    if bound <= 0:
-        return 0
-    if bound >> len(value):
-        return points
-    below, equal = 0, points
-    for b in reversed(range(len(value))):
-        if bound >> b & 1:
-            below |= equal & ~value[b]
-            equal &= value[b]
-        else:
-            equal &= ~value[b]
-    return below
+    less than the int `bound`: the sign plane of value - bound, summed
+    by _add at a width that holds its sign.  Off `points` the sum is the
+    value, which is not negative."""
+    width = (abs(bound) + (1 << len(value))).bit_length() + 1
+    return _add(points, -bound, [(1 << b, p) for b, p in enumerate(value)],
+                width)[-1]
 
 
 # one entry is the bits of the sum of the planed offsets, at most
@@ -168,9 +204,9 @@ def box_sum(lo, hi, digits):
     """The sum S of the offsets from lo of the coordinates of
     box_planes(lo, hi, digits), as unsigned bit planes, least significant
     first.  Built once per (lo, hi, digits), as a tuple."""
-    box = _Box(lo, hi, (1 << (hi - lo + 1) ** digits) - 1)
-    return tuple(box.bits(0, [(k, p) for _, bits in box_planes(lo, hi, digits)
-                              for k, p in bits]))
+    full = (1 << (hi - lo + 1) ** digits) - 1
+    return tuple(_add(full, 0, [(k, p) for _, bits in box_planes(lo, hi, digits)
+                                for k, p in bits]))
 
 
 # one entry is (hi - lo).bit_length() planes and a mask of at most
@@ -181,47 +217,37 @@ def box_sum(lo, hi, digits):
 def box_forced(lo, hi, digits, const, modulus=None):
     """Coordinate 0 of a zero-sum block over the box lo..hi whose planed
     coordinates are those of box_planes(lo, hi, digits) and whose fixed
-    free coordinates sum to -const: x0 = const minus the sum of the
-    planed ones, that is c - S with c = const - digits * lo and S from
-    box_sum, and the mask of the points where it lies in the domain,
-    where c - hi <= S <= c - lo.  In the box, x0 - lo is its offset from
-    lo, so x0 is held as (lo, bits), whose bits are exact on that mask;
-    with no planed coordinate bits it is an int, and the mask is full or
-    0.
+    free coordinates sum to -const, and the mask of the points where it
+    lies in the domain.  With c = const - digits * lo and S from
+    box_sum, x0 = c - S, which lies in the box where c - hi <= S <=
+    c - lo: two _below masks.
 
     Over Z_q, (lo, hi) is (0, q - 1), const is reduced, and x0 is taken
     mod q: x0 = c + j*q - S for the one j in 0..digits that puts it in
-    0..q-1, so it is the disjoint union over j of the in-box parts of
-    c + j*q - S, and every point is in the domain.  That j is digits
-    less the number of bounds c + i*q, i < digits, that S does not
-    exceed, so x0 is one bit-sliced sum."""
+    0..q-1, and every point is in the domain.  That j is digits less the
+    number of bounds c + i*q, i < digits, that S does not exceed, each a
+    _below mask.
+
+    Either way x0 - lo, its offset from lo, is one _add over the planes
+    of S and those masks, cut to the bits of hi - lo, and x0 is held as
+    (lo, bits), whose bits are exact on the mask; with no planed
+    coordinate bits it is an int, and the mask is full or 0."""
     full = (1 << (hi - lo + 1) ** digits) - 1
     const -= digits * lo
     if not digits or lo == hi:
         return const, full if lo <= const <= hi else 0
     planed = box_sum(lo, hi, digits)
-    nbits = (hi - lo).bit_length()
+    terms = [(-1 << b, p) for b, p in enumerate(planed)]
+    inside = full
     if modulus is None:
         inside = (_below(planed, const - lo + 1, full)
                   & ~_below(planed, const - hi, full))
-        # the low bits of const - lo - S: const - lo + ~S + 1, rippled
-        up = []
-        carry = full
-        for b in range(nbits):
-            x = full ^ planed[b] if b < len(planed) else full
-            if const - lo >> b & 1:
-                up.append(full ^ x ^ carry)
-                carry |= x
-            else:
-                up.append(x ^ carry)
-                carry &= x
     else:
-        terms = [(-1 << b, p) for b, p in enumerate(planed)]
         terms += [(-modulus, _below(planed, const + i * modulus + 1, full))
                   for i in range(digits)]
-        up = _Box(lo, hi, full).bits(const + digits * modulus, terms)
-        inside = full
-    return (lo, tuple((1 << b, p) for b, p in enumerate(up[:nbits]))), inside
+        const += digits * modulus
+    bits = _add(full, const - lo, terms, (hi - lo).bit_length())
+    return (lo, tuple((1 << b, p) for b, p in enumerate(bits))), inside
 
 
 def _apply(f, x, y, q):
@@ -288,8 +314,8 @@ class _Box:
     bits lists (2^b, plane of bit b) for its offset from lo: the form
     o + sum of k * [p] with o = lo.  A product of coordinates multiplies
     their forms out, so a slot is a weighted sum of planes, const + sum
-    of k * [p], whose planes are ANDs of coordinate bits; its bits come
-    from adding each column of planes with full adders.
+    of k * [p], whose planes are ANDs of coordinate bits; _add gives
+    its bits.
 
     A fixed coordinate enters a monomial as its powers, built once per
     block up the ladder of the slots to evaluate: for each position, the
@@ -383,7 +409,7 @@ class _Box:
             if q is not None:
                 const %= q
                 out = [(k % q, p) for k, p in out if k % q]
-            yield self.bits(const, out) if out else const
+            yield _add(self.full, const, out, self.cap) if out else const
 
     def _monomial(self, products, form, plane, key):
         """a^key as a varying coordinate is held, (const, [(k, plane)]),
@@ -410,48 +436,6 @@ class _Box:
         return (scale * x.get(0, 0),
                 [(scale * k, plane(m)) for m, k in x.items() if m])
 
-    def bits(self, const, terms):
-        """The bits of const + sum of k * [p] over the (k, p) terms, mod
-        2^W, where 2^W exceeds the magnitude of that sum at every point;
-        W is s over Z_q with q = 2^s, where only the sum mod q matters."""
-        if self.cap is not None:
-            width = self.cap
-        else:
-            width = (abs(const) + sum(abs(k) for k, _ in terms)).bit_length()
-        mask = (1 << width) - 1
-        columns = [[] for _ in range(width)]
-        for k, p in terms:
-            if k < 0:
-                # k * [p] = -k * [not p] + k
-                k, p = -k, self.full ^ p
-                const -= k
-            k &= mask
-            while k:
-                low = k & -k
-                columns[low.bit_length() - 1].append(p)
-                k ^= low
-        const &= mask
-        while const:
-            low = const & -const
-            columns[low.bit_length() - 1].append(self.full)
-            const ^= low
-        out = []
-        for b in range(width):
-            column = columns[b]
-            if b + 1 == width:
-                # the carries of the last column fall outside mod 2^W
-                out.append(reduce(operator.xor, column, 0))
-                break
-            carries = columns[b + 1]
-            while len(column) > 1:
-                x, y = column.pop(), column.pop()
-                z = column.pop() if column else 0
-                s = x ^ y
-                column.append(s ^ z)
-                carries.append(x & y | s & z)
-            out.append(column[0] if column else 0)
-        return out
-
     def nonzero(self, value):
         q = self.modulus
         if q is None or self.cap is not None:
@@ -463,7 +447,7 @@ class _Box:
             folded = sum(k for k, _ in terms)
             if folded >= bound:
                 break
-            value, bound = self.bits(0, terms), folded
+            value, bound = _add(self.full, 0, terms), folded
         zero = 0
         for j in range(0, bound + 1, q):
             zero |= reduce(operator.and_, (p if j >> b & 1 else self.full ^ p

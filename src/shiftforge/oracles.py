@@ -33,22 +33,19 @@ from .hn_reduce import (
 )
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_payloads, check_solution, extend_solution
-from .rings import RATIONALS, RingElement, decimal_text
+from .rings import POWER_BITS, RATIONALS, RingElement, decimal_text
 from .sparsepoly import (
     eval_payload,
     format_vector,
-    pairs,
     shifted_term_map,
     slot_table,
 )
 
 DEFAULT_ENUM_CAP = 10 ** 7
-# the most bits that one power in an exact evaluation over Z or Q may
-# take (512 KiB); 3^(10^6), about 1.6 million bits, takes 0.14 s to build
-POWER_BITS = 1 << 22
-# the expansions behind every oracle are bounded the same way, in bits,
-# by sparsepoly.ROW_BITS: each row of binomials is checked before it is
-# built
+# the expansions behind every oracle are bounded in bits by
+# sparsepoly.ROW_BITS, each row of binomials before it is built, and
+# the exact evaluations of the searches over Z or Q by rings.POWER_BITS
+# (_check_powers)
 
 EXHAUSTIVE = "exhaustive"
 BOX = "box"
@@ -176,6 +173,26 @@ def _at(values, free, k, restriction, ring, rank):
     return vec
 
 
+def _check_powers(ring, values, slots):
+    """Refuse, before the first block over Z or Q, slots whose exact
+    evaluation at one point may build powers of more than POWER_BITS
+    bits in all: a fixed coordinate enters each a^key as its powers, of
+    at most the key's degree times the bits of the largest |numerator|
+    times the largest denominator of values, or none where that is at
+    most 1.  Finite rings reduce as they go."""
+    if ring.is_finite:
+        return
+    top = (max(abs(v.numerator) for v in values)
+           * max(v.denominator for v in values))
+    keys = {key for _, terms in slots for _, key in terms}
+    worst = (top.bit_length() if top > 1 else 0) * sum(
+        sum(key[1::2]) for key in keys)
+    if worst > POWER_BITS:
+        raise CapExceededError(
+            "evaluation may build a power of %s bits, the limit is %d"
+            % (decimal_text(worst, "the power's bit count"), POWER_BITS))
+
+
 def _least_key(dom, ring, k, make_slots):
     """The least (count, vector) key over the domain and its number of
     points, where the count at a point is the number of nonzero slots
@@ -186,6 +203,7 @@ def _least_key(dom, ring, k, make_slots):
     zero_sum = dom.restriction == ZERO_SUM
     moving = [0] + free if zero_sum and free else free
     fixed, slots = make_slots(moving if any(values) else [])
+    _check_powers(ring, values, slots)
     found = sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum)
     if found is None:
         return None, 0
@@ -219,27 +237,6 @@ def search_min_sparsity(poly, dom, metric="total"):
     return SearchReport(best[0], witness, points, dom.mode == EXHAUSTIVE)
 
 
-def _check_powers(system, dom):
-    """Refuse, before any point is evaluated, a system over Z or Q whose
-    evaluation may build a power of more than POWER_BITS bits: a term
-    holds at most e times the bits of the largest |numerator| times the
-    largest denominator of the domain, summed over its pairs (p, e).
-    Finite rings reduce as they go."""
-    ring = system.ring
-    if ring.is_finite:
-        return
-    values = dom.values(ring)
-    bits = (max(abs(v.numerator) for v in values)
-            * max(v.denominator for v in values)).bit_length()
-    worst = max((sum(e for _, e in pairs(key)) * bits
-                 for eq in system.equations for key in eq.sparse_terms),
-                default=0)
-    if worst > POWER_BITS:
-        raise CapExceededError(
-            "evaluation may build a power of %s bits, the limit is %d"
-            % (decimal_text(worst, "the power's bit count"), POWER_BITS))
-
-
 def solve_system(system, dom):
     """Lexicographically least solution over the domain, or None.
 
@@ -247,7 +244,6 @@ def solve_system(system, dom):
     a point with no nonzero slot, and the least key of _least_key is the
     least solution when its count is 0.  The solution is evaluated once
     more and certified."""
-    _check_powers(system, dom)
     ring = system.ring
     zero = ring.canon(0)
     slots = [(eq.sparse_terms.get((), zero),
@@ -352,11 +348,7 @@ def verify_hn_roundtrip(source, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
     """
     result = reduce_hn(source)
     if isinstance(result, TriviallySolvable):
-        full = (
-            extend_solution(result.recipe, result.certificate)
-            if result.recipe is not None
-            else result.certificate
-        )
+        full = extend_solution(result.recipe, result.certificate)
         ok = check_solution(result.system, full)
         return RoundtripReport(
             trivial=True, certificate=result.certificate, certificate_ok=ok

@@ -38,6 +38,9 @@ PRIME_MODULUS_BOUND = 3317044064679887385961981
 # limit is missing (Python 3.10.0 to 3.10.6)
 MAX_DIGITS = 4300
 _TOO_LONG = 10 ** MAX_DIGITS
+# the most bits of the exact powers one evaluation over Z or Q may build
+# (512 KiB); 3^(10^6), about 1.6 million bits, takes 0.14 s to build
+POWER_BITS = 1 << 22
 
 
 def _is_prime(n):

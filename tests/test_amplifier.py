@@ -193,6 +193,22 @@ def test_copies_for_gap_matches_the_rational_loop_at_every_tie():
                     assert copies_for_gap(sigma, target) == reference(sigma, target)
 
 
+def test_copies_for_gap_agrees_with_exact_powers_off_the_ties():
+    # away from a tie the logarithms settle d; the least d whose exact
+    # powers reach the target is the reference
+    rng = random.Random(53)
+    for _ in range(300):
+        sigma = rng.randint(2, 60)
+        target = Fraction(rng.randint(2, 10 ** 6), rng.randint(1, 10 ** 4))
+        if target <= 1:
+            continue
+        d = 1
+        while sigma ** d * target.denominator < (
+                target.numerator * (sigma - 1) ** d):
+            d += 1
+        assert copies_for_gap(sigma, target) == d
+
+
 def test_copies_for_gap_refuses_before_building_a_huge_power():
     # about 1.15 million copies; the most whose power fits is 246,723
     start = time.process_time()

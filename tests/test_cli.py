@@ -675,6 +675,14 @@ HOSTILE = [
      ["amplify", "three.poly", "--copies", "10000000", "-o", "out.poly"],
      "the term count of amplified polynomial has more than 4300 digits "
      "(at least 10000001 bits)"),
+    # d = 239,789 copies, found with no 4-million-bit power of sigma
+    ({}, ["gap-params", "--epsilon", "0", "--delta", "0", "-m", "3",
+          "--sigma", "100000", "--target-gap", "11"],
+     "t_yes = 10^239789 has more than 4300 digits"),
+    # one block over the box would build a^e for every e up to 20000
+    ({"x20000.poly": "ring Z\nvars 1\nterm 1 20000\nterm -1 0\n"},
+     ["search-shift", "x20000.poly", "--box", "3"],
+     "evaluation may build a power of 400020000 bits, the limit is 4194304"),
 ]
 
 
@@ -702,6 +710,32 @@ def test_hostile_sizes_exit_4_within_seconds(tmp_path, capsys, files, argv,
     assert message in err
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert not (tmp_path / "out.poly").exists()
+
+
+def test_gap_params_refuses_an_unprintable_t_yes_at_once(capsys):
+    # t_yes = 10^d with more than 4300 digits: the logarithms settle d
+    # = 239,789, so no power of sigma of 4 million bits confirms it
+    argv = ["gap-params", "--epsilon", "0", "--delta", "0", "-m", "3",
+            "--sigma", "100000", "--target-gap", "11"]
+    start = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (4, "")
+    assert err == ("cap exceeded: t_yes = 10^239789 has more than 4300 "
+                   "digits (at least 719368 bits)\n")
+
+
+def test_search_over_a_box_bounds_the_powers_of_a_block(tmp_path, capsys):
+    # x^20000 - 1: each block builds a^e for e up to 20000, which stay
+    # one bit over --box 1, and take 2 bits times e over --box 2 or 3
+    src = tmp_path / "x20000.poly"
+    src.write_text("ring Z\nvars 1\nterm 1 20000\nterm -1 0\n")
+    assert run(capsys, "search-shift", str(src), "--box", "1") == (
+        0, "min_sparsity 2\nwitness 0\npoints 3\ncomplete false\n", "")
+    for box in ("2", "3"):
+        assert run(capsys, "search-shift", str(src), "--box", box) == (
+            4, "", "cap exceeded: evaluation may build a power of 400020000 "
+            "bits, the limit is 4194304\n")
 
 
 @pytest.mark.parametrize("gap", ["1e30000000", "1e3", "0.1", "1/0"])

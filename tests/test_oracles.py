@@ -1171,7 +1171,7 @@ def test_box_planes_take_log_operations_per_plane():
 
 def test_box_forced_matches_every_rank():
     """The forced coordinate, const minus the sum of the planed ones,
-    and its in-box mask, against every rank."""
+    and its in-box mask, against every rank, over a box and over Z_q."""
     lo, hi, digits = -1, 2, 2
     for const in (-3, 0, 2, 7):
         (base, bits), inside = bitslice.box_forced(lo, hi, digits, const)
@@ -1185,6 +1185,69 @@ def test_box_forced_matches_every_rank():
     assert bitslice.box_forced(lo, hi, 0, 2) == (2, 1)
     assert bitslice.box_forced(lo, hi, 0, 3) == (3, 0)
     assert bitslice.box_forced(0, 0, 3, 0) == (0, 1)
+    # over Z_q, x0 is const minus the sum, reduced into 0..q-1, at every
+    # point
+    for q in (3, 7, 8):
+        for digits in (1, 2, 3):
+            for const in range(q):
+                (base, bits), inside = bitslice.box_forced(0, q - 1, digits,
+                                                           const, q)
+                assert base == 0 and inside == (1 << q ** digits) - 1
+                for rank, combo in enumerate(itertools.product(range(q),
+                                                               repeat=digits)):
+                    x0 = sum(k for k, p in bits if p >> rank & 1)
+                    assert 0 <= x0 < q and (x0 - const + sum(combo)) % q == 0
+
+
+def test_add_matches_integer_arithmetic_at_every_point():
+    """_add against the integer sum at every point of planes of up to
+    64 points: weights and a constant of either sign, at the default
+    width (exact mod 2^W, 0 only where the sum is, and the sign one bit
+    above) and at s bits (mod 2^s)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    terms = st.lists(st.tuples(st.integers(-40, 40),
+                               st.integers(0, (1 << 64) - 1)), max_size=8)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 64), st.integers(-300, 300), terms,
+                      st.one_of(st.none(), st.integers(0, 12)))
+    def check(n, const, terms, width):
+        full = (1 << n) - 1
+        terms = [(k, p & full) for k, p in terms]
+        bits = bitslice._add(full, const, terms, width)
+        if width is None:
+            signs = bitslice._add(full, const, terms, len(bits) + 1)[-1]
+        else:
+            assert len(bits) == width
+        assert all(not p & ~full for p in bits)
+        for r in range(n):
+            value = const + sum(k for k, p in terms if p >> r & 1)
+            got = sum(1 << b for b, p in enumerate(bits) if p >> r & 1)
+            assert got == value % (1 << len(bits))
+            if width is None:
+                assert (got == 0) == (value == 0)
+                assert signs >> r & 1 == (value < 0)
+
+    check()
+
+
+def test_below_matches_integer_comparison_at_every_point():
+    """_below against value < bound at every point of a points mask
+    narrower than full, whose value planes also hold points off it, for
+    every bound from -2 to 2^len + 2."""
+    rng = random.Random(241)
+    n = 48
+    for length in range(5):
+        for _ in range(3):
+            value = [rng.getrandbits(n) for _ in range(length)]
+            points = rng.getrandbits(n)
+            for bound in range(-2, (1 << length) + 3):
+                got = bitslice._below(value, bound, points)
+                for r in range(n):
+                    v = sum(1 << b for b, p in enumerate(value) if p >> r & 1)
+                    want = points >> r & 1 == 1 and v < bound
+                    assert (got >> r & 1 == 1) == want
 
 
 def test_box_sum_is_built_once_per_shape():
