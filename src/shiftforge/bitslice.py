@@ -8,11 +8,14 @@ do the rows of a Max-3-Lin system and the equations of a system, each a
 slot, and from them the count of unsatisfied rows or equations.  A slot
 is const plus a sum of c * a^key, for any degree:
 
-- over Z_q with q = 3 or 5 (odd and at most MAX_MODULUS) a coordinate,
-  and a slot, is q one-hot planes: plane v has the bits of the points
-  where the value is v.  Adding or multiplying two such values costs
-  q^2 AND/OR operations on whole planes, and a factor a_i^e one
-  relabelling of the planes of a_i.
+- over Z_2 and Z_3 a coordinate, and a slot, is q - 1 field planes:
+  plane v - 1 has the bits of the points where the value is v.  An add
+  is one XOR over GF(2) and six operations over GF(3), a product one
+  AND or six operations, and "slot != 0" is the OR of the planes.
+- over Z_5 (the other odd q at most MAX_MODULUS) it is q one-hot
+  planes, plane v for the value v.  Adding or multiplying two such
+  values costs q^2 AND/OR operations on whole planes, and a factor
+  a_i^e one relabelling of the planes of a_i.
 - over an integer box a coordinate is its offset from the box's low end
   in binary, one plane per bit: the form o + sum of k * [p].  A product
   of forms multiplies out over those bits, with [p] * [p] = [p], into a
@@ -48,8 +51,9 @@ planes, and the higher ones are fixed for one block and enter as
 constants, so memory stays bounded whatever the size of the domain.
 
 What depends only on the shape of a block is built once and cached: the
-coordinate planes (class_planes one-hot, box_planes in binary, each in
-O(log) big-int operations per plane) and, under zero_sum, the sum S of
+coordinate planes (class_planes one-hot, and without plane 0 as field
+planes, box_planes in binary, each in O(log) big-int operations per
+plane) and, under zero_sum, the sum S of
 the planed coordinates (box_sum), from which box_forced derives the
 forced coordinate and its in-domain mask for each sum of the fixed
 ones, keeping the last two.  Under zero_sum, coordinate 0 and the free
@@ -70,13 +74,15 @@ from math import comb, lcm
 from .rings import RATIONALS
 from .sparsepoly import pairs
 
-# odd moduli up to this get one-hot planes (q^2 operations per term);
-# larger ones and every power of two binary residues (a fold per slot,
-# none for q = 2^s).  Measured on a 2-CPU VM with verify_max3lin
-# (n = 3..7) and degree-2 searches of 10^4..10^6 points: one-hot wins or
-# ties at q = 3 and 5, binary from q = 6 on (F7: 1.9 against 2.8 ms per
-# verify and 19 against 28 ms per search), and at q = 2^s once the adder
-# stops at bit s (Z4 n = 5: 5-6.5 against 16.5 ms per verify)
+# q = 2 and 3 get field planes; the other odd moduli up to this one-hot
+# planes (q^2 operations per term); larger ones and the other powers of
+# two binary residues (a fold per slot, none for q = 2^s).  Per
+# verify_max3lin on a 2-CPU VM: field planes take 0.25 against 0.35 ms
+# for binary F2 (n = 7) and 0.36 against 0.51 ms for one-hot F3 (n = 5);
+# F5 without its zero plane, derived again for every operation, 88
+# against 69 ms (n = 5); binary wins from q = 6 on (F7: 1.9 against 2.8
+# ms per verify, 19 against 28 ms per search) and at q = 2^s once the
+# adder stops at bit s (Z4 n = 5: 5-6.5 against 16.5 ms per verify)
 MAX_MODULUS = 5
 # bits of one plane (128 KiB)
 PLANE_BITS = 1 << 20
@@ -285,9 +291,8 @@ class _Residues:
     def values(self, coords, slots):
         """The value of every slot at the coordinates coords, in order:
         a payload where it is the same at every point, else its classes.
-        The value of each a^key is built once per block, one _apply per
+        The value of each a^key is built once per block, one _factor per
         factor."""
-        q = self.modulus
         products = {(pos, 1): x for pos, x in enumerate(coords)}
         for const, terms in slots:
             value = const
@@ -296,14 +301,76 @@ class _Residues:
                 if x is None:
                     x = 1
                     for p, e in pairs(key):
-                        x = _apply(lambda u, w: u * pow(w, e, q), x,
-                                   coords[p], q)
+                        x = self._factor(x, coords[p], e)
                     products[key] = x
-                value = _apply(lambda u, w: u + c * w, value, x, q)
+                value = self._term(value, c, x)
             yield value
+
+    # x * y^e and value + c * x, each one _apply
+    def _factor(self, x, y, e):
+        q = self.modulus
+        return _apply(lambda u, w: u * pow(w, e, q), x, y, q)
+
+    def _term(self, value, c, x):
+        return _apply(lambda u, w: u + c * w, value, x, self.modulus)
 
     def nonzero(self, value):
         return self.full ^ value[0]
+
+
+class _Field(_Residues):
+    """Values over Z_2 or Z_3 as q - 1 planes, plane v - 1 marking the
+    points where the value is v: over GF(2) an add is an XOR and a
+    product an AND; over GF(3) an add takes six operations, a doubling
+    swaps the planes, and an even power is 1 where its base is nonzero
+    (Boothby and Bradshaw, 2009)."""
+
+    def coordinates(self, digits):
+        return [list(p[1:]) for p in class_planes(self.modulus, digits)]
+
+    def lift(self, value):
+        return value if isinstance(value, int) else super().lift(value)[1:]
+
+    def _factor(self, x, y, e):
+        if isinstance(y, int):
+            y = pow(y, e, self.modulus)
+        elif not e & 1 and self.modulus == 3:
+            y = [y[0] | y[1], 0]
+        return self._times(x, y)
+
+    def _term(self, value, c, x):
+        return self._plus(value, x if c == 1 else self._times(c, x))
+
+    def _times(self, x, y):
+        if isinstance(x, int):
+            x, y = y, x
+        if isinstance(x, int):
+            return x * y % self.modulus
+        if isinstance(y, int):
+            return (0, x, x[::-1])[y % self.modulus]
+        if self.modulus == 2:
+            return [x[0] & y[0]]
+        (a1, a2), (b1, b2) = x, y
+        return [a1 & b1 | a2 & b2, a1 & b2 | a2 & b1]
+
+    def _plus(self, x, y):
+        if isinstance(x, int):
+            x, y = y, x
+        if isinstance(x, int):
+            return (x + y) % self.modulus
+        if isinstance(y, int):
+            # adding c moves every value up by c, through 0
+            c = y % self.modulus
+            zero = self.full ^ reduce(operator.or_, x) if c else 0
+            return (x, [zero] + x[:-1], x[1:] + [zero])[c]
+        if self.modulus == 2:
+            return [x[0] ^ y[0]]
+        (a1, a2), (b1, b2) = x, y
+        t = (a1 | b2) ^ (a2 | b1)
+        return [(a2 | b2) ^ t, (a1 | b1) ^ t]
+
+    def nonzero(self, value):
+        return reduce(operator.or_, value)
 
 
 class _Box:
@@ -507,16 +574,22 @@ def _integral(slot):
     return int(const * m), [(int(c * m), key) for c, key in terms]
 
 
+def _layout(q):
+    """The arithmetic of values over Z_q other than _Box, or None."""
+    if q is not None and q <= MAX_MODULUS and (q & 1 or q == 2):
+        return _Field if q <= 3 else _Residues
+
+
 def _fits(ring, values, slots):
-    """Whether _blocks gives the slots planes: always in one-hot ones,
-    and in binary ones over a run of consecutive integers (not a
+    """Whether _blocks gives the slots planes: always in field and one-hot
+    ones, and in binary ones over a run of consecutive integers (not a
     rational grid) while their width bound is at most MAX_WIDTH.  The
     bound comes before any plane is built: the planes that the monomials
     a^key may need, ANDs of at most e of the bits of a_p for each factor
     a_p^e (and the empty one where a coordinate's form has a constant),
     times the bits that their values may take."""
     q = ring.modulus
-    if q is not None and q <= MAX_MODULUS and q & q - 1:
+    if _layout(q):
         return True
     lo, hi = values[0], values[-1]
     if not all(isinstance(v, int) for v in values) or hi - lo >= len(values):
@@ -582,10 +655,9 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     high = free[:len(free) - sliced]
     width = nv ** sliced
     full = (1 << width) - 1
-    if q is not None and q <= MAX_MODULUS and q & q - 1:
-        arith = _Residues(q, full)
-    else:
-        arith = _Box(values[0], values[-1], full, q, slots)
+    layout = _layout(q)
+    arith = (layout(q, full) if layout
+             else _Box(values[0], values[-1], full, q, slots))
     planes = arith.coordinates(sliced) if sliced else ()
     members = set(values)
     lead = 0

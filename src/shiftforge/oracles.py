@@ -372,13 +372,10 @@ def verify_hn_roundtrip(source, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
     solution_points = 0
     for combo in product(values, repeat=inst.n_inputs):
         solution_points += 1
-        vals = recipe.extend_payloads(combo) if recipe else combo
-        if not check_payloads(inst.system, vals):
+        if not check_payloads(inst.system, recipe.extend_payloads(combo)):
             continue
         solutions += 1
-        full = tuple(RingElement(ring, v) for v in combo)
-        if recipe:
-            full = extend_solution(recipe, full)
+        full = extend_solution(recipe, [RingElement(ring, v) for v in combo])
         b = solution_to_shift(inst, full)
         drop = sigma - count_at(ring, fixed, slots, [v.val for v in b])
         if drop != 1:

@@ -543,9 +543,6 @@ class SparsePoly:
         if _ends_before(mine, theirs):
             out = {k1 + k2: c1 * c2 for k1, c1 in mine.items()
                    for k2, c2 in theirs.items()}
-        elif _ends_before(theirs, mine):
-            out = {k2 + k1: c1 * c2 for k1, c1 in mine.items()
-                   for k2, c2 in theirs.items()}
         else:
             out = self._product(mine, theirs)
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)

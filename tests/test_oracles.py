@@ -823,7 +823,7 @@ def reference_roundtrip(inst, box):
     points = list(itertools.product(values, repeat=inst.n_inputs))
     for combo in points:
         ax = tuple(ZZ.el(v) for v in combo)
-        full = extend_solution(inst.recipe, ax) if inst.recipe else ax
+        full = extend_solution(inst.recipe, ax)
         if not check_solution(inst.system, full):
             continue
         solutions += 1
@@ -851,8 +851,17 @@ def reference_roundtrip(inst, box):
         shift_points=len(shifts), violations=violations)
 
 
+def roundtrip_sources():
+    """payload_sources with the system that has no recipe reduced by
+    reduce_hn instead, which always gives one, as verify_hn_roundtrip
+    requires."""
+    sources = payload_sources()
+    S = sources[-1][0]
+    return sources[:-1] + [(S, reduce_hn(S))]
+
+
 def roundtrip_of(monkeypatch, inst, box):
-    """verify_hn_roundtrip on an instance as given, recipe or none."""
+    """verify_hn_roundtrip on an instance as given."""
     monkeypatch.setattr(oracles, "reduce_hn", lambda source, gamma=None: inst)
     return verify_hn_roundtrip(inst.system, box=box)
 
@@ -861,7 +870,7 @@ def test_roundtrip_matches_reference_walk(monkeypatch):
     """The report and violations of verify_hn_roundtrip equal those of a
     walk on ring elements, at box 1 and, up to 3 system variables, box 2."""
     found = 0
-    for _, inst in payload_sources():
+    for _, inst in roundtrip_sources():
         for box in (1, 2) if inst.nsys <= 3 else (1,):
             report = roundtrip_of(monkeypatch, inst, box)
             want = reference_roundtrip(inst, box)
@@ -874,7 +883,7 @@ def test_roundtrip_matches_reference_walk(monkeypatch):
 def test_roundtrip_payload_core_is_what_direction_1_runs(monkeypatch):
     """A payload core one off in the last auxiliary makes every
     instance with a solution in the box report otherwise."""
-    sources = payload_sources()
+    sources = roundtrip_sources()
     before = [roundtrip_of(monkeypatch, inst, 1) for _, inst in sources]
     real = ExtensionRecipe.extend_payloads
 
@@ -886,7 +895,7 @@ def test_roundtrip_payload_core_is_what_direction_1_runs(monkeypatch):
     changed = 0
     for (_, inst), old in zip(sources, before):
         new = roundtrip_of(monkeypatch, inst, 1)
-        if old.solutions and inst.recipe is not None:
+        if old.solutions:
             assert (new.lines(), new.violations) != (old.lines(), old.violations)
             changed += 1
     assert changed >= 5
@@ -1250,6 +1259,144 @@ def test_below_matches_integer_comparison_at_every_point():
                     assert (got >> r & 1 == 1) == want
 
 
+def field_mismatches(q):
+    """The entries of _Field's exhaustive two-operand tables over Z_q
+    that differ from the integers mod q, as (table, u, w): add, multiply,
+    scaling and adding a payload c, c * x added to y, and powers e <= 4
+    times y, with the operands u and w as planes over the q * q points
+    (u, w), and every entry with both as payloads."""
+    points = list(itertools.product(range(q), repeat=2))
+    field = bitslice._Field(q, (1 << len(points)) - 1)
+    x, y = [[sum(1 << r for r, point in enumerate(points) if point[i] == v)
+             for v in range(1, q)] for i in (0, 1)]
+
+    def at(value, r):
+        # a payload holds every point; None where two planes hold one
+        if isinstance(value, int):
+            return value
+        held = [v for v, p in enumerate(value, 1) if p >> r & 1]
+        return held[0] if len(held) == 1 else None if held else 0
+
+    tables = [("add", field._plus(x, y), lambda u, w: u + w),
+              ("mul", field._times(x, y), lambda u, w: u * w)]
+    for c in range(-1, q + 1):
+        tables += [
+            ("scale %d" % c, field._times(c, x), lambda u, w, c=c: c * u),
+            ("scaled %d" % c, field._times(x, c), lambda u, w, c=c: c * u),
+            ("add %d" % c, field._plus(c, x), lambda u, w, c=c: c + u),
+            ("added %d" % c, field._plus(x, c), lambda u, w, c=c: c + u),
+            ("term %d" % c, field._term(y, c, x), lambda u, w, c=c: w + c * u)]
+    for e in range(1, 5):
+        tables.append(("power %d" % e, field._factor(y, x, e),
+                       lambda u, w, e=e: w * u ** e))
+    out = [(name, u, w) for name, value, f in tables
+           for r, (u, w) in enumerate(points) if at(value, r) != f(u, w) % q]
+    for u, w in points:
+        for name, got, want in (
+                ("payload add", field._plus(u, w), u + w),
+                ("payload mul", field._times(u, w), u * w),
+                ("payload term", field._term(w, 2, u), w + 2 * u),
+                ("payload power", field._factor(w, u, 2), w * u * u)):
+            if got != want % q:
+                out.append((name, u, w))
+    return out
+
+
+def test_field_planes_match_integers_mod_q():
+    assert bitslice._layout(2) is bitslice._layout(3) is bitslice._Field
+    assert bitslice._layout(5) is bitslice._Residues
+    assert bitslice._layout(4) is bitslice._layout(None) is None
+    for q in (2, 3):
+        assert field_mismatches(q) == []
+
+
+# rings of the field-plane layout, in both spellings
+FIELD_RINGS = (F2, F3, modular(2), modular(3))
+
+
+def field_counts(ring, terms, k, restriction, j):
+    """rank -> count over the domain restricted by (restriction, j), from
+    the kernel's planes and from count_at at every point."""
+    dom = SearchDomain.exhaustive().restricted(restriction, j)
+    values, free, _ = oracles._plan(dom, ring, k)
+    fixed, slots = slot_table(ring, terms, range(k))
+    want = {rank: bitslice.count_at(ring, fixed, slots, vec)
+            for rank, vec in reference_walk(values, free, k, restriction,
+                                            ring)}
+    got, blocks = box_counts_from_planes(values, terms, k, free,
+                                         restriction == ZERO_SUM, ring)
+    return got, want, blocks
+
+
+def test_field_plane_counts_match_exact_evaluation(monkeypatch):
+    """The field-plane counts of random slots of degree at most 4 over
+    F2, F3, Z2 and Z3 against count_at at every point, under every
+    restriction, in one block or with fixed high coordinates."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    split = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from(FIELD_RINGS))
+        q = ring.modulus
+        k = data.draw(st.integers(1, 6 if q == 2 else 4))
+        n = k + data.draw(st.integers(0, 1))  # an unshifted position
+        monomials = st.lists(st.tuples(
+            st.lists(st.integers(0, n - 1), max_size=4),
+            st.integers(1, q - 1)), min_size=1, max_size=8)
+        terms = {}
+        for positions, c in data.draw(monomials):
+            terms[tuple(positions.count(i) for i in range(n))] = c
+        terms = SparsePoly(ring, n, terms).sparse_terms
+        restriction = data.draw(st.sampled_from((NONE, ZERO_SUM,
+                                                 SUPPORT_LAST)))
+        monkeypatch.setattr(bitslice, "PLANE_BITS", data.draw(
+            st.sampled_from((1, q, q * q + 1, 1 << 20))))
+        got, want, blocks = field_counts(ring, terms, k, restriction,
+                                         data.draw(st.integers(0, k)))
+        assert got == want
+        split.append(blocks > 1)
+
+    check()
+    assert sum(split) >= 30
+
+
+def test_field_plane_mutants_are_caught(monkeypatch):
+    """Leaving out the swap of a doubling, or changing one OR of the
+    GF(3) add to an XOR, breaks the tables and the F3 counts."""
+    real_times, real_plus = bitslice._Field._times, bitslice._Field._plus
+
+    def unswapped(self, x, y):
+        if isinstance(x, int) and isinstance(y, list) and x % 3 == 2 == len(y):
+            return y
+        return real_times(self, x, y)
+
+    def xor_add(self, x, y):
+        if isinstance(x, list) and isinstance(y, list) and len(x) == 2:
+            (a1, a2), (b1, b2) = x, y
+            t = (a1 | b2) ^ (a2 | b1)
+            return [(a2 ^ b2) ^ t, (a1 | b1) ^ t]
+        return real_plus(self, x, y)
+
+    rng = random.Random(271)
+    cases = [(random_poly(F3, 3, 2, 8, rng).sparse_terms, restriction)
+             for restriction in (NONE, ZERO_SUM, SUPPORT_LAST)
+             for _ in range(4)]
+    for got, want, _ in (field_counts(F3, terms, 3, restriction, 1)
+                         for terms, restriction in cases):
+        assert got == want
+    for name, mutant in (("_times", unswapped), ("_plus", xor_add)):
+        with monkeypatch.context() as patch:
+            patch.setattr(bitslice._Field, name, mutant)
+            assert field_mismatches(3), name
+            assert field_mismatches(2) == []
+            assert any(got != want for got, want, _ in (
+                field_counts(F3, terms, 3, restriction, 1)
+                for terms, restriction in cases)), name
+
+
 def test_box_sum_is_built_once_per_shape():
     """A zero-sum F11 search over 7 coordinates runs 11 blocks, one per
     sum of the fixed coordinates; the planed sum behind every forced
@@ -1474,8 +1621,9 @@ def with_degree(ring, rng, k, degree):
     return poly(ring, k, terms)
 
 
-# (ring, domain, coordinates): one-hot F3 and F5, binary F7, F11, Z8, Z9
-# and Z12, and Z and Q boxes, each small enough to expand at every point
+# (ring, domain, coordinates): field-plane F3, one-hot F5, binary F7, F11,
+# Z8, Z9 and Z12, and Z and Q boxes, each small enough to expand at every
+# point
 HIGH_DEGREE_SPACES = (
     [(F3, SearchDomain.exhaustive(), 4), (F5, SearchDomain.exhaustive(), 3)]
     + [(ring, SearchDomain.exhaustive(), k)
