@@ -8,14 +8,12 @@ do the rows of a Max-3-Lin system and the equations of a system, each a
 slot, and from them the count of unsatisfied rows or equations.  A slot
 is const plus a sum of c * a^key, for any degree:
 
-- over Z_2 and Z_3 a coordinate, and a slot, is q - 1 field planes:
-  plane v - 1 has the bits of the points where the value is v.  An add
-  is one XOR over GF(2) and six operations over GF(3), a product one
-  AND or six operations, and "slot != 0" is the OR of the planes.
-- over Z_5 (the other odd q at most MAX_MODULUS) it is q one-hot
-  planes, plane v for the value v.  Adding or multiplying two such
-  values costs q^2 AND/OR operations on whole planes, and a factor
-  a_i^e one relabelling of the planes of a_i.
+- over Z_2, Z_3 and Z_5 a coordinate, and a slot, is q - 1 value
+  planes: plane v - 1 has the bits of the points where the value is v,
+  and 0 is where no plane is set.  An add is one XOR over GF(2), six
+  operations over GF(3) and about 2q^2 over GF(5), a product one AND,
+  six operations or 2(q - 1)^2, a scaling or a power a relabelling of
+  the planes, and "slot != 0" is the OR of the planes.
 - over an integer box a coordinate is its offset from the box's low end
   in binary, one plane per bit: the form o + sum of k * [p].  A product
   of forms multiplies out over those bits, with [p] * [p] = [p], into a
@@ -51,15 +49,14 @@ planes, and the higher ones are fixed for one block and enter as
 constants, so memory stays bounded whatever the size of the domain.
 
 What depends only on the shape of a block is built once and cached: the
-coordinate planes (class_planes one-hot, and without plane 0 as field
-planes, box_planes in binary, each in O(log) big-int operations per
-plane) and, under zero_sum, the sum S of
-the planed coordinates (box_sum), from which box_forced derives the
-forced coordinate and its in-domain mask for each sum of the fixed
-ones, keeping the last two.  Under zero_sum, coordinate 0 and the free
-coordinates sum to 0 (mod q over Z_q), so subtracting one t from all
-their linear coefficients leaves a slot's value unchanged at every
-point of the domain; _balanced takes t as each slot's commonest
+coordinate planes (class_planes as value planes, box_planes in binary,
+each in O(log) big-int operations per plane) and, under zero_sum, the
+sum S of the planed coordinates (box_sum), from which box_forced
+derives the forced coordinate and its in-domain mask for each sum of
+the fixed ones, keeping the last two.  Under zero_sum, coordinate 0 and
+the free coordinates sum to 0 (mod q over Z_q), so subtracting one t
+from all their linear coefficients leaves a slot's value unchanged at
+every point of the domain; _balanced takes t as each slot's commonest
 coefficient there, which turns the HN wiring slot
 x0 + x1 + ... + 3*x3 + ... + x6 - 2*x1^2 into 2*x3 - 2*x1^2.
 """
@@ -74,15 +71,16 @@ from math import comb, lcm
 from .rings import RATIONALS
 from .sparsepoly import pairs
 
-# q = 2 and 3 get field planes; the other odd moduli up to this one-hot
-# planes (q^2 operations per term); larger ones and the other powers of
-# two binary residues (a fold per slot, none for q = 2^s).  Per
-# verify_max3lin on a 2-CPU VM: field planes take 0.25 against 0.35 ms
-# for binary F2 (n = 7) and 0.36 against 0.51 ms for one-hot F3 (n = 5);
-# F5 without its zero plane, derived again for every operation, 88
-# against 69 ms (n = 5); binary wins from q = 6 on (F7: 1.9 against 2.8
-# ms per verify, 19 against 28 ms per search) and at q = 2^s once the
-# adder stops at bit s (Z4 n = 5: 5-6.5 against 16.5 ms per verify)
+# q = 2 and the odd moduli up to this get value planes, which fit any
+# slot set; the others binary residues, which fit while the width bound
+# allows (_fits): an F5 search of a degree-6 polynomial in 7 variables
+# takes 0.04 s in value planes, 41 s in binary one-point blocks.  Medians
+# on a 2-CPU VM, value planes against what they replaced: 0.25 against
+# 0.35 ms per verify_max3lin for binary F2 (n = 7), 0.36 against 0.51 and
+# 98 against 96 ms for q planes, one per value, over F3 and F5 (n = 5),
+# 0.58 against 0.75 s per F5 search of degree 8 in 8 variables.  Binary
+# wins at F7 (n = 4: 50 against 84 ms per verify) and at q = 2^s once
+# the adder stops at bit s (Z4 n = 5: 5-6.5 against 16.5 ms per verify)
 MAX_MODULUS = 5
 # bits of one plane (128 KiB)
 PLANE_BITS = 1 << 20
@@ -109,16 +107,16 @@ def _repeat(pattern, period, length):
     return pattern & ((1 << length) - 1)
 
 
-# one entry is q * digits planes of at most PLANE_BITS bits: at most
-# 2.3 MiB (q = 3, 12 digits), so the cache holds at most about 10 MB
+# one entry is (q - 1) * digits planes of at most PLANE_BITS bits: at
+# most 2.5 MiB (q = 2, 20 digits), so the cache holds at most about 10 MB
 @lru_cache(maxsize=4)
 def class_planes(q, digits):
-    """One-hot digit planes over the ranks 0..q**digits - 1: out[d][v]
-    marks the ranks whose d-th digit, most significant first, is v.
-    Built once per (q, digits), as tuples."""
+    """Value planes of the digits of the ranks 0..q**digits - 1:
+    out[d][v - 1] marks the ranks whose d-th digit, most significant
+    first, is v, for v = 1..q-1.  Built once per (q, digits), as tuples."""
     total = q ** digits
     return tuple(tuple(_repeat(((1 << s) - 1) << v * s, q * s, total)
-                       for v in range(q))
+                       for v in range(1, q))
                  for s in [q ** d for d in reversed(range(digits))])
 
 
@@ -256,21 +254,19 @@ def box_forced(lo, hi, digits, const, modulus=None):
     return (lo, tuple((1 << b, p) for b, p in enumerate(bits))), inside
 
 
-def _apply(f, x, y, q):
-    """f(x, y) mod q at every point of the block, where x and y are each
-    a payload (the same at every point) or a list of one-hot planes."""
-    if isinstance(x, int) and isinstance(y, int):
-        return f(x, y) % q
-    out = [0] * q
-    # a payload is one plane that holds every point: the mask -1
-    for u, p in [(x, -1)] if isinstance(x, int) else enumerate(x):
-        for w, r in [(y, -1)] if isinstance(y, int) else enumerate(y):
-            out[f(u, w) % q] |= p & r
-    return out
+class _Field:
+    """Values over Z_q, q in (2, 3, 5), as q - 1 value planes; a
+    coordinate is its classes.  A scaling or a power moves the planes,
+    and adding a payload rotates them through the zero plane, the
+    complement of their OR.  Planes add and multiply in closed forms over
+    GF(2) and GF(3), and by tables over GF(5) (Boothby and Bradshaw,
+    2009)."""
 
-
-class _Residues:
-    """Values over Z_q as q one-hot planes; a coordinate is its classes."""
+    # scaling by c moves the plane of u to c * u: plane v - 1 of the
+    # product is plane v / c - 1 of the value
+    SCALE = {(q, c): operator.itemgetter(*[v * pow(c, -1, q) % q - 1
+                                           for v in range(1, q)])
+             for q in range(3, MAX_MODULUS + 1, 2) for c in range(2, q)}
 
     def __init__(self, q, full):
         self.lo, self.hi, self.modulus = 0, q - 1, q
@@ -280,17 +276,17 @@ class _Residues:
         return class_planes(self.modulus, digits)
 
     def lift(self, value):
-        """The one-hot planes of a coordinate given as box_forced gives
-        it: an int, or (0, offset bits)."""
+        """The value planes of a coordinate given as box_forced gives it:
+        an int, or (0, offset bits)."""
         if isinstance(value, int):
             return value
         return [reduce(operator.and_, (p if k & v else self.full ^ p
                                        for k, p in value[1]), self.full)
-                for v in range(self.modulus)]
+                for v in range(1, self.modulus)]
 
     def values(self, coords, slots):
         """The value of every slot at the coordinates coords, in order:
-        a payload where it is the same at every point, else its classes.
+        a payload where it is the same at every point, else its planes.
         The value of each a^key is built once per block, one _factor per
         factor."""
         products = {(pos, 1): x for pos, x in enumerate(coords)}
@@ -306,68 +302,67 @@ class _Residues:
                 value = self._term(value, c, x)
             yield value
 
-    # x * y^e and value + c * x, each one _apply
+    # x * y^e and value + c * x
     def _factor(self, x, y, e):
         q = self.modulus
-        return _apply(lambda u, w: u * pow(w, e, q), x, y, q)
-
-    def _term(self, value, c, x):
-        return _apply(lambda u, w: u + c * w, value, x, self.modulus)
-
-    def nonzero(self, value):
-        return self.full ^ value[0]
-
-
-class _Field(_Residues):
-    """Values over Z_2 or Z_3 as q - 1 planes, plane v - 1 marking the
-    points where the value is v: over GF(2) an add is an XOR and a
-    product an AND; over GF(3) an add takes six operations, a doubling
-    swaps the planes, and an even power is 1 where its base is nonzero
-    (Boothby and Bradshaw, 2009)."""
-
-    def coordinates(self, digits):
-        return [list(p[1:]) for p in class_planes(self.modulus, digits)]
-
-    def lift(self, value):
-        return value if isinstance(value, int) else super().lift(value)[1:]
-
-    def _factor(self, x, y, e):
         if isinstance(y, int):
-            y = pow(y, e, self.modulus)
-        elif not e & 1 and self.modulus == 3:
-            y = [y[0] | y[1], 0]
+            y = pow(y, e, q)
+        elif (e - 1) % (q - 1):
+            # the plane of u moves to u^e, never 0, which depends only on
+            # e mod q - 1
+            y = [reduce(operator.or_, [p for u, p in enumerate(y, 1)
+                                       if pow(u, e, q) == v], 0)
+                 for v in range(1, q)]
         return self._times(x, y)
 
     def _term(self, value, c, x):
         return self._plus(value, x if c == 1 else self._times(c, x))
 
     def _times(self, x, y):
+        q = self.modulus
         if isinstance(x, int):
             x, y = y, x
         if isinstance(x, int):
-            return x * y % self.modulus
+            return x * y % q
         if isinstance(y, int):
-            return (0, x, x[::-1])[y % self.modulus]
-        if self.modulus == 2:
+            c = y % q
+            if c < 2:
+                return x if c else 0
+            return self.SCALE[q, c](x)
+        if q == 2:
             return [x[0] & y[0]]
-        (a1, a2), (b1, b2) = x, y
-        return [a1 & b1 | a2 & b2, a1 & b2 | a2 & b1]
+        if q == 3:
+            (a1, a2), (b1, b2) = x, y
+            return [a1 & b1 | a2 & b2, a1 & b2 | a2 & b1]
+        # plane v - 1 ORs x[u - 1] & y[v / u - 1] over the nonzero u
+        return [reduce(operator.or_, [x[u - 1] & y[v * pow(u, -1, q) % q - 1]
+                                      for u in range(1, q)])
+                for v in range(1, q)]
 
     def _plus(self, x, y):
+        q = self.modulus
         if isinstance(x, int):
             x, y = y, x
         if isinstance(x, int):
-            return (x + y) % self.modulus
+            return (x + y) % q
         if isinstance(y, int):
-            # adding c moves every value up by c, through 0
-            c = y % self.modulus
-            zero = self.full ^ reduce(operator.or_, x) if c else 0
-            return (x, [zero] + x[:-1], x[1:] + [zero])[c]
-        if self.modulus == 2:
+            # adding c moves every value up by c, through 0: with the zero
+            # plane first, plane v comes from plane (v - c) % q
+            c = y % q
+            if not c:
+                return x
+            x = [self.full ^ reduce(operator.or_, x), *x]
+            return x[q - c + 1:] + x[:q - c]
+        if q == 2:
             return [x[0] ^ y[0]]
-        (a1, a2), (b1, b2) = x, y
-        t = (a1 | b2) ^ (a2 | b1)
-        return [(a2 | b2) ^ t, (a1 | b1) ^ t]
+        if q == 3:
+            (a1, a2), (b1, b2) = x, y
+            t = (a1 | b2) ^ (a2 | b1)
+            return [(a2 | b2) ^ t, (a1 | b1) ^ t]
+        # y[v - u] is y[(v - u) % q]: v - u lies in (-q, q)
+        x, y = ([self.full ^ reduce(operator.or_, z), *z] for z in (x, y))
+        return [reduce(operator.or_, [x[u] & y[v - u] for u in range(q)])
+                for v in range(1, q)]
 
     def nonzero(self, value):
         return reduce(operator.or_, value)
@@ -529,7 +524,7 @@ def _count(fixed, slots, coords, arith):
     number whose bit b is in counters[b]."""
     counters = []
     for value in arith.values(coords, slots):
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             fixed += value != 0
             continue
         carry = arith.nonzero(value)
@@ -577,12 +572,12 @@ def _integral(slot):
 def _layout(q):
     """The arithmetic of values over Z_q other than _Box, or None."""
     if q is not None and q <= MAX_MODULUS and (q & 1 or q == 2):
-        return _Field if q <= 3 else _Residues
+        return _Field
 
 
 def _fits(ring, values, slots):
-    """Whether _blocks gives the slots planes: always in field and one-hot
-    ones, and in binary ones over a run of consecutive integers (not a
+    """Whether _blocks gives the slots planes: always in value planes,
+    and in binary ones over a run of consecutive integers (not a
     rational grid) while their width bound is at most MAX_WIDTH.  The
     bound comes before any plane is built: the planes that the monomials
     a^key may need, ANDs of at most e of the bits of a_p for each factor

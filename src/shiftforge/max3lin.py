@@ -24,6 +24,7 @@ from .rings import RingElement
 from .sparsepoly import (
     Reader,
     SparsePoly,
+    check_term_cap,
     format_vector,
     header_lines,
     parse_int,
@@ -178,13 +179,17 @@ def gen_max3lin(n, m, ring, planted=False, noise_count=0, seed=0):
     """Deterministic random system: per row, three distinct indices and
     nonzero coefficients.  With planted=True the recorded assignment
     satisfies all rows except exactly noise_count perturbed ones.  Over
-    the infinite rings all draws come from [-3, 3]."""
+    the infinite rings all draws come from [-3, 3].  n and m are at most
+    the term cap, checked before anything is drawn: the readers refuse
+    more variables, and the encoding has 4m + 1 terms."""
     if n < 3:
         raise PreconditionError("need at least 3 variables")
     if m < 0 or noise_count < 0 or noise_count > m:
         raise PreconditionError("noise count must lie in [0, m]")
     if not planted and noise_count:
         raise PreconditionError("noise requires a planted assignment")
+    check_term_cap(n, "the system's variables")
+    check_term_cap(m, "the system's rows")
     rng = random.Random(seed)
     if ring.is_finite:
         nonzero = list(range(1, ring.modulus))

@@ -391,6 +391,32 @@ def test_gen_max3lin_deterministic(tmp_path, capsys):
         assert fa.read() != fb.read()
 
 
+def test_gen_max3lin_refuses_more_variables_or_rows_than_the_cap(
+        tmp_path, capsys, monkeypatch):
+    """gen-max3lin writes no file that its readers would refuse: n and m
+    above the term cap are exit 4 before anything is drawn, and a system
+    at the cap reads back."""
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "8")
+    path = str(tmp_path / "cap.3lin")
+    for n, m, what in ((9, 3, "variables may reach 9"),
+                       (3, 9, "rows may reach 9"),
+                       (3, 10 ** 8, "rows may reach 100000000")):
+        start = time.process_time()
+        code, out, err = run(capsys, "gen-max3lin", "--n", str(n), "--m",
+                             str(m), "--ring", "Fp 5", "-o", path)
+        assert time.process_time() - start < 1
+        assert (code, out) == (4, "")
+        assert err == ("cap exceeded: the system's %s terms, cap is 8\n"
+                       % what)
+        assert not os.path.exists(path)
+    code, out, _ = run(capsys, "gen-max3lin", "--n", "8", "--m", "8",
+                       "--ring", "Fp 5", "-o", path)
+    assert (code, out) == (0, "rows 8\nw 16\n")
+    assert load_max3lin(path).m == 8
+    code, out, _ = run(capsys, "maxsat", path, "--exhaustive")
+    assert code == 0 and out.startswith("maxsat ")
+
+
 def test_missing_and_malformed_inputs(tmp_path, capsys):
     code, _, err = run(capsys, "sparsity", str(tmp_path / "absent.poly"))
     assert code == 2

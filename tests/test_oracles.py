@@ -1137,7 +1137,8 @@ def test_class_planes_are_built_once_per_shape():
     assert bitslice.class_planes(3, 4) is planes
     assert isinstance(planes, tuple) and isinstance(planes[0], tuple)
     for d, row in enumerate(planes):
-        for v, plane in enumerate(row):
+        assert len(row) == 2
+        for v, plane in enumerate(row, 1):
             assert plane == sum(1 << r for r in range(3 ** 4)
                                 if digit_of(r, 3, 4, d) == v)
     assert bitslice.class_planes.cache_info().maxsize == 4
@@ -1303,15 +1304,33 @@ def field_mismatches(q):
 
 
 def test_field_planes_match_integers_mod_q():
-    assert bitslice._layout(2) is bitslice._layout(3) is bitslice._Field
-    assert bitslice._layout(5) is bitslice._Residues
+    assert (bitslice._layout(2) is bitslice._layout(3) is bitslice._layout(5)
+            is bitslice._Field)
     assert bitslice._layout(4) is bitslice._layout(None) is None
-    for q in (2, 3):
+    for q in (2, 3, 5):
         assert field_mismatches(q) == []
 
 
-# rings of the field-plane layout, in both spellings
-FIELD_RINGS = (F2, F3, modular(2), modular(3))
+def test_value_planes_fit_where_binary_residues_do_not(monkeypatch):
+    """x1*x2*...*x6 + x7 + 3, of degree 6 in 7 variables: value planes
+    take it over Z_5, binary residues leave the planes over Z_7, and
+    they would over Z_5 too."""
+    dense = {(1, 1, 1, 1, 1, 1, 0): 1, (0, 0, 0, 0, 0, 0, 1): 1,
+             (0,) * 7: 3}
+
+    def fits(ring):
+        slots = slot_table(ring, poly(ring, 7, dense).sparse_terms,
+                           range(7))[1]
+        return bitslice._fits(ring, list(range(ring.modulus)), slots)
+
+    assert fits(F5) and fits(modular(5))
+    assert not fits(prime_field(7))
+    monkeypatch.setattr(bitslice, "_layout", lambda q: None)
+    assert not fits(F5) and not fits(modular(5))
+
+
+# rings of the value-plane layout, in both spellings
+FIELD_RINGS = (F2, F3, F5, modular(2), modular(3), modular(5))
 
 
 def field_counts(ring, terms, k, restriction, j):
@@ -1329,8 +1348,8 @@ def field_counts(ring, terms, k, restriction, j):
 
 
 def test_field_plane_counts_match_exact_evaluation(monkeypatch):
-    """The field-plane counts of random slots of degree at most 4 over
-    F2, F3, Z2 and Z3 against count_at at every point, under every
+    """The value-plane counts of random slots of degree at most 4 over
+    F2, F3, F5, Z2, Z3 and Z5 against count_at at every point, under every
     restriction, in one block or with fixed high coordinates."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -1341,7 +1360,7 @@ def test_field_plane_counts_match_exact_evaluation(monkeypatch):
     def check(data):
         ring = data.draw(st.sampled_from(FIELD_RINGS))
         q = ring.modulus
-        k = data.draw(st.integers(1, 6 if q == 2 else 4))
+        k = data.draw(st.integers(1, {2: 6, 3: 4, 5: 3}[q]))
         n = k + data.draw(st.integers(0, 1))  # an unshifted position
         monomials = st.lists(st.tuples(
             st.lists(st.integers(0, n - 1), max_size=4),
@@ -1365,36 +1384,59 @@ def test_field_plane_counts_match_exact_evaluation(monkeypatch):
 
 def test_field_plane_mutants_are_caught(monkeypatch):
     """Leaving out the swap of a doubling, or changing one OR of the
-    GF(3) add to an XOR, breaks the tables and the F3 counts."""
+    GF(3) add to an XOR, breaks the tables and the F3 counts; a GF(5)
+    add that takes x's zero plane for y's breaks the tables and the F5
+    counts."""
     real_times, real_plus = bitslice._Field._times, bitslice._Field._plus
 
+    def planes(*values):
+        return not any(isinstance(v, int) for v in values)
+
     def unswapped(self, x, y):
-        if isinstance(x, int) and isinstance(y, list) and x % 3 == 2 == len(y):
+        if isinstance(x, int) and planes(y) and x % 3 == 2 == len(y):
             return y
         return real_times(self, x, y)
 
     def xor_add(self, x, y):
-        if isinstance(x, list) and isinstance(y, list) and len(x) == 2:
+        if planes(x, y) and len(x) == 2:
             (a1, a2), (b1, b2) = x, y
             t = (a1 | b2) ^ (a2 | b1)
             return [(a2 ^ b2) ^ t, (a1 | b1) ^ t]
         return real_plus(self, x, y)
 
+    def shared_zero(self, x, y):
+        if planes(x, y) and len(x) == 4:
+            zero = self.full ^ (x[0] | x[1] | x[2] | x[3])
+            out = [0] * 4
+            for u, a in enumerate([zero, *x]):
+                for w, b in enumerate([zero, *y]):
+                    if (u + w) % 5:
+                        out[(u + w) % 5 - 1] |= a & b
+            return out
+        return real_plus(self, x, y)
+
     rng = random.Random(271)
-    cases = [(random_poly(F3, 3, 2, 8, rng).sparse_terms, restriction)
-             for restriction in (NONE, ZERO_SUM, SUPPORT_LAST)
-             for _ in range(4)]
-    for got, want, _ in (field_counts(F3, terms, 3, restriction, 1)
-                         for terms, restriction in cases):
-        assert got == want
-    for name, mutant in (("_times", unswapped), ("_plus", xor_add)):
+    cases = {ring: [(random_poly(ring, 3, 2, 8, rng).sparse_terms,
+                     restriction)
+                    for restriction in (NONE, ZERO_SUM, SUPPORT_LAST)
+                    for _ in range(4)]
+             for ring in (F3, F5)}
+
+    def counts(ring):
+        return [field_counts(ring, terms, 3, restriction, 1)[:2]
+                for terms, restriction in cases[ring]]
+
+    for ring in cases:
+        assert all(got == want for got, want in counts(ring))
+    for name, mutant, ring in (("_times", unswapped, F3),
+                               ("_plus", xor_add, F3),
+                               ("_plus", shared_zero, F5)):
         with monkeypatch.context() as patch:
             patch.setattr(bitslice._Field, name, mutant)
-            assert field_mismatches(3), name
+            assert field_mismatches(ring.modulus), mutant.__name__
             assert field_mismatches(2) == []
-            assert any(got != want for got, want, _ in (
-                field_counts(F3, terms, 3, restriction, 1)
-                for terms, restriction in cases)), name
+            assert any(got != want for got, want in counts(ring)), \
+                mutant.__name__
 
 
 def test_box_sum_is_built_once_per_shape():
@@ -1621,8 +1663,8 @@ def with_degree(ring, rng, k, degree):
     return poly(ring, k, terms)
 
 
-# (ring, domain, coordinates): field-plane F3, one-hot F5, binary F7, F11,
-# Z8, Z9 and Z12, and Z and Q boxes, each small enough to expand at every
+# (ring, domain, coordinates): value-plane F3 and F5, binary F7, F11, Z8,
+# Z9 and Z12, and Z and Q boxes, each small enough to expand at every
 # point
 HIGH_DEGREE_SPACES = (
     [(F3, SearchDomain.exhaustive(), 4), (F5, SearchDomain.exhaustive(), 3)]
