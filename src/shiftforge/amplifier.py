@@ -47,6 +47,7 @@ def amplify(base, copies):
     sigma = base.sparsity()
     check_power_digits(sigma, copies, "the term count of amplified polynomial")
     check_term_cap(sigma ** copies, "amplified polynomial")
+    check_term_cap(base.nvars * copies, "the amplified polynomial's variables")
     n = base.nvars
     total = n * copies
     names = _copy_names(base, copies)

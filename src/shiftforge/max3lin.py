@@ -115,9 +115,13 @@ def encode_max3lin(system, e0=None):
     """Build the quadratic shift encoding of a 3-sparse linear system.
 
     The monomial count is at most 4m + 1: three quadratic and one linear
-    term per row, plus the constant e_0 (default 1).
+    term per row, plus the constant e_0 (default 1).  Both it and the
+    w variables are bounded by term_cap() before anything is built, as
+    the readers bound them.
     """
     ring = system.ring
+    check_term_cap(system.w, "the encoding's variables")
+    check_term_cap(4 * system.m + 1, "the encoding")
     if e0 is None:
         e0 = ring.one
     if not isinstance(e0, RingElement) or e0.ring != ring:

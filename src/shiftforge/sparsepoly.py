@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import os
 import sys
+from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import chain
 
@@ -84,6 +85,14 @@ def dense_exps(key, nvars):
     for p, e in pairs(key):
         exps[p] = e
     return tuple(exps)
+
+
+def _halves(key, h):
+    """The pairs of a key below position h, and the rest.  Cut at n // 2,
+    the halves of an amplified or HN polynomial's keys repeat far more
+    than its keys, so callers memoize what they derive from a half."""
+    i = 2 * bisect_left(key[::2], h)
+    return key[:i], key[i:]
 
 
 def default_names(nvars):
@@ -230,13 +239,15 @@ def shifted_term_map(ring, terms, offsets):
     moving part is expanded by the binomial theorem once per call
     (_expansion), however many groups hold it; a group sums its
     expansions on the short moving subkeys, and only the nonzero sums
-    are merged with the group's rest into full keys.  A term with no
-    moving part, alone in its group, is its own output.  When the
-    expansion may have more than term_cap() monomials, the sum over
-    terms (not over distinct moving parts) of the product of (e + 1)
-    over their moving variables, CapExceededError is raised before any
-    of it is built.  The map holds reduced nonzero payloads, as
-    sparse_terms does.
+    are merged with the group's rest into full keys: by concatenation
+    where one ends before the other begins, and otherwise half by half,
+    cut at len(offsets) // 2, each pair of halves merged once per call.
+    A term with no moving part, alone in its group, is its own output.
+    When the expansion may have more than term_cap() monomials, the sum
+    over terms (not over distinct moving parts) of the product of (e + 1)
+    over their moving variables, CapExceededError is raised before any of
+    it is built.  The map holds reduced nonzero payloads, as sparse_terms
+    does.
     """
     m = ring.modulus
     moving = {p for p, a in enumerate(offsets) if a}
@@ -251,13 +262,14 @@ def shifted_term_map(ring, terms, offsets):
         expansions[mov] = [(ids.setdefault(sub, len(ids)), s)
                            for sub, s in _expansion(mov, offsets, m)]
     subs = list(ids)
-    tails = [None] * len(subs)  # the pairs of each subkey, as merges need them
+    tails = [None] * len(subs)  # the halves of each subkey, as merges need them
+    merged = None  # the merges of pairs of halves, from the first one on
     out = {}
     for rest, group in groups.items():
         if len(group) == 1 and not group[0][0]:
             out[rest] = group[0][1]  # a term alone in its group, unshifted
             continue
-        head = None  # the pairs of rest, as merges need them
+        head = None  # the halves of rest, as merges need them
         acc = {}
         for mov, c in group:
             for i, s in expansions[mov]:
@@ -273,14 +285,21 @@ def shifted_term_map(ring, terms, offsets):
                 out[rest + sub] = v
             elif sub[-2] < rest[0]:
                 out[sub + rest] = v
-            else:
+            else:  # interleaved: merge half by half, each pair of halves once
                 if head is None:
-                    head = list(pairs(rest))
+                    if merged is None:
+                        h, merged = len(offsets) // 2, _Memo(_merge)
+                    head = _halves(rest, h)
                 tail = tails[i]
                 if tail is None:
-                    tail = tails[i] = list(pairs(sub))
-                out[tuple(chain.from_iterable(sorted(head + tail)))] = v
+                    tail = tails[i] = _halves(sub, h)
+                out[merged[head[0], tail[0]] + merged[head[1], tail[1]]] = v
     return out
+
+
+def _merge(halves):
+    """The key of the pairs of two keys on disjoint positions."""
+    return tuple(chain.from_iterable(sorted(chain(*map(pairs, halves)))))
 
 
 def slot_table(ring, terms, shifted, nonconstant=False):
@@ -646,8 +665,10 @@ def eval_payload(poly, vals):
 # vectors are rejected.  Terms are written in graded-lex descending
 # order, one space between tokens, so when every exponent is one digit
 # a row is fixed-width: term_lines builds and sorts such rows as
-# strings, and Reader._take keys them by slices of 8 exponents, unsplit.
-# Any other row is written and read token by token, by read_term.
+# strings, and Reader._take keys them, unsplit.  Both work on the two
+# halves of a row, the exponents of positions below n // 2 and the
+# rest, through a memo per half.  Any other row is written and read
+# token by token, by read_term.
 
 
 class _Memo(dict):
@@ -664,7 +685,7 @@ class _Memo(dict):
 
 
 def _chunk_key(start, chunk):
-    """The key of one slice ` e e ... e` of a fixed-width row, from position
+    """The key of one half ` e e ... e` of a fixed-width row, from position
     start; ValueError unless each exponent is one ASCII digit after a space."""
     if chunk[::2].strip(" ") or not chunk.isascii():
         raise ValueError("not a fixed-width chunk")
@@ -696,7 +717,7 @@ class Reader:
     """
 
     __slots__ = ("ring", "nvars", "names", "lineno", "vars_line",
-                 "payloads", "chunks", "cuts", "rows")
+                 "payloads", "halves", "rows")
 
     def __init__(self, vars_line=True):
         self.ring = self.nvars = self.names = self.lineno = self.rows = None
@@ -704,8 +725,8 @@ class Reader:
         # rows, set by the format where a `term` line may come: the term
         # map fixed-width rows go straight into, or None; the memos of both
         # term paths, filled once the ring and the variable count are known:
-        # coefficient tokens to payloads, and each slice's text to its key
-        self.payloads = self.chunks = self.cuts = None
+        # coefficient tokens to payloads, and each half's text to its key
+        self.payloads = self.halves = None
 
     def lines(self, text, notes=None):
         """Yield (parts, line) per statement line but the term rows _take
@@ -725,22 +746,21 @@ class Reader:
     def _take(self, raw):
         """Read the term line raw into rows, and True, if it is a fixed-width
         row, `term <coef>` and a space and one ASCII digit per exponent,
-        whose key rows lacks; if not, False, and read_term reads it."""
+        whose key rows lacks; if not, False, and read_term reads it.  The
+        key is that of the row's exponents below position n // 2 and that
+        of the rest, each text looked up once per file."""
         n = self.nvars
         cut = len(raw) - 2 * n if n else 0  # the space before the exponents
         if cut <= 5 or self.rows is None:  # no coefficient, or no term map
             return False
-        if self.chunks is None:
-            # at most 64 slices, of 8 exponents below 513 variables, keep
-            # sum() linear on a dense row; below 9 variables a second, empty
-            # slice makes itemgetter give a tuple
-            w = max(8, -(-n // 64))
-            starts = range(0, max(n, 9), w)
-            self.chunks = [_Memo(partial(_chunk_key, s)) for s in starts]
-            self.cuts = operator.itemgetter(*(slice(2 * s, 2 * (s + w)) for s in starts))
+        if self.halves is None:
+            self.halves = (_Memo(partial(_chunk_key, 0)),
+                           _Memo(partial(_chunk_key, n // 2)))
+        left, right = self.halves
+        mid = cut + 2 * (n // 2)
         try:
             coef = self.payloads[raw[5:cut]]
-            key = sum(map(dict.__getitem__, self.chunks, self.cuts(raw[cut:])), ())
+            key = left[raw[cut:mid]] + right[raw[mid:]]
         except (FormatError, ValueError):  # a bad coefficient or exponent
             return False
         if key in self.rows:
@@ -872,29 +892,28 @@ def term_lines(poly):
     fixed-width row `e1 e2 ... ek`, whose byte 2p is the digit of
     position p; the records chr(degree) + row + head sort as strings,
     descending, into that order (by degree, then row), and rows are
-    unique, so the head never decides.  Any other poly is written token
-    by token in the order of sorted_keys, the reference."""
+    unique, so the head never decides.  A row is built from the two
+    halves of its key, cut at n // 2, each half's degree and text once
+    per call.  Any other poly is written token by token in the order of
+    sorted_keys, the reference."""
     n = poly.nvars
     fmt = poly.ring.format_coeff
     if not poly.ring.is_finite:  # the widest parts first, before any line
         for part in map(operator.attrgetter, ("numerator", "denominator")):
             fmt(max(map(abs, map(part, poly.sparse_terms.values())), default=0))
     if n:
-        zeros = b"0 " * (n - 1) + b"0"
-        heads = {}
+        h = n // 2
+        lefts = _Memo(partial(_half_row, 0, "0 " * h))
+        rights = _Memo(partial(_half_row, h, "0 " * (n - h - 1) + "0"))
+        heads = _Memo(lambda c: "term %s " % fmt(c))
         records = []
         for key, c in poly.sparse_terms.items():
-            exps = key[1::2]
-            degree = sum(exps)
-            if degree > 9 and (max(exps) > 9 or degree > sys.maxunicode):
+            i = 2 * bisect_left(key[::2], h)  # _halves inline, 10% faster
+            left, right = lefts[key[:i]], rights[key[i:]]
+            if (left is None or right is None
+                    or (degree := left[0] + right[0]) > sys.maxunicode):
                 break  # written token by token below
-            row = bytearray(zeros)
-            for p, e in pairs(key):
-                row[2 * p] = 48 + e  # the ASCII digit e
-            head = heads.get(c)
-            if head is None:
-                head = heads[c] = "term %s " % fmt(c)
-            records.append(chr(degree) + row.decode() + head)
+            records.append(chr(degree) + left[1] + right[1] + heads[c])
         else:
             records.sort(reverse=True)
             return [r[2 * n:] + r[1:2 * n] for r in records]
@@ -907,6 +926,18 @@ def term_lines(poly):
         for p in key[::2]:
             row[p] = "0"
     return lines
+
+
+def _half_row(start, zeros, half):
+    """(degree, text) of a half of a fixed-width row: zeros, the row of
+    its positions from start, with the digit of each exponent of the key
+    half; None if an exponent has more than one digit."""
+    row = bytearray(zeros, "ascii")
+    for p, e in pairs(half):
+        if e > 9:
+            return None
+        row[2 * (p - start)] = 48 + e  # the ASCII digit e
+    return sum(half[1::2]), row.decode()
 
 
 def poly_to_text(poly):

@@ -4,6 +4,8 @@ Everything is driven by seeded random.Random instances so test runs are
 reproducible; builders return plain library objects.
 """
 
+from itertools import chain
+
 from shiftforge import (
     ADD,
     Circuit,
@@ -14,6 +16,7 @@ from shiftforge import (
     SparsePoly,
     ZZ,
 )
+from shiftforge.sparsepoly import _expansion, _moving_parts, pairs, split_terms
 
 
 def random_exponents(rng, nvars, max_degree):
@@ -39,6 +42,41 @@ def sparse_terms(terms):
     read: the nonzero exponents in ascending position."""
     return {tuple(v for p, e in enumerate(exps) if e for v in (p, e)): c
             for exps, c in terms.items()}
+
+
+def sorted_merge_shift(ring, terms, offsets):
+    """shifted_term_map with every interleaved key merged whole, by
+    sorting its pairs: the reference for the keys, the payloads and the
+    insertion order of its half-by-half merge."""
+    m = ring.modulus
+    moving = {p for p, a in enumerate(offsets) if a}
+    if not moving:
+        return dict(terms)
+    groups = split_terms(terms, moving)
+    expansions = {mov: _expansion(mov, offsets, m)
+                  for mov in _moving_parts(groups)}
+    out = {}
+    for rest, group in groups.items():
+        if len(group) == 1 and not group[0][0]:
+            out[rest] = group[0][1]
+            continue
+        acc = {}
+        for mov, c in group:
+            for sub, s in expansions[mov]:
+                acc[sub] = acc.get(sub, 0) + c * s
+        for sub, v in acc.items():
+            if m is not None:
+                v %= m
+            if not v:
+                continue
+            if not rest or not sub or rest[-2] < sub[0]:
+                out[rest + sub] = v
+            elif sub[-2] < rest[0]:
+                out[sub + rest] = v
+            else:
+                key = sorted(list(pairs(rest)) + list(pairs(sub)))
+                out[tuple(chain.from_iterable(key))] = v
+    return out
 
 
 def assert_canonical(p):

@@ -417,6 +417,55 @@ def test_gen_max3lin_refuses_more_variables_or_rows_than_the_cap(
     assert code == 0 and out.startswith("maxsat ")
 
 
+def test_reduce_max3lin_and_amplify_refuse_more_variables_than_the_cap(
+        tmp_path, capsys, monkeypatch):
+    """reduce-max3lin and amplify write no file that their readers would
+    refuse: w or 4m + 1 above the term cap, and d copies of n variables
+    with n * d above it, are exit 4 before anything is built, and files
+    at the cap read back."""
+    rows, enc = str(tmp_path / "rows.3lin"), str(tmp_path / "enc.poly")
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "8")
+    for n, m, what in ((8, 8, "encoding's variables may reach 16"),
+                       (4, 2, "encoding may reach 9")):
+        assert run(capsys, "gen-max3lin", "--n", str(n), "--m", str(m),
+                   "--ring", "Fp 5", "--seed", "1", "-o", rows)[0] == 0
+        code, out, err = run(capsys, "reduce-max3lin", rows, "-o", enc)
+        assert (code, out) == (4, "")
+        assert err == "cap exceeded: the %s terms, cap is 8\n" % what
+        assert not os.path.exists(enc)
+    assert run(capsys, "gen-max3lin", "--n", "4", "--m", "1", "--ring",
+               "Fp 5", "--seed", "1", "-o", rows)[0] == 0
+    assert run(capsys, "reduce-max3lin", rows, "-o", enc)[:2] == (0, "w 8\nsigma 5\n")
+    assert run(capsys, "sparsity", enc)[:2] == (0, "5\n")
+
+    def two_terms(nvars):  # x1 + 2 x_nvars
+        return write_poly(tmp_path, "base%d.poly" % nvars, prime_field(5), nvars,
+                          {(1,) + (0,) * (nvars - 1): 1, (0,) * (nvars - 1) + (1,): 2})
+
+    amp = str(tmp_path / "amp.poly")
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "20")
+    code, out, err = run(capsys, "amplify", two_terms(16), "--copies", "2", "-o", amp)
+    assert (code, out) == (4, "")
+    assert err == ("cap exceeded: the amplified polynomial's variables may "
+                   "reach 32 terms, cap is 20\n")
+    assert not os.path.exists(amp)
+    code, out, _ = run(capsys, "amplify", two_terms(10), "--copies", "2", "-o", amp)
+    assert (code, out) == (0, "copies 2\nsparsity 4\n")
+    assert run(capsys, "sparsity", amp)[:2] == (0, "4\n")
+
+    monkeypatch.delenv("SHIFTFORGE_TERM_CAP")
+    one = str(tmp_path / "one.poly")
+    with open(one, "w") as fh:
+        fh.write("ring Fp 5\nvars 1\nterm 1 0\n")
+    start = time.process_time()
+    code, out, err = run(capsys, "amplify", one, "--copies", "100000000",
+                         "-o", amp + "2")
+    assert time.process_time() - start < 1
+    assert (code, out) == (4, "")
+    assert "variables may reach 100000000 terms" in err
+    assert not os.path.exists(amp + "2")
+
+
 def test_missing_and_malformed_inputs(tmp_path, capsys):
     code, _, err = run(capsys, "sparsity", str(tmp_path / "absent.poly"))
     assert code == 2

@@ -1,5 +1,6 @@
 """The file readers: line locations, the shared header rule, and fuzzing."""
 
+import random
 import signal
 import tempfile
 import time
@@ -10,6 +11,7 @@ import pytest
 from shiftforge import FormatError, ShiftForgeError
 from shiftforge.circuits import load_circuit
 from shiftforge.cli import main
+from shiftforge.errors import quoted
 from shiftforge.hn_reduce import load_witness, witness_from_text
 from shiftforge.max3lin import load_max3lin
 from shiftforge.quadratizer import load_system
@@ -228,10 +230,61 @@ def test_a_short_block_of_fixed_width_rows_is_keyed_without_splitting(tmp_path):
     assert one_pass[0].terms == {(2, 0): -3, (0, 2): -2, (0, 0): 3}
 
 
+@pytest.mark.parametrize("bad", [None, 0, 100, 238, 239, 240, 477])
+def test_rows_of_478_variables_read_as_the_token_path(tmp_path, bad):
+    """Rows as wide as reduce-hn's, whose halves (positions below 239 and
+    the rest) repeat across rows, give the token path's term map; a bad
+    digit in either half sends its row to read_term, which raises the
+    token path's error for the row's line."""
+    n, rng = 478, random.Random(478)
+
+    def halves(lo, hi, count):
+        out = set()
+        while len(out) < count:
+            exps = ["0"] * (hi - lo)
+            for p in rng.sample(range(hi - lo), rng.randint(0, 3)):
+                exps[p] = rng.choice("12")
+            out.add(" ".join(exps))
+        return sorted(out)
+
+    rows = ["term %d %s %s" % (rng.randint(-3, 3) or 1, left, right)
+            for left in halves(0, 239, 5) for right in halves(239, n, 12)]
+    if bad is not None:
+        row = rows[31].split(" ")
+        row[2 + bad] = "x"
+        rows[31] = " ".join(row)
+    path = tmp_path / "wide.poly"
+    path.write_text("ring Z\nvars %d\n" % n + "".join(r + "\n" for r in rows))
+
+    def outcome():
+        try:
+            return list(load_poly(str(path)).sparse_terms.items())
+        except FormatError as exc:
+            return str(exc)
+
+    taken = []
+    take = Reader._take
+
+    def counted(*args):
+        taken.append(take(*args))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Reader, "_take", counted)
+        one_pass = outcome()
+        patch.setattr(Reader, "_take", lambda *args: False)
+        assert outcome() == one_pass
+    if bad is None:
+        assert taken == [True] * 60 and len(one_pass) == 60
+    else:
+        assert taken[31] is False
+        assert one_pass == "bad integer 'x' in %s (%s:34)" % (quoted(rows[31]), path)
+
+
 @pytest.mark.parametrize("n, gap", [(9, 1), (9, 7), (17, 7), (17, 12)])
 def test_a_row_with_two_exponents_joined_is_read_by_token(tmp_path, n, gap):
-    # positions gap and gap + 1 with no space between them, inside a
-    # chunk of 8 positions or across two: the width of a fixed-width
+    # positions gap and gap + 1 with no space between them, in one half
+    # of the row or across its cut at n // 2: the width of a fixed-width
     # row, one exponent short, among 12 fixed-width rows
     rows = ["term 1 %s\n" % " ".join("0" * (n - 2) + str(e)) for e in range(10, 22)]
     cut = 8 + 2 * gap
@@ -245,9 +298,9 @@ def test_a_row_with_two_exponents_joined_is_read_by_token(tmp_path, n, gap):
 
 
 def test_a_dense_row_over_many_variables_reads_in_linear_time(tmp_path):
-    # 200,000 nonzero one-digit exponents: keyed in at most 64 slices,
-    # as the token path keys it, within a 3 s budget (slices of 8 join
-    # their keys in time quadratic in the row, about 30 s here)
+    # 200,000 nonzero one-digit exponents: keyed in two halves, as the
+    # token path keys it, within a 3 s budget (summing the keys of many
+    # short slices would take time quadratic in the row)
     n = 200000
     path = tmp_path / "p.poly"
     path.write_text("ring Z\nvars %d\nterm 1 %s\n" % (

@@ -21,6 +21,7 @@ from shiftforge import (
     modular,
     prime_field,
 )
+from shiftforge import sparsepoly
 from shiftforge.amplifier import amplified_shift, amplify
 from shiftforge.sparsepoly import (
     dense_exps,
@@ -39,6 +40,7 @@ from helpers import (
     random_nonzero,
     random_poly,
     random_vector,
+    sorted_merge_shift,
     sparse_terms,
 )
 
@@ -272,6 +274,42 @@ def test_term_lines_match_the_token_writer():
         assert poly_from_text(text) == p
 
     check()
+
+
+def test_term_lines_cut_at_half_match_the_token_writer():
+    """term_lines, which builds each row from the halves of its key cut at
+    n // 2, writes the reference's bytes: narrow and 24-variable rows,
+    300-variable rows with keys across positions 150, 255 and 256, keys
+    in one half and the constant, a two-digit exponent in either half
+    (the token path then writes the whole polynomial) and degrees above
+    9 with one-digit exponents."""
+    rng = random.Random(150)
+
+    def poly(ring, nvars, keys):
+        return P(ring, nvars, {dense_exps(k, nvars): random_nonzero(ring, rng)
+                               for k in keys})
+
+    def random_keys(nvars, count, top=2):
+        keys = set()
+        for _ in range(count):
+            positions = sorted(rng.sample(range(nvars), rng.randint(0, min(nvars, 5))))
+            keys.add(tuple(v for p in positions for v in (p, rng.randint(1, top))))
+        return keys
+
+    cases = [poly(ring, n, random_keys(n, 40, 9))
+             for ring in (ZZ, F5, QQ) for n in (1, 2, 3, 7, 24)]
+    wide = {(149, 1, 150, 2), (150, 1), (254, 1, 255, 1, 256, 1), (255, 2),
+            (256, 3), (0, 1, 299, 1), (0, 2, 149, 1), (150, 1, 299, 9), ()}
+    cases.append(poly(F5, 300, wide | random_keys(300, 60)))
+    for p in (0, 1, 150, 299):  # a two-digit exponent on either side of 150
+        cases.append(poly(ZZ, 300, wide | {(p, 10)}))
+    cases.append(poly(ZZ, 7, {(0, 10, 6, 1), (3, 1)}))
+    cases.append(poly(ZZ, 7, {(2, 1), (5, 12), (6, 9)}))
+    cases.append(poly(F5, 3, {(0, 9, 1, 9, 2, 9), (0, 9, 2, 1), (1, 9), ()}))
+    cases.append(poly(F5, 24, {tuple(v for p in range(24) for v in (p, 9)), (23, 9)}))
+    for p in cases:
+        assert term_lines(p) == token_lines(p)
+        assert poly_from_text(poly_to_text(p)) == p
 
 
 def test_file_format_fields():
@@ -609,6 +647,51 @@ def test_regrouped_shift_of_amplified_products():
                         for _ in range(copies)]
             flat = [v for vec in per_copy for v in vec]
             assert inst.polynomial.shift(flat) == amplified_shift(inst, per_copy)
+
+
+def interleaved_cases():
+    """(ring, terms, offsets) whose moving positions interleave with the
+    others in both halves of n: alternate positions of a 12-variable
+    polynomial, and the last 3 of each 6-variable copy of a 4-copy
+    product, as in the shifts of amplified encodings."""
+    rng = random.Random(251)
+    cases = []
+    for ring in (ZZ, F5, Z6):
+        for moving in (set(range(1, 12, 2)), {0, 5, 6, 11}):
+            p = pooled_poly(ring, rng, 12, moving)
+            offsets = [rng.randint(1, 4) if j in moving else 0 for j in range(12)]
+            cases.append((ring, p.sparse_terms, offsets))
+        base = pooled_poly(ring, rng, 6, {3, 4, 5})
+        offsets = [rng.randint(1, 4) if j % 6 > 2 else 0 for j in range(24)]
+        cases.append((ring, amplify(base, 4).polynomial.sparse_terms, offsets))
+    return cases
+
+
+def test_half_merge_keeps_the_sorted_merge_keys_and_order():
+    """Interleaved keys merged half by half, cut at n // 2, are those of
+    a whole sorted merge, with the same payloads in the same order."""
+    for ring, terms, offsets in interleaved_cases():
+        assert (list(shifted_term_map(ring, terms, offsets).items())
+                == list(sorted_merge_shift(ring, terms, offsets).items()))
+
+
+def test_a_merge_memo_keyed_by_the_subkey_half_alone_is_caught(monkeypatch):
+    """The merge memo must key on both halves: one that forgets the rest
+    half gives wrong keys on the interleaved cases."""
+
+    class SubkeyOnly(dict):
+        def __init__(self, fill):
+            self.fill = fill
+
+        def __getitem__(self, halves):
+            if halves[1] not in self:
+                self[halves[1]] = self.fill(halves)
+            return dict.__getitem__(self, halves[1])
+
+    monkeypatch.setattr(sparsepoly, "_Memo", SubkeyOnly)
+    assert any(list(shifted_term_map(ring, terms, offsets).items())
+               != list(sorted_merge_shift(ring, terms, offsets).items())
+               for ring, terms, offsets in interleaved_cases())
 
 
 def test_shift_cap_counts_every_term_of_a_shared_moving_monomial(monkeypatch):
