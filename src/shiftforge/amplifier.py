@@ -48,6 +48,7 @@ def amplify(base, copies):
     check_power_digits(sigma, copies, "the term count of amplified polynomial")
     check_term_cap(sigma ** copies, "amplified polynomial")
     check_term_cap(base.nvars * copies, "the amplified polynomial's variables")
+    check_term_cap(copies, "the amplified polynomial's copies")  # d - 1 products
     n = base.nvars
     total = n * copies
     names = _copy_names(base, copies)

@@ -87,14 +87,6 @@ def dense_exps(key, nvars):
     return tuple(exps)
 
 
-def _halves(key, h):
-    """The pairs of a key below position h, and the rest.  Cut at n // 2,
-    the halves of an amplified or HN polynomial's keys repeat far more
-    than its keys, so callers memoize what they derive from a half."""
-    i = 2 * bisect_left(key[::2], h)
-    return key[:i], key[i:]
-
-
 def default_names(nvars):
     return tuple("x%d" % (i + 1) for i in range(nvars))
 
@@ -183,6 +175,16 @@ def _moving_parts(groups):
     return dict.fromkeys(movs)
 
 
+def _half_size(half, moving):
+    """The monomial count of a key half under a shift of the positions in
+    moving: the product of e + 1 over its pairs on moving."""
+    size = 1
+    for p, e in pairs(half):
+        if p in moving:
+            size *= e + 1
+    return size
+
+
 def _binomials(e, bits=1):
     """The row C(e, 0), ..., C(e, e), by the Pascal-row recurrence
     C(e, j + 1) = C(e, j) * (e - j) / (j + 1), whose division is exact:
@@ -203,15 +205,18 @@ def _binomials(e, bits=1):
     return row
 
 
-def _expansion(mov, offsets, m):
+def _expansion(half, offsets, m):
     """The (subkey, coefficient) pairs of the product over the pairs
-    (p, e) of mov of (x_p + a_p)^e; a subkey is the flat sparse key of a
-    monomial over the positions of mov.  The coefficients of one variable
-    are C(e, k) * a^(e-k), from k = 0 up, C(e, k) from _binomials."""
+    (p, e) of half of (x_p + a_p)^e, a_p = 0 at or past len(offsets):
+    flat sparse keys over the positions of half, the last half itself with
+    1.  The factor of one variable has C(e, k) * a^(e-k), from k = 0 up,
+    C(e, k) from _binomials, or x_p^e alone, with 1, where a_p = 0."""
     partial = [((), 1)]
-    for p, e in pairs(mov):
-        a = offsets[p]
-        if e == 1:  # x_p + a_p, where a_p is a reduced payload already
+    for p, e in pairs(half):
+        a = offsets[p] if p < len(offsets) else 0
+        if not a:
+            opts = (((p, e), 1),)
+        elif e == 1:  # x_p + a_p, where a_p is a reduced payload already
             opts = (((), a), ((p, 1), 1))
         else:
             # a power of a reduced offset is reduced again; one over Z
@@ -234,72 +239,66 @@ def _expansion(mov, offsets, m):
 def shifted_term_map(ring, terms, offsets):
     """Term map of P(X + a) from a payload term map and payload offsets.
 
-    The terms, nonzero reduced payloads as sparse_terms holds them, are
-    grouped by their unshifted part with split_terms.  Each distinct
-    moving part is expanded by the binomial theorem once per call
-    (_expansion), however many groups hold it; a group sums its
-    expansions on the short moving subkeys, and only the nonzero sums
-    are merged with the group's rest into full keys: by concatenation
-    where one ends before the other begins, and otherwise half by half,
-    cut at len(offsets) // 2, each pair of halves merged once per call.
-    A term with no moving part, alone in its group, is its own output.
-    When the expansion may have more than term_cap() monomials, the sum
-    over terms (not over distinct moving parts) of the product of (e + 1)
-    over their moving variables, CapExceededError is raised before any of
-    it is built.  The map holds reduced nonzero payloads, as sparse_terms
-    does.
+    Every key is cut once at h = len(offsets) // 2 into a left half, its
+    pairs below h, and a right half, the rest, and the terms make one row
+    per left half.  Each distinct half is expanded once per call
+    (_expansion), the right ones onto subkeys numbered as the halves are,
+    so the sums hash small ints.  Stage 1 sums c * s over the expansions
+    of a row's right halves and keeps the nonzero sums.  Stage 2 copies
+    them to the output if the left half has no shifted pair, and else adds
+    them, times s, to the line of each subkey of its expansion; the lines
+    go to the output last.  An output key is the left subkey and the right
+    one joined.  When the expansion may have more than term_cap()
+    monomials, the sum over terms of the product of (e + 1) over their
+    shifted pairs, CapExceededError is raised before any of it is built.
+    The map holds reduced nonzero payloads, as sparse_terms does.
     """
     m = ring.modulus
     moving = {p for p, a in enumerate(offsets) if a}
     if not moving:
         return dict(terms)
-    groups = split_terms(terms, moving)
-    # every moving part is expanded once, onto subkeys numbered in the
-    # order they first appear, so the sums below hash small ints
-    ids = {}
-    expansions = {}
-    for mov in _moving_parts(groups):
-        expansions[mov] = [(ids.setdefault(sub, len(ids)), s)
-                           for sub, s in _expansion(mov, offsets, m)]
-    subs = list(ids)
-    tails = [None] * len(subs)  # the halves of each subkey, as merges need them
-    merged = None  # the merges of pairs of halves, from the first one on
+    h = len(offsets) // 2
+    halves = {}  # each right half, then each other subkey -> its number
+    rows = {}  # left half -> {right half number: c}
+    for key, c in terms.items():
+        i = 2 * bisect_left(key[::2], h)
+        rows.setdefault(key[:i], {})[halves.setdefault(key[i:], len(halves))] = c
+    sizes = [_half_size(right, moving) for right in halves]
+    check_term_cap(sum(_half_size(left, moving) * sum(map(sizes.__getitem__, row))
+                       for left, row in rows.items()), "shifted polynomial")
+    # the expansion of each right half but its last subkey, the half
+    lower = [[(halves.setdefault(sub, len(halves)), s)
+              for sub, s in _expansion(right, offsets, m)[:-1]] if size > 1 else ()
+             for right, size in zip(list(halves), sizes)]
+    subs = list(halves)
     out = {}
-    for rest, group in groups.items():
-        if len(group) == 1 and not group[0][0]:
-            out[rest] = group[0][1]  # a term alone in its group, unshifted
+    lines = {}  # left subkey -> {right subkey number: sum}
+    for left, row in rows.items():
+        acc = dict(row)  # c * 1 on the last subkey of each right expansion
+        for j, c in row.items():
+            for k, s in lower[j]:
+                acc[k] = acc.get(k, 0) + c * s
+        if moving.isdisjoint(left[::2]):  # the left half is its own expansion
+            for k, v in acc.items():
+                if m is not None:
+                    v %= m
+                if v:
+                    out[left + subs[k]] = v
             continue
-        head = None  # the halves of rest, as merges need them
-        acc = {}
-        for mov, c in group:
-            for i, s in expansions[mov]:
-                acc[i] = acc.get(i, 0) + c * s
-        for i, v in acc.items():
+        acc = {k: r for k, v in acc.items() if (r := v if m is None else v % m)}
+        for sub, s in _expansion(left, offsets, m):
+            line = lines.setdefault(sub, {})
+            for k, v in acc.items():
+                line[k] = line.get(k, 0) + s * v
+    for left, line in lines.items():
+        for k, v in line.items():
+            key = left + subs[k]
+            v += out.pop(key, 0)  # a left half with no shifted pair may hold it
             if m is not None:
                 v %= m
-            if not v:
-                continue
-            sub = subs[i]
-            # keys on disjoint ordered position ranges concatenate
-            if not rest or not sub or rest[-2] < sub[0]:
-                out[rest + sub] = v
-            elif sub[-2] < rest[0]:
-                out[sub + rest] = v
-            else:  # interleaved: merge half by half, each pair of halves once
-                if head is None:
-                    if merged is None:
-                        h, merged = len(offsets) // 2, _Memo(_merge)
-                    head = _halves(rest, h)
-                tail = tails[i]
-                if tail is None:
-                    tail = tails[i] = _halves(sub, h)
-                out[merged[head[0], tail[0]] + merged[head[1], tail[1]]] = v
+            if v:
+                out[key] = v
     return out
-
-
-def _merge(halves):
-    """The key of the pairs of two keys on disjoint positions."""
-    return tuple(chain.from_iterable(sorted(chain(*map(pairs, halves)))))
 
 
 def slot_table(ring, terms, shifted, nonconstant=False):
@@ -908,7 +907,7 @@ def term_lines(poly):
         heads = _Memo(lambda c: "term %s " % fmt(c))
         records = []
         for key, c in poly.sparse_terms.items():
-            i = 2 * bisect_left(key[::2], h)  # _halves inline, 10% faster
+            i = 2 * bisect_left(key[::2], h)
             left, right = lefts[key[:i]], rights[key[i:]]
             if (left is None or right is None
                     or (degree := left[0] + right[0]) > sys.maxunicode):

@@ -45,9 +45,11 @@ def sparse_terms(terms):
 
 
 def sorted_merge_shift(ring, terms, offsets):
-    """shifted_term_map with every interleaved key merged whole, by
-    sorting its pairs: the reference for the keys, the payloads and the
-    insertion order of its half-by-half merge."""
+    """The term map of P(X + a) with the terms grouped by their unshifted
+    part (split_terms), each group's moving parts expanded and summed,
+    and every interleaved key merged whole by sorting its pairs: the
+    reference map for the shift by halves.  Only the maps are compared,
+    not their order, which every consumer sorts or ignores."""
     m = ring.modulus
     moving = {p for p, a in enumerate(offsets) if a}
     if not moving:

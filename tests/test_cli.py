@@ -466,6 +466,32 @@ def test_reduce_max3lin_and_amplify_refuse_more_variables_than_the_cap(
     assert not os.path.exists(amp + "2")
 
 
+def test_amplify_refuses_more_copies_than_the_cap(tmp_path, capsys, monkeypatch):
+    """A constant base passes the term check (1^d = 1) and the variable
+    check (0 * d = 0); its copy count d, the d - 1 products of the loop,
+    is bounded by the term cap itself, exit 4 before any product is
+    built, and d at the cap is amplified."""
+    const, amp = str(tmp_path / "const.poly"), str(tmp_path / "amp.poly")
+    with open(const, "w") as fh:
+        fh.write("ring Fp 5\nvars 0\nterm 1\n")
+    monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "50")
+    assert run(capsys, "amplify", const, "--copies", "51", "-o", amp) == (
+        4, "", "cap exceeded: the amplified polynomial's copies may reach 51 "
+        "terms, cap is 50\n")
+    assert not os.path.exists(amp)
+    assert run(capsys, "amplify", const, "--copies", "50", "-o", amp)[:2] == (
+        0, "copies 50\nsparsity 1\n")
+    assert run(capsys, "sparsity", amp)[:2] == (0, "1\n")
+    monkeypatch.delenv("SHIFTFORGE_TERM_CAP")
+    start = time.process_time()
+    code, out, err = run(capsys, "amplify", const, "--copies", "100000000",
+                         "-o", amp + "2")
+    assert time.process_time() - start < 1
+    assert (code, out) == (4, "")
+    assert "copies may reach 100000000 terms, cap is 1000000" in err
+    assert not os.path.exists(amp + "2")
+
+
 def test_missing_and_malformed_inputs(tmp_path, capsys):
     code, _, err = run(capsys, "sparsity", str(tmp_path / "absent.poly"))
     assert code == 2

@@ -1,5 +1,6 @@
 """Canonical sparse polynomials: arithmetic, shift, and serialization."""
 
+import inspect
 import operator
 import random
 import time
@@ -667,31 +668,82 @@ def interleaved_cases():
     return cases
 
 
-def test_half_merge_keeps_the_sorted_merge_keys_and_order():
-    """Interleaved keys merged half by half, cut at n // 2, are those of
-    a whole sorted merge, with the same payloads in the same order."""
-    for ring, terms, offsets in interleaved_cases():
-        assert (list(shifted_term_map(ring, terms, offsets).items())
-                == list(sorted_merge_shift(ring, terms, offsets).items()))
+def edge_cases():
+    """(ring, terms, offsets) at the edges of the cut at h = len(offsets)
+    // 2: an odd n, n = 1 (h = 0), offsets shorter than the keys (the
+    positions past them are unshifted), positions past 255, Q offsets
+    with large denominators, and Z6 sums that vanish after stage 1 (in a
+    row copied to the output) or after stage 2 (in a line, alone or with
+    a copied row)."""
+    rng = random.Random(257)
+    cases = []
+    for ring in (ZZ, QQ, F5, Z6):
+        def offsets(n, moving):
+            return [random_offsets(ring, rng, 1)[0].val if j in moving
+                    else ring.canon(0) for j in range(n)]
+
+        moving = {1, 4, 6, 7, 9, 12}
+        cases.append((ring, pooled_poly(ring, rng, 13, moving).sparse_terms,
+                      offsets(13, moving)))
+        cases.append((ring, random_poly(ring, 1, 6, 5, rng).sparse_terms,
+                      offsets(1, {0})))
+        cases.append((ring, pooled_poly(ring, rng, 12, {0, 2, 3}).sparse_terms,
+                      offsets(5, {0, 1, 2, 3})))
+        spots = [0, 3, 149, 150, 254, 255, 256, 257, 298, 299]
+        cases.append((ring, spread_poly(ring, rng, 300, spots).sparse_terms,
+                      offsets(300, {3, 150, 255, 256, 299})))
+    for _ in range(3):
+        p = pooled_poly(QQ, rng, 8, {1, 2, 5, 6})
+        cases.append((QQ, p.sparse_terms,
+                      [Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1,
+                                10 ** 12 + rng.randrange(10 ** 6)) if j in {1, 2, 5, 6}
+                       else Fraction(0) for j in range(8)]))
+    # over Z6, offsets (0, 3): 2*x1 + 6, the 6 dropped after stage 1
+    cases.append((Z6, {(1, 1): 2, (0, 1): 1}, [0, 3]))
+    # offsets (2, 0): 3*x0*x1 gives 6*x1 in the line of (), dropped
+    # after stage 2; x0*x1 + 4*x1 + 5*x0 gives 2*x1 there, which cancels
+    # the 4*x1 that the row of () copies out
+    cases.append((Z6, {(0, 1, 1, 1): 3}, [2, 0]))
+    cases.append((Z6, {(0, 1, 1, 1): 1, (1, 1): 4, (0, 1): 5}, [2, 0]))
+    return cases
 
 
-def test_a_merge_memo_keyed_by_the_subkey_half_alone_is_caught(monkeypatch):
-    """The merge memo must key on both halves: one that forgets the rest
-    half gives wrong keys on the interleaved cases."""
+def test_halves_shift_matches_the_sorted_merge_and_the_direct_formula():
+    """The term map of the shift by halves, cut at len(offsets) // 2,
+    equals that of the whole-key sorted merge and of the direct formula
+    on dense vectors.  Maps are compared, not their order: every consumer
+    sorts them (term_lines, sorted_keys), counts them, or compares them."""
+    for ring, terms, offsets in interleaved_cases() + edge_cases():
+        got = shifted_term_map(ring, terms, offsets)
+        assert got == sorted_merge_shift(ring, terms, offsets)
+        n = max([len(offsets)] + [k[-2] + 1 for k in terms if k])
+        dense = {dense_exps(k, n): c for k, c in terms.items()}
+        padded = list(offsets) + [0] * (n - len(offsets))
+        assert got == sparse_terms(direct_shifted_term_map(ring, dense, padded))
 
-    class SubkeyOnly(dict):
-        def __init__(self, fill):
-            self.fill = fill
 
-        def __getitem__(self, halves):
-            if halves[1] not in self:
-                self[halves[1]] = self.fill(halves)
-            return dict.__getitem__(self, halves[1])
+def test_stage_mutants_of_the_halves_shift_are_caught():
+    """A stage 2 that takes a shifted left half as its own expansion, and
+    a stage 1 that keeps the sums that reduce to zero, each give a wrong
+    map on the interleaved and edge cases."""
+    source = inspect.getsource(sparsepoly.shifted_term_map)
 
-    monkeypatch.setattr(sparsepoly, "_Memo", SubkeyOnly)
-    assert any(list(shifted_term_map(ring, terms, offsets).items())
-               != list(sorted_merge_shift(ring, terms, offsets).items())
-               for ring, terms, offsets in interleaved_cases())
+    def mutant(old, new):
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(sparsepoly), namespace)
+        return namespace["shifted_term_map"]
+
+    unexpanded = mutant("in _expansion(left, offsets, m):", "in [(left, 1)]:")
+    zeros = mutant("                if v:\n                    out[left",
+                   "                if True:\n                    out[left")
+    same = mutant("    return out\n", "    return out\n")
+    cases = interleaved_cases() + edge_cases()
+    for shift in (unexpanded, zeros):
+        assert any(shift(ring, terms, offsets) != sorted_merge_shift(ring, terms, offsets)
+                   for ring, terms, offsets in cases), shift
+    assert all(same(ring, terms, offsets) == sorted_merge_shift(ring, terms, offsets)
+               for ring, terms, offsets in cases)
 
 
 def test_shift_cap_counts_every_term_of_a_shared_moving_monomial(monkeypatch):
