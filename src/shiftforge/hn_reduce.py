@@ -17,6 +17,7 @@ one supported domain that is neither a field nor has zero divisors.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import add
 
 from .errors import (
@@ -146,8 +147,11 @@ def build_hn_instance(system, gamma, g1_index=0, recipe=None):
     # positions are (x0, x1..xN, w1..wt): a key of g_i moves up one
     # position and gains the pair (w_i, 1); summand i is the only one
     # with w_i = 1, so summands never merge, and inside a summand x_k
-    # meets g_i only where g_i is linear in x_k
+    # meets g_i only where g_i is linear in x_k.  The window x_0 + ... +
+    # x_N is written in bulk, over the saved linear terms of gamma * g_i,
+    # which are then added back
     up = (1, 0) * n
+    xs = [(k, 1) for k in range(n + 1)]
     terms = {}
     for i, eq in enumerate(eqs):
         w = (n + 1 + i, 1)
@@ -155,10 +159,11 @@ def build_hn_instance(system, gamma, g1_index=0, recipe=None):
         for key, c in eq.sparse_terms.items():
             terms[tuple(map(add, key, up)) + w] = c * scale
         if i:
-            linear = {key[0] + 1 for key in eq.sparse_terms if key[1:] == (1,)}
-            for k in range(n + 1):
-                key = (k, 1) + w
-                terms[key] = terms[key] + 1 if k in linear else 1
+            linear = [((key[0] + 1, 1) + w, c * scale)
+                      for key, c in eq.sparse_terms.items() if key[1:] == (1,)]
+            terms.update(zip(map(add, xs, repeat(w)), repeat(1)))
+            for key, c in linear:
+                terms[key] += c
 
     poly = SparsePoly._from_payloads(ring, nvars, terms, names)
     witness = ReductionWitnessMap(

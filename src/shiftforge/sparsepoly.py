@@ -12,7 +12,10 @@ Input is validated once, at the boundary: the public constructor checks
 every exponent vector and coefficient it is given, and the file readers
 check what they parse.  Arithmetic builds its results from keys it made
 out of already checked polynomials, so it goes through the trusted
-constructor `SparsePoly._from_payloads`, which only canonicalizes.
+constructor `SparsePoly._from_payloads`, which only canonicalizes: it
+takes over the producer's map, with no copy, when its payloads are
+canonical and none is 0, and copies it otherwise.  The disjoint products
+of `mul` reduce each payload as they are built, so they are taken over.
 """
 
 from __future__ import annotations
@@ -422,6 +425,11 @@ class SparsePoly:
         reduced set, the payloads are canonical already, as the readers
         parse them, and only the zeros are dropped.  The keys are not
         checked.
+
+        The map is handed over: where its payloads are canonical (reduced
+        set, or the ring is Z) and none is 0, it becomes sparse_terms
+        itself, so the caller passes a fresh map and never touches it
+        again.  Any other map is copied, and the caller's is left as it is.
         """
         self = cls.__new__(cls)
         self._canonicalize(ring, nvars, terms, catalog_names(nvars, var_names),
@@ -430,13 +438,16 @@ class SparsePoly:
 
     def _canonicalize(self, ring, nvars, terms, var_names, reduced=False):
         # the one place that reduces coefficients and drops zeros, in one
-        # comprehension per ring kind; only Q calls canon per term
+        # comprehension per ring kind; only Q calls canon per term.  A
+        # canonical map with no zero, found by one scan of its values, is
+        # kept as it is
         self.ring = ring
         self.nvars = nvars
         self.var_names = var_names
         m = ring.modulus
         if reduced or ring.kind == INTEGERS:
-            self.sparse_terms = {k: c for k, c in terms.items() if c}
+            self.sparse_terms = (terms if 0 not in terms.values()
+                                 else {k: c for k, c in terms.items() if c})
         elif m is not None:
             self.sparse_terms = {k: v for k, c in terms.items() if (v := c % m)}
         else:
@@ -552,18 +563,29 @@ class SparsePoly:
         return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
 
     def mul(self, other):
-        """The product, bounded by term_cap()."""
+        """The product, bounded by term_cap().
+
+        Operands on disjoint ordered position ranges, such as the copies
+        amplify multiplies, give distinct concatenated keys, built in one
+        comprehension that also reduces each product mod m on a finite
+        ring: a product of canonical Z or Q payloads is canonical, so the
+        map is handed over unless a zero divisor of Z_q made a 0.  Other
+        operands go through _product and are reduced after it."""
         self._align(other)
         mine, theirs = self.sparse_terms, other.sparse_terms
         check_term_cap(len(mine) * len(theirs), "product")
-        # operands on disjoint ordered position ranges, such as the
-        # copies amplify multiplies, give distinct concatenated keys
-        if _ends_before(mine, theirs):
+        if not _ends_before(mine, theirs):
+            out = self._product(mine, theirs)
+            return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
+        m = self.ring.modulus
+        if m is None:
             out = {k1 + k2: c1 * c2 for k1, c1 in mine.items()
                    for k2, c2 in theirs.items()}
         else:
-            out = self._product(mine, theirs)
-        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
+            out = {k1 + k2: c1 * c2 % m for k1, c1 in mine.items()
+                   for k2, c2 in theirs.items()}
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names,
+                                         reduced=True)
 
     @staticmethod
     def _product(mine, theirs):
@@ -966,9 +988,12 @@ def load_poly(path):
 
 
 def parse_vector(text, ring):
-    """Comma-separated coefficients in the ring's textual encoding."""
-    items = [t.strip() for t in text.split(",")]
-    return tuple(ring.parse_coeff(t) for t in items)
+    """Comma-separated coefficients in the ring's textual encoding; an
+    empty or all-blank text is the empty vector, which format_vector
+    writes as ""."""
+    if not text.strip():
+        return ()
+    return tuple(ring.parse_coeff(t.strip()) for t in text.split(","))
 
 
 def format_vector(vec):

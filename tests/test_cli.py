@@ -88,6 +88,21 @@ def test_shift_collapses_square(tmp_path, capsys):
     assert out == "ring Z\nvars 1 x\nterm 1 2\n"
 
 
+def test_shift_by_the_empty_vector(tmp_path, capsys):
+    # "" is the vector of a polynomial with no variables, as format_vector
+    # writes it; an empty entry between commas is still a bad coefficient
+    none = write_poly(tmp_path, "c.poly", ZZ, 0, {(): 5})
+    code, out, _ = run(capsys, "shift", none, "--by", "")
+    assert code == 0
+    with open(none) as fh:
+        assert out == fh.read()
+    two = write_poly(tmp_path, "p.poly", ZZ, 2, {(1, 0): 1}, ["x", "y"])
+    assert run(capsys, "shift", two, "--by", "") == (
+        3, "", "precondition failed: shift vector of length 0 for 2 variables\n")
+    assert run(capsys, "shift", two, "--by", "1,,2") == (
+        2, "", "format error: bad coefficient ''\n")
+
+
 def test_negative_vector_entries_parse_in_both_spellings(tmp_path, capsys):
     path = write_poly(tmp_path, "p.poly", ZZ, 2,
                       {(2, 0): 1, (1, 1): 3, (0, 0): 1}, ["x", "y"])

@@ -1,5 +1,6 @@
 """Shift-sparsification encoding of root-finding over the integers."""
 
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -32,9 +33,15 @@ from shiftforge import (
     shift_to_solution,
     solution_to_shift,
 )
+from shiftforge import hn_reduce
 from shiftforge.hn_reduce import witness_from_text, witness_to_text
 
-from helpers import assert_canonical, planted_integer_system, random_vector
+from helpers import (
+    assert_canonical,
+    planted_integer_system,
+    random_circuit,
+    random_vector,
+)
 
 GAMMA = ZZ.el(2)
 
@@ -141,14 +148,56 @@ def encoded_terms_reference(S, gamma):
     return SparsePoly(ZZ, n + 1 + t, terms).terms
 
 
+def circuit_lowered_instances(rng, count):
+    """HN instances of systems lowered from small random circuits over
+    three inputs, each with at least 40 lowered variables: the sum and
+    var rows of the lowering are linear, so the window block meets g_i's
+    own linear terms in most summands."""
+    out = []
+    while len(out) < count:
+        circuits = [random_circuit(ZZ, 3, 16, rng) for _ in range(4)]
+        inst = reduce_hn(circuits)
+        if isinstance(inst, HNInstance) and inst.nsys >= 40:
+            out.append(inst)
+    return out
+
+
 def test_encoder_matches_term_by_term_reference():
+    # planted systems of at most 4 variables, and circuit-lowered ones
+    # of 40 or more
     rng = random.Random(97)
+    lowered = [inst.system for inst in circuit_lowered_instances(random.Random(101), 4)]
     for gamma in (GAMMA, ZZ.el(-3)):
         for _ in range(25):
             S, _ = planted_integer_system(rng, max_vars=4, max_eqs=4, max_degree=4)
             inst = reduce_hn(S, gamma)
             assert_canonical(inst.polynomial)
             assert inst.polynomial.terms == encoded_terms_reference(inst.system, gamma)
+        for S in lowered:
+            poly = build_hn_instance(S, gamma).polynomial
+            assert_canonical(poly)
+            assert poly.terms == encoded_terms_reference(S, gamma)
+
+
+def test_a_window_block_that_drops_the_linear_terms_is_caught():
+    """build_hn_instance with the linear coefficients of gamma * g_i
+    overwritten by the window block and not added back gives a wrong
+    polynomial; recompiled unchanged, it gives the reference."""
+    source = inspect.getsource(hn_reduce.build_hn_instance)
+
+    def mutant(old, new):
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(hn_reduce), namespace)
+        return namespace["build_hn_instance"]
+
+    overwritten = mutant("terms[key] += c\n", "pass\n")
+    same = mutant("terms[key] += c\n", "terms[key] += c\n")
+    insts = circuit_lowered_instances(random.Random(103), 3)
+    for build, equal in ((overwritten, False), (same, True)):
+        assert all((build(inst.system, GAMMA).polynomial.terms
+                    == encoded_terms_reference(inst.system, GAMMA)) is equal
+                   for inst in insts)
 
 
 def test_trivially_solvable_homogeneous():

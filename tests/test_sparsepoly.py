@@ -3,6 +3,7 @@
 import inspect
 import operator
 import random
+import textwrap
 import time
 from fractions import Fraction
 from itertools import chain, product
@@ -26,7 +27,9 @@ from shiftforge import sparsepoly
 from shiftforge.amplifier import amplified_shift, amplify
 from shiftforge.sparsepoly import (
     dense_exps,
+    format_vector,
     pairs,
+    parse_vector,
     poly_from_text,
     poly_to_text,
     shifted_term_map,
@@ -170,6 +173,81 @@ def test_disjoint_mul_multiplicative_over_domains():
         p = random_poly(Z6, 4, 2, 3, rng).embed(8, 0)
         q = random_poly(Z6, 4, 2, 3, rng).embed(8, 4)
         assert p.mul(q).sparsity() <= p.sparsity() * q.sparsity()
+
+
+def test_from_payloads_keeps_a_canonical_map_and_copies_any_other():
+    """A zero-free map of canonical payloads, read as reduced or over Z,
+    is taken over as it is; a map that holds a 0, or one that is reduced
+    on the way, is copied, and the caller's map is left unchanged."""
+    names = ("x", "y")
+    for ring in (ZZ, QQ, F5, Z6):
+        one, two = ring.el(1).val, ring.el(-2).val
+        for reduced in (False, True):
+            terms = {(0, 1): one, (0, 2, 1, 1): two, (): one}
+            poly = SparsePoly._from_payloads(ring, 2, terms, names, reduced)
+            assert (poly.sparse_terms is terms) == (reduced or ring is ZZ)
+            assert poly.sparse_terms == {(0, 1): one, (0, 2, 1, 1): two, (): one}
+            assert_canonical(poly)
+            holed = {(0, 1): one, (1, 1): ring.canon(0), (): two}
+            before = dict(holed)
+            poly = SparsePoly._from_payloads(ring, 2, holed, names, reduced)
+            assert poly.sparse_terms is not holed
+            assert poly.sparse_terms == {(0, 1): one, (): two}
+            assert list(holed.items()) == list(before.items())
+            assert_canonical(poly)
+
+
+def disjoint_operands(rng):
+    """Random operands on the disjoint position ranges 0..3 and 4..7 over
+    Z, Q, F5 and Z6, the ranges mul concatenates in one comprehension."""
+    cases = []
+    for ring in (ZZ, QQ, F5, Z6):
+        for _ in range(40):
+            p = random_poly(ring, 4, 3, 5, rng).embed(8, 0)
+            q = random_poly(ring, 4, 3, 5, rng).embed(8, 4)
+            cases.append((p, q))
+    return cases
+
+
+def test_disjoint_mul_matches_the_general_product():
+    for p, q in disjoint_operands(random.Random(43)):
+        got = p.mul(q)
+        want = SparsePoly._from_payloads(
+            p.ring, p.nvars, SparsePoly._product(p.sparse_terms, q.sparse_terms),
+            p.var_names)
+        assert list(got.sparse_terms.items()) == list(want.sparse_terms.items())
+        assert_canonical(got)
+
+
+def test_a_disjoint_product_left_unreduced_is_caught():
+    """mul with its disjoint comprehension's `% m` taken out stores
+    unreduced F5 payloads; recompiled unchanged, it matches mul."""
+    source = textwrap.dedent(inspect.getsource(SparsePoly.mul))
+
+    def mutant(old, new):
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(sparsepoly), namespace)
+        return namespace["mul"]
+
+    unreduced = mutant("c1 * c2 % m for", "c1 * c2 for")
+    same = mutant("self._align(other)", "self._align(other)")
+    cases = [(p, q) for p, q in disjoint_operands(random.Random(47))
+             if p.ring is F5]
+    assert any(unreduced(p, q) != p.mul(q) for p, q in cases)
+    assert all(same(p, q) == p.mul(q) for p, q in cases)
+
+
+def test_the_empty_vector_round_trips():
+    assert format_vector(()) == ""
+    for ring in (ZZ, QQ, F5, Z6):
+        assert parse_vector("", ring) == ()
+        assert parse_vector(" \t ", ring) == ()
+        vec = (ring.el(1), ring.el(-2), ring.el(0))
+        assert parse_vector(format_vector(vec), ring) == vec
+        for text in ("1,,2", ",", "1,", " , "):
+            with pytest.raises(FormatError, match="^bad coefficient ''$"):
+                parse_vector(text, ring)
 
 
 def test_degree_examples_and_additivity():
