@@ -228,7 +228,8 @@ def search_min_sparsity(poly, dom, metric="total"):
     if best is None:
         raise PreconditionError("search domain is empty")
     witness = tuple(RingElement(poly.ring, v) for v in best[1])
-    exact = _count(shifted_term_map(poly.ring, poly.sparse_terms, best[1]), metric)
+    exact = _count(shifted_term_map(ring, poly.sparse_terms, best[1],
+                                    poly.halves()), metric)
     if exact != best[0]:
         raise InternalConsistencyError(
             "shift %s: counted %d monomials, expansion gives %d"

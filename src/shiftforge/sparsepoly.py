@@ -16,6 +16,13 @@ constructor `SparsePoly._from_payloads`, which only canonicalizes: it
 takes over the producer's map, with no copy, when its payloads are
 canonical and none is 0, and copies it otherwise.  The disjoint products
 of `mul` reduce each payload as they are built, so they are taken over.
+
+Every key is cut once per polynomial, at nvars // 2: `halves()` is the
+cut_keys view of sparse_terms, made on first use and kept, from which
+the shift expands and term_lines writes.  poly_from_text hands over the
+view the reader builds as it keys fixed-width rows, but only when every
+term row was such a row and the map was kept: not after a row read by
+read_term, nor after a `term 0` row or a Z_q payload that reduced to 0.
 """
 
 from __future__ import annotations
@@ -178,6 +185,19 @@ def _moving_parts(groups):
     return dict.fromkeys(movs)
 
 
+def cut_keys(terms, h):
+    """The two-level view of a term map that cuts every key at position
+    h: (rows, rights), rows a map from each left half, a key's pairs below
+    h, to {right half number: payload}, and rights the list of the right
+    halves, the rest of each key, by number."""
+    rows = {}
+    rights = {}
+    for key, c in terms.items():
+        i = 2 * bisect_left(key[::2], h)
+        rows.setdefault(key[:i], {})[rights.setdefault(key[i:], len(rights))] = c
+    return rows, list(rights)
+
+
 def _half_size(half, moving):
     """The monomial count of a key half under a shift of the positions in
     moving: the product of e + 1 over its pairs on moving."""
@@ -239,12 +259,12 @@ def _expansion(half, offsets, m):
     return partial
 
 
-def shifted_term_map(ring, terms, offsets):
+def shifted_term_map(ring, terms, offsets, halves=None):
     """Term map of P(X + a) from a payload term map and payload offsets.
 
-    Every key is cut once at h = len(offsets) // 2 into a left half, its
-    pairs below h, and a right half, the rest, and the terms make one row
-    per left half.  Each distinct half is expanded once per call
+    The terms come as halves, their cut_keys view at any position, or
+    else are cut at len(offsets) // 2: one row per left half, the right
+    halves numbered.  Each distinct half is expanded once per call
     (_expansion), the right ones onto subkeys numbered as the halves are,
     so the sums hash small ints.  Stage 1 sums c * s over the expansions
     of a row's right halves and keeps the nonzero sums.  Stage 2 copies
@@ -260,20 +280,16 @@ def shifted_term_map(ring, terms, offsets):
     moving = {p for p, a in enumerate(offsets) if a}
     if not moving:
         return dict(terms)
-    h = len(offsets) // 2
-    halves = {}  # each right half, then each other subkey -> its number
-    rows = {}  # left half -> {right half number: c}
-    for key, c in terms.items():
-        i = 2 * bisect_left(key[::2], h)
-        rows.setdefault(key[:i], {})[halves.setdefault(key[i:], len(halves))] = c
-    sizes = [_half_size(right, moving) for right in halves]
+    rows, rights = halves or cut_keys(terms, len(offsets) // 2)
+    numbers = {sub: j for j, sub in enumerate(rights)}  # then the other subkeys
+    sizes = [_half_size(right, moving) for right in rights]
     check_term_cap(sum(_half_size(left, moving) * sum(map(sizes.__getitem__, row))
                        for left, row in rows.items()), "shifted polynomial")
     # the expansion of each right half but its last subkey, the half
-    lower = [[(halves.setdefault(sub, len(halves)), s)
+    lower = [[(numbers.setdefault(sub, len(numbers)), s)
               for sub, s in _expansion(right, offsets, m)[:-1]] if size > 1 else ()
-             for right, size in zip(list(halves), sizes)]
-    subs = list(halves)
+             for right, size in zip(rights, sizes)]
+    subs = list(numbers)
     out = {}
     lines = {}  # left subkey -> {right subkey number: sum}
     for left, row in rows.items():
@@ -392,7 +408,7 @@ class SparsePoly:
     exponent vectors, built on every read.
     """
 
-    __slots__ = ("ring", "nvars", "sparse_terms", "var_names")
+    __slots__ = ("ring", "nvars", "sparse_terms", "var_names", "_halves")
 
     def __init__(self, ring, nvars, terms=None, var_names=None):
         """terms maps dense exponent vectors to coefficients."""
@@ -444,6 +460,7 @@ class SparsePoly:
         self.ring = ring
         self.nvars = nvars
         self.var_names = var_names
+        self._halves = None
         m = ring.modulus
         if reduced or ring.kind == INTEGERS:
             self.sparse_terms = (terms if 0 not in terms.values()
@@ -463,6 +480,7 @@ class SparsePoly:
         out.nvars = nvars
         out.sparse_terms = sparse_terms
         out.var_names = catalog_names(nvars, var_names)
+        out._halves = None
         return out
 
     @property
@@ -470,6 +488,13 @@ class SparsePoly:
         """The term map with dense exponent vectors as keys."""
         n = self.nvars
         return {dense_exps(k, n): c for k, c in self.sparse_terms.items()}
+
+    def halves(self):
+        """cut_keys(sparse_terms, nvars // 2), made on the first call or
+        handed over by poly_from_text, and kept."""
+        if self._halves is None:
+            self._halves = cut_keys(self.sparse_terms, self.nvars // 2)
+        return self._halves
 
     # -- constructors ------------------------------------------------
 
@@ -609,7 +634,8 @@ class SparsePoly:
     def shift(self, offsets):
         """P(X + a) for a vector a of ring elements, expanded and reduced."""
         vals = self.ring.payloads(offsets, self.nvars, "shift vector")
-        out = shifted_term_map(self.ring, self.sparse_terms, vals)
+        out = shifted_term_map(self.ring, self.sparse_terms, vals,
+                               self.halves() if any(vals) else None)
         return self._derived(self.nvars, out, self.var_names)
 
     def eval(self, point):
@@ -688,8 +714,9 @@ def eval_payload(poly, vals):
 # a row is fixed-width: term_lines builds and sorts such rows as
 # strings, and Reader._take keys them, unsplit.  Both work on the two
 # halves of a row, the exponents of positions below n // 2 and the
-# rest, through a memo per half.  Any other row is written and read
-# token by token, by read_term.
+# rest: the writer on those of halves(), the reader through a memo per
+# half, building the view it hands over.  Any other row is written and
+# read token by token, by read_term.
 
 
 class _Memo(dict):
@@ -705,16 +732,18 @@ class _Memo(dict):
         return v
 
 
-def _chunk_key(start, chunk):
+def _chunk_entry(start, slot, chunk):
     """The key of one half ` e e ... e` of a fixed-width row, from position
-    start; ValueError unless each exponent is one ASCII digit after a space."""
+    start, and slot(key), or None without slot; ValueError unless each
+    exponent is one ASCII digit after a space."""
     if chunk[::2].strip(" ") or not chunk.isascii():
         raise ValueError("not a fixed-width chunk")
     key = []
     for p, e in enumerate(chunk[1::2], start):
         if e != "0":
             key += (p, int(e))  # int(" ") raises ValueError
-    return tuple(key)
+    key = tuple(key)
+    return key, slot and slot(key)
 
 
 def _lines(text):
@@ -738,16 +767,19 @@ class Reader:
     """
 
     __slots__ = ("ring", "nvars", "names", "lineno", "vars_line",
-                 "payloads", "halves", "rows")
+                 "payloads", "chunks", "rows", "keep")
 
     def __init__(self, vars_line=True):
         self.ring = self.nvars = self.names = self.lineno = self.rows = None
         self.vars_line = vars_line
         # rows, set by the format where a `term` line may come: the term
-        # map fixed-width rows go straight into, or None; the memos of both
-        # term paths, filled once the ring and the variable count are known:
-        # coefficient tokens to payloads, and each half's text to its key
-        self.payloads = self.halves = None
+        # map fixed-width rows go straight into, or None; keep, set with it
+        # by a format that keeps their cut_keys view at n // 2 too: the
+        # functions that give a left half's row there and a right half's
+        # number, or None; the memos of both term paths, filled once the
+        # ring and the variable count are known: coefficient tokens to
+        # payloads, and each half's text to its key and its slot
+        self.payloads = self.chunks = self.keep = None
 
     def lines(self, text, notes=None):
         """Yield (parts, line) per statement line but the term rows _take
@@ -769,22 +801,34 @@ class Reader:
         row, `term <coef>` and a space and one ASCII digit per exponent,
         whose key rows lacks; if not, False, and read_term reads it.  The
         key is that of the row's exponents below position n // 2 and that
-        of the rest, each text looked up once per file."""
-        n = self.nvars
-        cut = len(raw) - 2 * n if n else 0  # the space before the exponents
-        if cut <= 5 or self.rows is None:  # no coefficient, or no term map
+        of the rest, each text looked up once per file, with its slot in
+        the view kept: the row of the left half, the number of the right."""
+        if self.rows is None or (self.chunks is None and not self.nvars):
+            return False  # no term map, or no variables and so no row
+        if self.chunks is None:
+            # the memos, and the widths of the exponents and of their left half
+            n = self.nvars
+            left, right = self.keep or (None, None)
+            self.chunks = (_Memo(partial(_chunk_entry, 0, left)),
+                           _Memo(partial(_chunk_entry, n // 2, right)),
+                           2 * n, 2 * (n // 2))
+        left, right, width, mid = self.chunks
+        cut = len(raw) - width  # the space before the exponents
+        if cut <= 5:  # no coefficient
             return False
-        if self.halves is None:
-            self.halves = (_Memo(partial(_chunk_key, 0)),
-                           _Memo(partial(_chunk_key, n // 2)))
-        left, right = self.halves
-        mid = cut + 2 * (n // 2)
+        mid += cut
         try:
             coef = self.payloads[raw[5:cut]]
-            key = left[raw[cut:mid]] + right[raw[mid:]]
+            key, row = left[raw[cut:mid]]
+            half, j = right[raw[mid:]]
         except (FormatError, ValueError):  # a bad coefficient or exponent
             return False
-        if key in self.rows:
+        key += half
+        if row is not None:  # a duplicate has its number in the row
+            if j in row:
+                return False
+            row[j] = coef
+        elif key in self.rows:
             return False
         self.rows[key] = coef
         return True
@@ -908,15 +952,15 @@ def header_lines(ring, nvars, names=()):
 def term_lines(poly):
     """The `term` lines of poly, in graded-lexicographic descending order.
 
-    When poly has variables, every exponent is one digit and every degree
-    is at most sys.maxunicode, a line is a head `term <coef> ` and a
-    fixed-width row `e1 e2 ... ek`, whose byte 2p is the digit of
-    position p; the records chr(degree) + row + head sort as strings,
-    descending, into that order (by degree, then row), and rows are
-    unique, so the head never decides.  A row is built from the two
-    halves of its key, cut at n // 2, each half's degree and text once
-    per call.  Any other poly is written token by token in the order of
-    sorted_keys, the reference."""
+    When poly has variables, every exponent is one digit and the largest
+    degrees of a left and a right half add to at most sys.maxunicode, a
+    line is a head `term <coef> ` and a fixed-width row `e1 e2 ... ek`,
+    whose byte 2p is the digit of position p; the records chr(degree) +
+    row + head sort as strings, descending, into that order (by degree,
+    then row), and rows are unique, so the head never decides.  A row
+    joins the texts of the two halves of its key in poly.halves(), each
+    made once per call.  Any other poly is written token by token in the
+    order of sorted_keys, the reference."""
     n = poly.nvars
     fmt = poly.ring.format_coeff
     if not poly.ring.is_finite:  # the widest parts first, before any line
@@ -924,18 +968,18 @@ def term_lines(poly):
             fmt(max(map(abs, map(part, poly.sparse_terms.values())), default=0))
     if n:
         h = n // 2
-        lefts = _Memo(partial(_half_row, 0, "0 " * h))
-        rights = _Memo(partial(_half_row, h, "0 " * (n - h - 1) + "0"))
-        heads = _Memo(lambda c: "term %s " % fmt(c))
-        records = []
-        for key, c in poly.sparse_terms.items():
-            i = 2 * bisect_left(key[::2], h)
-            left, right = lefts[key[:i]], rights[key[i:]]
-            if (left is None or right is None
-                    or (degree := left[0] + right[0]) > sys.maxunicode):
-                break  # written token by token below
-            records.append(chr(degree) + left[1] + right[1] + heads[c])
-        else:
+        rows, rights = poly.halves()
+        # (degree, text) of each left half and of each right half by number
+        lefts = [_half_row(0, "0 " * h, left) for left in rows]
+        rights = [_half_row(h, "0 " * (n - h - 1) + "0", right) for right in rights]
+        if (None not in lefts and None not in rights
+                and max(lefts, default=(0,))[0] + max(rights, default=(0,))[0]
+                <= sys.maxunicode):
+            heads = _Memo(lambda c: "term %s " % fmt(c))
+            records = []
+            for (degree, left), row in zip(lefts, rows.values()):
+                records += [chr(degree + d) + left + right + heads[c]
+                            for j, c in row.items() for d, right in (rights[j],)]
             records.sort(reverse=True)
             return [r[2 * n:] + r[1:2 * n] for r in records]
     row = ["0"] * n
@@ -967,13 +1011,27 @@ def poly_to_text(poly):
 
 
 def poly_from_text(text):
+    """The polynomial of a .poly text, with the reader's cut as its
+    halves() where that is the cut of its terms (see the module notes)."""
     reader = Reader()
     terms = reader.rows = {}
-    reader.read(text, {"term": partial(read_term, reader, terms)})
+    rows, numbers = {}, {}
+    reader.keep = (lambda key: rows.setdefault(key, {}),
+                   lambda key: numbers.setdefault(key, len(numbers)))
+
+    def term(parts, line):
+        if reader.keep is not None:  # from here on, no row goes into the cut
+            reader.keep = reader.chunks = None
+        read_term(reader, terms, parts, line)
+
+    reader.read(text, {"term": term})
     if reader.nvars is None:
         raise FormatError("polynomial file needs ring and vars lines")
-    return SparsePoly._from_payloads(reader.ring, reader.nvars, terms, reader.names,
+    poly = SparsePoly._from_payloads(reader.ring, reader.nvars, terms, reader.names,
                                      reduced=True)
+    if reader.keep is not None and poly.sparse_terms is terms:
+        poly._halves = rows, list(numbers)
+    return poly
 
 
 def save_poly(path, poly, header_comments=()):

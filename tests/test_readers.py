@@ -338,6 +338,24 @@ def test_a_duplicate_in_a_later_run_names_its_line(tmp_path, between):
     assert load_poly(str(path)).sparsity() == 1040 + between.startswith("term")
 
 
+@pytest.mark.parametrize("first, second", [
+    ("term 5 0 1 2", "term 6 0 1 2"),
+    ("term 5 0\t1 2", "term 6 0 1 2"),
+    ("term 5 0 1 2", "term 6 0\t1 2"),
+])
+def test_a_duplicate_row_names_its_line_whichever_path_reads_it(tmp_path, first,
+                                                                 second):
+    # a .poly keeps the cut of rows Reader._take reads, and a tab row
+    # goes to read_term, before or after the row it repeats
+    text = "%sterm 1 1 1 1\n%s\nterm 2 2 2 2\n%s\nterm 3 3 3 3\n" % (
+        TERM_HEAD, first, second)
+    path = tmp_path / "p.poly"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        load_poly(str(path))
+    assert str(info.value) == "duplicate exponent vector (0, 1, 2) (%s:6)" % path
+
+
 @pytest.mark.parametrize("widths", [(8191, 0), (8192, 0, 5), (0, 9000, 0, 0),
                                     (100, 8000, 91, 8193, 1)])
 def test_lines_across_blocks_are_those_of_splitlines(widths):

@@ -26,6 +26,7 @@ from shiftforge import (
 from shiftforge import sparsepoly
 from shiftforge.amplifier import amplified_shift, amplify
 from shiftforge.sparsepoly import (
+    cut_keys,
     dense_exps,
     format_vector,
     pairs,
@@ -822,6 +823,91 @@ def test_stage_mutants_of_the_halves_shift_are_caught():
                    for ring, terms, offsets in cases), shift
     assert all(same(ring, terms, offsets) == sorted_merge_shift(ring, terms, offsets)
                for ring, terms, offsets in cases)
+
+
+def view_map(view):
+    """A cut_keys view as {left half: {right half: payload}}, after
+    checking that its numbers name distinct right halves."""
+    rows, rights = view
+    assert len(set(rights)) == len(rights)
+    return {left: {rights[j]: c for j, c in row.items()} for left, row in rows.items()}
+
+
+def holds_its_cut(p):
+    """Whether p.halves() is the cut at nvars // 2 recomputed from
+    sparse_terms."""
+    return view_map(p.halves()) == view_map(cut_keys(p.sparse_terms, p.nvars // 2))
+
+
+def halves_texts():
+    """(text, handed): .poly texts, and whether poly_from_text hands the
+    reader's cut over.  Fixed-width files of an amplified encoding over
+    F5 and of random Z, Q and Z6 polynomials are; the F5 one is not with
+    a token row (an exponent of 10) before or after the fixed-width rows,
+    nor with a `term 0` row, nor over Zq 6 with a payload of 12."""
+    rng = random.Random(263)
+    amp = poly_to_text(amplify(pooled_poly(F5, rng, 6, {3, 4, 5}), 3).polynomial)
+    head, rows = amp.split("term ", 1)
+    nines = "9 " * 17 + "9"
+    cases = [(amp, True)]
+    for ring in (ZZ, QQ, Z6):
+        for nvars in (1, 2, 7):
+            cases.append((poly_to_text(random_poly(ring, nvars, 9, 12, rng)), True))
+    cases += [
+        (head + "term 2 " + "0 " * 17 + "10\n" + "term " + rows, False),
+        (amp + "term 3 10 " + "0 " * 16 + "0\n", False),
+        (amp + "term 0 " + nines + "\n", False),
+        (amp.replace("ring Fp 5", "ring Zq 6") + "term 12 " + nines + "\n", False),
+        (amp.replace("ring Fp 5", "ring Zq 6"), True),
+    ]
+    return cases
+
+
+def test_the_view_a_polynomial_holds_is_the_cut_of_its_terms():
+    """halves(), handed over by the reader or made from sparse_terms, equals
+    cut_keys at nvars // 2 recomputed from sparse_terms, as maps: for the
+    files of halves_texts, the terms and shift results of the interleaved
+    and edge cases, and a shift by a view cut at any position.  The
+    writer gives the token writer's lines from a handed-over view."""
+    for text, handed in halves_texts():
+        p = poly_from_text(text)
+        assert (p._halves is not None) == handed
+        assert holds_its_cut(p)
+        assert term_lines(p) == token_lines(p)
+    for ring, terms, offsets in interleaved_cases() + edge_cases():
+        n = max([len(offsets)] + [k[-2] + 1 for k in terms if k])
+        p = SparsePoly._from_payloads(ring, n, dict(terms), None)
+        assert holds_its_cut(p)
+        vec = [ring.el(v) for v in offsets] + [ring.zero] * (n - len(offsets))
+        assert holds_its_cut(p.shift(vec))
+        want = shifted_term_map(ring, terms, offsets)
+        for h in (0, len(offsets) // 2, n):
+            assert shifted_term_map(ring, terms, offsets, cut_keys(terms, h)) == want
+
+
+def test_handing_over_a_view_the_map_does_not_match_is_caught():
+    """poly_from_text recompiled to hand the reader's cut over after a row
+    read by read_term, or after _from_payloads dropped a zero payload,
+    gives a view that is not the cut of the polynomial's terms; as it is,
+    every view is."""
+    source = textwrap.dedent(inspect.getsource(sparsepoly.poly_from_text))
+
+    def mutant(old, new):
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(sparsepoly), namespace)
+        return namespace["poly_from_text"]
+
+    token_row = mutant("if reader.keep is not None and poly", "if poly")
+    dropped = mutant(" and poly.sparse_terms is terms:", ":")
+    same = mutant("    return poly\n", "    return poly\n")
+
+    def views_hold(read):
+        return all(holds_its_cut(read(text)) for text, _ in halves_texts())
+
+    assert views_hold(same)
+    assert not views_hold(token_row)
+    assert not views_hold(dropped)
 
 
 def test_shift_cap_counts_every_term_of_a_shared_moving_monomial(monkeypatch):
