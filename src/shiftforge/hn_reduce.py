@@ -8,11 +8,16 @@ outer variables w_1..w_t:
     w_1*g_1  +  sum over i >= 2 of  w_i*(gamma*g_i + x_0 + x_1 + ... + x_N)
 
 with gamma a fixed nonzero non-unit.  T has a solution exactly when some
-shift of the x-block lowers the polynomial's monomial count, and the
-wired shift for a solution a is (-sum(a), a), which lowers the count by
-exactly one.  Units of the coefficient ring would break both directions,
-which is why the construction is restricted to the integers here, the
-one supported domain that is neither a field nor has zero divisors.
+zero-sum shift of the x-block lowers the polynomial's monomial count,
+and the wired shift for a solution a is (-sum(a), a), which lowers the
+count by exactly one; zero-sum shifts are what verify_hn_roundtrip
+checks.  A shift of the x-block whose sum s is not zero may lower the
+count of an unsolvable T, at a point where g_1 vanishes and every
+gamma*g_i equals -s, so this is not yet a reduction to unrestricted
+shifts; a sum guard (ROADMAP item 14) is the open fix.  Units of the
+coefficient ring would break both directions, which is why the
+construction is restricted to the integers here, the one supported
+domain that is neither a field nor has zero divisors.
 """
 
 from __future__ import annotations

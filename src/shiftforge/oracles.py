@@ -197,12 +197,12 @@ def _least_key(dom, ring, k, make_slots):
     """The least (count, vector) key over the domain and its number of
     points, where the count at a point is the number of nonzero slots
     there, plus fixed; make_slots(moving) gives (fixed, slots) for the
-    positions that can move.  The bit-sliced kernel counts every domain,
-    in this process."""
+    range of positions that can move.  The bit-sliced kernel counts every
+    domain, in this process."""
     values, free, _ = _plan(dom, ring, k)
     zero_sum = dom.restriction == ZERO_SUM
-    moving = [0] + free if zero_sum and free else free
-    fixed, slots = make_slots(moving if any(values) else [])
+    fixed, slots = make_slots(range(free[0] - zero_sum, k)
+                              if free and any(values) else range(0))
     _check_powers(ring, values, slots)
     found = sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum)
     if found is None:

@@ -27,7 +27,14 @@ from .circuits import (
     load_circuit,
     read_circuit_line,
 )
-from .errors import ArityError, FormatError, PreconditionError, RingMismatchError, quoted
+from .errors import (
+    ArityError,
+    FormatError,
+    PreconditionError,
+    RingMismatchError,
+    UnsupportedDomainError,
+    quoted,
+)
 from .rings import RingElement
 from .sparsepoly import (
     Reader,
@@ -372,14 +379,30 @@ def normalize_constants(system):
     guarantees this).  For the pivot g_1 with constant c_1 and any other
     constant-bearing g_i with constant c_i, g_i is replaced by
     c_1*g_i - c_i*g_1, whose constant term cancels; a replacement that
-    collapses to the zero polynomial is dropped.  Returns the new system
-    and a flag that is True when no equation carries a constant at all,
-    in which case the system is returned unchanged and the all-zero
-    assignment satisfies it.
+    collapses to the zero polynomial is dropped.  Given g_1 = 0 the
+    replacement leaves c_1*g_i = 0, which gives g_i = 0 only when c_1 is
+    not a zero divisor.  Over Z, Q and F_p the pivot is the first
+    constant-bearing equation.  Over Z_q every nonzero non-unit is a zero
+    divisor, so the pivot is the first one whose constant is a unit, and
+    UnsupportedDomainError is raised when two or more carry a constant
+    and none of those is a unit.  Returns the new system and a flag that
+    is True when no equation carries a constant at all, in which case
+    the system is returned unchanged and the all-zero assignment
+    satisfies it.
     """
-    pivot_idx = first_constant_index(system)
-    if pivot_idx is None:
+    ring = system.ring
+    bearing = [i for i, eq in enumerate(system.equations)
+               if not eq.constant_term().is_zero]
+    if not bearing:
         return system, True
+    pivot_idx = bearing[0]
+    if ring.is_finite and len(bearing) > 1:
+        pivot_idx = next((i for i in bearing
+                          if system.equations[i].constant_term().is_unit), None)
+        if pivot_idx is None:
+            raise UnsupportedDomainError(
+                "normalize over %s needs a unit constant: %d equations carry "
+                "a constant and none is a unit" % (ring.token(), len(bearing)))
     pivot = system.equations[pivot_idx]
     c1 = pivot.constant_term()
     out = [pivot]
@@ -396,7 +419,7 @@ def normalize_constants(system):
             if eq.is_zero:
                 continue
         out.append(eq)
-    normalized = EquationSystem(system.ring, system.var_names, out, system.tiers)
+    normalized = EquationSystem(ring, system.var_names, out, system.tiers)
     return normalized, False
 
 

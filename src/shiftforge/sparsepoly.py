@@ -111,59 +111,6 @@ def catalog_names(nvars, var_names):
     return var_names
 
 
-def split_terms(terms, moving):
-    """Group a payload term map by the unshifted part of every key.
-
-    moving is the set of shifted positions.  Returns a map from rest to
-    the list of (mov, c) of its terms, in the order the terms come: rest
-    holds a key's pairs off moving and mov its pairs on moving, both
-    flat sparse keys.  A shift changes only the mov part of a monomial,
-    so the terms of two groups never merge, and the monomials of P(X + a)
-    are the union of those of its groups.
-
-    A key with pairs both on and off moving is split by the itemgetters
-    of _selectors, looked up by its moving-flag mask: one byte per pair,
-    translated from its positions through a table of the moving ones
-    below 256, or built pair by pair when a position is 256 or more.
-    """
-    groups = {}
-    table = None
-    for key, c in terms.items():
-        positions = key[::2]
-        if moving.isdisjoint(positions):
-            rest, mov = key, ()
-        elif moving.issuperset(positions):
-            rest, mov = (), key
-        else:
-            if table is None:
-                table = bytearray(256)
-                for p in moving:
-                    if p < 256:
-                        table[p] = 1
-            try:
-                mask = bytes(positions).translate(table)
-            except ValueError:  # a position of 256 or more
-                mask = bytes(p in moving for p in positions)
-            off, on = _selectors(mask)
-            rest, mov = off(key), on(key)
-        group = groups.get(rest)
-        if group is None:
-            groups[rest] = [(mov, c)]
-        else:
-            group.append((mov, c))
-    return groups
-
-
-@lru_cache(maxsize=4096)
-def _selectors(mask):
-    """The itemgetters of the pairs of a key off and on moving, for a
-    mask with a 0 byte per pair off moving and a 1 byte per pair on it,
-    at least one of each."""
-    off = [i for j, f in enumerate(mask) if not f for i in (2 * j, 2 * j + 1)]
-    on = [i for j, f in enumerate(mask) if f for i in (2 * j, 2 * j + 1)]
-    return operator.itemgetter(*off), operator.itemgetter(*on)
-
-
 # one entry is a moving part and its count: a few MB at most
 @lru_cache(maxsize=4096)
 def _size(mov):
@@ -173,16 +120,6 @@ def _size(mov):
     for e in mov[1::2]:
         size *= e + 1
     return size
-
-
-def _moving_parts(groups):
-    """The distinct moving parts of the split_terms groups, in the order
-    they first come.  Raises CapExceededError, before anything is
-    expanded, when the sum over the terms of their sizes exceeds
-    term_cap()."""
-    movs = [mov for group in groups.values() for mov, _ in group]
-    check_term_cap(sum(map(_size, movs)), "shifted polynomial")
-    return dict.fromkeys(movs)
 
 
 def cut_keys(terms, h):
@@ -324,11 +261,14 @@ def slot_table(ring, terms, shifted, nonconstant=False):
     """The coefficients of P(X + a), as polynomials in the shift a.
 
     P is given by its payload term map, and a moves the positions in
-    `shifted`.  Terms are grouped by their unshifted part with
-    split_terms, and distinct groups never merge.  In a group, the
+    `shifted`, a range of consecutive positions.  Every key is cut once
+    at the two ends of the range, as cut_keys cuts at one position: its
+    pairs in the range are its moving part mov, the pairs before and
+    after it joined are its rest.  A shift changes only mov, so terms of
+    distinct rests never merge.  Among the terms of one rest, the
     coefficient of the shifted monomial m is its slot,
 
-        sum over the group's terms c * x^t with t >= m of
+        sum over the terms c * x^t with t >= m of
         c * prod_i C(t_i, m_i) * a^(t - m),
 
     so the monomial count of P(X + a) is the number of nonzero slots.
@@ -339,43 +279,44 @@ def slot_table(ring, terms, shifted, nonconstant=False):
     Returns (fixed, slots): fixed counts the slots that are nonzero
     constants, such as the coefficient of a top-degree term, and slots
     lists the others that are not identically 0.  With nonconstant set,
-    the constant of the group whose unshifted part is () is left out.
-    The table has at most the entries of the worst-case expansion,
-    checked first as shifted_term_map checks it.
+    the constant slot of the rest () is left out.  The table has at most
+    the entries of the worst-case expansion, checked first as
+    shifted_term_map checks it.
     """
     m = ring.modulus
+    lo, hi = shifted.start, shifted.stop
+    cut = []
+    for key, c in terms.items():
+        positions = key[::2]
+        i = 2 * bisect_left(positions, lo)
+        j = 2 * bisect_left(positions, hi)
+        cut.append((key[:i] + key[j:], key[i:j], c))
+    check_term_cap(sum(_size(mov) for _, mov, _ in cut), "shifted polynomial")
+    consts = {}  # (rest, m) -> c for each term c * x^m
+    table = {}  # (rest, m) -> the nonconstant part of its slot
+    for rest, mov, c in cut:
+        consts[rest, mov] = c
+        expansion = (_submonomials(mov) if _size(mov) <= 32
+                     else _submonomials.__wrapped__(mov))
+        # the first part of an expansion is the one of m = (), left out
+        # of the rest () with nonconstant set
+        for sub, key, b in expansion[nonconstant and not rest:]:
+            if b != 1:
+                v = c * b if m is None else c * b % m
+                if not v:
+                    continue
+            else:
+                v = c
+            part = table.get((rest, sub))
+            if part is None:
+                table[rest, sub] = [(v, key)]
+            else:
+                part.append((v, key))
+    if nonconstant:
+        consts.pop(((), ()), None)
     zero = ring.canon(0)
-    groups = split_terms(terms, set(shifted))
-    expansions = {mov: _submonomials(mov) if _size(mov) <= 32
-                  else _submonomials.__wrapped__(mov)
-                  for mov in _moving_parts(groups)}
-    fixed = 0
-    slots = []
-    for rest, group in groups.items():
-        consts = {}  # m -> c for each term c * x^m of the group
-        table = {}  # m -> the nonconstant part of its slot
-        drop = nonconstant and not rest  # leave out the slot of m = ()
-        for mov, c in group:
-            consts[mov] = c
-            # the first part of an expansion is the one of m = ()
-            for sub, key, b in expansions[mov][drop:]:
-                if b != 1:
-                    v = c * b if m is None else c * b % m
-                    if not v:
-                        continue
-                else:
-                    v = c
-                part = table.get(sub)
-                if part is None:
-                    table[sub] = [(v, key)]
-                else:
-                    part.append((v, key))
-        if drop:
-            consts.pop((), None)
-        for sub, part in table.items():
-            slots.append((consts.pop(sub, zero), part))
-        fixed += len(consts)
-    return fixed, slots
+    slots = [(consts.pop(at, zero), part) for at, part in table.items()]
+    return len(consts), slots
 
 
 # one entry holds at most 32 triples, so the cache holds at most a few MB

@@ -16,7 +16,7 @@ from shiftforge import (
     SparsePoly,
     ZZ,
 )
-from shiftforge.sparsepoly import _expansion, _moving_parts, pairs, split_terms
+from shiftforge.sparsepoly import _expansion, pairs
 
 
 def random_exponents(rng, nvars, max_degree):
@@ -44,9 +44,21 @@ def sparse_terms(terms):
             for exps, c in terms.items()}
 
 
+def reference_split(terms, moving):
+    """Group a term map by the unshifted part of every key, pair by pair:
+    a map from rest, a key's pairs off moving, to the list of (mov, c) of
+    its terms, mov its pairs on moving, in the order the terms come."""
+    groups = {}
+    for key, c in terms.items():
+        rest = tuple(v for p, e in pairs(key) if p not in moving for v in (p, e))
+        mov = tuple(v for p, e in pairs(key) if p in moving for v in (p, e))
+        groups.setdefault(rest, []).append((mov, c))
+    return groups
+
+
 def sorted_merge_shift(ring, terms, offsets):
     """The term map of P(X + a) with the terms grouped by their unshifted
-    part (split_terms), each group's moving parts expanded and summed,
+    part (reference_split), each group's moving parts expanded and summed,
     and every interleaved key merged whole by sorting its pairs: the
     reference map for the shift by halves.  Only the maps are compared,
     not their order, which every consumer sorts or ignores."""
@@ -54,9 +66,9 @@ def sorted_merge_shift(ring, terms, offsets):
     moving = {p for p, a in enumerate(offsets) if a}
     if not moving:
         return dict(terms)
-    groups = split_terms(terms, moving)
+    groups = reference_split(terms, moving)
     expansions = {mov: _expansion(mov, offsets, m)
-                  for mov in _moving_parts(groups)}
+                  for group in groups.values() for mov, _ in group}
     out = {}
     for rest, group in groups.items():
         if len(group) == 1 and not group[0][0]:

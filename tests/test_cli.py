@@ -150,6 +150,31 @@ def test_normalize_reports_equation_count(tmp_path, capsys):
     assert system.equations[1].constant_term().is_zero
 
 
+def test_normalize_keeps_a_z6_system_unsolvable(tmp_path, capsys):
+    """2x + 2 = 0 and 2x + 5 = 0 over Z6 have no solution (their
+    difference is 3 = 0).  Pivoting on 2x + 2 would leave
+    2*(2x + 5) - 5*(2x + 2) = -6x = 0, dropped, and 2x + 2 alone is
+    solved by x = 2; the unit constant 5 is the pivot instead.  With no
+    unit constant, normalize exits 3 and names the ring."""
+    src = tmp_path / "z6.sys"
+    src.write_text("ring Zq 6\nvars 1 x1\neq\nterm 2 1\nterm 2 0\n"
+                   "eq\nterm 2 1\nterm 5 0\n")
+    out_path = str(tmp_path / "n.sys")
+    assert run(capsys, "solve", str(src), "--exhaustive") == (
+        0, "solution NONE\n", "")
+    assert run(capsys, "normalize", str(src), "-o", out_path) == (
+        0, "trivially_solvable false\nequations 1\n", "")
+    with open(out_path) as f:
+        assert f.read() == "ring Zq 6\nvars 1 x1\neq\nterm 2 1\nterm 5 0\n"
+    assert run(capsys, "solve", out_path, "--exhaustive") == (
+        0, "solution NONE\n", "")
+    src.write_text("ring Zq 6\nvars 1 x1\neq\nterm 2 1\nterm 2 0\n"
+                   "eq\nterm 3 1\nterm 4 0\n")
+    code, out, err = run(capsys, "normalize", str(src), "-o", out_path)
+    assert (code, out) == (3, "")
+    assert "Zq 6" in err
+
+
 def test_reduce_hn_writes_instance_and_witness(tmp_path, capsys):
     src = write_system(tmp_path, "s.sys", ZZ, ["x1"], [{(1,): 1, (0,): -1}])
     out_path = str(tmp_path / "inst.poly")

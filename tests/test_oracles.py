@@ -640,7 +640,7 @@ def test_search_counts_grids_and_wide_slot_sets_one_point_per_block(
     wide = {(0, 500): 1, (0, 1): 3, (1, 0): 2, (0, 0): -1}
     box = SearchDomain.integer_box(7)
     assert not bitslice._fits(ZZ, box.values(ZZ), slot_table(
-        ZZ, poly(ZZ, 2, wide).sparse_terms, [1])[1])
+        ZZ, poly(ZZ, 2, wide).sparse_terms, range(1, 2))[1])
     forbid_planes(monkeypatch)
     cases = [
         (random_poly(QQ, 2, 2, 5, rng), SearchDomain.rational_grid([-1, 0, 2], [1, 2])),

@@ -13,7 +13,9 @@ from shiftforge import (
     EquationSystem,
     PreconditionError,
     QQ,
+    SearchDomain,
     SparsePoly,
+    UnsupportedDomainError,
     ZZ,
     check_solution,
     extend_solution,
@@ -26,6 +28,7 @@ from shiftforge import (
     quadratize_circuit,
     quadratize_sparse,
     save_system,
+    solve_system,
 )
 from shiftforge.quadratizer import (
     binomial_head_dominates,
@@ -301,6 +304,36 @@ def test_normalize_rejects_nonaffine_constant_bearers():
     T = xsystem(ZZ, ["x1"], [{(2,): 1, (0,): 2}, {(1,): 1, (0,): 1}])
     with pytest.raises(PreconditionError):
         normalize_constants(T)
+
+
+def test_normalize_keeps_solvability_over_zq():
+    """Over Z4, Z6 and Z9 a pivot constant c_1 that is a zero divisor
+    turns g_i = 0 into c_1*g_i = 0, which more points satisfy: the pivot
+    is the first unit constant instead, and a system whose constants
+    hold no unit is refused."""
+    rng = random.Random(263)
+    dom = SearchDomain.exhaustive()
+    moved = refused = 0
+    for q in (4, 6, 9):
+        ring = modular(q)
+        for _ in range(150):
+            n = rng.randint(1, 2)
+            names = ["x%d" % (j + 1) for j in range(n)]
+            rows = [{exps: rng.randrange(q)
+                     for exps in itertools.product((0, 1), repeat=n)
+                     if sum(exps) <= 1}
+                    for _ in range(rng.randint(1, 3))]
+            T = xsystem(ring, names, rows)
+            try:
+                out, trivial = normalize_constants(T)
+            except UnsupportedDomainError:
+                refused += 1
+                continue
+            if not trivial:
+                moved += out.equations[0] != T.equations[first_constant_index(T)]
+            assert (solve_system(T, dom) is None) == (
+                solve_system(out, dom) is None), rows
+    assert moved and refused
 
 
 def test_extend_zero_assignment():

@@ -29,13 +29,11 @@ from shiftforge.sparsepoly import (
     cut_keys,
     dense_exps,
     format_vector,
-    pairs,
     parse_vector,
     poly_from_text,
     poly_to_text,
     shifted_term_map,
     slot_table,
-    split_terms,
     term_lines,
 )
 
@@ -425,7 +423,7 @@ def random_shift_terms(ring, rng, nvars, shifted):
     terms = {}
     for _ in range(rng.randint(1, 8)):
         exps = [0] * nvars
-        for _ in range(rng.randint(0, 4)):
+        for _ in range(rng.randint(0, 4) if shifted else 0):
             exps[rng.choice(shifted)] += 1
         for i in range(nvars):
             if i not in shifted:
@@ -450,15 +448,44 @@ def slot_count(ring, table, a):
     return count
 
 
-def test_slot_table_counts_match_expansion_at_random_points():
+def random_range(rng, nvars, shape):
+    """A prefix, suffix, inner or empty range of positions below nvars;
+    an inner one needs 3 positions or more and is else the whole range."""
+    i = rng.randrange(nvars)
+    if shape == "prefix":
+        return range(i + 1)
+    if shape == "suffix":
+        return range(i, nvars)
+    if shape == "empty":
+        return range(i, i)
+    if nvars < 3:
+        return range(nvars)
+    return range(*sorted(rng.sample(range(1, nvars), 2)))
+
+
+def slot_table_mismatches(table_of):
+    """The cases (ring, terms, shifted, point) where the count of
+    table_of's slots differs from the size of the expansion at a random
+    point of the shifted range: prefix, suffix, inner and empty ranges,
+    and ranges around positions 254 to 257 of keys over 300 variables
+    with pairs on both sides of them."""
     rng = random.Random(181)
+    spots = [0, 3, 254, 255, 256, 257, 298, 299]
+    bad = []
     for ring in (ZZ, QQ, F5, prime_field(2), modular(4), Z6):
-        for _ in range(25):
-            nvars = rng.randint(1, 5)
-            shifted = sorted(rng.sample(range(nvars), rng.randint(1, nvars)))
-            terms = random_shift_terms(ring, rng, nvars, shifted)
+        cases = []
+        for _ in range(6):
+            for shape in ("prefix", "suffix", "inner", "empty"):
+                nvars = rng.randint(1, 6)
+                shifted = random_range(rng, nvars, shape)
+                cases.append((nvars, shifted,
+                              random_shift_terms(ring, rng, nvars, shifted)))
+        for shifted in (range(254, 258), range(255, 257), range(3, 256)):
+            cases.append((300, shifted,
+                          spread_poly(ring, rng, 300, spots).sparse_terms))
+        for nvars, shifted, terms in cases:
             for nonconstant in (False, True):
-                table = slot_table(ring, terms, shifted, nonconstant)
+                table = table_of(ring, terms, shifted, nonconstant)
                 for _ in range(6):
                     point = [ring.canon(0)] * nvars
                     for j in shifted:
@@ -466,30 +493,51 @@ def test_slot_table_counts_match_expansion_at_random_points():
                     out = shifted_term_map(ring, terms, point)
                     if nonconstant:
                         out = [e for e in out if e]
-                    assert slot_count(ring, table, point) == len(out), \
-                        (ring, terms, shifted, point)
+                    if slot_count(ring, table, point) != len(out):
+                        bad.append((ring, terms, shifted, point))
+    return bad
+
+
+def test_slot_table_counts_match_expansion_at_random_points():
+    assert slot_table_mismatches(slot_table) == []
+
+
+def test_a_cut_one_position_short_of_the_range_is_caught():
+    """A slot_table whose cut stops one position short leaves the last
+    shifted position in the rest, and its counts go wrong."""
+    source = inspect.getsource(sparsepoly.slot_table)
+
+    def mutant(old, new):
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(sparsepoly), namespace)
+        return namespace["slot_table"]
+
+    assert slot_table_mismatches(
+        mutant("bisect_left(positions, hi)", "bisect_left(positions, hi - 1)"))
+    assert slot_table_mismatches(mutant("    m = ", "    m = ")) == []
 
 
 def test_slot_table_takes_every_degree_and_bounds_it_first(monkeypatch):
     terms = sparse_terms(P(ZZ, 2, {(3, 0): 1, (0, 1): 1}).terms)
     # P(X + (0, a1)) = x0^3 + x1 + a1: two constant slots, and a1
-    assert slot_table(ZZ, terms, [1]) == (2, [(0, [(1, (1, 1))])])
-    assert slot_count(ZZ, slot_table(ZZ, terms, [1]), [0, 2]) == 3
+    assert slot_table(ZZ, terms, range(1, 2)) == (2, [(0, [(1, (1, 1))])])
+    assert slot_count(ZZ, slot_table(ZZ, terms, range(1, 2)), [0, 2]) == 3
     # P(X + (a0, 0)) = x0^3 + 3*a0*x0^2 + 3*a0^2*x0 + a0^3 + x1
-    assert slot_table(ZZ, terms, [0]) == (
+    assert slot_table(ZZ, terms, range(1)) == (
         2, [(0, [(1, (0, 3))]), (0, [(3, (0, 2))]), (0, [(3, (0, 1))])])
-    assert slot_count(ZZ, slot_table(ZZ, terms, [0]), [2, 0]) == 5
+    assert slot_count(ZZ, slot_table(ZZ, terms, range(1)), [2, 0]) == 5
     # over F3, C(3, 1) = C(3, 2) = 0: (x0 + a0)^3 = x0^3 + a0^3
     F3 = prime_field(3)
-    assert slot_table(F3, sparse_terms(P(F3, 1, {(3,): 1}).terms), [0]) == (
+    assert slot_table(F3, sparse_terms(P(F3, 1, {(3,): 1}).terms), range(1)) == (
         1, [(0, [(1, (0, 3))])])
     # the worst case of the expansion, 4 + 2 terms, is checked first
     monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "5")
     with pytest.raises(CapExceededError,
                        match=r"^shifted polynomial may reach 6 terms, cap is 5$"):
-        slot_table(ZZ, terms, [0, 1])
+        slot_table(ZZ, terms, range(2))
     monkeypatch.setenv("SHIFTFORGE_TERM_CAP", "6")
-    assert slot_table(ZZ, terms, [0, 1])[0] == 2
+    assert slot_table(ZZ, terms, range(2))[0] == 2
 
 
 def test_slot_table_of_a_high_power_builds_its_binomial_row_fast():
@@ -498,7 +546,7 @@ def test_slot_table_of_a_high_power_builds_its_binomial_row_fast():
     call per entry took minutes."""
     terms = sparse_terms(P(ZZ, 1, {(20000,): 1, (0,): -1}).terms)
     start = time.process_time()
-    fixed, slots = slot_table(ZZ, terms, [0])
+    fixed, slots = slot_table(ZZ, terms, range(1))
     assert time.process_time() - start < 1
     assert fixed == 1 and len(slots) == 20000
     for j in (0, 1, 777, 10000, 19999):
@@ -550,16 +598,6 @@ def test_trusted_producers_match_public_constructor():
     assert two_x.mul(P(Z6, 2, {(0, 1): 3, (1, 0): 1})) == P(Z6, 2, {(2, 0): 2})
 
 
-def reference_split(terms, moving):
-    """split_terms, pair by pair."""
-    groups = {}
-    for key, c in terms.items():
-        rest = tuple(v for p, e in pairs(key) if p not in moving for v in (p, e))
-        mov = tuple(v for p, e in pairs(key) if p in moving for v in (p, e))
-        groups.setdefault(rest, []).append((mov, c))
-    return groups
-
-
 def dense_product(p, q):
     """p * q on dense exponent vectors, through the public constructor."""
     out = {}
@@ -582,11 +620,10 @@ def spread_poly(ring, rng, nvars, spots):
 
 
 def test_key_surgery_matches_dense_references(monkeypatch):
-    """split_terms and shift on moving sets that interleave with the rest
-    of a key, also past position 255, where masks are built pair by
-    pair; mul of operands on ordered disjoint positions, in both orders
-    and with a constant or the zero polynomial, which in ascending order
-    concatenates keys without the general product."""
+    """shift on moving sets that interleave with the rest of a key, also
+    past position 255; mul of operands on ordered disjoint positions, in
+    both orders and with a constant or the zero polynomial, which in
+    ascending order concatenates keys without the general product."""
     rng = random.Random(239)
     for ring in (ZZ, QQ, F5, Z6):
         for nvars, spots in ((8, list(range(8))),
@@ -597,8 +634,6 @@ def test_key_surgery_matches_dense_references(monkeypatch):
                     moving = set(spots[rng.randrange(2)::2])
                 else:
                     moving = set(rng.sample(spots, rng.randint(1, len(spots) - 1)))
-                assert list(split_terms(p.sparse_terms, moving).items()) == list(
-                    reference_split(p.sparse_terms, moving).items())
                 offsets = [random_offsets(ring, rng, 1)[0] if j in moving
                            else ring.zero for j in range(nvars)]
                 assert p.shift(offsets).sparse_terms == sparse_terms(
