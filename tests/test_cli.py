@@ -370,6 +370,48 @@ def test_verify_hn_frozen(tmp_path, capsys):
     )
 
 
+# x*y - 2 and x - 1 over Z, the circuit bodies of c1.circ and c2.circ
+CIRCUITS = {
+    "c1.circ": "node 0 input 0\nnode 1 input 1\nnode 2 mul 0 1\nnode 3 const -2\n"
+               "node 4 add 2 3\noutput 4\n",
+    "c2.circ": "node 0 input 0\nnode 1 const -1\nnode 2 add 0 1\noutput 2\n",
+}
+
+
+def test_circuit_sources_read_alike_from_a_manifest_and_inline(tmp_path, capsys):
+    """quadratize, reduce-hn and verify-hn on two circuits written as a
+    manifest of .circ files and as the node blocks of one .sys: the same
+    files, byte for byte, and the same reports."""
+    head = "ring Z\nvars 2 x y\n"
+    for name, body in CIRCUITS.items():
+        (tmp_path / name).write_text(head + body)
+    (tmp_path / "manifest.sys").write_text(
+        "manifest\n" + "".join("circuit %s\n" % name for name in CIRCUITS))
+    (tmp_path / "inline.sys").write_text(
+        head + "".join("eq\n" + body for body in CIRCUITS.values()))
+    results = []
+    for stem in ("manifest", "inline"):
+        source = str(tmp_path / (stem + ".sys"))
+        files = [tmp_path / (stem + ext) for ext in ("-low.sys", ".poly", ".wit")]
+        reports = [
+            run(capsys, "quadratize", source, "-o", str(files[0])),
+            run(capsys, "reduce-hn", source, "--gamma", "3", "-o", str(files[1]),
+                "--witness", str(files[2])),
+            run(capsys, "verify-hn", source, "--box", "2"),
+        ]
+        results.append((reports, [f.read_text() for f in files]))
+    assert results[0] == results[1]
+    reports, (lowered, _, witness) = results[0]
+    assert reports == [
+        (0, "variables 10\nequations 10\n", ""),
+        (0, "trivially_solvable false\nsigma 102\n", ""),
+        (0, "trivially_solvable false\nsigma 102\nsolutions 1\n"
+            "sparsifying_shifts 0\nsolution_points 25\nshift_points 4091495\n"
+            "violations 0\nconsistent true\n", ""),
+    ]
+    assert "# recipe 5 const -2\n" in lowered and "gamma 3\n" in witness
+
+
 def test_verify_hn_refuses_an_oversized_shift_space(tmp_path, capsys):
     # 12 lowered variables: 5^12 zero-sum ranks exceed the 10^7 cap
     names = ["x%d" % i for i in range(1, 13)]

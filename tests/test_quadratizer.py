@@ -370,6 +370,23 @@ def test_system_file_round_trip_with_recipe(tmp_path):
         assert system_to_text(back, back_recipe) == text
 
 
+def test_lowered_circuits_with_const_steps_round_trip():
+    """A lowered circuit system's recipe has a `const` step per constant
+    node; its file reads back to the same system and recipe, and writes
+    the same bytes."""
+    for ring, consts in ((ZZ, (-2, 7)), (QQ, (QQ.parse_payload("-3/4"), 5)),
+                         (F5, (3, 4))):
+        circuits = [Circuit(ring, 2, [(0, "input", 0), (1, "const", c),
+                                      (2, "mul", (0, 1)), (3, "add", (2, 0))],
+                            output=3) for c in consts]
+        T, recipe = quadratize_circuit(circuits)
+        assert [op for _, op, _ in recipe.steps].count("const") == 2
+        text = system_to_text(T, recipe)
+        kind, back, back_recipe = system_from_text(text)
+        assert (kind, back, back_recipe) == ("sparse", T, recipe)
+        assert system_to_text(back, back_recipe) == text
+
+
 def test_raw_system_file_has_untagged_vars(tmp_path):
     S = xsystem(ZZ, ["x1", "x2"], [{(1, 1): 1}])
     text = system_to_text(S)

@@ -548,3 +548,41 @@ def test_quoted_tokens_are_cut_to_a_fixed_length():
     head = "9" * QUOTE_LIMIT
     assert quoted(head) == repr(head)
     assert quoted(head + "99") == "%r... (%d characters)" % (head, QUOTE_LIMIT + 2)
+
+
+SYS_HEAD = "ring Z\nvars 1 x\n"
+TAGGED_HEAD = "ring Z\nvars 2 x:a y:b\neq\nterm 1 1 0\n"
+
+
+@pytest.mark.parametrize("text, message, lineno", [
+    ("ring Z\nvars 2 q:a x:b\neq\nterm 1 1 0\n", "unknown tier prefix 'q'", 2),
+    (SYS_HEAD + "term 1 1\n", "term line outside an eq block", 3),
+    (SYS_HEAD + "eq\nterm 1 1\neq\nnode 0 input 0\noutput 0\n",
+     "mixed term and node blocks", 6),
+    (SYS_HEAD + "eq\nnode 0 input 0\noutput 0\neq\nterm 1 1\n",
+     "mixed term and node blocks", 7),
+    (TAGGED_HEAD + "# recipe 1 var\n", "truncated recipe line", 5),
+    (TAGGED_HEAD + "# recipe 1 pow 0 2\n", "unknown recipe op 'pow'", 5),
+    ("manifest\ncircuit c.circ\nnode 0 input 0\n",
+     "manifest lines must be `circuit <path>`", 3),
+    ("manifest\ncircuit c.circ\ncircuit c.circ c.circ\n",
+     "manifest lines must be `circuit <path>`", 3),
+    (SYS_HEAD + "eq\nnode 0 input 0\noutput 0\neq\nnode 0 input 0\n",
+     "circuit block is missing an output line", None),
+], ids=["tier prefix", "term before eq", "term then node", "node then term",
+        "short recipe", "recipe pow", "manifest node", "manifest two paths",
+        "no output"])
+def test_system_file_errors_are_exit_2_and_name_the_line(tmp_path, capsys, text,
+                                                        message, lineno):
+    # every command that reads a system file reports them alike; a
+    # file-wide error names the file alone
+    (tmp_path / "c.circ").write_text(SYS_HEAD + "node 0 input 0\noutput 0\n")
+    path = tmp_path / "s.sys"
+    path.write_text(text)
+    where = str(path) if lineno is None else "%s:%d" % (path, lineno)
+    for argv in (["quadratize", str(path), "-o", str(tmp_path / "q.sys")],
+                 ["verify-hn", str(path), "--box", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "format error: %s (%s)\n" % (message, where))
