@@ -56,17 +56,9 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError("expected a rational like 1/10") from None
 
 
-def _load_source(path):
-    """System file: sparse system (with optional recipe) or circuit list."""
-    loaded = load_system(path)
-    if loaded[0] == "sparse":
-        return loaded[1], loaded[2], None
-    return None, None, loaded[1]
-
-
 def _require_sparse(path):
-    system, recipe, circuits = _load_source(path)
-    if system is None:
+    kind, system, recipe = load_system(path)
+    if kind != "sparse":
         raise PreconditionError("this command needs an equation system file")
     return system, recipe
 
@@ -99,11 +91,9 @@ def _cmd_shift(args):
 
 
 def _cmd_quadratize(args):
-    system, recipe, circuits = _load_source(args.source)
-    if circuits is not None:
-        lowered, recipe = quadratize_circuit(circuits)
-    else:
-        lowered, recipe = quadratize_sparse(system)
+    kind, source, _ = load_system(args.source)
+    lower = quadratize_circuit if kind == "circuits" else quadratize_sparse
+    lowered, recipe = lower(source)
     save_system(args.out, lowered, recipe)
     print("variables %d" % lowered.nvars)
     print("equations %d" % len(lowered.equations))
@@ -120,11 +110,10 @@ def _cmd_normalize(args):
 
 
 def _cmd_reduce_hn(args):
-    system, recipe, circuits = _load_source(args.source)
-    source = circuits if circuits is not None else system
+    kind, source, _ = load_system(args.source)
     gamma = None
     if args.gamma is not None:
-        ring = circuits[0].ring if circuits is not None else system.ring
+        ring = source[0].ring if kind == "circuits" else source.ring
         gamma = ring.parse_coeff(args.gamma)
     result = reduce_hn(source, gamma)
     if isinstance(result, TriviallySolvable):
@@ -187,8 +176,7 @@ def _cmd_maxsat(args):
 
 
 def _cmd_verify_hn(args):
-    system, recipe, circuits = _load_source(args.source)
-    source = circuits if circuits is not None else system
+    _, source, _ = load_system(args.source)
     report = verify_hn_roundtrip(source, box=args.box)
     for line in report.lines():
         print(line)

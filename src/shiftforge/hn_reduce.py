@@ -14,10 +14,16 @@ count by exactly one; zero-sum shifts are what verify_hn_roundtrip
 checks.  A shift of the x-block whose sum s is not zero may lower the
 count of an unsolvable T, at a point where g_1 vanishes and every
 gamma*g_i equals -s, so this is not yet a reduction to unrestricted
-shifts; a sum guard (ROADMAP item 14) is the open fix.  Units of the
-coefficient ring would break both directions, which is why the
-construction is restricted to the integers here, the one supported
-domain that is neither a field nor has zero divisors.
+shifts; a sum guard (ROADMAP item 14) is the open fix.
+
+gamma must be nonzero, not a unit and not a zero divisor: a unit would
+break both directions, and a zero divisor lets gamma*g_i vanish where
+g_i does not.  Z is the one supported ring with such an element.  A
+field has no nonzero non-unit, and every nonzero non-unit of Z_q is a
+zero divisor, so reduce_hn refuses every ring but Z.  The abstract's
+claim that SparseShift_R is NP_R-complete for rings R that are not
+fields is therefore not reproduced for Z_q; the construction it would
+need is not in the paper's abstract.
 """
 
 from __future__ import annotations

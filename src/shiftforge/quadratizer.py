@@ -48,7 +48,7 @@ from .sparsepoly import (
     parse_int,
     read_file,
     read_term,
-    term_lines,
+    token_lines,
 )
 
 TIER_X = "x"
@@ -443,7 +443,7 @@ def system_to_text(system, recipe=None):
     lines = header_lines(system.ring, system.nvars, names)
     for eq in system.equations:
         lines.append("eq")
-        lines.extend(term_lines(eq))
+        lines.extend(token_lines(eq))
     if recipe is not None:
         for target, op, args in recipe.steps:
             if op == "const":
@@ -455,8 +455,9 @@ def system_to_text(system, recipe=None):
 
 
 def system_from_text(text):
-    """Parse a system file.  Returns ('sparse', system, recipe_or_None)
-    or ('circuits', list_of_circuits)."""
+    """Parse a system file into (kind, source, recipe): ('sparse', an
+    EquationSystem, its ExtensionRecipe or None) for `term` blocks, or
+    ('circuits', a list of Circuits, None) for node blocks."""
     reader = Reader()
     names = tiers = None
     blocks = []  # per eq line: (term map, nodes, output ids)
@@ -478,10 +479,6 @@ def system_from_text(text):
         key = parts[0]
         if not blocks:
             raise FormatError("%s line outside an eq block" % key)
-        if key != "term" and reader.rows is not None:
-            # the first node or output line: term rows taken before it count
-            reader.rows = None
-            kinds.add(any(terms for terms, _, _ in blocks))
         kinds.add(key == "term")
         if len(kinds) > 1:
             raise FormatError("mixed term and node blocks")
@@ -503,13 +500,8 @@ def system_from_text(text):
         else:
             raise FormatError("unknown recipe op %s" % quoted(op))
 
-    def equation(parts, line):
-        blocks.append(({}, {}, []))
-        if False not in kinds:  # fixed-width term rows go into the new block
-            reader.rows = blocks[-1][0]
-
     statements = dict.fromkeys(("term", "node", "output"), body)
-    statements.update(vars=catalog, eq=equation)
+    statements.update(vars=catalog, eq=lambda parts, line: blocks.append(({}, {}, [])))
     reader.read(text, statements, {"recipe": recipe})
     if reader.nvars is None:
         raise FormatError("system file needs ring and vars lines")
@@ -531,7 +523,7 @@ def system_from_text(text):
             raise FormatError("circuit block is missing an output line")
         nodes = [(nid,) + node for nid, node in nodes.items()]
         circuits.append(Circuit(ring, nvars, nodes, outputs[-1], names))
-    return "circuits", circuits
+    return "circuits", circuits, None
 
 
 def load_system(path):
@@ -543,8 +535,7 @@ def load_system(path):
 def _system_or_manifest(text, path):
     reader = Reader()
     if next(reader.lines(text), (None, None))[1] != "manifest":
-        kind = system_from_text(text)
-        return kind if kind[0] == "sparse" else (kind[0], kind[1], None)
+        return system_from_text(text)
     circuits = []
     try:
         for parts, line in reader.lines(text):

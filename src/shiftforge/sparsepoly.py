@@ -21,8 +21,11 @@ Every key is cut once per polynomial, at nvars // 2: `halves()` is the
 cut_keys view of sparse_terms, made on first use and kept, from which
 the shift expands and term_lines writes.  poly_from_text hands over the
 view the reader builds as it keys fixed-width rows, but only when every
-term row was such a row and the map was kept: not after a row read by
-read_term, nor after a `term 0` row or a Z_q payload that reduced to 0.
+term row was such a row and the map was kept: not once a row went to
+read_term, which ends the fixed-width rows for the rest of the file, nor
+after a `term 0` row or a Z_q payload that reduced to 0.  Fixed-width
+rows and the cut are the .poly format's alone: the other formats read
+and write every row token by token.
 """
 
 from __future__ import annotations
@@ -652,12 +655,13 @@ def eval_payload(poly, vals):
 # Lines end at "\n" alone; '#' starts a comment; duplicate exponent
 # vectors are rejected.  Terms are written in graded-lex descending
 # order, one space between tokens, so when every exponent is one digit
-# a row is fixed-width: term_lines builds and sorts such rows as
-# strings, and Reader._take keys them, unsplit.  Both work on the two
-# halves of a row, the exponents of positions below n // 2 and the
-# rest: the writer on those of halves(), the reader through a memo per
-# half, building the view it hands over.  Any other row is written and
-# read token by token, by read_term.
+# a row is fixed-width: in a .poly file, term_lines builds and sorts such
+# rows as strings, and Reader._take keys them, unsplit.  Both work on
+# the two halves of a row, the exponents of positions below n // 2 and
+# the rest: the writer on those of halves(), the reader through a memo
+# per half, building the view it hands over.  Any other row, and every
+# `term` row of a .sys file, is written by token_lines and read by
+# read_term, token by token.
 
 
 class _Memo(dict):
@@ -675,8 +679,8 @@ class _Memo(dict):
 
 def _chunk_entry(start, slot, chunk):
     """The key of one half ` e e ... e` of a fixed-width row, from position
-    start, and slot(key), or None without slot; ValueError unless each
-    exponent is one ASCII digit after a space."""
+    start, and slot(key); ValueError unless each exponent is one ASCII
+    digit after a space."""
     if chunk[::2].strip(" ") or not chunk.isascii():
         raise ValueError("not a fixed-width chunk")
     key = []
@@ -684,7 +688,7 @@ def _chunk_entry(start, slot, chunk):
         if e != "0":
             key += (p, int(e))  # int(" ") raises ValueError
     key = tuple(key)
-    return key, slot and slot(key)
+    return key, slot(key)
 
 
 def _lines(text):
@@ -708,19 +712,19 @@ class Reader:
     """
 
     __slots__ = ("ring", "nvars", "names", "lineno", "vars_line",
-                 "payloads", "chunks", "rows", "keep")
+                 "payloads", "chunks", "rows")
 
     def __init__(self, vars_line=True):
         self.ring = self.nvars = self.names = self.lineno = self.rows = None
         self.vars_line = vars_line
-        # rows, set by the format where a `term` line may come: the term
-        # map fixed-width rows go straight into, or None; keep, set with it
-        # by a format that keeps their cut_keys view at n // 2 too: the
-        # functions that give a left half's row there and a right half's
-        # number, or None; the memos of both term paths, filled once the
-        # ring and the variable count are known: coefficient tokens to
-        # payloads, and each half's text to its key and its slot
-        self.payloads = self.chunks = self.keep = None
+        # rows, set by poly_from_text alone until a row goes to read_term,
+        # is None or the sink of fixed-width rows: (terms, row, number),
+        # the term map they go straight into and the functions that give a
+        # left half's row and a right half's number in the cut_keys view
+        # at n // 2 kept with it.  The memos of both term paths are filled
+        # once the ring and the variable count are known: coefficient
+        # tokens to payloads, and each half's text to its key and its slot
+        self.payloads = self.chunks = None
 
     def lines(self, text, notes=None):
         """Yield (parts, line) per statement line but the term rows _take
@@ -740,20 +744,21 @@ class Reader:
     def _take(self, raw):
         """Read the term line raw into rows, and True, if it is a fixed-width
         row, `term <coef>` and a space and one ASCII digit per exponent,
-        whose key rows lacks; if not, False, and read_term reads it.  The
-        key is that of the row's exponents below position n // 2 and that
-        of the rest, each text looked up once per file, with its slot in
-        the view kept: the row of the left half, the number of the right."""
+        whose key the term map lacks; if not, False, and read_term reads
+        it.  The key is that of the row's exponents below position n // 2
+        and that of the rest, each text looked up once per file, with its
+        slot in the view kept: the row of the left half, the number of the
+        right."""
         if self.rows is None or (self.chunks is None and not self.nvars):
-            return False  # no term map, or no variables and so no row
+            return False  # no row sink, or no variables and so no row
         if self.chunks is None:
             # the memos, and the widths of the exponents and of their left half
             n = self.nvars
-            left, right = self.keep or (None, None)
-            self.chunks = (_Memo(partial(_chunk_entry, 0, left)),
-                           _Memo(partial(_chunk_entry, n // 2, right)),
+            terms, row, number = self.rows
+            self.chunks = (terms, _Memo(partial(_chunk_entry, 0, row)),
+                           _Memo(partial(_chunk_entry, n // 2, number)),
                            2 * n, 2 * (n // 2))
-        left, right, width, mid = self.chunks
+        terms, left, right, width, mid = self.chunks
         cut = len(raw) - width  # the space before the exponents
         if cut <= 5:  # no coefficient
             return False
@@ -764,14 +769,9 @@ class Reader:
             half, j = right[raw[mid:]]
         except (FormatError, ValueError):  # a bad coefficient or exponent
             return False
-        key += half
-        if row is not None:  # a duplicate has its number in the row
-            if j in row:
-                return False
-            row[j] = coef
-        elif key in self.rows:
+        if j in row:  # a duplicate has its number in the row
             return False
-        self.rows[key] = coef
+        row[j] = terms[key + half] = coef
         return True
 
     def read(self, text, statements, comments=()):
@@ -850,8 +850,8 @@ def parse_vars_line(parts, line):
 
 def read_term(reader, terms, parts, line):
     """Add a `term` line, read token by token, to terms, a map from keys
-    to payloads.  Fixed-width rows are read by Reader._take to the same
-    keys, through the same coefficient memo."""
+    to payloads.  The fixed-width rows of a .poly file are read by
+    Reader._take to the same keys, through the same coefficient memo."""
     n = reader.nvars
     if len(parts) != 2 + n:
         raise FormatError("term line needs %d exponents" % n)
@@ -900,13 +900,9 @@ def term_lines(poly):
     row + head sort as strings, descending, into that order (by degree,
     then row), and rows are unique, so the head never decides.  A row
     joins the texts of the two halves of its key in poly.halves(), each
-    made once per call.  Any other poly is written token by token in the
-    order of sorted_keys, the reference."""
+    made once per call.  Any other poly is written by token_lines, the
+    reference."""
     n = poly.nvars
-    fmt = poly.ring.format_coeff
-    if not poly.ring.is_finite:  # the widest parts first, before any line
-        for part in map(operator.attrgetter, ("numerator", "denominator")):
-            fmt(max(map(abs, map(part, poly.sparse_terms.values())), default=0))
     if n:
         h = n // 2
         rows, rights = poly.halves()
@@ -916,6 +912,7 @@ def term_lines(poly):
         if (None not in lefts and None not in rights
                 and max(lefts, default=(0,))[0] + max(rights, default=(0,))[0]
                 <= sys.maxunicode):
+            fmt = _format(poly)
             heads = _Memo(lambda c: "term %s " % fmt(c))
             records = []
             for (degree, left), row in zip(lefts, rows.values()):
@@ -923,7 +920,14 @@ def term_lines(poly):
                             for j, c in row.items() for d, right in (rights[j],)]
             records.sort(reverse=True)
             return [r[2 * n:] + r[1:2 * n] for r in records]
-    row = ["0"] * n
+    return token_lines(poly)
+
+
+def token_lines(poly):
+    """The `term` lines of poly, written token by token in the order of
+    sorted_keys."""
+    fmt = _format(poly)
+    row = ["0"] * poly.nvars
     lines = []
     for key in poly.sorted_keys():
         for p, e in pairs(key):
@@ -932,6 +936,17 @@ def term_lines(poly):
         for p in key[::2]:
             row[p] = "0"
     return lines
+
+
+def _format(poly):
+    """poly.ring.format_coeff, after the widest parts of poly's payloads
+    are formatted: a coefficient too long to write raises, naming the
+    widest, before any line."""
+    fmt = poly.ring.format_coeff
+    if not poly.ring.is_finite:
+        for part in map(operator.attrgetter, ("numerator", "denominator")):
+            fmt(max(map(abs, map(part, poly.sparse_terms.values())), default=0))
+    return fmt
 
 
 def _half_row(start, zeros, half):
@@ -955,14 +970,12 @@ def poly_from_text(text):
     """The polynomial of a .poly text, with the reader's cut as its
     halves() where that is the cut of its terms (see the module notes)."""
     reader = Reader()
-    terms = reader.rows = {}
-    rows, numbers = {}, {}
-    reader.keep = (lambda key: rows.setdefault(key, {}),
+    terms, rows, numbers = {}, {}, {}
+    reader.rows = (terms, lambda key: rows.setdefault(key, {}),
                    lambda key: numbers.setdefault(key, len(numbers)))
 
     def term(parts, line):
-        if reader.keep is not None:  # from here on, no row goes into the cut
-            reader.keep = reader.chunks = None
+        reader.rows = None  # from here on, every row goes to read_term
         read_term(reader, terms, parts, line)
 
     reader.read(text, {"term": term})
@@ -970,7 +983,7 @@ def poly_from_text(text):
         raise FormatError("polynomial file needs ring and vars lines")
     poly = SparsePoly._from_payloads(reader.ring, reader.nvars, terms, reader.names,
                                      reduced=True)
-    if reader.keep is not None and poly.sparse_terms is terms:
+    if reader.rows is not None and poly.sparse_terms is terms:
         poly._halves = rows, list(numbers)
     return poly
 

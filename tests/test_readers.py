@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftforge import FormatError, ShiftForgeError
+from shiftforge import FormatError, ShiftForgeError, quadratizer
 from shiftforge.circuits import load_circuit
 from shiftforge.cli import main
 from shiftforge.errors import quoted
@@ -209,13 +209,14 @@ def test_one_pass_rows_read_as_the_token_path(tmp_path):
     assert True in taken and False in taken
 
 
-def test_a_short_block_of_fixed_width_rows_is_keyed_without_splitting(tmp_path):
-    # three rows, as hn-roundtrip's systems have: each is read by _take
+def test_a_short_block_of_sys_rows_goes_to_read_term(tmp_path):
+    # three rows, as hn-roundtrip's systems have: fixed-width, but a .sys
+    # file reads every row token by token, as it does with _take off
     text = "ring Z\nvars 2 x1 x2\neq\nterm -3 2 0\nterm -2 0 2\nterm 3 0 0\n"
     path = tmp_path / "s.sys"
     path.write_text(text)
-    taken = []
-    take = Reader._take
+    taken, read = [], []
+    take, read_term = Reader._take, quadratizer.read_term
 
     def counted(*args):
         taken.append(take(*args))
@@ -223,10 +224,13 @@ def test_a_short_block_of_fixed_width_rows_is_keyed_without_splitting(tmp_path):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Reader, "_take", counted)
+        patch.setattr(quadratizer, "read_term",
+                      lambda *args: read.append(args[3]) or read_term(*args))
         one_pass = load_system(str(path))[1].equations
         patch.setattr(Reader, "_take", lambda *args: False)
         assert load_system(str(path))[1].equations == one_pass
-    assert taken == [True] * 3
+    assert taken == [False] * 3
+    assert read == ["term -3 2 0", "term -2 0 2", "term 3 0 0"] * 2
     assert one_pass[0].terms == {(2, 0): -3, (0, 2): -2, (0, 0): 3}
 
 

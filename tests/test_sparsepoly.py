@@ -933,7 +933,7 @@ def test_handing_over_a_view_the_map_does_not_match_is_caught():
         exec(source.replace(old, new), vars(sparsepoly), namespace)
         return namespace["poly_from_text"]
 
-    token_row = mutant("if reader.keep is not None and poly", "if poly")
+    token_row = mutant("if reader.rows is not None and poly", "if poly")
     dropped = mutant(" and poly.sparse_terms is terms:", ":")
     same = mutant("    return poly\n", "    return poly\n")
 
