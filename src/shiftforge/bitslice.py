@@ -38,6 +38,19 @@ MAX_WIDTH (_fits).  A wider slot set, and a rational grid, get no
 planes: each block is one point, every coordinate fixed, and the same
 evaluation runs on exact numbers.
 
+In the binary layout a slot that reads few values of the planed
+coordinates is a table instead (_Box._tabled): where the planed
+coordinates it reads, its scope, take at most TABLE_ENTRIES values
+together, and it reads no other varying coordinate (the forced
+coordinate 0 under zero_sum), its exact values over them are Python
+ints, reduced mod q over Z_q, built by broadcasting the value list of
+each term.  The table is lifted to the mask of the points where the
+slot is nonzero, full & ~OR over its zero entries of the AND of the
+planes where each coordinate of the scope takes its value there, read
+from class_planes(n, digits), whose digits are ordered as those of
+box_planes.  The masks go to the same counter; the adder keeps every
+other slot.
+
 _add is the one adder of weighted planes; _below reads a sign from it.
 Only the "slot != 0" masks go to a ripple-carry counter, whose binary
 planes, about log2 of the slot count, hold the counts: one _add over
@@ -84,6 +97,17 @@ from .sparsepoly import pairs
 MAX_MODULUS = 5
 # bits of one plane (128 KiB)
 PLANE_BITS = 1 << 20
+# the most entries of a slot's table (_Box._tabled): n^s for the s planed
+# coordinates it reads, over n values.  Per slot of degree <= 2 with
+# coefficients in [-3, 3], table against adder, best of 5 on a 2-CPU VM:
+# in the smallest block, n^s points, 7.8 against 12.3 us (n = 5, s = 1),
+# 13.3 against 26.9 (5, 2), 24 against 27 (7, 2), 28.4 against 28.2 at
+# 27 entries (3, 3), but 54 against 50 at 125 (5, 3) and 61 against 40 at
+# 81 (3, 4).  Larger blocks favour tables: over 15,625 points 14 against
+# 36 us (5, 2) and 45 against 64 (5, 3).  27 is where the table first
+# ties; 49 would add only s <= 2 (gains of 12-77%), at 15.5 MiB of digit
+# planes per class_planes entry (n = 32) against 9.4 (n = 16)
+TABLE_ENTRIES = 27
 # the largest width bound (_fits) of a slot set that gets binary planes;
 # a wider one gets none, and _blocks counts it one point per block.  The
 # planes' cost grows with the bound, the one-point blocks' with the
@@ -108,7 +132,9 @@ def _repeat(pattern, period, length):
 
 
 # one entry is (q - 1) * digits planes of at most PLANE_BITS bits: at
-# most 2.5 MiB (q = 2, 20 digits), so the cache holds at most about 10 MB
+# most 2.5 MiB (q = 2, 20 digits) as the value planes of _Field, at most
+# 9.4 MiB (q = 16, 5 digits) as the digit planes of a table, whose q is
+# at most TABLE_ENTRIES, so the cache holds at most about 40 MB
 @lru_cache(maxsize=4)
 def class_planes(q, digits):
     """Value planes of the digits of the ranks 0..q**digits - 1:
@@ -382,9 +408,14 @@ class _Box:
     A fixed coordinate enters a monomial as its powers, built once per
     block up the ladder of the slots to evaluate: for each position, the
     exponents above 1 that their keys raise it to, ascending, each power
-    the one below times a^gap."""
+    the one below times a^gap.
 
-    def __init__(self, lo, hi, full, modulus=None, slots=()):
+    `planed` lists the positions of the planed coordinates in the digit
+    order of box_planes; a slot that reads at most TABLE_ENTRIES values
+    of them, and no other varying coordinate, is evaluated as a table
+    (_tabled) instead."""
+
+    def __init__(self, lo, hi, full, modulus=None, slots=(), planed=()):
         self.lo = lo
         self.hi = hi
         self.full = full
@@ -399,6 +430,10 @@ class _Box:
         self.cap = None
         if modulus is not None and not modulus & modulus - 1:
             self.cap = modulus.bit_length() - 1
+        # the digit of each planed position; none in one-point blocks
+        self.digit = {p: d for d, p in enumerate(planed)} if hi > lo else {}
+        self.powers = {}
+        self.lowest = {}
 
     def coordinates(self, digits):
         return box_planes(self.lo, self.hi, digits)
@@ -421,7 +456,9 @@ class _Box:
     def values(self, coords, slots):
         """The value of every slot at the coordinates coords, in order:
         a number where it is the same at every point, else its bits.
-        Over Z_q both are only congruent to the slot mod q.
+        Over Z_q both are only congruent to the slot mod q.  A tabled
+        slot gives only whether it is 0: 0 or 1 where that is the same at
+        every point, else the one plane of the points where it is not.
 
         A varying coordinate (o, bits) enters a slot as const o plus its
         bits, and a monomial a^key of higher degree as _monomial gives
@@ -457,6 +494,10 @@ class _Box:
             return p
 
         for const, terms in slots:
+            value = self._tabled(products, const, terms) if self.digit else None
+            if value is not None:
+                yield value
+                continue
             out = []
             for c, key in terms:
                 x = products.get(key)
@@ -472,6 +513,94 @@ class _Box:
                 const %= q
                 out = [(k % q, p) for k, p in out if k % q]
             yield _add(self.full, const, out, self.cap) if out else const
+
+    def _tabled(self, products, const, terms):
+        """The slot as a table lifted to its nonzero mask, as the module
+        notes say, or None where it reads the forced coordinate 0, no
+        planed coordinate, or more than TABLE_ENTRIES values of them.
+        The first coordinate of the scope is the most significant.
+        Terms that read one of them sum into a value list per
+        coordinate, whose outer sum the table starts from; a term that
+        reads more is broadcast over the others.  0 or 1 where the slot
+        is zero or nonzero at every point, else the mask as one plane."""
+        q = self.modulus
+        n = self.hi - self.lo + 1
+        scope, vectors, joint = [], [], []
+        for c, key in terms:
+            read = {}
+            for p, e in pairs(key):
+                if p not in self.digit:
+                    x = products.get((p, e))
+                    if not isinstance(x, int):
+                        return None
+                    c *= x
+                    continue
+                if p not in scope:
+                    if n ** (len(scope) + 1) > TABLE_ENTRIES:
+                        return None
+                    scope.append(p)
+                    vectors.append([0] * n)
+                read[scope.index(p)] = e
+            if len(read) > 1:
+                joint.append((c, read))
+            elif read:
+                (j, e), = read.items()
+                vectors[j] = [x + c * y
+                              for x, y in zip(vectors[j], self._powers(e))]
+            else:
+                const += c
+        if not scope:
+            return None
+        table = [0]
+        for vector in vectors:
+            table = [x + y for x in table for y in vector]
+        for c, read in joint:
+            # positions read before the first one tile the column whole
+            column, tiles = [c], 1
+            for j in range(len(scope)):
+                if j in read:
+                    powers = self._powers(read[j])
+                    column = [x * y for x in column for y in powers]
+                elif len(column) == 1:
+                    tiles *= n
+                else:
+                    column = [x for x in column for _ in range(n)]
+            table = list(map(operator.add, table, column * tiles))
+        target = -const
+        if q:
+            table = [v % q for v in table]
+            target %= q
+        zero = 0
+        # the value planes of class_planes, whose digits are ordered as
+        # those of box_planes
+        classes = class_planes(n, len(self.digit))
+        digits = [self.digit[p] for p in reversed(scope)]
+        for i in [i for i, v in enumerate(table) if v == target]:
+            plane = self.full
+            for d in digits:
+                i, v = divmod(i, n)
+                plane &= classes[d][v - 1] if v else self._lowest(d)
+            zero |= plane
+        mask = self.full & ~zero
+        return [mask] if 0 < mask < self.full else int(mask != 0)
+
+    def _powers(self, e):
+        """a^e for every value a of the box, ascending, reduced mod q."""
+        out = self.powers.get(e)
+        if out is None:
+            q = self.modulus
+            out = self.powers[e] = [pow(v, e, q) if q else v ** e
+                                    for v in range(self.lo, self.hi + 1)]
+        return out
+
+    def _lowest(self, d):
+        """The plane where the planed coordinate of digit d is lo: where
+        none of its value planes is set."""
+        out = self.lowest.get(d)
+        if out is None:
+            planes = class_planes(self.hi - self.lo + 1, len(self.digit))[d]
+            out = self.lowest[d] = self.full ^ reduce(operator.or_, planes)
+        return out
 
     def _monomial(self, products, form, plane, key):
         """a^key as a varying coordinate is held, (const, [(k, plane)]),
@@ -651,14 +780,15 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     width = nv ** sliced
     full = (1 << width) - 1
     layout = _layout(q)
+    planed = free[len(high):]
     arith = (layout(q, full) if layout
-             else _Box(values[0], values[-1], full, q, slots))
+             else _Box(values[0], values[-1], full, q, slots, planed))
     planes = arith.coordinates(sliced) if sliced else ()
     members = set(values)
     lead = 0
     for block, combo in enumerate(product(values, repeat=len(high))):
         coords = [0] * k
-        for pos, p in zip(free[len(high):], planes):
+        for pos, p in zip(planed, planes):
             coords[pos] = p
         for pos, v in zip(high, combo):
             coords[pos] = v

@@ -92,23 +92,32 @@ class SearchDomain:
         return SearchDomain(self.mode, self.bound, self.numerators,
                             self.denominators, restriction, support_n, self.cap)
 
-    def values(self, ring):
-        """Allowed payload values for one coordinate, ascending."""
+    def count(self, ring):
+        """The number of allowed payload values for one coordinate, from
+        the modulus or the bound, with no list built."""
         if self.mode == EXHAUSTIVE:
             if not ring.is_finite:
                 raise UnsupportedDomainError(
                     "exhaustive search needs a finite ring; declare a box or grid"
                 )
-            return list(range(ring.modulus))
+            return ring.modulus
         if self.mode == BOX:
             if ring.is_finite:
                 raise UnsupportedDomainError(
                     "integer boxes apply to Z and Q; use exhaustive search"
                 )
-            b = self.bound
+            return 2 * self.bound + 1
+        return len(self.values(ring))
+
+    def values(self, ring):
+        """Allowed payload values for one coordinate, ascending."""
+        if self.mode == EXHAUSTIVE:
+            return list(range(self.count(ring)))
+        if self.mode == BOX:
+            box = range(-self.bound, self.count(ring) - self.bound)
             if ring.kind == RATIONALS:
-                return [Fraction(v) for v in range(-b, b + 1)]
-            return list(range(-b, b + 1))
+                return [Fraction(v) for v in box]
+            return list(box)
         if ring.kind != RATIONALS:
             raise UnsupportedDomainError("rational grids apply to Q only")
         vals = {Fraction(a, d) for a in self.numerators for d in self.denominators}
@@ -116,8 +125,8 @@ class SearchDomain:
 
 
 def _plan(dom, ring, k):
-    """Free coordinate positions and per-coordinate values; checks cap."""
-    values = dom.values(ring)
+    """Free coordinate positions and per-coordinate values; checks the
+    cap from the number of values before any list of them is built."""
     if dom.restriction == ZERO_SUM:
         if k < 1:
             raise PreconditionError("zero-sum restriction needs a coordinate")
@@ -128,13 +137,17 @@ def _plan(dom, ring, k):
         free = list(range(k - dom.support_n, k))
     else:
         free = list(range(k))
-    size = len(values) ** len(free) if free else 1
+    size = dom.count(ring) ** len(free) if free else 1
     if size > dom.cap:
         raise CapExceededError(
             "search space of %s points exceeds the cap of %d"
             % (decimal_text(size, "the search space's size"), dom.cap)
         )
-    return values, free, size
+    # with no free coordinate every coordinate is 0, which every box and
+    # ring holds; a grid is listed, as it may not hold 0
+    if free or dom.mode == GRID:
+        return dom.values(ring), free, size
+    return [ring.canon(0)], free, size
 
 
 class SearchReport:
@@ -362,7 +375,7 @@ def verify_hn_roundtrip(source, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
     # both spaces are planned, and so capped, before any work
     k = inst.nsys + 1
     values = _plan(dom, ring, inst.n_inputs)[0]
-    shift_free = _plan(dom.restricted(ZERO_SUM), ring, k)[1]
+    shift_values, shift_free, _ = _plan(dom.restricted(ZERO_SUM), ring, k)
     fixed, slots = slot_table(ring, inst.polynomial.sparse_terms, range(k))
     violations = []
 
@@ -386,11 +399,11 @@ def verify_hn_roundtrip(source, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
     # by the bit-sliced kernel; each one that lowers the count is decoded
     # from its rank
     shift_points, ranks = sliced_ranks_below(
-        ring, values, fixed, slots, k, shift_free, True, sigma)
+        ring, shift_values, fixed, slots, k, shift_free, True, sigma)
     sparsifying = len(ranks)
     for rank in ranks:
-        b = tuple(RingElement(ring, v)
-                  for v in _at(values, shift_free, k, ZERO_SUM, ring, rank))
+        b = tuple(RingElement(ring, v) for v in _at(
+            shift_values, shift_free, k, ZERO_SUM, ring, rank))
         try:
             shift_to_solution(inst, b)
         except Exception as exc:  # noqa: BLE001 - recorded, not raised

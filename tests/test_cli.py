@@ -1,12 +1,15 @@
 """Command-line surface: outputs, exit codes, file round-trips."""
 
 import argparse
+import itertools
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,11 @@ from shiftforge import (
     save_system,
 )
 from shiftforge.cli import _build_parser, main
+from shiftforge.max3lin import count_satisfied
 from shiftforge.oracles import SUPPORT_LAST, ZERO_SUM, SearchDomain, maxsat
+from shiftforge.sparsepoly import eval_payload, shifted_term_map
+
+from helpers import random_poly
 
 F2 = prime_field(2)
 
@@ -368,6 +375,55 @@ def test_verify_hn_frozen(tmp_path, capsys):
         "violations 0\n"
         "consistent true\n"
     )
+
+
+# the finite rings of the ring contract: fields in value planes (F2, F3,
+# F5) and binary (F7), and rings with zero divisors in binary residues
+CONTRACT_RINGS = ["Fp 2", "Fp 3", "Fp 5", "Fp 7", "Zq 4", "Zq 6", "Zq 8",
+                  "Zq 9", "Zq 12"]
+
+
+@pytest.mark.parametrize("token", CONTRACT_RINGS)
+def test_kernel_commands_keep_the_ring_contract(tmp_path, capsys, token):
+    """Over each finite ring, on tiny seeded inputs: solve and maxsat
+    match direct evaluation at every point, search-shift --exhaustive
+    matches the expansion at every shift, and verify-max3lin prints
+    match true or exits 4."""
+    ring = Ring.from_token(token)
+    q = ring.modulus
+    rng = random.Random(q)
+    points = list(itertools.product(range(q), repeat=3))
+    for seed in (1, 2):
+        path = gen_file(tmp_path, capsys, token, 3, 3, [], seed)
+        rows = load_max3lin(path)
+        best = max(count_satisfied(rows, [ring.el(v) for v in x])
+                   for x in points)
+        assert run(capsys, "maxsat", path, "--exhaustive") == (
+            0, "maxsat %d\n" % best, "")
+        code, out, _ = run(capsys, "verify-max3lin", path)
+        assert (code, out.splitlines()[-1:]) in ((0, ["match true"]), (4, []))
+    for planted in (True, False):
+        eqs = [random_poly(ring, 2, 2, 3, rng).terms
+               for _ in range(rng.randint(1, 2))]
+        if planted:
+            x = (rng.randrange(q), rng.randrange(q))
+            for terms in eqs:
+                value = eval_payload(SparsePoly(ring, 2, terms), x)
+                terms[(0, 0)] = (terms.get((0, 0), 0) - value) % q
+        path = write_system(tmp_path, "s.sys", ring, ["x1", "x2"], eqs)
+        roots = [x for x in itertools.product(range(q), repeat=2)
+                 if not any(eval_payload(SparsePoly(ring, 2, t), x)
+                            for t in eqs)]
+        want = ",".join(map(str, roots[0])) if roots else "NONE"
+        assert run(capsys, "solve", path, "--exhaustive") == (
+            0, "solution %s\n" % want, "")
+    p = random_poly(ring, 3, 2, 6, rng)
+    path = write_poly(tmp_path, "p.poly", ring, 3, p.terms)
+    count, shift = min((len(shifted_term_map(ring, p.sparse_terms, x)), x)
+                       for x in points)
+    assert run(capsys, "search-shift", path, "--exhaustive") == (
+        0, "min_sparsity %d\nwitness %s\npoints %d\ncomplete true\n"
+        % (count, ",".join(map(str, shift)), len(points)), "")
 
 
 # x*y - 2 and x - 1 over Z, the circuit bodies of c1.circ and c2.circ
@@ -893,6 +949,52 @@ def test_hostile_sizes_exit_4_within_seconds(tmp_path, capsys, files, argv,
     assert message in err
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert not (tmp_path / "out.poly").exists()
+
+
+# x1^2 + x2 - 1 over Z and over Zq 4000000, and as one equation: huge
+# domains are sized from their value counts, 2B + 1 or q, before any list
+# of values is built, and a domain with no free coordinate still answers
+HUGE_POLY = "vars 2\nterm 1 2 0\nterm 1 0 1\nterm -1 0 0\n"
+HUGE_DOMAINS = [
+    (["search-shift", "z.poly", "--box", "3000000"], 4,
+     "search space of 36000012000001 points exceeds the cap"),
+    (["search-shift", "zq.poly", "--exhaustive"], 4,
+     "search space of 16000000000000 points exceeds the cap"),
+    (["search-shift", "z.poly", "--box", "10" * 10], 4, "exceeds the cap"),
+    (["solve", "z.sys", "--box", "10" * 10], 4, "exceeds the cap"),
+    (["verify-hn", "z.sys", "--box", "10" * 10], 4, "exceeds the cap"),
+    (["search-shift", "z.poly", "--box", "10" * 10, "--support-last", "0"], 0,
+     "min_sparsity 3\nwitness 0,0\npoints 1\ncomplete false\n"),
+    (["search-shift", "zq.poly", "--exhaustive", "--support-last", "0"], 0,
+     "min_sparsity 3\nwitness 0,0\npoints 1\ncomplete true\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", HUGE_DOMAINS,
+                         ids=["%s-%s" % (case[0][0], i)
+                              for i, case in enumerate(HUGE_DOMAINS)])
+def test_huge_domains_are_sized_before_their_values_are_listed(
+        tmp_path, capsys, argv, code, message):
+    (tmp_path / "z.poly").write_text("ring Z\n" + HUGE_POLY)
+    (tmp_path / "zq.poly").write_text("ring Zq 4000000\n" + HUGE_POLY)
+    (tmp_path / "z.sys").write_text(
+        "ring Z\nvars 2 x y\neq\n" + HUGE_POLY.split("\n", 1)[1])
+    argv = [str(tmp_path / a) if a.endswith((".poly", ".sys")) else a
+            for a in argv]
+    tracemalloc.start()
+    try:
+        got = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of the 6,000,001 values of --box 3000000 alone is 48 MB
+    assert peak < 2 * 2 ** 20, peak
+    assert got[0] == code
+    if code:
+        assert got[1] == "" and message in got[2]
+        assert "Traceback" not in got[2]
+    else:
+        assert got[1:] == (message, "")
 
 
 def test_gap_params_refuses_an_unprintable_t_yes_at_once(capsys):

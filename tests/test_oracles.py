@@ -1,7 +1,9 @@
 """Brute-force ground truth: searches, solvers, and round-trip verifiers."""
 
+import inspect
 import itertools
 import random
+import textwrap
 import time
 from fractions import Fraction
 
@@ -1456,9 +1458,10 @@ def test_box_sum_is_built_once_per_shape():
     assert bitslice.box_sum.cache_info().maxsize == 4
 
 
-def random_box_poly(rng, k, unshifted):
-    """A Z term map of degree at most 2 in its first k positions, with
-    unshifted positions after them, and coefficients up to 10**30."""
+def random_box_poly(rng, k, unshifted, ring=ZZ):
+    """A term map of degree at most 2 in its first k positions, with
+    unshifted positions after them; coefficients up to 10**30 over Z,
+    with denominators up to 3 over Q, and nonzero residues over Z_q."""
     terms = {}
     for _ in range(rng.randint(1, 8)):
         exps = [0] * (k + unshifted)
@@ -1467,8 +1470,13 @@ def random_box_poly(rng, k, unshifted):
         for i in range(k, k + unshifted):
             exps[i] = rng.randint(0, 2)
         big = 10 ** rng.choice([1, 10, 30])
-        terms[tuple(exps)] = rng.choice([-1, 1]) * rng.randint(1, big)
-    return sparse_terms(SparsePoly(ZZ, k + unshifted, terms).terms)
+        c = rng.choice([-1, 1]) * rng.randint(1, big)
+        if ring.is_finite:
+            c = rng.randrange(1, ring.modulus)
+        elif ring is QQ:
+            c = Fraction(c, rng.randint(1, 3))
+        terms[tuple(exps)] = c
+    return sparse_terms(SparsePoly(ring, k + unshifted, terms).terms)
 
 
 def box_counts_from_planes(values, terms, k, free, zero_sum, ring=ZZ):
@@ -1487,36 +1495,114 @@ def box_counts_from_planes(values, terms, k, free, zero_sum, ring=ZZ):
     return counts, blocks
 
 
-def test_sliced_box_counts_match_the_expansion(monkeypatch):
-    rng = random.Random(241)
-    split = 0
-    for box in range(4):
+def track_slot_paths(monkeypatch):
+    """[tabled, adder] per block of _Box: the slots evaluated as tables,
+    and those that read a planed coordinate but took the adder."""
+    blocks = []
+    real_values, real_tabled = bitslice._Box.values, bitslice._Box._tabled
+
+    def values(self, coords, slots):
+        blocks.append([0, 0])
+        yield from real_values(self, coords, slots)
+
+    def tabled(self, products, const, terms):
+        out = real_tabled(self, products, const, terms)
+        if any(p in self.digit for _, key in terms for p in key[::2]):
+            blocks[-1][out is None] += 1
+        return out
+
+    monkeypatch.setattr(bitslice._Box, "values", values)
+    monkeypatch.setattr(bitslice._Box, "_tabled", tabled)
+    return blocks
+
+
+# (ring, domain, largest k): Z boxes 0-3, Q boxes and binary residues,
+# whose slots of up to k coordinates span both sides of TABLE_ENTRIES
+TABLED_SPACES = (
+    [(ZZ, SearchDomain.integer_box(box), k)
+     for box, k in ((0, 4), (1, 4), (2, 3), (3, 3))]
+    + [(QQ, SearchDomain.integer_box(box), k) for box, k in ((1, 4), (2, 3))]
+    + [(modular(q), SearchDomain.exhaustive(), k)
+       for q, k in ((4, 4), (6, 3), (9, 3))])
+
+
+def box_count_mismatches(monkeypatch, rng, spaces, per_space, thresholds=True):
+    """The cases where the counter planes, or the ranks below a threshold,
+    differ from the expansion at some point of the reference walk, over
+    random_box_poly under each restriction at four plane widths; and the
+    number of runs that took more than one block."""
+    bad, split = [], 0
+    for ring, base, largest in spaces:
         for restriction in (NONE, ZERO_SUM, SUPPORT_LAST):
-            for _ in range(4):
-                k = rng.randint(1, 3)
-                terms = random_box_poly(rng, k, rng.randint(0, 2))
-                dom = SearchDomain.integer_box(box).restricted(
-                    restriction, rng.randint(0, k))
-                values, free, _ = oracles._plan(dom, ZZ, k)
-                want = {rank: len(shifted_term_map(ZZ, terms, vec))
+            for _ in range(per_space):
+                k = rng.randint(1, largest)
+                terms = random_box_poly(rng, k, rng.randint(0, 2), ring)
+                dom = base.restricted(restriction, rng.randint(0, k))
+                values, free, _ = oracles._plan(dom, ring, k)
+                want = {rank: len(shifted_term_map(ring, terms, vec))
                         for rank, vec in reference_walk(values, free, k,
-                                                        restriction, ZZ)}
-                thresholds = {0, min(want.values()), min(want.values()) + 1,
-                              max(want.values()), max(want.values()) + 1}
+                                                        restriction, ring)}
                 zero_sum = restriction == ZERO_SUM
                 for bits in (1, 5, 26, 1 << 20):
                     monkeypatch.setattr(bitslice, "PLANE_BITS", bits)
-                    counts, blocks = box_counts_from_planes(values, terms, k,
-                                                            free, zero_sum)
-                    assert counts == want, (box, restriction, terms, bits)
+                    counts, blocks = box_counts_from_planes(
+                        values, terms, k, free, zero_sum, ring)
                     split += blocks > 1
-                    for t in thresholds:
+                    if counts != want:
+                        bad.append((ring, restriction, terms, bits))
+                    if not thresholds or not want:
+                        continue
+                    for t in {0, min(want.values()), min(want.values()) + 1,
+                              max(want.values()), max(want.values()) + 1}:
                         got = bitslice.sliced_ranks_below(
-                            ZZ, values, *slot_table(ZZ, terms, range(k)), k,
-                            free, zero_sum, t)
-                        assert got == (len(want), sorted(
-                            r for r, c in want.items() if c < t))
-    assert split >= 50
+                            ring, values, *slot_table(ring, terms, range(k)),
+                            k, free, zero_sum, t)
+                        if got != (len(want), sorted(
+                                r for r, c in want.items() if c < t)):
+                            bad.append((ring, restriction, terms, bits, t))
+    return bad, split
+
+
+def test_sliced_box_counts_match_the_expansion(monkeypatch):
+    """Over Z boxes 0-3, Q boxes and Z4, Z6 and Z9, tabled and adder slots
+    count the same as the expansion, many blocks holding both."""
+    paths = track_slot_paths(monkeypatch)
+    bad, split = box_count_mismatches(monkeypatch, random.Random(241),
+                                      TABLED_SPACES, 4)
+    assert bad == []
+    assert split >= 100
+    assert sum(1 for tabled, adder in paths if tabled and adder) >= 100
+    assert sum(tabled for tabled, _ in paths) >= 500
+
+
+def test_table_mutations_fail_the_differential(monkeypatch):
+    """The differential catches a lift whose digit planes come in
+    reverse order, and table zeros tested without reducing mod q; the
+    table recompiled unchanged passes it."""
+    source = textwrap.dedent(inspect.getsource(bitslice._Box._tabled))
+
+    def mutant(old, new):
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(bitslice), namespace)
+        return namespace["_tabled"]
+
+    real = bitslice.class_planes
+    residues = [space for space in TABLED_SPACES if space[0].is_finite]
+    with monkeypatch.context() as m:
+        m.setattr(bitslice, "class_planes", lambda q, d: real(q, d)[::-1])
+        assert box_count_mismatches(m, random.Random(251), TABLED_SPACES[:4],
+                                    2, False)[0]
+    with monkeypatch.context() as m:
+        m.setattr(bitslice._Box, "_tabled", mutant(
+            "table = [v % q for v in table]", "table = list(table)"))
+        assert box_count_mismatches(m, random.Random(251), residues, 2,
+                                    False)[0]
+    with monkeypatch.context() as m:
+        m.setattr(bitslice._Box, "_tabled", mutant("q = self.modulus",
+                                                   "q = self.modulus"))
+        assert box_count_mismatches(m, random.Random(251), TABLED_SPACES, 1,
+                                    False)[0] == []
 
 
 def wiring_poly(ring, rng, k, unshifted):
@@ -1547,8 +1633,9 @@ def wiring_poly(ring, rng, k, unshifted):
 
 def test_balanced_zero_sum_slots_match_the_expansion(monkeypatch):
     """Zero-sum slots with t subtracted count the same as the expansion
-    at every point of the reference walk, over Z boxes and Z_q, in both
-    arithmetics, and t fires."""
+    at every point of the reference walk, over Z and Q boxes and Z_q, in
+    both arithmetics, with tabled slots and slots that read the forced
+    coordinate 0 in one block, and t fires."""
     real = bitslice._balanced
     fired = []
 
@@ -1572,11 +1659,13 @@ def test_balanced_zero_sum_slots_match_the_expansion(monkeypatch):
         return out
 
     monkeypatch.setattr(bitslice, "_balanced", checked)
+    paths = track_slot_paths(monkeypatch)
     rng = random.Random(263)
     spaces = ([(ZZ, SearchDomain.integer_box(box)) for box in range(4)]
+              + [(QQ, SearchDomain.integer_box(box)) for box in (1, 2)]
               + [(ring, SearchDomain.exhaustive())
                  for ring in (F2, F3, F5, prime_field(7), modular(4),
-                              modular(6))])
+                              modular(6), modular(9))])
     split = 0
     for ring, base in spaces:
         for _ in range(4):
@@ -1599,6 +1688,7 @@ def test_balanced_zero_sum_slots_match_the_expansion(monkeypatch):
                     len(want), sorted(r for r, c in want.items() if c < t))
     assert split >= 40
     assert sum(fired) >= 100
+    assert sum(1 for tabled, adder in paths if tabled and adder) >= 50
 
 
 def squares_system(c1, c2, c0):
