@@ -34,9 +34,10 @@ is const plus a sum of c * a^key, for any degree:
 
 The binary layout takes a slot set while its width bound, the planes
 its products may need times the bits of their values, is at most
-MAX_WIDTH (_fits).  A wider slot set, and a rational grid, get no
-planes: each block is one point, every coordinate fixed, and the same
-evaluation runs on exact numbers.
+MAX_WIDTH (_fits), over a range of integers, never listed.  A wider
+slot set, and a rational grid's list, get no planes: each block is one
+point, every coordinate fixed, and the same evaluation runs on exact
+numbers.
 
 In the binary layout a slot that reads few values of the planed
 coordinates is a table instead (_Box._tabled): where the planed
@@ -77,11 +78,12 @@ x0 + x1 + ... + 3*x3 + ... + x6 - 2*x1^2 into 2*x3 - 2*x1^2.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from functools import lru_cache, reduce
-from itertools import product
 from math import comb, lcm
 
-from .rings import RATIONALS
+from .errors import CapExceededError
+from .rings import POWER_BITS, RATIONALS, decimal_text
 from .sparsepoly import pairs
 
 # q = 2 and the odd moduli up to this get value planes, which fit any
@@ -704,20 +706,41 @@ def _layout(q):
         return _Field
 
 
+def _check_powers(ring, values, slots):
+    """Refuse, before the first block over Z or Q, slots whose exact
+    evaluation at one point may build powers of more than POWER_BITS
+    bits in all: a fixed coordinate enters each a^key as its powers, of
+    at most the key's degree times the bits of the largest |numerator|
+    times the largest denominator of values (a range's two ends), or
+    none where that is at most 1.  Finite rings reduce as they go."""
+    if ring.is_finite:
+        return
+    ends = (values[0], values[-1]) if isinstance(values, range) else values
+    top = (max(abs(v.numerator) for v in ends)
+           * max(v.denominator for v in ends))
+    keys = {key for _, terms in slots for _, key in terms}
+    worst = (top.bit_length() if top > 1 else 0) * sum(
+        sum(key[1::2]) for key in keys)
+    if worst > POWER_BITS:
+        raise CapExceededError(
+            "evaluation may build a power of %s bits, the limit is %d"
+            % (decimal_text(worst, "the power's bit count"), POWER_BITS))
+
+
 def _fits(ring, values, slots):
     """Whether _blocks gives the slots planes: always in value planes,
-    and in binary ones over a run of consecutive integers (not a
-    rational grid) while their width bound is at most MAX_WIDTH.  The
-    bound comes before any plane is built: the planes that the monomials
-    a^key may need, ANDs of at most e of the bits of a_p for each factor
-    a_p^e (and the empty one where a coordinate's form has a constant),
-    times the bits that their values may take."""
+    and in binary ones over Z_q, or over a range (a list is a rational
+    grid), while their width bound is at most MAX_WIDTH.  The bound
+    comes before any plane is built: the planes that the monomials a^key
+    may need, ANDs of at most e of the bits of a_p for each factor a_p^e
+    (and the empty one where a coordinate's form has a constant), times
+    the bits that their values may take."""
     q = ring.modulus
     if _layout(q):
         return True
-    lo, hi = values[0], values[-1]
-    if not all(isinstance(v, int) for v in values) or hi - lo >= len(values):
+    if q is None and not isinstance(values, range):
         return False
+    lo, hi = values[0], values[-1]
     if not slots:
         return True
     nbits = (hi - lo).bit_length()
@@ -746,30 +769,36 @@ def _fits(ring, values, slots):
     return products * width <= MAX_WIDTH
 
 
+def ranked(values, positions, rank):
+    """(position, value) for each of `positions`, the last first, at the
+    odometer rank `rank`, whose base-len(values) digits index values."""
+    for pos in reversed(positions):
+        rank, digit = divmod(rank, len(values))
+        yield pos, values[digit]
+
+
 def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     """The domain in blocks of at most PLANE_BITS ranks, in rank order.
 
     The domain is every vector whose coordinates off `free` are 0,
     except that under zero_sum coordinate 0 (not in `free`) is minus the
-    sum of the others and must lie in `values`; ranks are odometer
-    ranks, whose base-len(values) digits index the values of the free
-    coordinates in order.  `values` is every residue of Z_q, a box lo..hi
-    of integers (over Q, of integral fractions), or any ascending list
-    of distinct numbers, such as a rational grid.  Where the slots
-    _fit, the lowest free coordinates get planes; otherwise none does,
-    and each block is one point, every coordinate fixed, whose slots
-    are evaluated exactly.  Yields (offset, lead, inside, fixed,
-    counters) per block: its first rank, coordinate 0 as box_forced
-    gives it under zero_sum (else the payload 0), the mask of its points
-    that lie in the domain, and the counts of _count over the slots,
-    which are exact on those points.
+    sum of the others and must lie in `values`: as _plan gives them, a
+    range (the residues of Z_q, a box over Z or Q) or a rational grid's
+    ascending list, whose len the cap bounds.  Ranks are those of
+    ranked.  Both budgets, _check_powers and _fits, are checked before
+    the first block.  Where the slots _fit, the lowest free coordinates
+    get planes; otherwise none does, and each block is one point, every
+    coordinate fixed, whose slots are evaluated exactly.  Yields
+    (offset, lead, inside, fixed, counters) per block: its first rank,
+    coordinate 0 as box_forced gives it under zero_sum (else the payload
+    0), the mask of its points that lie in the domain, and the counts of
+    _count over the slots, which are exact on those points.
     """
     q = ring.modulus
+    _check_powers(ring, values, slots)
     if zero_sum:
         slots = _balanced(ring, slots, [0] + free)
     if ring.kind == RATIONALS:
-        # a box over Q is planed as integers; a grid's values stay as given
-        values = [v.numerator if v.denominator == 1 else v for v in values]
         slots = [_integral(slot) for slot in slots]
     nv = len(values)
     sliced = 0  # free coordinates that get planes: the lowest ones
@@ -784,13 +813,12 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     arith = (layout(q, full) if layout
              else _Box(values[0], values[-1], full, q, slots, planed))
     planes = arith.coordinates(sliced) if sliced else ()
-    members = set(values)
     lead = 0
-    for block, combo in enumerate(product(values, repeat=len(high))):
+    for block in range(nv ** len(high)):
         coords = [0] * k
         for pos, p in zip(planed, planes):
             coords[pos] = p
-        for pos, v in zip(high, combo):
+        for pos, v in ranked(values, high, block):
             coords[pos] = v
         inside = full
         if zero_sum:
@@ -800,7 +828,8 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
             if sliced:
                 lead, inside = box_forced(arith.lo, arith.hi, sliced, const, q)
             else:
-                lead, inside = const, int(const in members)
+                i = bisect_left(values, const)
+                lead, inside = const, int(i < nv and values[i] == const)
             coords[0] = arith.lift(lead)
         if inside:
             yield ((block * width, lead, inside)

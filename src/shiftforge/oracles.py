@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .bitslice import count_at, sliced_min_slots, sliced_ranks_below
+from .bitslice import count_at, ranked, sliced_min_slots, sliced_ranks_below
 from .errors import (
     ArityError,
     CapExceededError,
@@ -33,7 +33,7 @@ from .hn_reduce import (
 )
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_payloads, check_solution, extend_solution
-from .rings import POWER_BITS, RATIONALS, RingElement, decimal_text
+from .rings import RATIONALS, RingElement, decimal_text
 from .sparsepoly import (
     eval_payload,
     format_vector,
@@ -45,7 +45,7 @@ DEFAULT_ENUM_CAP = 10 ** 7
 # the expansions behind every oracle are bounded in bits by
 # sparsepoly.ROW_BITS, each row of binomials before it is built, and
 # the exact evaluations of the searches over Z or Q by rings.POWER_BITS
-# (_check_powers)
+# (bitslice._check_powers)
 
 EXHAUSTIVE = "exhaustive"
 BOX = "box"
@@ -92,41 +92,34 @@ class SearchDomain:
         return SearchDomain(self.mode, self.bound, self.numerators,
                             self.denominators, restriction, support_n, self.cap)
 
-    def count(self, ring):
-        """The number of allowed payload values for one coordinate, from
-        the modulus or the bound, with no list built."""
+    def values(self, ring):
+        """Allowed payload values for one coordinate, ascending: a range
+        for the residues of Z_q, a box over Z or Q and a grid of
+        consecutive integers, else the grid's sorted Fractions."""
         if self.mode == EXHAUSTIVE:
             if not ring.is_finite:
                 raise UnsupportedDomainError(
                     "exhaustive search needs a finite ring; declare a box or grid"
                 )
-            return ring.modulus
+            return range(ring.modulus)
         if self.mode == BOX:
             if ring.is_finite:
                 raise UnsupportedDomainError(
                     "integer boxes apply to Z and Q; use exhaustive search"
                 )
-            return 2 * self.bound + 1
-        return len(self.values(ring))
-
-    def values(self, ring):
-        """Allowed payload values for one coordinate, ascending."""
-        if self.mode == EXHAUSTIVE:
-            return list(range(self.count(ring)))
-        if self.mode == BOX:
-            box = range(-self.bound, self.count(ring) - self.bound)
-            if ring.kind == RATIONALS:
-                return [Fraction(v) for v in box]
-            return list(box)
+            return range(-self.bound, self.bound + 1)
         if ring.kind != RATIONALS:
             raise UnsupportedDomainError("rational grids apply to Q only")
-        vals = {Fraction(a, d) for a in self.numerators for d in self.denominators}
-        return sorted(vals)
+        vals = sorted({Fraction(a, d) for a in self.numerators
+                       for d in self.denominators})
+        if all(v.denominator == 1 for v in vals) and vals[-1] - vals[0] < len(vals):
+            return range(vals[0].numerator, vals[-1].numerator + 1)
+        return vals
 
 
 def _plan(dom, ring, k):
-    """Free coordinate positions and per-coordinate values; checks the
-    cap from the number of values before any list of them is built."""
+    """Per-coordinate values, free coordinate positions and the size of
+    the space, checked against the cap before any value is listed."""
     if dom.restriction == ZERO_SUM:
         if k < 1:
             raise PreconditionError("zero-sum restriction needs a coordinate")
@@ -137,17 +130,19 @@ def _plan(dom, ring, k):
         free = list(range(k - dom.support_n, k))
     else:
         free = list(range(k))
-    size = dom.count(ring) ** len(free) if free else 1
+    # with no free coordinate every coordinate is 0, which every box and
+    # ring holds, whatever the mode; a grid may not hold 0
+    values = dom.values(ring) if free or dom.mode == GRID else range(1)
+    # len() of a range of 2^63 values or more raises OverflowError
+    count = (values[-1] - values[0] + 1 if isinstance(values, range)
+             else len(values))
+    size = count ** len(free)
     if size > dom.cap:
         raise CapExceededError(
             "search space of %s points exceeds the cap of %d"
             % (decimal_text(size, "the search space's size"), dom.cap)
         )
-    # with no free coordinate every coordinate is 0, which every box and
-    # ring holds; a grid is listed, as it may not hold 0
-    if free or dom.mode == GRID:
-        return dom.values(ring), free, size
-    return [ring.canon(0)], free, size
+    return values, free, size
 
 
 class SearchReport:
@@ -175,35 +170,13 @@ def _count(terms, metric):
 
 
 def _at(values, free, k, restriction, ring, rank):
-    """The payload vector of an in-domain rank, whose base-len(values)
-    digits index the values of the free coordinates in order."""
+    """The payload vector of an in-domain rank, decoded by ranked."""
     vec = [ring.canon(0)] * k
-    for pos in reversed(free):
-        rank, digit = divmod(rank, len(values))
-        vec[pos] = values[digit]
+    for pos, v in ranked(values, free, rank):
+        vec[pos] = ring.canon(v)
     if restriction == ZERO_SUM:
         vec[0] = ring.canon(-sum(vec[1:], ring.canon(0)))
     return vec
-
-
-def _check_powers(ring, values, slots):
-    """Refuse, before the first block over Z or Q, slots whose exact
-    evaluation at one point may build powers of more than POWER_BITS
-    bits in all: a fixed coordinate enters each a^key as its powers, of
-    at most the key's degree times the bits of the largest |numerator|
-    times the largest denominator of values, or none where that is at
-    most 1.  Finite rings reduce as they go."""
-    if ring.is_finite:
-        return
-    top = (max(abs(v.numerator) for v in values)
-           * max(v.denominator for v in values))
-    keys = {key for _, terms in slots for _, key in terms}
-    worst = (top.bit_length() if top > 1 else 0) * sum(
-        sum(key[1::2]) for key in keys)
-    if worst > POWER_BITS:
-        raise CapExceededError(
-            "evaluation may build a power of %s bits, the limit is %d"
-            % (decimal_text(worst, "the power's bit count"), POWER_BITS))
 
 
 def _least_key(dom, ring, k, make_slots):
@@ -216,7 +189,6 @@ def _least_key(dom, ring, k, make_slots):
     zero_sum = dom.restriction == ZERO_SUM
     fixed, slots = make_slots(range(free[0] - zero_sum, k)
                               if free and any(values) else range(0))
-    _check_powers(ring, values, slots)
     found = sliced_min_slots(ring, values, fixed, slots, k, free, zero_sum)
     if found is None:
         return None, 0

@@ -352,11 +352,9 @@ def is_quadratized_shape(system):
         shape = equation_shape(eq)
         if shape == "other":
             return False
-        if shape == "binomial":
-            if not eq.constant_term().is_zero:
-                return False
-            if not binomial_head_dominates(eq):
-                return False
+        # a binomial has no constant: equation_shape counts it as "other"
+        if shape == "binomial" and not binomial_head_dominates(eq):
+            return False
     return True
 
 

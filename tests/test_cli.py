@@ -31,9 +31,16 @@ from shiftforge import (
     save_poly,
     save_system,
 )
+from shiftforge import oracles
 from shiftforge.cli import _build_parser, main
 from shiftforge.max3lin import count_satisfied
-from shiftforge.oracles import SUPPORT_LAST, ZERO_SUM, SearchDomain, maxsat
+from shiftforge.oracles import (
+    SUPPORT_LAST,
+    ZERO_SUM,
+    SearchDomain,
+    maxsat,
+    solve_system,
+)
 from shiftforge.sparsepoly import eval_payload, shifted_term_map
 
 from helpers import random_poly
@@ -424,6 +431,80 @@ def test_kernel_commands_keep_the_ring_contract(tmp_path, capsys, token):
     assert run(capsys, "search-shift", path, "--exhaustive") == (
         0, "min_sparsity %d\nwitness %s\npoints %d\ncomplete true\n"
         % (count, ",".join(map(str, shift)), len(points)), "")
+
+
+@pytest.mark.parametrize("token", CONTRACT_RINGS)
+def test_pipeline_commands_keep_the_ring_contract(tmp_path, capsys, token):
+    """Over each finite ring, on tiny seeded systems in one variable:
+    quadratize keeps the projected solution set, seen by solve
+    --exhaustive before and after and with the source variable pinned to
+    each value; normalize keeps solvability or exits 3 naming the ring;
+    reduce-hn and verify-hn exit 3; amplify writes the product of two
+    copies built term by term."""
+    ring = Ring.from_token(token)
+    q = ring.modulus
+    rng = random.Random(q)
+    low, norm = str(tmp_path / "low.sys"), str(tmp_path / "norm.sys")
+    hn = ["-o", str(tmp_path / "hn.poly"), "--witness", str(tmp_path / "hn.wit")]
+    for planted in (True, False, False):
+        eqs = [random_poly(ring, 1, 2, 3, rng).terms,
+               random_poly(ring, 1, 1, 2, rng).terms]
+        if planted:
+            x = rng.randrange(q)
+            for terms in eqs:
+                value = eval_payload(SparsePoly(ring, 1, terms), (x,))
+                terms[(0,)] = (terms.get((0,), 0) - value) % q
+        source = write_system(tmp_path, "s.sys", ring, ["x"], eqs)
+        roots = [x for x in range(q) if not any(
+            eval_payload(SparsePoly(ring, 1, t), (x,)) for t in eqs)]
+        least = str(roots[0]) if roots else "NONE"
+        assert run(capsys, "solve", source, "--exhaustive") == (
+            0, "solution %s\n" % least, "")
+        assert run(capsys, "quadratize", source, "-o", low)[0] == 0
+        code, out, _ = run(capsys, "solve", low, "--exhaustive")
+        assert (code, out.split()[1].split(",")[0]) == (0, least)
+        _, lowered, _ = load_system(low)
+        n = lowered.nvars
+        pinned = [x for x in range(q) if solve_system(EquationSystem(
+            ring, lowered.var_names, list(lowered.equations) + [SparsePoly(
+                ring, n, {(1,) + (0,) * (n - 1): 1, (0,) * n: -x},
+                lowered.var_names)], lowered.tiers),
+            SearchDomain.exhaustive()) is not None]
+        assert pinned == roots
+        code, _, err = run(capsys, "normalize", low, "-o", norm)
+        if code:
+            assert code == 3 and "normalize over %s needs a unit" % token in err
+        else:
+            out = run(capsys, "solve", norm, "--exhaustive")[1]
+            assert (out == "solution NONE\n") == (not roots)
+        refusal = "precondition failed: encoding requires the integers\n"
+        assert run(capsys, "reduce-hn", source, *hn) == (3, "", refusal)
+        assert run(capsys, "verify-hn", source, "--box", "1") == (3, "", refusal)
+    p = random_poly(ring, 2, 2, 4, rng)
+    base, product = write_poly(tmp_path, "p.poly", ring, 2, p.terms), {}
+    for (k1, c1), (k2, c2) in itertools.product(p.terms.items(), repeat=2):
+        product[k1 + k2] = (product.get(k1 + k2, 0) + c1 * c2) % q
+    product = {key: c for key, c in product.items() if c}
+    amplified = str(tmp_path / "amp.poly")
+    assert run(capsys, "amplify", base, "--copies", "2", "-o", amplified) == (
+        0, "copies 2\nsparsity %d\n" % len(product), "")
+    assert load_poly(amplified).terms == product
+
+
+def test_an_internal_error_exits_1_and_says_so(tmp_path, capsys, monkeypatch):
+    """An oracle whose certificate disagrees with the kernel raises
+    InternalConsistencyError, which main reports on stderr with exit 1."""
+    real = oracles.sliced_min_slots
+
+    def off_by_one(*args):
+        count, rank, points = real(*args)
+        return count + 1, rank, points
+
+    monkeypatch.setattr(oracles, "sliced_min_slots", off_by_one)
+    path = write_poly(tmp_path, "p.poly", ZZ, 1, {(2,): 1, (0,): -1})
+    assert run(capsys, "search-shift", path, "--box", "1") == (
+        1, "", "internal error: shift -1: counted 3 monomials, expansion "
+        "gives 2\n")
 
 
 # x*y - 2 and x - 1 over Z, the circuit bodies of c1.circ and c2.circ

@@ -239,6 +239,16 @@ def test_rejects_non_integer_rings():
         build_hn_instance(S, QQ.el(2))
 
 
+def test_reduce_hn_refuses_no_circuits_and_shifts_of_the_wrong_length():
+    with pytest.raises(PreconditionError, match="empty circuit list"):
+        reduce_hn([])
+    inst = build_hn_instance(xsystem(["x1"], [{(1,): 1, (0,): -1}]), GAMMA)
+    assert inst.nsys == 1
+    for b in ([], [ZZ.el(-1)], [ZZ.el(-1), ZZ.el(1), ZZ.el(0)]):
+        with pytest.raises(ArityError, match="shift of length %d" % len(b)):
+            shift_to_solution(inst, b)
+
+
 def test_build_preconditions():
     with pytest.raises(PreconditionError):
         build_hn_instance(EquationSystem(ZZ, ["x1"], []), GAMMA)

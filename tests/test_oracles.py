@@ -5,6 +5,7 @@ import itertools
 import random
 import textwrap
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -1848,10 +1849,40 @@ def test_solve_counts_an_over_wide_slot_set_one_point_per_block(monkeypatch):
     """x1^1000000 - 1 over [-2, 2] is too wide for planes, and the
     kernel's one-point blocks find -1."""
     S = system(ZZ, 1, [{(10 ** 6,): 1, (0,): -1}])
-    assert not bitslice._fits(ZZ, list(range(-2, 3)),
+    assert not bitslice._fits(ZZ, range(-2, 3),
                               [(-1, [(1, (0, 10 ** 6))])])
     forbid_planes(monkeypatch)
     assert solve_system(S, SearchDomain.integer_box(2)) == (ZZ.el(-1),)
+
+
+def test_one_point_blocks_list_no_value_of_the_box(monkeypatch):
+    """x^2 + 3x - 1 over the 40,001 values of [-20000, 20000], each block
+    one point under planes of 2^10 bits: the box reaches the kernel as a
+    range, never listed or copied into a set, so the search peaks below
+    1 MiB (a list of the values and a set of them took it to 4.2 MB)."""
+    monkeypatch.setattr(bitslice, "PLANE_BITS", 1 << 10)
+    forbid_planes(monkeypatch)
+    p = poly(ZZ, 1, {(2,): 1, (1,): 3, (0,): -1})
+    tracemalloc.start()
+    try:
+        report = search_min_sparsity(p, SearchDomain.integer_box(20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.lines() == ["min_sparsity 3", "witness -20000",
+                              "points 40001", "complete false"]
+    assert peak < 2 ** 20, peak
+
+
+def test_every_kernel_call_checks_the_power_budget():
+    """sliced_ranks_below, the kernel call of verify-hn, refuses before its
+    first block the slot x^3000000 - 1 over [-2, 2], whose exact powers
+    take 2 bits times 3,000,000, as the searches of _least_key do."""
+    slots = [(-1, [(1, (0, 3 * 10 ** 6))])]
+    with pytest.raises(CapExceededError, match="a power of 6000000 bits, "
+                       "the limit is 4194304"):
+        bitslice.sliced_ranks_below(ZZ, range(-2, 3), 0, slots, 1, [0],
+                                    False, 1)
 
 
 def test_solve_certifies_its_solution(monkeypatch):

@@ -163,6 +163,18 @@ def test_output_shape_is_quadratized():
         assert is_quadratized_shape(T)
 
 
+def test_quadratized_shape_refuses_what_lowering_never_writes():
+    """A cubic, a binomial with a constant, and a binomial whose linear
+    variable does not come after both variables of its quadratic term."""
+    names = ["x1", "x2", "x3"]
+    head = {(0, 0, 1): 1, (1, 1, 0): -1}  # x3 - x1*x2
+    assert is_quadratized_shape(xsystem(F5, names, [head]))
+    for bad in ({(0, 0, 3): 1, (1, 0, 0): 1},
+                {(0, 0, 1): 1, (1, 1, 0): -1, (0, 0, 0): 2},
+                {(0, 1, 0): 1, (1, 0, 1): -1}):
+        assert not is_quadratized_shape(xsystem(F5, names, [head, bad]))
+
+
 def test_aux_count_bounds():
     rng = random.Random(61)
     for _ in range(40):

@@ -51,6 +51,20 @@ def test_a_wide_duplicate_term_gives_a_short_message(tmp_path, capsys):
     (load_circuit, "c.circ", "ring Z\nvars 2 a b\nnode 0 input 2\noutput 0\n", 3),
     # lines end at "\n" alone, as undecodable bytes are numbered
     (load_poly, "p.poly", "ring Z\nvars 1 x\x0c\nterm 1 q\n", 3),
+    # node and output lines that parse_node_line and read_circuit_line refuse
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0\noutput 0\n", 3),
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode -1 input 0\noutput -1\n", 3),
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0 input 0 0\noutput 0\n", 3),
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0 const 1 2\noutput 0\n", 3),
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0 input 0\noutput 0 0\n", 4),
+    (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0 sub 0\noutput 0\n", 3),
+    # a .3lin vars line holds its count alone
+    (load_max3lin, "s.3lin", "ring Fp 2\nvars 3 a b c\n", 2),
+    # the header rule of every format: a vars count, as many names as it
+    # says, and vars before any other statement
+    (load_poly, "p.poly", "ring Z\nvars\nterm 1\n", 2),
+    (load_system, "s.sys", "ring Z\nvars 2 x\neq\nterm 1 0 0\n", 2),
+    (load_poly, "p.poly", "ring Z\nterm 1\nvars 0\n", 2),
 ])
 def test_format_error_names_file_and_line(tmp_path, loader, name, text, lineno):
     path = tmp_path / name
