@@ -419,10 +419,12 @@ def test_kernel_counts_match_shift_instance_on_hn_corpora():
     for _, inst in hn_corpus(rng):
         n = inst.nsys
         box = rng.randint(1, 2)
-        values = list(range(-box, box + 1))
+        values = range(-box, box + 1)
         free = list(range(1, n + 1))
-        counts, _ = box_counts_from_planes(
-            values, sparse_terms(inst.polynomial.terms), n + 1, free, True)
+        terms = sparse_terms(inst.polynomial.terms)
+        slots = slot_table(ZZ, terms, range(n + 1))[1]
+        assert bitslice._fits(ZZ, values, slots)  # the planes are tested
+        counts, _ = box_counts_from_planes(values, terms, n + 1, free, True)
         points = reference_walk(values, free, n + 1, ZERO_SUM, ZZ)
         assert sorted(counts) == [rank for rank, _ in points]
         for rank, vec in points:
