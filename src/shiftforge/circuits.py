@@ -20,6 +20,7 @@ from .sparsepoly import (
     header_lines,
     parse_int,
     read_file,
+    write_file,
 )
 
 INPUT = "input"
@@ -217,8 +218,7 @@ def circuit_from_text(text):
 
 
 def save_circuit(path, circuit):
-    with open(path, "w") as fh:
-        fh.write(circuit_to_text(circuit))
+    write_file(path, circuit_to_text(circuit))
 
 
 def load_circuit(path):

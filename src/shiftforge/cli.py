@@ -64,12 +64,8 @@ def _require_sparse(path):
 
 
 def _domain_from_args(args):
-    if getattr(args, "exhaustive", False):
-        dom = SearchDomain.exhaustive()
-    elif getattr(args, "box", None) is not None:
-        dom = SearchDomain.integer_box(args.box)
-    else:
-        raise PreconditionError("declare a search domain: --exhaustive or --box B")
+    dom = (SearchDomain.exhaustive() if args.exhaustive
+           else SearchDomain.integer_box(args.box))
     if getattr(args, "zero_sum", False):
         dom = dom.restricted(ZERO_SUM)
     elif getattr(args, "support_last", None) is not None:

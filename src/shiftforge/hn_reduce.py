@@ -52,7 +52,7 @@ from .quadratizer import (
     quadratize_sparse,
 )
 from .rings import INTEGERS, RingElement
-from .sparsepoly import Reader, SparsePoly, parse_int, read_file
+from .sparsepoly import Reader, SparsePoly, parse_int, read_file, write_file
 
 
 class ReductionWitnessMap:
@@ -318,8 +318,7 @@ def witness_from_text(text):
 
 
 def save_witness(path, witness, ring):
-    with open(path, "w") as fh:
-        fh.write(witness_to_text(witness, ring))
+    write_file(path, witness_to_text(witness, ring))
 
 
 def load_witness(path):

@@ -30,6 +30,7 @@ from .sparsepoly import (
     parse_int,
     parse_vector,
     read_file,
+    write_file,
 )
 
 _COEFF_RANGE = 3  # nonzero draws from [-3, 3] over the infinite rings
@@ -286,8 +287,7 @@ def max3lin_from_text(text):
 
 
 def save_max3lin(path, system):
-    with open(path, "w") as fh:
-        fh.write(max3lin_to_text(system))
+    write_file(path, max3lin_to_text(system))
 
 
 def load_max3lin(path):

@@ -130,9 +130,11 @@ def _plan(dom, ring, k):
         free = list(range(k - dom.support_n, k))
     else:
         free = list(range(k))
-    # with no free coordinate every coordinate is 0, which every box and
-    # ring holds, whatever the mode; a grid may not hold 0
-    values = dom.values(ring) if free or dom.mode == GRID else range(1)
+    # dom.values checks the mode against the ring; with no free coordinate
+    # every coordinate is 0, which every box and ring holds (a grid may not)
+    values = dom.values(ring)
+    if not free and dom.mode != GRID:
+        values = range(1)
     # len() of a range of 2^63 values or more raises OverflowError
     count = (values[-1] - values[0] + 1 if isinstance(values, range)
              else len(values))

@@ -49,6 +49,7 @@ from .sparsepoly import (
     read_file,
     read_term,
     token_lines,
+    write_file,
 )
 
 TIER_X = "x"
@@ -512,7 +513,10 @@ def system_from_text(text):
         system = EquationSystem(ring, names, equations, tiers)
         recipe = None
         if steps:
-            recipe = ExtensionRecipe(ring, nvars, tiers.count(TIER_X), steps)
+            try:
+                recipe = ExtensionRecipe(ring, nvars, tiers.count(TIER_X), steps)
+            except PreconditionError as exc:
+                raise FormatError(str(exc)) from None
         return "sparse", system, recipe
 
     circuits = []
@@ -550,5 +554,4 @@ def _system_or_manifest(text, path):
 
 
 def save_system(path, system, recipe=None):
-    with open(path, "w") as fh:
-        fh.write(system_to_text(system, recipe))
+    write_file(path, system_to_text(system, recipe))

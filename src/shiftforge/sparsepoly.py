@@ -11,11 +11,11 @@ canonicalizes eagerly, so two equal polynomials have identical term maps.
 Input is validated once, at the boundary: the public constructor checks
 every exponent vector and coefficient it is given, and the file readers
 check what they parse.  Arithmetic builds its results from keys it made
-out of already checked polynomials, so it goes through the trusted
-constructor `SparsePoly._from_payloads`, which only canonicalizes: it
+out of already checked polynomials, so it goes through the one trusted
+constructor, `SparsePoly._from_payloads`, which only canonicalizes: it
 takes over the producer's map, with no copy, when its payloads are
 canonical and none is 0, and copies it otherwise.  The disjoint products
-of `mul` reduce each payload as they are built, so they are taken over.
+of `mul` and the maps of a shift, an embedding or a rename are taken over.
 
 Every key is cut once per polynomial, at nvars // 2: `halves()` is the
 cut_keys view of sparse_terms, made on first use and kept, from which
@@ -388,8 +388,8 @@ class SparsePoly:
 
         The map is handed over: where its payloads are canonical (reduced
         set, or the ring is Z) and none is 0, it becomes sparse_terms
-        itself, so the caller passes a fresh map and never touches it
-        again.  Any other map is copied, and the caller's is left as it is.
+        itself, so the caller passes a map that no one touches again.  Any
+        other map is copied, and the caller's is left as it is.
         """
         self = cls.__new__(cls)
         self._canonicalize(ring, nvars, terms, catalog_names(nvars, var_names),
@@ -414,18 +414,6 @@ class SparsePoly:
         else:
             canon = ring.canon
             self.sparse_terms = {k: v for k, c in terms.items() if (v := canon(c))}
-
-    def _derived(self, nvars, sparse_terms, var_names):
-        """A polynomial over the same ring that takes sparse_terms, keys
-        over nvars variables to canonical nonzero payloads, as it is:
-        what a rename, an embedding or a shift of this one holds."""
-        out = SparsePoly.__new__(SparsePoly)
-        out.ring = self.ring
-        out.nvars = nvars
-        out.sparse_terms = sparse_terms
-        out.var_names = catalog_names(nvars, var_names)
-        out._halves = None
-        return out
 
     @property
     def terms(self):
@@ -580,7 +568,8 @@ class SparsePoly:
         vals = self.ring.payloads(offsets, self.nvars, "shift vector")
         out = shifted_term_map(self.ring, self.sparse_terms, vals,
                                self.halves() if any(vals) else None)
-        return self._derived(self.nvars, out, self.var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names,
+                                         reduced=True)
 
     def eval(self, point):
         vals = self.ring.payloads(point, self.nvars, "point")
@@ -594,10 +583,12 @@ class SparsePoly:
         step = (offset, 0) * self.nvars
         out = {tuple(map(operator.add, k, step)): c
                for k, c in self.sparse_terms.items()}
-        return self._derived(nvars, out, var_names)
+        return SparsePoly._from_payloads(self.ring, nvars, out, var_names,
+                                         reduced=True)
 
     def rename(self, var_names):
-        return self._derived(self.nvars, self.sparse_terms, var_names)
+        return SparsePoly._from_payloads(self.ring, self.nvars, self.sparse_terms,
+                                         var_names, reduced=True)
 
     # -- comparison and display --------------------------------------
 
@@ -821,6 +812,12 @@ def read_file(path, parse):
         raise exc.locate(path)
 
 
+def write_file(path, text):
+    """Write text, finished before the file opens, to path."""
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def parse_int(token, line):
     """One integer field of a file line; a bad one is a FormatError that
     quotes the line."""
@@ -989,10 +986,8 @@ def poly_from_text(text):
 
 
 def save_poly(path, poly, header_comments=()):
-    body = poly_to_text(poly)
     head = "".join("# %s\n" % c for c in header_comments)
-    with open(path, "w") as fh:
-        fh.write(head + body)
+    write_file(path, head + poly_to_text(poly))
 
 
 def load_poly(path):

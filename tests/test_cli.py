@@ -46,6 +46,7 @@ from shiftforge.sparsepoly import eval_payload, shifted_term_map
 from helpers import random_poly
 
 F2 = prime_field(2)
+F3 = prime_field(3)
 
 
 def run(capsys, *argv):
@@ -730,6 +731,43 @@ def test_domain_misuse_is_exit_3(tmp_path, capsys):
     fpoly = write_poly(tmp_path, "f.poly", F2, 1, {(1,): 1}, ["x"])
     code, _, _ = run(capsys, "search-shift", fpoly, "--box", "2")
     assert code == 3
+    # the mode is checked for every search, also with no free coordinate
+    f3poly = write_poly(tmp_path, "f3.poly", F3, 1, {(1,): 1}, ["x"])
+    for path, domain, message in (
+            (zpoly, "--exhaustive", "exhaustive search needs a finite ring"),
+            (f3poly, "--box=1", "integer boxes apply to Z and Q")):
+        for width in ("1", "0"):
+            code, out, err = run(capsys, "search-shift", path, domain,
+                                 "--support-last", width)
+            assert (code, out) == (3, "")
+            assert message in err
+    const = write_poly(tmp_path, "c0.poly", ZZ, 0, {(): 5})
+    code, _, err = run(capsys, "search-shift", const, "--box", "1", "--zero-sum")
+    assert code == 3
+    assert "zero-sum restriction needs a coordinate" in err
+    cube = write_system(tmp_path, "cube.sys", ZZ, ["x1"], [{(3,): 1, (0,): -1}])
+    low = str(tmp_path / "low.sys")
+    assert run(capsys, "quadratize", cube, "-o", low)[0] == 0
+    code, _, err = run(capsys, "quadratize", low, "-o", str(tmp_path / "again.sys"))
+    assert code == 3
+    assert "input system must be over tier-x variables only" in err
+    for name, nvars in (("c2.circ", 2), ("c3.circ", 3)):
+        (tmp_path / name).write_text(
+            "ring Z\nvars %d\nnode 0 input 0\noutput 0\n" % nvars)
+    manifests = {"one.sys": "c2.circ", "two.sys": "c2.circ\ncircuit c3.circ"}
+    for name, entries in manifests.items():
+        (tmp_path / name).write_text("manifest\ncircuit %s\n" % entries)
+    one = str(tmp_path / "one.sys")
+    for argv in (["normalize", one, "-o", str(tmp_path / "n.sys")],
+                 ["solve", one, "--box", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "this command needs an equation system file" in err
+    assert not os.path.exists(tmp_path / "n.sys")
+    code, _, err = run(capsys, "quadratize", str(tmp_path / "two.sys"),
+                       "-o", str(tmp_path / "q.sys"))
+    assert code == 3
+    assert "circuits must share one variable catalog" in err
     src = write_system(tmp_path, "s.sys", ZZ, ["x1"], [{(1,): 1, (0,): -1}])
     code, _, err = run(
         capsys, "reduce-hn", src, "--gamma", "1",

@@ -11,6 +11,7 @@ from shiftforge import (
     ArityError,
     Circuit,
     EquationSystem,
+    FormatError,
     PreconditionError,
     QQ,
     SearchDomain,
@@ -444,5 +445,5 @@ def test_recipe_steps_read_only_inputs_and_earlier_targets(tmp_path):
     for name, text in bad.items():
         path = tmp_path / (name + ".sys")
         path.write_text(text)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(FormatError):
             load_system(str(path))

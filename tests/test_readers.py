@@ -1,4 +1,5 @@
-"""The file readers: line locations, the shared header rule, and fuzzing."""
+"""The file readers: line locations, the shared header rule, and fuzzing;
+and the writers, which write a file whole or not at all."""
 
 import random
 import signal
@@ -8,7 +9,24 @@ from pathlib import Path
 
 import pytest
 
-from shiftforge import FormatError, ShiftForgeError, quadratizer
+from shiftforge import (
+    CONST,
+    CapExceededError,
+    Circuit,
+    EquationSystem,
+    FormatError,
+    Max3LinSystem,
+    ReductionWitnessMap,
+    ShiftForgeError,
+    SparsePoly,
+    ZZ,
+    quadratizer,
+    save_circuit,
+    save_max3lin,
+    save_poly,
+    save_system,
+    save_witness,
+)
 from shiftforge.circuits import load_circuit
 from shiftforge.cli import main
 from shiftforge.errors import quoted
@@ -570,6 +588,7 @@ def test_quoted_tokens_are_cut_to_a_fixed_length():
 
 SYS_HEAD = "ring Z\nvars 1 x\n"
 TAGGED_HEAD = "ring Z\nvars 2 x:a y:b\neq\nterm 1 1 0\n"
+RECIPE_HEAD = "ring Z\nvars 3 x:a y:b y:c\neq\nterm 1 1 0 0\n"
 
 
 @pytest.mark.parametrize("text, message, lineno", [
@@ -587,9 +606,15 @@ TAGGED_HEAD = "ring Z\nvars 2 x:a y:b\neq\nterm 1 1 0\n"
      "manifest lines must be `circuit <path>`", 3),
     (SYS_HEAD + "eq\nnode 0 input 0\noutput 0\neq\nnode 0 input 0\n",
      "circuit block is missing an output line", None),
+    (RECIPE_HEAD + "# recipe 1 var 0\n",
+     "recipe must define each auxiliary exactly once", None),
+    (RECIPE_HEAD + "# recipe 1 var 2\n# recipe 2 var 0\n",
+     "recipe var step for 1 must read 1 inputs or earlier targets", None),
+    ("manifest\n", "empty manifest", None),
 ], ids=["tier prefix", "term before eq", "term then node", "node then term",
         "short recipe", "recipe pow", "manifest node", "manifest two paths",
-        "no output"])
+        "no output", "recipe misses a target", "recipe reads a later target",
+        "empty manifest"])
 def test_system_file_errors_are_exit_2_and_name_the_line(tmp_path, capsys, text,
                                                         message, lineno):
     # every command that reads a system file reports them alike; a
@@ -604,3 +629,27 @@ def test_system_file_errors_are_exit_2_and_name_the_line(tmp_path, capsys, text,
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "format error: %s (%s)\n" % (message, where))
+
+
+def test_a_file_that_cannot_be_formatted_is_not_written(tmp_path):
+    # a coefficient of 4,401 digits is past the written digit limit; the
+    # text is finished before the file is opened, so none is left behind
+    huge = 10 ** 4400
+    poly = SparsePoly(ZZ, 1, {(1,): huge})
+    one = ZZ.el(1)
+    saves = {
+        "p.poly": lambda path: save_poly(path, poly),
+        "s.sys": lambda path: save_system(
+            path, EquationSystem(ZZ, ("x",), [poly])),
+        "c.circ": lambda path: save_circuit(
+            path, Circuit(ZZ, 1, [(0, CONST, huge)], 0)),
+        "r.3lin": lambda path: save_max3lin(
+            path, Max3LinSystem(ZZ, 3, [((0, 1, 2), (one,) * 3, ZZ.el(huge))])),
+        "w.wit": lambda path: save_witness(
+            path, ReductionWitnessMap(ZZ.el(huge), 0, (1,), (2,), 0), ZZ),
+    }
+    for name, save in saves.items():
+        path = tmp_path / name
+        with pytest.raises(CapExceededError, match="more than 4300 digits"):
+            save(str(path))
+        assert not path.exists(), name
