@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from functools import partial
 
-from .errors import ArityError, FormatError, quoted
+from .errors import FormatError, quoted
 from .rings import RingElement
 from .sparsepoly import (
     Reader,
     SparsePoly,
     check_term_cap,
-    default_names,
+    catalog_names,
     header_lines,
     parse_int,
     read_file,
@@ -57,36 +57,32 @@ def add_node(ring, nvars, nodes, nid, kind, data):
 
 
 class Circuit:
-    __slots__ = ("ring", "nvars", "var_names", "ids", "nodes", "output")
+    __slots__ = ("ring", "nvars", "var_names", "nodes", "output")
 
     def __init__(self, ring, nvars, nodes, output, var_names=None):
         """nodes: sequence of (id, kind, data) in file order.  data is a
         var index for inputs, a payload for consts, child id tuples
-        otherwise."""
+        otherwise.  self.nodes maps each id to (kind, data), in that
+        order; an empty or missing var_names means default names."""
         self.ring = ring
         self.nvars = nvars
-        self.var_names = tuple(var_names) if var_names else default_names(nvars)
-        if len(self.var_names) != nvars:
-            raise ArityError("variable name count mismatch")
-        seen = {}
+        self.var_names = catalog_names(nvars, var_names or None)
+        self.nodes = {}
         for nid, kind, data in nodes:
-            add_node(ring, nvars, seen, nid, kind, data)
-        if output not in seen:
+            add_node(ring, nvars, self.nodes, nid, kind, data)
+        if output not in self.nodes:
             raise FormatError("output id %r is not a node" % (output,))
-        self.ids = tuple(seen)
-        self.nodes = seen
         self.output = output
 
     @property
     def size(self):
-        return len(self.ids)
+        return len(self.nodes)
 
     def eval(self, point):
         vals = self.ring.payloads(point, self.nvars, "point")
         m = self.ring.modulus
         out = {}
-        for nid in self.ids:
-            kind, data = self.nodes[nid]
+        for nid, (kind, data) in self.nodes.items():
             if kind == INPUT:
                 v = vals[data]
             elif kind == CONST:
@@ -107,8 +103,7 @@ class Circuit:
         case (the product or the sum of its children's term counts)
         exceeds the term budget."""
         out = {}
-        for nid in self.ids:
-            kind, data = self.nodes[nid]
+        for nid, (kind, data) in self.nodes.items():
             if kind == MUL:
                 p = out[data[0]].mul(out[data[1]])
             elif kind == ADD:
@@ -129,7 +124,6 @@ class Circuit:
             isinstance(other, Circuit)
             and self.ring == other.ring
             and self.nvars == other.nvars
-            and self.ids == other.ids
             and self.nodes == other.nodes
             and self.output == other.output
         )
@@ -153,8 +147,7 @@ def circuit_to_text(circuit):
 
 def node_lines(circuit):
     lines = []
-    for nid in circuit.ids:
-        kind, data = circuit.nodes[nid]
+    for nid, (kind, data) in circuit.nodes.items():
         if kind == INPUT:
             lines.append("node %d input %d" % (nid, data))
         elif kind == CONST:

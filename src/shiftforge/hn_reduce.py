@@ -232,10 +232,6 @@ def solution_to_shift(inst, a):
     """The wired shift (-sum(a), a) for a verified solution a of the
     normalized system; it lowers the monomial count by exactly one."""
     a = tuple(a)
-    if len(a) != inst.nsys:
-        raise ArityError(
-            "solution of length %d for %d system variables" % (len(a), inst.nsys)
-        )
     if not check_solution(inst.system, a):
         raise NotASolutionError("assignment does not satisfy the system")
     ring = inst.polynomial.ring
@@ -250,11 +246,8 @@ def shift_to_solution(inst, b):
     (b_1, ..., b_N) then satisfies the normalized system.
     """
     b = list(b)
-    n = inst.nsys
-    if len(b) != n + 1:
-        raise ArityError("shift of length %d for %d+1 coordinates" % (len(b), n))
     ring = inst.polynomial.ring
-    vals = ring.payloads(b, n + 1, "shift")
+    vals = ring.payloads(b, inst.nsys + 1, "shift")
     if vals[0] != ring.canon(-sum(vals[1:])):
         raise StructureError("first coordinate must be minus the sum of the rest")
     if shift_instance(inst, b).sparsity() >= inst.sigma:

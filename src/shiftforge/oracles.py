@@ -34,12 +34,7 @@ from .hn_reduce import (
 from .max3lin import count_satisfied, encode_max3lin
 from .quadratizer import check_payloads, check_solution, extend_solution
 from .rings import RATIONALS, RingElement, decimal_text
-from .sparsepoly import (
-    eval_payload,
-    format_vector,
-    shifted_term_map,
-    slot_table,
-)
+from .sparsepoly import format_vector, shifted_term_map, slot_table
 
 DEFAULT_ENUM_CAP = 10 ** 7
 # the expansions behind every oracle are bounded in bits by
@@ -57,40 +52,42 @@ SUPPORT_LAST = "support-last"
 
 
 class SearchDomain:
+    """A finite space of payload vectors, sized by _plan against
+    DEFAULT_ENUM_CAP, the one point budget."""
+
     __slots__ = ("mode", "bound", "numerators", "denominators", "restriction",
-                 "support_n", "cap")
+                 "support_n")
 
     def __init__(self, mode, bound=None, numerators=None, denominators=None,
-                 restriction=NONE, support_n=None, cap=DEFAULT_ENUM_CAP):
+                 restriction=NONE, support_n=None):
         self.mode = mode
         self.bound = bound
         self.numerators = tuple(numerators) if numerators else None
         self.denominators = tuple(denominators) if denominators else None
         self.restriction = restriction
         self.support_n = support_n
-        self.cap = cap
 
     @classmethod
-    def exhaustive(cls, cap=DEFAULT_ENUM_CAP):
-        return cls(EXHAUSTIVE, cap=cap)
+    def exhaustive(cls):
+        return cls(EXHAUSTIVE)
 
     @classmethod
-    def integer_box(cls, bound, cap=DEFAULT_ENUM_CAP):
+    def integer_box(cls, bound):
         if bound < 0:
             raise PreconditionError("box bound must be >= 0")
-        return cls(BOX, bound=bound, cap=cap)
+        return cls(BOX, bound=bound)
 
     @classmethod
-    def rational_grid(cls, numerators, denominators, cap=DEFAULT_ENUM_CAP):
+    def rational_grid(cls, numerators, denominators):
         if not numerators or not denominators or any(d == 0 for d in denominators):
             raise PreconditionError("grid needs numerators and nonzero denominators")
-        return cls(GRID, numerators=numerators, denominators=denominators, cap=cap)
+        return cls(GRID, numerators=numerators, denominators=denominators)
 
     def restricted(self, restriction, support_n=None):
         if restriction == SUPPORT_LAST and (support_n is None or support_n < 0):
             raise PreconditionError("support restriction needs a width")
         return SearchDomain(self.mode, self.bound, self.numerators,
-                            self.denominators, restriction, support_n, self.cap)
+                            self.denominators, restriction, support_n)
 
     def values(self, ring):
         """Allowed payload values for one coordinate, ascending: a range
@@ -119,7 +116,8 @@ class SearchDomain:
 
 def _plan(dom, ring, k):
     """Per-coordinate values, free coordinate positions and the size of
-    the space, checked against the cap before any value is listed."""
+    the space, checked against DEFAULT_ENUM_CAP, read at call time,
+    before any value is listed."""
     if dom.restriction == ZERO_SUM:
         if k < 1:
             raise PreconditionError("zero-sum restriction needs a coordinate")
@@ -139,10 +137,10 @@ def _plan(dom, ring, k):
     count = (values[-1] - values[0] + 1 if isinstance(values, range)
              else len(values))
     size = count ** len(free)
-    if size > dom.cap:
+    if size > DEFAULT_ENUM_CAP:
         raise CapExceededError(
             "search space of %s points exceeds the cap of %d"
-            % (decimal_text(size, "the search space's size"), dom.cap)
+            % (decimal_text(size, "the search space's size"), DEFAULT_ENUM_CAP)
         )
     return values, free, size
 
@@ -241,7 +239,7 @@ def solve_system(system, dom):
     if best is None or best[0]:
         return None
     found = tuple(RingElement(ring, v) for v in best[1])
-    if any(eval_payload(eq, best[1]) for eq in system.equations):
+    if not check_payloads(system, best[1]):
         raise InternalConsistencyError(
             "point %s: counted as a solution, the equations do not vanish"
             % format_vector(found))
@@ -318,7 +316,7 @@ class RoundtripReport:
         ]
 
 
-def verify_hn_roundtrip(source, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
+def verify_hn_roundtrip(source, box=2, jobs=1):
     """Reduce, then check both directions over the box, counting the
     slots of one slot_table with the x-block shifted and the w variables
     not.
@@ -345,7 +343,7 @@ def verify_hn_roundtrip(source, box=2, jobs=1, cap=DEFAULT_ENUM_CAP):
     inst = result
     ring = inst.polynomial.ring
     sigma = inst.sigma
-    dom = SearchDomain.integer_box(box, cap=cap)
+    dom = SearchDomain.integer_box(box)
     # both spaces are planned, and so capped, before any work
     k = inst.nsys + 1
     values = _plan(dom, ring, inst.n_inputs)[0]
@@ -423,7 +421,7 @@ class EncodingReport:
         ]
 
 
-def verify_max3lin(system, e0=None, jobs=1, cap=DEFAULT_ENUM_CAP):
+def verify_max3lin(system, e0=None, jobs=1):
     """Exhaustively confirm that the least nonconstant monomial count of
     the shifted encoding equals 4m minus the best satisfiable row count.
     `jobs` is accepted and not used; it stays while the benchmark's
@@ -431,7 +429,7 @@ def verify_max3lin(system, e0=None, jobs=1, cap=DEFAULT_ENUM_CAP):
     if not system.ring.is_finite:
         raise UnsupportedDomainError("exhaustive verification needs a finite ring")
     enc = encode_max3lin(system, e0)
-    dom = SearchDomain.exhaustive(cap=cap)
+    dom = SearchDomain.exhaustive()
     report = search_min_sparsity(enc.polynomial, dom, metric="nonconstant")
     best = maxsat(system, dom)
     expected = 4 * system.m - best

@@ -307,10 +307,9 @@ def quadratize_circuit(circuits):
     lowering = _Lowering(ring, nx, nvars)
     names = list(names_x)
     for ci, c in enumerate(circuits, start=1):
-        pos = {nid: len(names) + j for j, nid in enumerate(c.ids)}
+        pos = {nid: len(names) + j for j, nid in enumerate(c.nodes)}
         names += ["y%d_%d" % (ci, j) for j in range(1, c.size + 1)]
-        for nid in c.ids:
-            kind, data = c.nodes[nid]
+        for nid, (kind, data) in c.nodes.items():
             if kind == INPUT:
                 args = (data,)
             elif kind == CONST:

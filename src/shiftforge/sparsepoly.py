@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import operator
 import os
-import sys
 from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import chain
@@ -526,8 +525,9 @@ class SparsePoly:
         amplify multiplies, give distinct concatenated keys, built in one
         comprehension that also reduces each product mod m on a finite
         ring: a product of canonical Z or Q payloads is canonical, so the
-        map is handed over unless a zero divisor of Z_q made a 0.  Other
-        operands go through _product and are reduced after it."""
+        map is handed over unless a zero divisor of Z_q made a 0.  Only
+        this path concatenates the keys of a product: other operands go
+        through _product, which merges every pair, and are reduced after."""
         self._align(other)
         mine, theirs = self.sparse_terms, other.sparse_terms
         check_term_cap(len(mine) * len(theirs), "product")
@@ -546,20 +546,15 @@ class SparsePoly:
 
     @staticmethod
     def _product(mine, theirs):
-        """The raw payload map of the product of two term maps."""
+        """The raw payload map of the product of two term maps, every pair
+        of keys merged; mul concatenates disjoint keys itself."""
         out = {}
         for k1, c1 in mine.items():
             for k2, c2 in theirs.items():
-                # keys on disjoint ordered position ranges concatenate
-                if not k1 or not k2 or k1[-2] < k2[0]:
-                    key = k1 + k2
-                elif k2[-2] < k1[0]:
-                    key = k2 + k1
-                else:
-                    exps = dict(pairs(k1))
-                    for p, e in pairs(k2):
-                        exps[p] = exps.get(p, 0) + e
-                    key = map_key(exps)
+                exps = dict(pairs(k1))
+                for p, e in pairs(k2):
+                    exps[p] = exps.get(p, 0) + e
+                key = map_key(exps)
                 out[key] = out.get(key, 0) + c1 * c2
         return out
 
@@ -646,13 +641,13 @@ def eval_payload(poly, vals):
 # Lines end at "\n" alone; '#' starts a comment; duplicate exponent
 # vectors are rejected.  Terms are written in graded-lex descending
 # order, one space between tokens, so when every exponent is one digit
-# a row is fixed-width: in a .poly file, term_lines builds and sorts such
-# rows as strings, and Reader._take keys them, unsplit.  Both work on
-# the two halves of a row, the exponents of positions below n // 2 and
-# the rest: the writer on those of halves(), the reader through a memo
-# per half, building the view it hands over.  Any other row, and every
-# `term` row of a .sys file, is written by token_lines and read by
-# read_term, token by token.
+# a row is fixed-width: in a .poly file, term_lines builds such rows and
+# sorts each degree's rows as strings, and Reader._take keys them,
+# unsplit.  Both work on the two halves of a row, the exponents of
+# positions below n // 2 and the rest: the writer on those of halves(),
+# the reader through a memo per half, building the view it hands over.
+# Any other row, and every `term` row of a .sys file, is written by
+# token_lines and read by read_term, token by token.
 
 
 class _Memo(dict):
@@ -890,12 +885,11 @@ def header_lines(ring, nvars, names=()):
 def term_lines(poly):
     """The `term` lines of poly, in graded-lexicographic descending order.
 
-    When poly has variables, every exponent is one digit and the largest
-    degrees of a left and a right half add to at most sys.maxunicode, a
-    line is a head `term <coef> ` and a fixed-width row `e1 e2 ... ek`,
-    whose byte 2p is the digit of position p; the records chr(degree) +
-    row + head sort as strings, descending, into that order (by degree,
-    then row), and rows are unique, so the head never decides.  A row
+    When poly has variables and every exponent is one digit, a line is a
+    head `term <coef> ` and a fixed-width row `e1 e2 ... ek`, whose byte
+    2p is the digit of position p, so within one degree the rows sort as
+    strings, descending, into that order.  The rows are collected by
+    degree, each with its head, and written highest degree first.  A row
     joins the texts of the two halves of its key in poly.halves(), each
     made once per call.  Any other poly is written by token_lines, the
     reference."""
@@ -906,17 +900,17 @@ def term_lines(poly):
         # (degree, text) of each left half and of each right half by number
         lefts = [_half_row(0, "0 " * h, left) for left in rows]
         rights = [_half_row(h, "0 " * (n - h - 1) + "0", right) for right in rights]
-        if (None not in lefts and None not in rights
-                and max(lefts, default=(0,))[0] + max(rights, default=(0,))[0]
-                <= sys.maxunicode):
+        if None not in lefts and None not in rights:
             fmt = _format(poly)
             heads = _Memo(lambda c: "term %s " % fmt(c))
-            records = []
+            buckets = {}  # degree -> {row: head}
             for (degree, left), row in zip(lefts, rows.values()):
-                records += [chr(degree + d) + left + right + heads[c]
-                            for j, c in row.items() for d, right in (rights[j],)]
-            records.sort(reverse=True)
-            return [r[2 * n:] + r[1:2 * n] for r in records]
+                for j, c in row.items():
+                    d, right = rights[j]
+                    buckets.setdefault(degree + d, {})[left + right] = heads[c]
+            return [bucket[row] + row
+                    for _, bucket in sorted(buckets.items(), reverse=True)
+                    for row in sorted(bucket, reverse=True)]
     return token_lines(poly)
 
 

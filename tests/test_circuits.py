@@ -117,10 +117,18 @@ def test_file_round_trip():
         c = random_circuit(ring, 2, 8, rng)
         text = circuit_to_text(c)
         back = circuit_from_text(text)
+        assert back == c
         assert circuit_to_text(back) == text
         assert back.size == c.size
         x = random_vector(ring, rng, 2)
         assert back.eval(x) == c.eval(x)
+    # a different output, a different node or a different ring is unequal
+    c = mul_plus_const_circuit()
+    nodes = [(nid, kind, data) for nid, (kind, data) in c.nodes.items()]
+    assert c == Circuit(ZZ, 2, nodes, 4)
+    assert c != Circuit(ZZ, 2, nodes, 3)
+    assert c != Circuit(ZZ, 2, nodes[:2] + [(2, CONST, 4)] + nodes[3:], 4)
+    assert c != Circuit(F5, 2, nodes, 4)
 
 
 def test_file_format_example():

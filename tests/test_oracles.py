@@ -189,13 +189,15 @@ def test_domain_validation():
         search_min_sparsity(zp, SearchDomain.integer_box(1), metric="weird")
 
 
-def test_cap_is_enforced():
+def test_cap_is_enforced(monkeypatch):
     p = random_poly(ZZ, 3, 2, 3, random.Random(3))
+    monkeypatch.setattr(oracles, "DEFAULT_ENUM_CAP", 100)
     with pytest.raises(CapExceededError):
-        search_min_sparsity(p, SearchDomain.integer_box(2, cap=100))
+        search_min_sparsity(p, SearchDomain.integer_box(2))
     S, _ = planted_integer_system(random.Random(5), max_vars=3)
+    monkeypatch.setattr(oracles, "DEFAULT_ENUM_CAP", 10)
     with pytest.raises(CapExceededError):
-        solve_system(S, SearchDomain.integer_box(3, cap=10))
+        solve_system(S, SearchDomain.integer_box(3))
 
 
 def test_solve_examples():
@@ -767,8 +769,9 @@ def test_roundtrip_checks_both_caps_before_any_work(monkeypatch):
     monkeypatch.setattr(ExtensionRecipe, "extend_payloads", no_work)
     S = system(ZZ, 2, [{(1, 0): 1, (0, 1): 1, (0, 0): -1}])
     # 25 source assignments fit, 625 zero-sum ranks do not
+    monkeypatch.setattr(oracles, "DEFAULT_ENUM_CAP", 100)
     with pytest.raises(CapExceededError):
-        verify_hn_roundtrip(S, box=2, cap=100)
+        verify_hn_roundtrip(S, box=2)
 
 
 def payload_sources():

@@ -360,7 +360,8 @@ def test_term_lines_cut_at_half_match_the_token_writer():
     300-variable rows with keys across positions 150, 255 and 256, keys
     in one half and the constant, a two-digit exponent in either half
     (the token path then writes the whole polynomial) and degrees above
-    9 with one-digit exponents."""
+    9 with one-digit exponents, up to 1,114,119, past the largest code
+    point U+10FFFF."""
     rng = random.Random(150)
 
     def poly(ring, nvars, keys):
@@ -385,6 +386,7 @@ def test_term_lines_cut_at_half_match_the_token_writer():
     cases.append(poly(ZZ, 7, {(2, 1), (5, 12), (6, 9)}))
     cases.append(poly(F5, 3, {(0, 9, 1, 9, 2, 9), (0, 9, 2, 1), (1, 9), ()}))
     cases.append(poly(F5, 24, {tuple(v for p in range(24) for v in (p, 9)), (23, 9)}))
+    cases.append(poly(ZZ, 123791, {tuple(v for p in range(123791) for v in (p, 9)), ()}))
     for p in cases:
         assert term_lines(p) == token_lines(p)
         assert poly_from_text(poly_to_text(p)) == p
