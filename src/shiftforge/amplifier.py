@@ -11,11 +11,12 @@ target ratio.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import ceil, floor, inf, log, log1p
 
 from .errors import ArityError, CapExceededError, PreconditionError
 from .rings import POWER_BITS, check_power_digits, decimal_text
-from .sparsepoly import check_term_cap
+from .sparsepoly import SparsePoly, check_term_cap
 
 
 class AmplifiedInstance:
@@ -41,7 +42,12 @@ def _copy_names(base, copies):
 
 
 def amplify(base, copies):
-    """The product of `copies` variable-disjoint renamed copies of base."""
+    """The product of `copies` variable-disjoint renamed copies of base.
+
+    The copies below d // 2 are multiplied, then the others, then the two
+    products, which gives the keys of the product taken copy by copy in
+    the same order; for an even d the two lie on either side of the cut
+    at n * d // 2, so mul hands the result its halves()."""
     if copies < 1:
         raise PreconditionError("copy count must be >= 1")
     sigma = base.sparsity()
@@ -52,9 +58,14 @@ def amplify(base, copies):
     n = base.nvars
     total = n * copies
     names = _copy_names(base, copies)
-    poly = base.embed(total, 0, names)
-    for k in range(1, copies):
-        poly = poly.mul(base.embed(total, k * n, names))
+
+    def factors(ks):
+        return (base.embed(total, k * n, names) for k in ks)
+
+    mid = copies // 2
+    poly = reduce(SparsePoly.mul, factors(range(mid, copies)))
+    if mid:
+        poly = reduce(SparsePoly.mul, factors(range(mid))).mul(poly)
     return AmplifiedInstance(poly, copies, base)
 
 

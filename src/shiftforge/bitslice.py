@@ -408,26 +408,21 @@ class _Box:
     its bits.
 
     A fixed coordinate enters a monomial as its powers, built once per
-    block up the ladder of the slots to evaluate: for each position, the
-    exponents above 1 that their keys raise it to, ascending, each power
-    the one below times a^gap.
+    block up the ladder of the slots to evaluate (_ladder), made on the
+    first block that fixes a coordinate: none is made where every
+    coordinate varies.
 
     `planed` lists the positions of the planed coordinates in the digit
     order of box_planes; a slot that reads at most TABLE_ENTRIES values
     of them, and no other varying coordinate, is evaluated as a table
     (_tabled) instead."""
 
-    def __init__(self, lo, hi, full, modulus=None, slots=(), planed=()):
+    def __init__(self, lo, hi, full, modulus=None, planed=()):
         self.lo = lo
         self.hi = hi
         self.full = full
         self.modulus = modulus
-        ladder = {}
-        for key in {key for _, terms in slots for _, key in terms}:
-            for p, e in pairs(key):
-                if e > 1:
-                    ladder.setdefault(p, set()).add(e)
-        self.ladder = [(p, sorted(exps)) for p, exps in ladder.items()]
+        self.ladder = None
         # over Z_q with q = 2^s only the low s bits of a slot matter
         self.cap = None
         if modulus is not None and not modulus & modulus - 1:
@@ -469,7 +464,9 @@ class _Box:
         the plane of each mask, the AND of its bits' planes."""
         q = self.modulus
         products = {(pos, 1): x for pos, x in enumerate(coords)}
-        for p, exps in self.ladder:
+        if self.ladder is None and not all(isinstance(x, tuple) for x in coords):
+            self.ladder = _ladder(slots)
+        for p, exps in self.ladder or ():
             x, y, last = coords[p], 1, 0
             if isinstance(x, tuple):
                 continue
@@ -649,6 +646,18 @@ class _Box:
         return self.full & ~zero
 
 
+def _ladder(slots):
+    """(p, exponents) for each position p that the keys of slots raise
+    above 1: those exponents, ascending, each power of a fixed a_p the
+    one below times a_p^gap."""
+    ladder = {}
+    for key in {key for _, terms in slots for _, key in terms}:
+        for p, e in pairs(key):
+            if e > 1:
+                ladder.setdefault(p, set()).add(e)
+    return [(p, sorted(exps)) for p, exps in ladder.items()]
+
+
 def _count(fixed, slots, coords, arith):
     """The number of nonzero slots at every point of a block, plus fixed:
     returns (fixed, counters), where the count is fixed plus the binary
@@ -811,7 +820,7 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
     layout = _layout(q)
     planed = free[len(high):]
     arith = (layout(q, full) if layout
-             else _Box(values[0], values[-1], full, q, slots, planed))
+             else _Box(values[0], values[-1], full, q, planed))
     planes = arith.coordinates(sliced) if sliced else ()
     lead = 0
     for block in range(nv ** len(high)):
@@ -839,7 +848,7 @@ def _blocks(ring, values, fixed, slots, k, free, zero_sum):
 def count_at(ring, fixed, slots, point):
     """fixed plus the number of slots (as slot_table gives them) that are
     nonzero at the payload vector point, evaluated exactly."""
-    arith = _Box(0, 0, 1, ring.modulus, slots)
+    arith = _Box(0, 0, 1, ring.modulus)
     return _count(fixed, slots, list(point), arith)[0]
 
 

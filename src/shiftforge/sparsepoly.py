@@ -19,13 +19,16 @@ of `mul` and the maps of a shift, an embedding or a rename are taken over.
 
 Every key is cut once per polynomial, at nvars // 2: `halves()` is the
 cut_keys view of sparse_terms, made on first use and kept, from which
-the shift expands and term_lines writes.  poly_from_text hands over the
+the shift expands and term_lines writes.  Two producers hand the view
+over, and only where the map was kept.  poly_from_text hands over the
 view the reader builds as it keys fixed-width rows, but only when every
-term row was such a row and the map was kept: not once a row went to
-read_term, which ends the fixed-width rows for the rest of the file, nor
-after a `term 0` row or a Z_q payload that reduced to 0.  Fixed-width
-rows and the cut are the .poly format's alone: the other formats read
-and write every row token by token.
+term row was such a row: not once a row went to read_term, which ends
+the fixed-width rows for the rest of the file, nor after a `term 0` row
+or a Z_q payload that reduced to 0.  mul hands over the view of a
+disjoint product whose operands lie on either side of the cut, as
+amplify's last product of an even copy count does, but not where a Z_q
+product was 0.  Fixed-width rows and the cut are the .poly format's
+alone: the other formats read and write every row token by token.
 """
 
 from __future__ import annotations
@@ -337,13 +340,6 @@ def _submonomials(mov):
     return parts[:-1]
 
 
-def _ends_before(first, second):
-    """Whether every position in the keys of the term map first is below
-    every position in those of second."""
-    last = max((k[-2] for k in first if k), default=-1)
-    return all(k[0] > last for k in second if k)
-
-
 class SparsePoly:
     """A canonical sparse polynomial over a positional variable catalog.
 
@@ -422,7 +418,8 @@ class SparsePoly:
 
     def halves(self):
         """cut_keys(sparse_terms, nvars // 2), made on the first call or
-        handed over by poly_from_text, and kept."""
+        handed over by poly_from_text or by mul (see the module notes),
+        and kept."""
         if self._halves is None:
             self._halves = cut_keys(self.sparse_terms, self.nvars // 2)
         return self._halves
@@ -475,10 +472,10 @@ class SparsePoly:
         vectors: by degree, then by the pairs with each position negated,
         since an earlier position is the larger exponent vector.  Two
         stable passes, the second by degree, sort on cheaper keys than
-        one pass by (degree, pairs).  This is the reference order of the
-        text formats; term_lines reaches it by sorting strings when every
-        exponent is one digit."""
-        signs = (-1, 1) * self.nvars
+        one pass by (degree, pairs); the signs run as long as the longest
+        key.  This is the reference order of the text formats; term_lines
+        reaches it by sorting strings when every exponent is one digit."""
+        signs = (-1, 1) * (max(map(len, self.sparse_terms), default=0) // 2)
         keys = sorted(self.sparse_terms, reverse=True,
                       key=lambda k: tuple(map(operator.mul, k, signs)))
         keys.sort(reverse=True, key=lambda k: sum(k[1::2]))
@@ -527,11 +524,18 @@ class SparsePoly:
         ring: a product of canonical Z or Q payloads is canonical, so the
         map is handed over unless a zero divisor of Z_q made a 0.  Only
         this path concatenates the keys of a product: other operands go
-        through _product, which merges every pair, and are reduced after."""
+        through _product, which merges every pair, and are reduced after.
+
+        Where every key of self ends below the cut h = nvars // 2 and every
+        key of other starts at or after it, the map comes with its
+        halves(): rows {k1: {j: c1 * c2}} and rights list(other's keys),
+        unless the map was copied because a Z_q product was 0."""
         self._align(other)
         mine, theirs = self.sparse_terms, other.sparse_terms
         check_term_cap(len(mine) * len(theirs), "product")
-        if not _ends_before(mine, theirs):
+        last = max((k[-2] for k in mine if k), default=-1)
+        first = min((k[0] for k in theirs if k), default=self.nvars)
+        if first <= last:
             out = self._product(mine, theirs)
             return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names)
         m = self.ring.modulus
@@ -541,8 +545,15 @@ class SparsePoly:
         else:
             out = {k1 + k2: c1 * c2 % m for k1, c1 in mine.items()
                    for k2, c2 in theirs.items()}
-        return SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names,
+        poly = SparsePoly._from_payloads(self.ring, self.nvars, out, self.var_names,
                                          reduced=True)
+        if last < self.nvars // 2 <= first and out and poly.sparse_terms is out:
+            # the payloads of k1's row are the next len(theirs) in out
+            payloads = iter(out.values())
+            numbers = range(len(theirs))
+            poly._halves = ({k1: dict(zip(numbers, payloads)) for k1 in mine},
+                            list(theirs))
+        return poly
 
     @staticmethod
     def _product(mine, theirs):
@@ -931,11 +942,14 @@ def token_lines(poly):
 
 def _format(poly):
     """poly.ring.format_coeff, after the widest parts of poly's payloads
-    are formatted: a coefficient too long to write raises, naming the
-    widest, before any line."""
+    are formatted, the numerators and, over Q, the denominators: a
+    coefficient too long to write raises, naming the widest, before any
+    line."""
     fmt = poly.ring.format_coeff
     if not poly.ring.is_finite:
-        for part in map(operator.attrgetter, ("numerator", "denominator")):
+        parts = (("numerator",) if poly.ring.kind == INTEGERS
+                 else ("numerator", "denominator"))
+        for part in map(operator.attrgetter, parts):
             fmt(max(map(abs, map(part, poly.sparse_terms.values())), default=0))
     return fmt
 

@@ -24,11 +24,12 @@ from shiftforge import (
     gap_alpha,
     modular,
     prime_field,
+    save_poly,
     search_min_sparsity,
 )
 from shiftforge.oracles import SearchDomain
 
-from helpers import random_poly, random_vector
+from helpers import random_nonzero, random_poly, random_vector
 
 F2 = prime_field(2)
 Z6 = modular(6)
@@ -307,3 +308,66 @@ def test_amplified_bytes_are_pinned():
         "fb13f116d076b9fd4f3bd187178f3b455031116e5536836fdd277bb0183b625e")
     reloaded = poly_from_text(text)
     assert reloaded == amp and poly_to_text(reloaded) == text
+
+
+def iterated_product(base, copies):
+    """The product of the renamed copies of base, taken copy by copy."""
+    n = base.nvars
+    names = ["%s__c%d" % (name, k) for k in range(copies) for name in base.var_names]
+    poly = base.embed(n * copies, 0, names)
+    for k in range(1, copies):
+        poly = poly.mul(base.embed(n * copies, k * n, names))
+    return poly
+
+
+def test_amplify_keeps_the_iterated_products_order_and_bytes(tmp_path):
+    """amplify, which multiplies the copies on each side of the cut first,
+    gives the keys of the product taken copy by copy in the same order,
+    and, through the view it holds, the bytes written from the cut of a
+    view-less copy; over Z, F5 and Z6, with odd and even base widths and
+    a constant term."""
+    rng = random.Random(293)
+    for ring in (ZZ, prime_field(5), Z6):
+        for nvars in (1, 2, 3, 6):
+            terms = random_poly(ring, nvars, 2, 3, rng).terms
+            terms[(0,) * nvars] = random_nonzero(ring, rng)
+            base = SparsePoly(ring, nvars, terms)
+            for d in range(1, 6):
+                if base.sparsity() ** d > 2000:
+                    continue
+                amp = amplify(base, d).polynomial
+                want = iterated_product(base, d)
+                assert amp.var_names == want.var_names
+                assert list(amp.sparse_terms.items()) == list(want.sparse_terms.items())
+                plain = SparsePoly._from_payloads(ring, amp.nvars, dict(want.sparse_terms),
+                                                  want.var_names)
+                save_poly(str(tmp_path / "amp.poly"), amp)
+                save_poly(str(tmp_path / "want.poly"), plain)
+                assert ((tmp_path / "amp.poly").read_bytes()
+                        == (tmp_path / "want.poly").read_bytes())
+
+
+def test_construct_shape_holds_its_view_and_its_first_shift_cuts_nothing(monkeypatch):
+    """The benchmark's construct shape, 4 copies of a 13-term F5 encoding,
+    holds its view right after amplify, so its first shift makes no
+    cut_keys call, and shifts as a copy that holds no view."""
+    from shiftforge import gen_max3lin, sparsepoly
+
+    F5 = prime_field(5)
+    rng = random.Random(89)
+    while True:
+        system = gen_max3lin(3, 3, F5, planted=True, seed=rng.randrange(10 ** 6))
+        base = encode_max3lin(system).polynomial
+        if base.sparsity() == 13:
+            break
+    amp = amplify(base, 4).polynomial
+    assert amp.sparsity() == 28561 and amp._halves is not None
+    vec = [F5.el(v) for v in (0, 0, 0, 1, 2, 3) * 4]
+    cuts = []
+    real = sparsepoly.cut_keys
+    monkeypatch.setattr(sparsepoly, "cut_keys",
+                        lambda terms, h: cuts.append(h) or real(terms, h))
+    shifted = amp.shift(vec)
+    assert cuts == []
+    plain = SparsePoly._from_payloads(F5, 24, dict(amp.sparse_terms), amp.var_names)
+    assert plain.shift(vec) == shifted and cuts == [12]

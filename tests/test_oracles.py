@@ -662,6 +662,44 @@ def test_search_counts_grids_and_wide_slot_sets_one_point_per_block(
                 report.points) == reference_search(p, dom, "total")
 
 
+def test_the_exponent_ladder_is_built_only_where_a_coordinate_is_fixed(
+        monkeypatch):
+    """verify-hn's direction-2 kernel call planes every coordinate, so it
+    builds no exponent ladder; count_at and one-point blocks fix every
+    coordinate and build it once per call, and their counts stay those
+    of the expansion and of the equations."""
+    builds = []
+    real = bitslice._ladder
+    monkeypatch.setattr(bitslice, "_ladder",
+                        lambda slots: builds.append(len(slots)) or real(slots))
+    names = ["x1", "x2"]
+    source = EquationSystem(ZZ, names, [
+        SparsePoly(ZZ, 2, {(2, 0): 1, (0, 2): 2, (0, 0): -3}, names)])
+    inst = reduce_hn(source)
+    k = inst.nsys + 1
+    values, free, _ = oracles._plan(
+        SearchDomain.integer_box(2).restricted(ZERO_SUM), ZZ, k)
+    fixed, slots = slot_table(ZZ, inst.polynomial.sparse_terms, range(k))
+    assert any(e > 1 for _, terms in slots for _, key in terms for e in key[1::2])
+    _, ranks = bitslice.sliced_ranks_below(ZZ, values, fixed, slots, k, free,
+                                           True, inst.sigma)
+    assert ranks and builds == []
+    for rank in ranks:
+        b = oracles._at(values, free, k, ZERO_SUM, ZZ, rank)
+        pad = [0] * (inst.polynomial.nvars - k)
+        shifted = inst.polynomial.shift([ZZ.el(v) for v in b + pad]).sparsity()
+        assert bitslice.count_at(ZZ, fixed, slots, b) == shifted < inst.sigma
+    assert builds == [len(slots)] * len(ranks)
+    # sum of x^(40000 + i) over i < 50, less 5: powers too wide for planes
+    # over [-3, 3], each reached from the one below on the ladder
+    del builds[:]
+    high = SparsePoly(ZZ, 1, {(40000 + i,): 1 for i in range(50)} | {(0,): -5},
+                      ["x"])
+    assert solve_system(EquationSystem(ZZ, ["x"], [high]),
+                        SearchDomain.integer_box(3)) is None
+    assert builds == [1]
+
+
 def test_search_certifies_the_sliced_count(monkeypatch):
     real = oracles.sliced_min_slots
 

@@ -947,6 +947,89 @@ def test_handing_over_a_view_the_map_does_not_match_is_caught():
     assert not views_hold(dropped)
 
 
+def exact_view(view):
+    """A cut_keys view with its orders: the rows' items, each row's items,
+    and the rights."""
+    rows, rights = view
+    return [(left, list(row.items())) for left, row in rows.items()], rights
+
+
+def product_views():
+    """(product, handed) for products of disjoint ordered operands over Z,
+    Q, F5 and Z6 that meet at, below and above the cut at nvars // 2, and
+    whether mul must hand the product its view: where every key of the
+    first ends below the cut, every key of the second starts at or after
+    it, and the product is not 0 and has no Z_q zero term."""
+    rng = random.Random(281)
+    cases = []
+    for ring in (ZZ, QQ, F5, Z6):
+        for nvars in (1, 2, 7, 10):
+            h = nvars // 2
+            for split in sorted({max(h - 1, 0), h, min(h + 1, nvars)}):
+                for _ in range(3):
+                    low = spread_poly(ring, rng, nvars, list(range(split)))
+                    high = spread_poly(ring, rng, nvars, list(range(split, nvars)))
+                    p = low.mul(high)
+                    last = max((k[-2] for k in low.sparse_terms if k), default=-1)
+                    first = min((k[0] for k in high.sparse_terms if k), default=nvars)
+                    kept = 0 < p.sparsity() == low.sparsity() * high.sparsity()
+                    cases.append((p, last < h <= first and kept))
+    return cases
+
+
+def handed_views_hold():
+    """Whether mul hands over a view exactly where product_views says, and
+    the view is cut_keys at nvars // 2 of the product's map, with its
+    orders; and whether the construct-shaped amplified polynomial holds
+    one."""
+    for p, handed in product_views():
+        if (p._halves is not None) != handed:
+            return False
+        if exact_view(p.halves()) != exact_view(cut_keys(p.sparse_terms, p.nvars // 2)):
+            return False
+    amp = amplify(pooled_poly(F5, random.Random(283), 6, {3, 4, 5}), 4).polynomial
+    return amp._halves is not None
+
+
+def test_disjoint_products_hand_over_the_cut_of_their_terms():
+    """A product whose operands lie on either side of the cut holds its
+    view, which is the cut of its terms, aligned or not; a Z6 product
+    whose 2 * 3 cross term vanishes holds none."""
+    cases = product_views()
+    assert handed_views_hold()
+    assert {handed for _, handed in cases} == {True, False}
+    assert {p.ring for p, handed in cases if handed} == {ZZ, QQ, F5, Z6}
+    low = P(Z6, 2, {(1, 0): 2, (0, 0): 1})
+    high = P(Z6, 2, {(0, 1): 3, (0, 0): 1})
+    p = low.mul(high)
+    assert p.sparse_terms == {(0, 1): 2, (1, 1): 3, (): 1}
+    assert p._halves is None and holds_its_cut(p)
+    assert low.mul(P(Z6, 2, {(0, 1): 1, (0, 0): 1}))._halves is not None
+
+
+def test_mutants_of_the_product_hand_over_are_caught(monkeypatch):
+    """mul recompiled to test the operands against h - 1 instead of the
+    cut h, or with its rights reversed, hands over no view or a wrong
+    one; as it is, every view holds."""
+    source = textwrap.dedent(inspect.getsource(SparsePoly.mul))
+
+    def mutant(old, new):
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(sparsepoly), namespace)
+        return namespace["mul"]
+
+    muls = {
+        "same": mutant("    return poly\n", "    return poly\n"),
+        "h - 1": mutant("last < self.nvars // 2 <= first",
+                        "last < self.nvars // 2 - 1 <= first"),
+        "reversed": mutant("list(theirs))", "list(theirs)[::-1])"),
+    }
+    for name, mul in muls.items():
+        monkeypatch.setattr(SparsePoly, "mul", mul)
+        assert handed_views_hold() == (name == "same"), name
+
+
 def test_shift_cap_counts_every_term_of_a_shared_moving_monomial(monkeypatch):
     # ten groups share the moving monomial y^5: 10 * 6 monomials at most
     terms = {tuple(1 if j == i else 0 for j in range(10)) + (5,): 1 for i in range(10)}
