@@ -24,11 +24,11 @@ from .rings import RingElement
 from .sparsepoly import (
     Reader,
     SparsePoly,
+    _Memo,
     check_term_cap,
     format_vector,
     header_lines,
     parse_int,
-    parse_vector,
     read_file,
     write_file,
 )
@@ -46,18 +46,18 @@ class Max3LinSystem:
         self.n = n
         checked = []
         for idx, coeffs, b in rows:
-            idx = tuple(idx)
-            coeffs = tuple(coeffs)
+            idx, coeffs = tuple(idx), tuple(coeffs)
             if len(idx) != 3 or len(coeffs) != 3:
                 raise PreconditionError("rows take exactly three variables")
-            if len(set(idx)) != 3:
+            j1, j2, j3 = idx
+            if j1 == j2 or j1 == j3 or j2 == j3:
                 raise PreconditionError("row indices must be distinct")
-            if any(not 0 <= j < n for j in idx):
+            if not (0 <= j1 < n and 0 <= j2 < n and 0 <= j3 < n):
                 raise ArityError("row index out of range")
             for c in coeffs + (b,):
-                if not isinstance(c, RingElement) or c.ring != ring:
+                if not isinstance(c, RingElement) or c.ring is not ring and c.ring != ring:
                     raise RingMismatchError("row entry from a different ring")
-            if any(c.is_zero for c in coeffs):
+            if not (coeffs[0].val and coeffs[1].val and coeffs[2].val):
                 raise PreconditionError("row coefficients must be nonzero")
             checked.append((idx, coeffs, b))
         self.rows = tuple(checked)
@@ -140,7 +140,7 @@ def encode_max3lin(system, e0=None):
         terms[(i, 1)] = e.val
     terms[()] = e0.val
     names = ["y%d" % (i + 1) for i in range(w)]
-    poly = SparsePoly._from_payloads(ring, w, terms, names)
+    poly = SparsePoly._from_payloads(ring, w, terms, names, reduced=True)
     return QuadraticEncoding(poly, w, cmatrix, tuple(evec), e0, system)
 
 
@@ -232,6 +232,8 @@ def gen_max3lin(n, m, ring, planted=False, noise_count=0, seed=0):
 #   # seed <s>
 #   # planted <c,...>
 #   # noise <k>
+# The reader checks each row as its line is read and parses each distinct
+# coefficient token once per file, into one memo of immutable elements.
 
 
 def max3lin_to_text(system):
@@ -245,12 +247,9 @@ def max3lin_to_text(system):
         lines.append("# noise %d" % meta["noise"])
     lines.extend(header_lines(system.ring, system.n))
     fmt = system.ring.format_coeff
-    for idx, coeffs, b in system.rows:
-        flat = []
-        for j, c in zip(idx, coeffs):
-            flat.append(str(j + 1))
-            flat.append(fmt(c))
-        lines.append("eq %s %s" % (" ".join(flat), fmt(b)))
+    for (j1, j2, j3), (c1, c2, c3), b in system.rows:
+        lines.append("eq %d %s %d %s %d %s %s" % (
+            j1 + 1, fmt(c1), j2 + 1, fmt(c2), j3 + 1, fmt(c3), fmt(b)))
     return "\n".join(lines) + "\n"
 
 
@@ -258,6 +257,7 @@ def max3lin_from_text(text):
     reader = Reader()
     rows = []
     meta = {}
+    elements = _Memo(lambda token: reader.ring.parse_coeff(token))
 
     def count_only(parts, line):
         if reader.names is not None:
@@ -266,24 +266,34 @@ def max3lin_from_text(text):
     def eq(parts, line):
         if len(parts) != 8:
             raise FormatError("eq lines need 3 index/coefficient pairs and a constant")
-        idx = tuple(parse_int(j, line) for j in parts[1:7:2])
+        _, j1, c1, j2, c2, j3, c3, b = parts
+        idx = (parse_int(j1, line) - 1, parse_int(j2, line) - 1, parse_int(j3, line) - 1)
         for j in idx:
-            if not 1 <= j <= reader.nvars:
-                raise FormatError("variable index %d out of range" % j)
-        coeffs = tuple(map(reader.ring.parse_coeff, parts[2:7:2]))
-        rows.append((tuple(j - 1 for j in idx), coeffs, reader.ring.parse_coeff(parts[7])))
+            if not 0 <= j < reader.nvars:
+                raise FormatError("variable index %d out of range" % (j + 1))
+        coeffs, b = (elements[c1], elements[c2], elements[c3]), elements[b]
+        if idx[0] == idx[1] or idx[0] == idx[2] or idx[1] == idx[2]:
+            raise FormatError("row indices must be distinct")
+        if not (coeffs[0].val and coeffs[1].val and coeffs[2].val):
+            raise FormatError("row coefficients must be nonzero")
+        rows.append((idx, coeffs, b))
 
     def provenance(words, line):
         if len(words) == 2:
             key, value = words
-            meta[key] = (parse_vector(value, reader.ring) if key == "planted"
+            meta[key] = (tuple(elements[t] for t in value.split(",")) if key == "planted"
                          else parse_int(value, line))
+            if key == "planted" and reader.nvars not in (None, len(meta[key])):
+                raise FormatError("planted vector of length %d for %d variables"
+                                  % (len(meta[key]), reader.nvars))
 
     comments = dict.fromkeys(("seed", "noise", "planted"), provenance)
     reader.read(text, {"vars": count_only, "eq": eq}, comments)
     if reader.nvars is None:
         raise FormatError("system file needs ring and vars lines")
-    return Max3LinSystem(reader.ring, reader.nvars, rows, meta or None)
+    system = Max3LinSystem(reader.ring, reader.nvars, (), meta or None)
+    system.rows = tuple(rows)  # each checked as its line was read
+    return system
 
 
 def save_max3lin(path, system):

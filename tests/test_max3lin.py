@@ -55,6 +55,20 @@ def test_row_validation():
         Max3LinSystem(F2, -1, [])
 
 
+def test_row_ring_is_compared_by_value():
+    # an equal ring built twice passes the check that identity spares;
+    # another ring does not
+    other_f2 = prime_field(2)
+    assert other_f2 is not F2
+    row = ((0, 1, 2), (other_f2.one, F2.one, other_f2.one), other_f2.zero)
+    assert Max3LinSystem(F2, 3, [row]).rows == (row,)
+    for entry in range(4):
+        bad = [F2.one] * 4
+        bad[entry] = F3.one
+        with pytest.raises(RingMismatchError):
+            Max3LinSystem(F2, 3, [((0, 1, 2), tuple(bad[:3]), bad[3])])
+
+
 def test_width_is_max_of_doubled_counts():
     assert single_row_f2().w == 6
     assert Max3LinSystem(F2, 1, []).w == 2

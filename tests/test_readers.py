@@ -16,10 +16,15 @@ from shiftforge import (
     EquationSystem,
     FormatError,
     Max3LinSystem,
+    QQ,
     ReductionWitnessMap,
     ShiftForgeError,
     SparsePoly,
     ZZ,
+    gen_max3lin,
+    modular,
+    parse_vector,
+    prime_field,
     quadratizer,
     save_circuit,
     save_max3lin,
@@ -31,9 +36,9 @@ from shiftforge.circuits import load_circuit
 from shiftforge.cli import main
 from shiftforge.errors import quoted
 from shiftforge.hn_reduce import load_witness, witness_from_text
-from shiftforge.max3lin import load_max3lin
+from shiftforge.max3lin import load_max3lin, max3lin_from_text, max3lin_to_text
 from shiftforge.quadratizer import load_system
-from shiftforge.sparsepoly import Reader, _lines, load_poly
+from shiftforge.sparsepoly import Reader, _lines, load_poly, parse_int
 
 LOADERS = (load_poly, load_max3lin, load_circuit, load_system, load_witness)
 
@@ -78,6 +83,13 @@ def test_a_wide_duplicate_term_gives_a_short_message(tmp_path, capsys):
     (load_circuit, "c.circ", "ring Z\nvars 1 x\nnode 0 sub 0\noutput 0\n", 3),
     # a .3lin vars line holds its count alone
     (load_max3lin, "s.3lin", "ring Fp 2\nvars 3 a b c\n", 2),
+    # the row checks run as each eq line is read: distinct indices, and
+    # coefficients nonzero after reduction (3 is 0 over F3)
+    (load_max3lin, "s.3lin", "ring Fp 3\nvars 4\neq 1 1 1 2 3 1 1\n", 3),
+    (load_max3lin, "s.3lin", "ring Fp 3\nvars 4\neq 1 1 2 0 3 1 1\n", 3),
+    (load_max3lin, "s.3lin", "ring Fp 3\nvars 4\neq 1 1 2 3 3 1 1\n", 3),
+    # a planted assignment holds one entry per variable; vars follows it
+    (load_max3lin, "s.3lin", "# planted 1,2\nring Fp 3\nvars 4\neq 1 1 2 1 3 1 1\n", 1),
     # the header rule of every format: a vars count, as many names as it
     # says, and vars before any other statement
     (load_poly, "p.poly", "ring Z\nvars\nterm 1\n", 2),
@@ -653,3 +665,110 @@ def test_a_file_that_cannot_be_formatted_is_not_written(tmp_path):
         with pytest.raises(CapExceededError, match="more than 4300 digits"):
             save(str(path))
         assert not path.exists(), name
+
+
+def _max3lin_by_token(text):
+    """The .3lin reader, field by field: parse_int and ring.parse_coeff on
+    every token, the row checks of max3lin_from_text in its order, and the
+    system built through the checking constructor."""
+    reader = Reader()
+    rows, meta = [], {}
+
+    def count_only(parts, line):
+        if reader.names is not None:
+            raise FormatError("vars line takes one count")
+
+    def eq(parts, line):
+        if len(parts) != 8:
+            raise FormatError("eq lines need 3 index/coefficient pairs and a constant")
+        idx = [parse_int(t, line) for t in parts[1:7:2]]
+        for j in idx:
+            if not 1 <= j <= reader.nvars:
+                raise FormatError("variable index %d out of range" % j)
+        coeffs = [reader.ring.parse_coeff(t) for t in parts[2:7:2]]
+        b = reader.ring.parse_coeff(parts[7])
+        if len(set(idx)) != 3:
+            raise FormatError("row indices must be distinct")
+        if any(c.is_zero for c in coeffs):
+            raise FormatError("row coefficients must be nonzero")
+        rows.append(([j - 1 for j in idx], coeffs, b))
+
+    def provenance(words, line):
+        if len(words) != 2:
+            return
+        key, value = words
+        if key != "planted":
+            meta[key] = parse_int(value, line)
+            return
+        meta[key] = parse_vector(value, reader.ring)
+        if reader.nvars is not None and len(meta[key]) != reader.nvars:
+            raise FormatError("planted vector of length %d for %d variables"
+                              % (len(meta[key]), reader.nvars))
+
+    reader.read(text, {"vars": count_only, "eq": eq},
+                dict.fromkeys(("seed", "noise", "planted"), provenance))
+    if reader.nvars is None:
+        raise FormatError("system file needs ring and vars lines")
+    return Max3LinSystem(reader.ring, reader.nvars, rows, meta or None)
+
+
+def _max3lin_edits(text, ring):
+    """text and its one-token edits: of an eq row's index, coefficient or
+    constant, its length, a trailing comment, and the planted vector."""
+    lines = text.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith("eq "))
+    parts = lines[at].split()
+    zeros = ["0", "-0", "00"] + ([str(ring.modulus), "-%d" % ring.modulus]
+                                 if ring.is_finite else [])
+    swaps = [(1, "x"), (1, "0"), (3, "-1"), (5, "999"), (5, "1_0"), (3, parts[1]),
+             (5, parts[3]), (2, "q"), (4, "1.5"), (6, "9" * 5000), (7, "9" * 5000),
+             (7, "q"), (7, "0")] + [(k, z) for k in (2, 4, 6, 7) for z in zeros]
+    edited = []
+    for k, token in swaps:
+        edited.append(parts[:k] + [token] + parts[k + 1:])
+    edited += [parts + ["1"], parts[:-1], parts + ["#", "note"]]
+    yield text
+    for new in edited:
+        yield "\n".join(lines[:at] + [" ".join(new)] + lines[at + 1:])
+    for i, line in enumerate(lines):
+        if line.startswith("# planted "):
+            for planted in (line.rsplit(",", 1)[0], line + ",1", line + ",q"):
+                yield "\n".join(lines[:i] + [planted] + lines[i + 1:])
+
+
+@pytest.mark.parametrize("ring", [prime_field(2), prime_field(3), prime_field(5),
+                                  modular(4), modular(6), ZZ, QQ], ids=str)
+def test_max3lin_reader_matches_the_token_by_token_reader(ring):
+    """The reader, which parses each distinct coefficient token once and
+    checks each row as its line is read, gives the system and metadata, or
+    the error and line, that parsing every field gives; equal tokens of a
+    file give one shared element."""
+    texts = [max3lin_to_text(gen_max3lin(n, m, ring, planted=planted,
+                                         noise_count=noise, seed=seed))
+             for n, m, planted, noise, seed in ((5, 6, True, 1, 1), (4, 3, False, 0, 2),
+                                                (7, 7, True, 0, 3))]
+    seen = 0
+    for text in texts:
+        for variant in _max3lin_edits(text, ring):
+            try:
+                want = _max3lin_by_token(variant)
+            except FormatError as exc:
+                with pytest.raises(FormatError) as info:
+                    max3lin_from_text(variant)
+                assert (str(info.value), info.value.line) == (str(exc), exc.line)
+                continue
+            got = max3lin_from_text(variant)
+            assert got == want and got.meta == want.meta
+            seen += 1
+            lines = variant.split("\n")
+            eqs = [line.split("#", 1)[0].split() for line in lines if line[:3] == "eq "]
+            pairs = [pair for parts, (_, coeffs, b) in zip(eqs, got.rows)
+                     for pair in zip(parts[2:7:2] + parts[7:], coeffs + (b,))]
+            for line in lines:
+                if line.startswith("# planted "):
+                    pairs += zip(line.split()[2].split(","), got.meta["planted"])
+            shared = {}
+            for token, el in pairs:
+                assert shared.setdefault(token, el) is el
+                assert el == ring.parse_coeff(token)
+    assert seen >= len(texts) * 3
